@@ -21,12 +21,12 @@ from regulartri import (
 config = cube(3)
 print("points:", config.n, "dim:", config.dim)
 
-# collect every visited triangulation (as its canonical string form)
-canonicals = []
+# collect every visited triangulation
+triangulations = []
 count, stats = enumerate_triangulations(
     config,
     SearchMode.REGULAR_ONLY,
-    visitor=lambda canonical, gkz_vec, depth: canonicals.append(canonical),
+    visitor=lambda t, gkz_vec, depth: triangulations.append(t),
 )
 print("regular triangulations:", count)
 
@@ -40,7 +40,7 @@ print("baseline agrees:", baseline == count)
 # and reflections), closed under composition
 group = expand_group(config, cube_symmetry_generators(3))
 print("symmetry group order:", len(group))
-print("orbits:", orbit_count(canonicals, group))
+print("orbits:", orbit_count(triangulations, group))
 
 # the search decided every flip by the extremal-ray screening rules alone
 print("flips evaluated:", stats.flips_evaluated)

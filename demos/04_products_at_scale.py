@@ -15,7 +15,6 @@ from regulartri import (
     canonical_form,
     enumerate_triangulations,
     expand_group,
-    parse_triangulation,
     simplex_product,
     simplex_product_symmetry_generators,
 )
@@ -25,8 +24,8 @@ for m, n in ((2, 2), (2, 3)):
     group = expand_group(config, simplex_product_symmetry_generators(m, n))
     forms = set()
 
-    def visit(canonical, gkz_vec, depth):
-        forms.add(canonical_form(parse_triangulation(canonical), group))
+    def visit(t, gkz_vec, depth):
+        forms.add(canonical_form(t, group))
 
     start = time.perf_counter()
     count, stats = enumerate_triangulations(

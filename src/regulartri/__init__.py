@@ -31,8 +31,8 @@ from .catalog import (
     square,
     triangle_with_interior,
 )
-from .exact import Matrix, Rational, determinant, kernel_vector, rank
-from .flips import Flip, apply_flip, find_flips, flip_gkz
+from .exact import determinant, kernel_vector, rank
+from .flips import Flip, apply_flip, find_flips
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
 from .points import CorankOneConfig, PointConfiguration, new_configuration
 from .regularity import (
@@ -63,7 +63,6 @@ from .triangulation import (
     ensure_valid,
     format_triangulation,
     gkz,
-    lex_compare,
     parse_triangulation,
     placing_triangulation,
     validate,
@@ -78,11 +77,9 @@ __all__ = [
     "Feasibility",
     "Flip",
     "InvalidInputError",
-    "Matrix",
     "NoDependenceError",
     "NotCorankOneError",
     "PointConfiguration",
-    "Rational",
     "RayStats",
     "RegularityVerdict",
     "RegulartriError",
@@ -107,13 +104,11 @@ __all__ = [
     "extremal_rays",
     "find_flips",
     "find_root",
-    "flip_gkz",
     "format_triangulation",
     "gkz",
     "is_regular",
     "is_symmetry",
     "kernel_vector",
-    "lex_compare",
     "naive_extremal_rays",
     "nested_triangles",
     "nested_triangles_pinwheel",

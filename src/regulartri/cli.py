@@ -203,11 +203,11 @@ def cmd_enumerate(args, out) -> int:
     lines = []
     forms = set()
 
-    def visitor(canonical, gkz_vec, depth):
+    def visitor(t, gkz_vec, depth):
         if args.print_triangulations:
-            lines.append(f"{canonical} {_format_tuple(gkz_vec)}")
+            lines.append(f"{t.canonical()} {_format_tuple(gkz_vec)}")
         if group is not None:
-            forms.add(canonical_form(parse_triangulation(canonical), group))
+            forms.add(canonical_form(t, group))
 
     count, stats = enumerate_triangulations(
         config,
@@ -280,6 +280,16 @@ def cmd_flips(args, out) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enum.add_argument("--stats", action="store_true", help="print run counters")
     enum.add_argument(
-        "--flip-cache", type=int, default=40000, metavar="N",
+        "--flip-cache", type=_nonnegative_int, default=40000, metavar="N",
         help="flip-list cache capacity (0 disables caching; default 40000)",
     )
     enum.add_argument(

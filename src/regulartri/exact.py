@@ -14,50 +14,7 @@ from math import gcd
 
 from .errors import DimensionError, NoDependenceError, NotCorankOneError
 
-#: Exact scalar type used wherever integers do not suffice.
-Rational = Fraction
-
-
-class Matrix:
-    """A dense exact matrix with entries that are ints or Fractions.
-
-    Rows are stored row-major as tuples.  The class is deliberately small:
-    the heavy lifting lives in the module-level functions, which also accept
-    plain sequences of rows.
-    """
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows:
-            raise DimensionError("matrix needs at least one row")
-        width = len(rows[0])
-        if width == 0:
-            raise DimensionError("matrix needs at least one column")
-        for r in rows:
-            if len(r) != width:
-                raise DimensionError("ragged rows in matrix")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = width
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows)))
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Matrix({list(map(list, self.rows))})"
-
-
 def _as_rows(m):
-    if isinstance(m, Matrix):
-        return [list(r) for r in m.rows]
     rows = [list(r) for r in m]
     if not rows or not rows[0]:
         raise DimensionError("empty matrix")
@@ -85,7 +42,7 @@ def _clear_denominators(rows):
     return out, scale
 
 
-def determinant(m) -> Rational:
+def determinant(m):
     """Exact determinant via fraction-free Bareiss elimination.
 
     Integer input stays integer throughout; rational input is scaled to an
@@ -147,6 +104,21 @@ def rank(m) -> int:
         if r == nr:
             break
     return r
+
+
+def greedy_basis(vectors) -> list:
+    """Indices of a maximal independent subset, chosen greedily in order.
+
+    Each vector is kept when it raises the rank of those kept before it;
+    the scan stops once the kept vectors span their whole space.
+    """
+    chosen = []
+    for i, v in enumerate(vectors):
+        if rank([vectors[j] for j in chosen] + [v]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == len(v):
+                break
+    return chosen
 
 
 def _primitive(vec):

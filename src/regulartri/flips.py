@@ -153,11 +153,6 @@ def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Fl
     return flip
 
 
-def flip_gkz(config: PointConfiguration, flip: Flip) -> GkzVector:
-    """The GKZ displacement gkz(T') − gkz(T) of a flip (precomputed)."""
-    return flip.delta
-
-
 def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Triangulation:
     """The triangulation on the far side of the flip.
 

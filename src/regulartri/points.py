@@ -108,7 +108,7 @@ class PointConfiguration:
         self.ambient_dim = width
 
         full = [(1,) + p for p in pts]
-        cols = _columns if _columns is not None else _independent_columns(full)
+        cols = _columns if _columns is not None else exact.greedy_basis(list(zip(*full)))
         self.basis_columns = tuple(cols)
         self.dim = len(cols) - 1
         if _columns is not None and exact.rank([[row[c] for c in cols] for row in full]) != len(cols):
@@ -236,24 +236,6 @@ class PointConfiguration:
 
     def __repr__(self):
         return f"PointConfiguration(n={self.n}, dim={self.dim})"
-
-
-def _independent_columns(full_rows):
-    """Greedy selection of independent columns of the homogenized matrix.
-
-    The leading 1s column is always kept; remaining coordinates are added in
-    ascending order while they increase the rank.
-    """
-    ncols = len(full_rows[0])
-    chosen = [0]
-    r = 1  # the 1s column is never zero
-    for c in range(1, ncols):
-        trial = chosen + [c]
-        sub = [[row[j] for j in trial] for row in full_rows]
-        if exact.rank(sub) > r:
-            chosen = trial
-            r += 1
-    return chosen
 
 
 def new_configuration(points) -> PointConfiguration:

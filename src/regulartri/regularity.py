@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import RegulartriError
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
 from .points import PointConfiguration
-from .triangulation import Triangulation
+from .triangulation import Triangulation, facet_incidence
 
 
 # -- strict regularity system -------------------------------------------
@@ -52,20 +52,12 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
     carries a positive coefficient: the point must be lifted strictly above
     the simplex's hyperplane).
     """
-    d = config.dim
     rows = []
-    incidence = {}
-    for s in t.simplices:
-        for k in range(d + 1):
-            facet = s[:k] + s[k + 1 :]
-            incidence.setdefault(facet, []).append(s)
-    for facet, owners in sorted(incidence.items()):
+    for facet, owners in sorted(facet_incidence(t.simplices).items()):
         if len(owners) != 2:
             continue
-        s1, s2 = owners
-        apex = next(i for i in s1 if i not in facet)
-        j = tuple(sorted(set(s1) | set(s2)))
-        circuit = config.corank_one(j).oriented(apex)
+        (_, apex), (_, other) = owners
+        circuit = config.corank_one(facet + (apex, other)).oriented(apex)
         rows.append(_scatter(config.n, circuit))
     used = t.used_points()
     for u in range(config.n):

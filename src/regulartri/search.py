@@ -8,22 +8,20 @@ the graph is the edge graph of a polytope — is found by walking upflips from
 the placing seed.  Children of a node are exactly the lex-smaller neighbors
 whose predecessor is the node, so no visited set is ever needed.
 
-The engine is generic over a small oracle interface so that the same
-traversal (and the same cache semantics) can be driven by the real geometry
-or by a hand-built graph in tests:
+The engine is generic over a four-method oracle, so that the same traversal
+(and the same cache semantics) can be driven by the real geometry or by a
+hand-built graph in tests:
 
     gkz(node)                     -> tuple
-    canonical(node)               -> str
     flip_items(node, node_gkz)    -> [(edge, target, target_gkz)]
     true_flip_valid(node, items)  -> [bool]  (mode-dependent flip verdicts)
-    node_regular(node)            -> bool    (target-regularity, demo mode only)
+    seed()                        -> node
 
-Flip lists with their per-flip verdicts are memoized in an LRU cache keyed by
-the canonical string; any capacity (including zero) yields the same
-enumeration, only the hit counters move.  A deliberately broken alternative
-— caching regularity of *target triangulations* and trusting it in place of
-per-flip verdicts — is available behind `buggy_target_cache=True` to
-demonstrate how that shortcut silently prunes reachable triangulations.
+Nodes are hashable values (`Triangulation` objects for the geometry) and are
+the search's identity: flip lists with their per-flip verdicts are memoized
+in an LRU cache keyed by the node itself, and visitors receive the node.
+Any cache capacity (including zero) yields the same enumeration; only the
+hit counters move.
 """
 
 from __future__ import annotations
@@ -32,11 +30,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ResourceLimitError
+from .errors import RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
 from .points import PointConfiguration
-from .regularity import RayStats, is_regular, regular_flips
-from .triangulation import Triangulation, gkz, lex_compare, placing_triangulation
+from .regularity import RayStats, regular_flips
+from .triangulation import Triangulation, gkz, placing_triangulation
 
 
 class SearchMode(Enum):
@@ -54,7 +52,7 @@ class SearchStats:
 
 
 class FlipCache:
-    """LRU map from canonical string to the node's evaluated flip list.
+    """LRU map from a node to its evaluated flip list.
 
     capacity 0 disables storage entirely; eviction is least-recently-used.
     """
@@ -101,16 +99,13 @@ class GeometricFlipOracle:
     def gkz(self, t: Triangulation):
         return gkz(self.config, t)
 
-    def canonical(self, t: Triangulation) -> str:
-        return t.canonical()
-
     def flip_items(self, t: Triangulation, t_gkz):
         items = []
         for flip in find_flips(self.config, t):
             target = apply_flip(self.config, t, flip)
             tgkz = tuple(a + b for a, b in zip(t_gkz, flip.delta))
-            if self.verify_increments:
-                assert tgkz == gkz(self.config, target), (
+            if self.verify_increments and tgkz != gkz(self.config, target):
+                raise RegulartriError(
                     "incremental GKZ update disagrees with recomputation"
                 )
             items.append((flip, target, tgkz))
@@ -125,9 +120,6 @@ class GeometricFlipOracle:
         )
         return [id(f) in good for f in flips]
 
-    def node_regular(self, t: Triangulation) -> bool:
-        return is_regular(self.config, t).regular
-
     def seed(self) -> Triangulation:
         return placing_triangulation(self.config)
 
@@ -135,53 +127,24 @@ class GeometricFlipOracle:
 class NeighborProvider:
     """Evaluates and caches mode-valid neighbors on top of an oracle."""
 
-    def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000,
-                 buggy_target_cache: bool = False):
+    def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
         self.oracle = oracle
         self.stats = stats
-        self.buggy = buggy_target_cache
         self.cache = FlipCache(cache_capacity)
-        self._target_reg = FlipCache(cache_capacity) if buggy_target_cache else None
 
     def neighbors(self, node, node_gkz):
         """Valid neighbors as (target, target_gkz) pairs, deterministic order."""
-        key = self.oracle.canonical(node)
-        entry = self.cache.get(key)
+        entry = self.cache.get(node)
         if entry is not None:
             self.stats.cache_hits += 1
             return entry
         self.stats.cache_misses += 1
         items = self.oracle.flip_items(node, node_gkz)
         self.stats.flips_evaluated += len(items)
-        if not self.buggy:
-            valid = self.oracle.true_flip_valid(node, items)
-        else:
-            # Demonstration mode: a flip counts as valid whenever the
-            # *target triangulation* is known regular from an earlier
-            # visit, in place of the per-flip verdict.  The verdicts are
-            # frozen into the node's cached list at first expansion, so a
-            # wrong trust-based verdict sticks.
-            true_valid = self.oracle.true_flip_valid(node, items)
-            valid = []
-            for (edge, target, tgkz), ok in zip(items, true_valid):
-                tkey = self.oracle.canonical(target)
-                cached = self._target_reg.get(tkey)
-                if cached is not None:
-                    valid.append(cached[0])
-                else:
-                    self._target_reg.put(tkey, (self.oracle.node_regular(target),))
-                    valid.append(ok)
-        entry = self._pack(items, valid)
-        self.cache.put(key, entry)
+        valid = self.oracle.true_flip_valid(node, items)
+        entry = [(target, tgkz) for (_, target, tgkz), ok in zip(items, valid) if ok]
+        self.cache.put(node, entry)
         return entry
-
-    @staticmethod
-    def _pack(items, valid):
-        return [
-            (target, tgkz)
-            for (edge, target, tgkz), ok in zip(items, valid)
-            if ok
-        ]
 
 
 def predecessor(provider: NeighborProvider, node, node_gkz):
@@ -189,11 +152,12 @@ def predecessor(provider: NeighborProvider, node, node_gkz):
     best = None
     seen = set()
     for target, tgkz in provider.neighbors(node, node_gkz):
-        assert tgkz not in seen, "distinct neighbors share a GKZ-vector"
+        if tgkz in seen:
+            raise RegulartriError("distinct neighbors share a GKZ-vector")
         seen.add(tgkz)
-        if best is None or lex_compare(tgkz, best[1]) > 0:
+        if best is None or tgkz > best[1]:
             best = (target, tgkz)
-    if best is not None and lex_compare(best[1], node_gkz) > 0:
+    if best is not None and best[1] > node_gkz:
         return best
     return None
 
@@ -218,7 +182,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
     may exist, so only the tree of the sink reached from the seed is
     enumerated; use baseline_dfs for the full connected component.
 
-    The visitor, when given, receives (canonical_string, gkz, depth) for
+    The visitor, when given, receives (node, gkz, depth) for
     every triangulation exactly once and must not mutate search state.
     Memory use is bounded by the tree depth — no visited set exists.
     Returns the number of triangulations visited.
@@ -229,17 +193,17 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
     root, root_gkz = find_root(provider, seed)
     stats.nodes += 1
     if visitor is not None:
-        visitor(provider.oracle.canonical(root), root_gkz, 0)
+        visitor(root, root_gkz, 0)
     stack = [(root, root_gkz, 0)]
     while stack:
         node, node_gkz, depth = stack.pop()
         for target, tgkz in provider.neighbors(node, node_gkz):
-            if lex_compare(tgkz, node_gkz) < 0:
+            if tgkz < node_gkz:
                 pred = predecessor(provider, target, tgkz)
                 if pred is not None and pred[0] == node:
                     stats.nodes += 1
                     if visitor is not None:
-                        visitor(provider.oracle.canonical(target), tgkz, depth + 1)
+                        visitor(target, tgkz, depth + 1)
                     stack.append((target, tgkz, depth + 1))
     return stats.nodes
 
@@ -249,33 +213,31 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, seed=None, max_nodes=
 
     Exhaustive on the seed's connected component regardless of predecessor
     structure, at the price of remembering every visited triangulation.
-    Returns the set of canonical strings.  `max_nodes` bounds memory
+    Returns the set of visited nodes.  `max_nodes` bounds memory
     explicitly; crossing it raises ResourceLimitError.
     """
     stats = provider.stats
     if seed is None:
         seed = provider.oracle.seed()
     seed_gkz = provider.oracle.gkz(seed)
-    start_key = provider.oracle.canonical(seed)
-    visited = {start_key}
+    visited = {seed}
     stats.nodes += 1
     if visitor is not None:
-        visitor(start_key, seed_gkz, 0)
+        visitor(seed, seed_gkz, 0)
     stack = [(seed, seed_gkz, 0)]
     while stack:
         node, node_gkz, depth = stack.pop()
         for target, tgkz in provider.neighbors(node, node_gkz):
-            key = provider.oracle.canonical(target)
-            if key in visited:
+            if target in visited:
                 continue
             if max_nodes is not None and len(visited) >= max_nodes:
                 raise ResourceLimitError(
                     f"baseline traversal exceeded {max_nodes} stored nodes"
                 )
-            visited.add(key)
+            visited.add(target)
             stats.nodes += 1
             if visitor is not None:
-                visitor(key, tgkz, depth + 1)
+                visitor(target, tgkz, depth + 1)
             stack.append((target, tgkz, depth + 1))
     return visited
 
@@ -287,7 +249,6 @@ def enumerate_triangulations(
     cache_capacity: int = 40000,
     baseline: bool = False,
     max_nodes=None,
-    buggy_target_cache: bool = False,
     verify_increments: bool = False,
 ):
     """Convenience front end tying oracle, cache and traversal together.
@@ -297,9 +258,7 @@ def enumerate_triangulations(
     """
     stats = SearchStats()
     oracle = GeometricFlipOracle(config, mode, stats, verify_increments)
-    provider = NeighborProvider(
-        oracle, stats, cache_capacity, buggy_target_cache=buggy_target_cache
-    )
+    provider = NeighborProvider(oracle, stats, cache_capacity)
     if baseline:
         visited = baseline_dfs(provider, visitor=visitor, max_nodes=max_nodes)
         return len(visited), stats

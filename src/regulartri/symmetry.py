@@ -20,23 +20,12 @@ from .triangulation import Triangulation, parse_triangulation
 GROUP_ORDER_CAP = 10**6
 
 
-def _affine_basis(config: PointConfiguration):
-    basis = []
-    for i in range(config.n):
-        trial = basis + [i]
-        if exact.rank([config.hom[j] for j in trial]) == len(trial):
-            basis.append(i)
-            if len(basis) == config.dim + 1:
-                return basis
-    raise AssertionError("configuration spans its hull by construction")
-
-
 def is_symmetry(config: PointConfiguration, perm) -> bool:
     """Does the label permutation extend to an affine map of the points?"""
     perm = tuple(perm)
     if sorted(perm) != list(range(config.n)):
         raise InvalidInputError(f"not a permutation of 0..{config.n - 1}: {perm}")
-    basis = _affine_basis(config)
+    basis = exact.greedy_basis(config.hom)
     coords = [config.affine_coordinates(i, basis) for i in range(config.n)]
     image_rows = [config.hom[perm[b]] for b in basis]
     for i in range(config.n):

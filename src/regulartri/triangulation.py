@@ -2,8 +2,10 @@
 
 A triangulation is stored canonically: every simplex is an ascending tuple of
 point indices, and the simplices themselves are sorted lexicographically.
-The canonical text form `{{0,1,2},{0,2,3}}` is a bit-exact rendering of that
-ordering and is used as hash key, cache key and CLI interchange format.
+Triangulations hash and compare by that ordering, so they serve directly as
+set members and cache keys.  The canonical text form `{{0,1,2},{0,2,3}}` is a
+bit-exact rendering of the same ordering, used only for output and as the
+CLI interchange format.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .errors import (
     InvalidInputError,
     TriangulationError,
 )
+from . import exact
 from .points import PointConfiguration
 
 #: A simplex is an ascending tuple of d+1 point indices.
@@ -139,17 +142,14 @@ def gkz(config: PointConfiguration, t: Triangulation) -> GkzVector:
     return tuple(out)
 
 
-def lex_compare(a: GkzVector, b: GkzVector) -> int:
-    """Lexicographic comparison; returns -1, 0 or 1.
-
-    Vectors must have equal length — comparing GKZ-vectors of different
-    configurations is always a bug.
-    """
-    if len(a) != len(b):
-        raise DimensionError("GKZ-vectors of different lengths")
-    if a == b:
-        return 0
-    return 1 if a > b else -1
+def facet_incidence(simplices) -> dict:
+    """Map each facet (a simplex minus one vertex) to the (simplex, apex)
+    pairs of the simplices containing it, in iteration order."""
+    incidence = {}
+    for s in simplices:
+        for k in range(len(s)):
+            incidence.setdefault(s[:k] + s[k + 1 :], []).append((s, s[k]))
+    return incidence
 
 
 # -- validation --------------------------------------------------------
@@ -193,12 +193,7 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
             f"simplices cover volume {total}, hull has volume {hull}",
         )
 
-    incidence = {}
-    for s in t.simplices:
-        for k in range(d + 1):
-            facet = s[:k] + s[k + 1 :]
-            incidence.setdefault(facet, []).append(s)
-    for facet, owners in incidence.items():
+    for facet, owners in facet_incidence(t.simplices).items():
         if len(owners) > 2:
             return ValidationResult(
                 False,
@@ -206,16 +201,15 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
                 f"facet {facet} belongs to {len(owners)} simplices",
             )
         if len(owners) == 2:
-            apex0 = next(i for i in owners[0] if i not in facet)
-            apex1 = next(i for i in owners[1] if i not in facet)
+            (s0, apex0), (s1, apex1) = owners
             if config.facet_sign(facet, apex0) == config.facet_sign(facet, apex1):
                 return ValidationResult(
                     False,
                     "facet-pairing",
-                    f"simplices {owners[0]} and {owners[1]} overlap across facet {facet}",
+                    f"simplices {s0} and {s1} overlap across facet {facet}",
                 )
         else:
-            if not _on_boundary(config, facet, owners[0]):
+            if not _on_boundary(config, facet, owners[0][1]):
                 return ValidationResult(
                     False,
                     "facet-pairing",
@@ -224,9 +218,8 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
     return ValidationResult(True)
 
 
-def _on_boundary(config: PointConfiguration, facet, owner) -> bool:
+def _on_boundary(config: PointConfiguration, facet, apex) -> bool:
     """True when the facet's hyperplane supports the whole configuration."""
-    apex = next(i for i in owner if i not in facet)
     side = config.facet_sign(facet, apex)
     for i in range(config.n):
         if i in facet:
@@ -255,18 +248,7 @@ def placing_triangulation(config: PointConfiguration) -> Triangulation:
     not see it).  Points inside the current hull are skipped, so the result
     need not use every point.  Placing triangulations are regular.
     """
-    d = config.dim
-    seed = []
-    for i in range(config.n):
-        trial = seed + [i]
-        from . import exact
-
-        if exact.rank([config.hom[j] for j in trial]) == len(trial):
-            seed.append(i)
-            if len(seed) == d + 1:
-                break
-    assert len(seed) == d + 1, "configuration spans its affine hull by construction"
-
+    seed = exact.greedy_basis(config.hom)
     simplices = {tuple(sorted(seed))}
     placed = set(seed)
     for p in range(config.n):
@@ -274,8 +256,10 @@ def placing_triangulation(config: PointConfiguration) -> Triangulation:
             continue
         placed.add(p)
         visible = []
-        for facet, apex in _boundary_facets(simplices):
-            inside = config.facet_sign(facet, apex)
+        for facet, owners in facet_incidence(simplices).items():
+            if len(owners) != 1:
+                continue
+            inside = config.facet_sign(facet, owners[0][1])
             s = config.facet_sign(facet, p)
             if s != 0 and s != inside:
                 visible.append(facet)
@@ -283,14 +267,3 @@ def placing_triangulation(config: PointConfiguration) -> Triangulation:
             simplices.add(tuple(sorted(facet + (p,))))
     return Triangulation(simplices)
 
-
-def _boundary_facets(simplices):
-    """Facets used by exactly one simplex, paired with that simplex's apex."""
-    incidence = {}
-    for s in simplices:
-        for k in range(len(s)):
-            facet = s[:k] + s[k + 1 :]
-            incidence.setdefault(facet, []).append(s[k])
-    return [
-        (facet, apexes[0]) for facet, apexes in incidence.items() if len(apexes) == 1
-    ]

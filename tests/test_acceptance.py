@@ -30,7 +30,6 @@ from regulartri import (
     expand_group,
     extremal_rays,
     find_flips,
-    flip_gkz,
     gkz,
     is_regular,
     naive_extremal_rays,
@@ -49,7 +48,7 @@ from regulartri import (
 from regulartri.search import NeighborProvider, SearchStats, reverse_search
 
 from test_regularity import SPARSE_SYSTEM
-from test_search import MockOracle
+from test_search import MockOracle, TargetTrustingProvider
 
 STRETCH = os.environ.get("RUN_STRETCH") == "1"
 stretch_only = pytest.mark.skipif(
@@ -173,22 +172,19 @@ def _check_oracle_equality(config):
     enumerate_triangulations(
         config,
         SearchMode.ALL_FLIPS,
-        visitor=lambda c, g, depth: reachable.add(c),
+        visitor=lambda t, g, depth: reachable.add(t),
         baseline=True,
     )
     visited = set()
     enumerate_triangulations(
         config,
         SearchMode.REGULAR_ONLY,
-        visitor=lambda c, g, depth: visited.add(c),
+        visitor=lambda t, g, depth: visited.add(t),
         verify_increments=True,
     )
-    oracle = {
-        c for c in reachable if _checked_regular(config, parse_triangulation(c)).regular
-    }
+    oracle = {t for t in reachable if _checked_regular(config, t).regular}
     assert visited == oracle
-    for c in visited:
-        t = parse_triangulation(c)
+    for t in visited:
         for flip in regular_flips(config, t, find_flips(config, t)):
             target = apply_flip(config, t, flip)
             assert _checked_regular(config, target).regular
@@ -217,9 +213,9 @@ def test_criterion_03_oracle_set_equality():
 @_criterion(4, budget=60.0)
 def test_criterion_04_three_cube():
     config = cube(3)
-    canonicals = []
+    triangulations = []
     count, _ = enumerate_triangulations(
-        config, SearchMode.REGULAR_ONLY, visitor=lambda c, g, d: canonicals.append(c)
+        config, SearchMode.REGULAR_ONLY, visitor=lambda t, g, d: triangulations.append(t)
     )
     baseline_count, _ = enumerate_triangulations(
         config, SearchMode.REGULAR_ONLY, baseline=True
@@ -227,7 +223,7 @@ def test_criterion_04_three_cube():
     assert count == baseline_count == 74
     group = expand_group(config, cube_symmetry_generators(3))
     assert len(group) == 48
-    assert orbit_count(canonicals, group) == 6
+    assert orbit_count(triangulations, group) == 6
 
 
 # -- criteria 5 and 6: product-of-simplices stretch run ----------------------
@@ -242,8 +238,8 @@ def _stretch_run():
         assert len(group) == 4320
         forms = set()
 
-        def visit(canonical, g, depth):
-            forms.add(canonical_form(parse_triangulation(canonical), group))
+        def visit(t, g, depth):
+            forms.add(canonical_form(t, group))
 
         count, stats = enumerate_triangulations(
             config, SearchMode.REGULAR_ONLY, visitor=visit
@@ -274,9 +270,8 @@ def test_criterion_06_lp_avoidance():
 def test_criterion_07_caching_regression():
     def visits(buggy):
         seen = []
-        provider = NeighborProvider(
-            MockOracle(), SearchStats(), 100, buggy_target_cache=buggy
-        )
+        provider_class = TargetTrustingProvider if buggy else NeighborProvider
+        provider = provider_class(MockOracle(), SearchStats(), 100)
         reverse_search(provider, visitor=lambda c, g, d: seen.append(c))
         return sorted(seen)
 
@@ -332,21 +327,20 @@ def test_criterion_09_incremental_gkz():
     )
     zero_free = 0
     for config in fixtures:
-        canonicals = []
+        triangulations = []
         # verify_increments makes the oracle recompute every incremental
-        # GKZ during the search and assert exact agreement.
+        # GKZ during the search and raise on any disagreement.
         enumerate_triangulations(
             config,
             SearchMode.REGULAR_ONLY,
-            visitor=lambda c, g, d: canonicals.append(c),
+            visitor=lambda t, g, d: triangulations.append(t),
             verify_increments=True,
         )
         zero = tuple(0 for _ in range(config.n))
-        for c in canonicals:
-            t = parse_triangulation(c)
+        for t in triangulations:
             base = gkz(config, t)
             for flip in find_flips(config, t):
-                delta = flip_gkz(config, flip)
+                delta = flip.delta
                 assert delta != zero
                 zero_free += 1
                 moved = apply_flip(config, t, flip)

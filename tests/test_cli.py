@@ -9,7 +9,16 @@ import sys
 import pytest
 
 from regulartri import cli
-from regulartri import parse_triangulation, square, validate
+from regulartri import (
+    canonical_form,
+    enumerate_triangulations,
+    expand_group,
+    parse_triangulation,
+    simplex_product,
+    simplex_product_symmetry_generators,
+    square,
+    validate,
+)
 
 SQUARE_INPUT = "points: [[0,0],[1,0],[1,1],[0,1]]\nsymmetry: [[1,2,3,0]]\n"
 TRIANGLE_INPUT = "points: [[0,0],[3,0],[0,3],[1,1]]\n"
@@ -171,6 +180,38 @@ def test_enumerate_cache_capacity_flag(tmp_path):
         ["enumerate", "--input", path, "--regular", "--print", "--flip-cache", "0"]
     )
     assert base == nocache
+
+
+def test_enumerate_rejects_negative_flip_cache(tmp_path, capsys):
+    path = _write(tmp_path, "square.txt", SQUARE_INPUT)
+    code, text = _run(["enumerate", "--input", path, "--flip-cache", "-1"])
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: regulartri enumerate")
+    assert err.endswith("argument --flip-cache: must be nonnegative, got -1\n")
+    code, _ = _run(["enumerate", "--input", path, "--flip-cache", "x"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("--flip-cache: invalid int value: 'x'\n")
+
+
+def test_enumerate_product_of_triangles_counts(tmp_path):
+    config = simplex_product(2, 2)
+    gens = simplex_product_symmetry_generators(2, 2)
+    group = expand_group(config, gens)
+    forms = set()
+    count, _ = enumerate_triangulations(
+        config, visitor=lambda t, g, d: forms.add(canonical_form(t, group))
+    )
+    assert (count, len(forms)) == (108, 5)
+
+    def literal(rows):
+        return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]"
+
+    path = _write(
+        tmp_path, "d2d2.txt", f"points: {literal(config.points)}\nsymmetry: {literal(gens)}\n"
+    )
+    code, text = _run(["enumerate", "--input", path, "--orbits"])
+    assert (code, text) == (0, "triangulations: 108\norbits: 5\n")
 
 
 # -- regular --------------------------------------------------------------

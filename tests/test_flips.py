@@ -18,9 +18,7 @@ from regulartri import (
     apply_flip,
     cube,
     find_flips,
-    flip_gkz,
     gkz,
-    lex_compare,
     nested_triangles,
     new_configuration,
     parse_triangulation,
@@ -45,7 +43,6 @@ def test_square_flip_pins():
     assert f.removed == frozenset({(0, 1, 2), (0, 2, 3)})
     assert f.inserted == frozenset({(0, 1, 3), (1, 2, 3)})
     assert f.delta == (-1, 1, -1, 1)
-    assert flip_gkz(sq, f) == (-1, 1, -1, 1)
     other = apply_flip(sq, t, f)
     assert other == parse_triangulation("{{0,1,3},{1,2,3}}")
     # The reverse flip exists and has the opposite displacement.
@@ -209,4 +206,4 @@ def test_upflip_downflip_partition():
     base = gkz(cfg, t)
     for f in find_flips(cfg, t):
         target_gkz = tuple(a + b for a, b in zip(base, f.delta))
-        assert lex_compare(target_gkz, base) != 0
+        assert target_gkz != base

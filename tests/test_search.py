@@ -1,21 +1,26 @@
 """Reverse search, baseline DFS, and the flip-verdict cache.
 
 Includes the three-node mock graph that pins down why cached verdicts must
-be about flips: trusting cached *target* regularity silently drops the
-bottom triangulation from the search tree.
+be about flips: trusting cached *target* regularity (TargetTrustingProvider
+below) silently drops the bottom triangulation from the search tree.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from regulartri import (
+    RegulartriError,
     ResourceLimitError,
     SearchMode,
     cube,
     enumerate_triangulations,
     gkz,
-    lex_compare,
     nested_triangles,
     parse_triangulation,
     placing_triangulation,
@@ -34,10 +39,10 @@ from regulartri.search import (
 )
 
 
-def _provider(config, mode=SearchMode.REGULAR_ONLY, capacity=40000, buggy=False):
+def _provider(config, mode=SearchMode.REGULAR_ONLY, capacity=40000):
     stats = SearchStats()
     oracle = GeometricFlipOracle(config, mode, stats, verify_increments=True)
-    return NeighborProvider(oracle, stats, capacity, buggy_target_cache=buggy), stats
+    return NeighborProvider(oracle, stats, capacity), stats
 
 
 class MockOracle:
@@ -57,9 +62,6 @@ class MockOracle:
     def gkz(self, t):
         return self.GKZ[t]
 
-    def canonical(self, t):
-        return t
-
     def flip_items(self, t, t_gkz):
         return [(f, tgt, self.GKZ[tgt]) for f, tgt in self.EDGES[t]]
 
@@ -73,11 +75,37 @@ class MockOracle:
         return "T0"
 
 
+class TargetTrustingProvider(NeighborProvider):
+    """A deliberately broken provider: a flip counts as valid whenever its
+    *target* is known regular from an earlier expansion, in place of the
+    per-flip verdict.  The verdicts are frozen into the node's cached list
+    at first expansion, so a wrong trust-based verdict sticks."""
+
+    def __init__(self, oracle, stats, cache_capacity=40000):
+        super().__init__(oracle, stats, cache_capacity)
+        self.target_regular = {}
+
+    def neighbors(self, node, node_gkz):
+        entry = self.cache.get(node)
+        if entry is not None:
+            return entry
+        items = self.oracle.flip_items(node, node_gkz)
+        valid = []
+        for (_, target, _), ok in zip(items, self.oracle.true_flip_valid(node, items)):
+            if target in self.target_regular:
+                valid.append(self.target_regular[target])
+            else:
+                self.target_regular[target] = self.oracle.node_regular(target)
+                valid.append(ok)
+        entry = [(target, tgkz) for (_, target, tgkz), ok in zip(items, valid) if ok]
+        self.cache.put(node, entry)
+        return entry
+
+
 def _run_mock(buggy, bad=("f02", "f20")):
     stats = SearchStats()
-    provider = NeighborProvider(
-        MockOracle(bad), stats, 100, buggy_target_cache=buggy
-    )
+    provider_class = TargetTrustingProvider if buggy else NeighborProvider
+    provider = provider_class(MockOracle(bad), stats, 100)
     seen = []
     reverse_search(provider, visitor=lambda c, g, d: seen.append(c))
     return sorted(seen)
@@ -94,6 +122,54 @@ def test_mock_graph_target_regularity_cache_loses_a_node():
 def test_mock_graph_agrees_when_all_flips_are_regular():
     assert _run_mock(buggy=False, bad=()) == ["T0", "T1", "T2"]
     assert _run_mock(buggy=True, bad=()) == ["T0", "T1", "T2"]
+
+
+class SharedGkzOracle(MockOracle):
+    """The mock graph with two distinct neighbors of T0 on one GKZ-vector."""
+
+    GKZ = {"T0": (3, 0), "T1": (2, 0), "T2": (2, 0)}
+
+
+def test_shared_gkz_vectors_raise():
+    provider = NeighborProvider(SharedGkzOracle(bad=()), SearchStats())
+    with pytest.raises(RegulartriError, match="share a GKZ-vector"):
+        reverse_search(provider)
+
+
+def test_increment_check_raises():
+    sq = square()
+    oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
+    with pytest.raises(RegulartriError, match="incremental GKZ"):
+        oracle.flip_items(placing_triangulation(sq), (0, 0, 0, 0))
+
+
+def test_exactness_checks_survive_optimize_flag():
+    here = Path(__file__).resolve().parent
+    code = (
+        "from regulartri import RegulartriError, SearchMode, placing_triangulation, square\n"
+        "from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats\n"
+        "from regulartri.search import reverse_search\n"
+        "from test_search import SharedGkzOracle\n"
+        "assert False, 'assertions are on'\n"
+    )
+    checks = (
+        "reverse_search(NeighborProvider(SharedGkzOracle(bad=()), SearchStats()))",
+        "GeometricFlipOracle(square(), SearchMode.REGULAR_ONLY, SearchStats(), True)"
+        ".flip_items(placing_triangulation(square()), (0, 0, 0, 0))",
+    )
+    for check in checks:
+        code += f"try:\n    {check}\nexcept RegulartriError as e:\n    print(e)\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "distinct neighbors share a GKZ-vector",
+        "incremental GKZ update disagrees with recomputation",
+    ]
 
 
 def test_predecessor_square():
@@ -132,9 +208,7 @@ def test_find_root_is_seed_independent():
     for cfg in (square(), triangle_with_interior(), nested_triangles()):
         provider, _ = _provider(cfg)
         members = []
-        reverse_search(
-            provider, visitor=lambda c, g, d: members.append(parse_triangulation(c))
-        )
+        reverse_search(provider, visitor=lambda t, g, d: members.append(t))
         roots = set()
         for t in members:
             fresh, _ = _provider(cfg)
@@ -182,26 +256,25 @@ def test_visitor_sees_each_node_once_with_depths():
     assert all(d >= 0 for d in depths)
     # GKZ values reported to the visitor are the exact vectors.
     cfg = nested_triangles()
-    for c, g, _ in log:
-        assert g == gkz(cfg, parse_triangulation(c))
+    for t, g, _ in log:
+        assert g == gkz(cfg, t)
 
 
 def test_predecessor_chains_reach_root():
     cfg = nested_triangles()
     provider, _ = _provider(cfg)
     members = []
-    reverse_search(provider, visitor=lambda c, g, d: members.append(c))
-    root = parse_triangulation(members[0])
+    reverse_search(provider, visitor=lambda t, g, d: members.append(t))
+    root = members[0]
     root_gkz = gkz(cfg, root)
-    for c in members:
-        node = parse_triangulation(c)
+    for node in members:
         node_gkz = gkz(cfg, node)
         hops = 0
         while True:
             up = predecessor(provider, node, node_gkz)
             if up is None:
                 break
-            assert lex_compare(up[1], node_gkz) > 0
+            assert up[1] > node_gkz
             node, node_gkz = up
             hops += 1
             assert hops <= len(members)

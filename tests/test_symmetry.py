@@ -145,9 +145,8 @@ def test_orbit_sizes_divide_group_order():
     ts = []
     enumerate_triangulations(cfg, visitor=lambda c, g, d: ts.append(c))
     by_form = {}
-    for c in ts:
-        t = parse_triangulation(c)
-        by_form.setdefault(canonical_form(t, group), set()).add(c)
+    for t in ts:
+        by_form.setdefault(canonical_form(t, group), set()).add(t)
     assert len(by_form) == 6
     for members in by_form.values():
         assert len(group) % len(members) == 0
@@ -161,7 +160,7 @@ def test_gkz_is_equivariant_under_symmetries():
     ts = []
     enumerate_triangulations(cfg, visitor=lambda c, g, d: ts.append(c))
     for _ in range(30):
-        t = parse_triangulation(rng.choice(ts))
+        t = rng.choice(ts)
         perm = rng.choice(group)
         base = gkz(cfg, t)
         moved = gkz(cfg, relabel(t, perm))

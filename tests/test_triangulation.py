@@ -15,7 +15,6 @@ from regulartri import (
     ensure_valid,
     format_triangulation,
     gkz,
-    lex_compare,
     nested_triangles,
     nested_triangles_pinwheel,
     new_configuration,
@@ -90,15 +89,6 @@ def test_gkz_entries_sum_to_dim_plus_one_times_volume():
         assert sum(v) == (cfg.dim + 1) * cfg.total_volume()
         assert all(x >= 0 for x in v)
     del rng
-
-
-def test_lex_compare():
-    assert lex_compare((2, 1, 2, 1), (1, 2, 1, 2)) == 1
-    assert lex_compare((1, 2, 1, 2), (2, 1, 2, 1)) == -1
-    assert lex_compare((0, 5), (1, 0)) == -1
-    assert lex_compare((3, 3), (3, 3)) == 0
-    with pytest.raises(DimensionError):
-        lex_compare((1, 2), (1, 2, 3))
 
 
 def test_validate_accepts_good_triangulations():
