@@ -53,10 +53,19 @@ from .search import (
     baseline_dfs,
     enumerate_triangulations,
     find_root,
+    orbit_search,
     predecessor,
     reverse_search,
 )
-from .symmetry import canonical_form, expand_group, is_symmetry, orbit_count, relabel
+from .symmetry import (
+    canonical_form,
+    expand_group,
+    inverse_permutations,
+    is_symmetry,
+    orbit_count,
+    orbit_key,
+    relabel,
+)
 from .triangulation import (
     Triangulation,
     ValidationResult,
@@ -106,6 +115,7 @@ __all__ = [
     "find_root",
     "format_triangulation",
     "gkz",
+    "inverse_permutations",
     "is_regular",
     "is_symmetry",
     "kernel_vector",
@@ -115,6 +125,8 @@ __all__ = [
     "new_configuration",
     "nonneg_combination",
     "orbit_count",
+    "orbit_key",
+    "orbit_search",
     "parse_triangulation",
     "placing_triangulation",
     "predecessor",

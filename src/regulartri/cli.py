@@ -26,8 +26,21 @@ from .errors import (
 from .flips import find_flips
 from .points import PointConfiguration
 from .regularity import is_regular, regular_flips
-from .search import SearchMode, enumerate_triangulations
-from .symmetry import canonical_form, expand_group
+from .search import (
+    GeometricFlipOracle,
+    NeighborProvider,
+    SearchMode,
+    SearchStats,
+    enumerate_triangulations,
+    orbit_search,
+)
+from .symmetry import (
+    canonical_form,
+    expand_group,
+    inverse_permutations,
+    orbit_key,
+    relabel,
+)
 from .triangulation import parse_triangulation, validate
 
 EXIT_OK = 0
@@ -201,26 +214,50 @@ def cmd_enumerate(args, out) -> int:
 
     mode = SearchMode.ALL_FLIPS if args.all else SearchMode.REGULAR_ONLY
     lines = []
-    forms = set()
+    # Regular-mode --orbits walks one representative per orbit; --all and
+    # --baseline enumerate every triangulation and canonicalise each one,
+    # which also serves as the cross-check of the orbit search.
+    if group is not None and not args.all and not args.baseline:
+        stats = SearchStats()
+        oracle = GeometricFlipOracle(config, mode, stats)
+        provider = NeighborProvider(oracle, stats, args.flip_cache)
+        group_inverses = inverse_permutations(group)
 
-    def visitor(t, gkz_vec, depth):
-        if args.print_triangulations:
-            lines.append(f"{t.canonical()} {_format_tuple(gkz_vec)}")
-        if group is not None:
-            forms.add(canonical_form(t, group))
+        def print_orbit(rep, gkz_vec, depth):
+            members = {relabel(rep, perm) for perm in group}
+            stabiliser = orbit_key(gkz_vec, group, group_inverses)[2]
+            if len(members) * stabiliser != len(group):
+                raise RegulartriError(
+                    f"orbit of {rep.canonical()} has {len(members)} members, "
+                    f"expected |G|/|Stab| = {len(group)}/{stabiliser}"
+                )
+            for t in members:
+                lines.append(f"{t.canonical()} {_format_tuple(oracle.gkz(t))}")
 
-    count, stats = enumerate_triangulations(
-        config,
-        mode=mode,
-        visitor=visitor,
-        cache_capacity=args.flip_cache,
-        baseline=args.baseline,
-    )
+        visitor = print_orbit if args.print_triangulations else None
+        orbits, count = orbit_search(provider, group, visitor)
+    else:
+        forms = set()
+
+        def visitor(t, gkz_vec, depth):
+            if args.print_triangulations:
+                lines.append(f"{t.canonical()} {_format_tuple(gkz_vec)}")
+            if group is not None:
+                forms.add(canonical_form(t, group))
+
+        count, stats = enumerate_triangulations(
+            config,
+            mode=mode,
+            visitor=visitor,
+            cache_capacity=args.flip_cache,
+            baseline=args.baseline,
+        )
+        orbits = len(forms)
     for line in sorted(lines):
         out.write(line + "\n")
     out.write(f"triangulations: {count}\n")
     if group is not None:
-        out.write(f"orbits: {len(forms)}\n")
+        out.write(f"orbits: {orbits}\n")
     if args.stats:
         out.write(f"nodes: {stats.nodes}\n")
         out.write(f"flips_evaluated: {stats.flips_evaluated}\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StaleFlipError
+from .errors import RegulartriError, StaleFlipError
 from .points import CorankOneConfig, PointConfiguration
 from .triangulation import GkzVector, Triangulation
 
@@ -135,7 +135,8 @@ def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Fl
             simplex = tuple(sorted(face + tau))
             inserted.append(simplex)
             vol = config.normalized_volume(simplex)
-            assert vol > 0, "inserted flip simplex is degenerate"
+            if vol <= 0:
+                raise RegulartriError("inserted flip simplex is degenerate")
             for v in simplex:
                 delta[v] += vol
     flip = Flip(
@@ -144,12 +145,15 @@ def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Fl
         inserted=frozenset(inserted),
         delta=tuple(delta),
     )
-    assert all(flip.delta[q] > 0 for q in circuit.plus) and all(
-        flip.delta[q] < 0 for q in circuit.minus
-    ) and sum(1 for x in flip.delta if x != 0) == len(circuit.support), (
-        "flip displacement must be positive on the removed side, negative on "
-        "the inserted side, zero elsewhere"
-    )
+    if not (
+        all(flip.delta[q] > 0 for q in circuit.plus)
+        and all(flip.delta[q] < 0 for q in circuit.minus)
+        and sum(1 for x in flip.delta if x != 0) == len(circuit.support)
+    ):
+        raise RegulartriError(
+            "flip displacement must be positive on the removed side, negative on "
+            "the inserted side, zero elsewhere"
+        )
     return flip
 
 

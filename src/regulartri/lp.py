@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError
+from .errors import DimensionError, RegulartriError
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def _phase_one(columns, rhs):
                 ):
                     best = ratio
                     leave = i
-        assert leave is not None, "phase-1 objective is bounded below by zero"
+        if leave is None:
+            raise RegulartriError("phase-1 objective is bounded below by zero")
         _pivot(tab, obj, basis, leave, enter, width)
 
     value = -obj[width]
@@ -136,16 +137,15 @@ def nonneg_combination(generators, target) -> Feasibility:
 
     feasible, x, y = _phase_one(gens, tgt)
     if feasible:
-        assert all(c >= 0 for c in x)
         combo = [Fraction(0)] * len(tgt)
         for c, g in zip(x, gens):
             for i, v in enumerate(g):
                 combo[i] += c * v
-        assert tuple(combo) == tgt, "witness failed exact recheck"
+        if any(c < 0 for c in x) or tuple(combo) != tgt:
+            raise RegulartriError("witness failed exact recheck")
         return Feasibility(True, witness=x)
-    assert _dot(y, tgt) > 0, "certificate failed exact recheck"
-    for g in gens:
-        assert _dot(y, g) <= 0, "certificate failed exact recheck"
+    if _dot(y, tgt) <= 0 or any(_dot(y, g) > 0 for g in gens):
+        raise RegulartriError("certificate failed exact recheck")
     return Feasibility(False, certificate=y)
 
 
@@ -183,14 +183,13 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
     feasible, x, y = _phase_one(columns, target)
     if feasible:
         h = tuple(x[j] - x[n + j] for j in range(n))
-        for r in rows:
-            assert _dot(r, h) >= 1, "witness failed exact recheck"
+        if any(_dot(r, h) < 1 for r in rows):
+            raise RegulartriError("witness failed exact recheck")
         return Feasibility(True, witness=h)
-    assert all(v >= 0 for v in y) and any(v > 0 for v in y), (
-        "certificate failed exact recheck"
-    )
-    for j in range(n):
-        assert sum(y[i] * rows[i][j] for i in range(m)) == 0, (
-            "certificate failed exact recheck"
-        )
+    if (
+        any(v < 0 for v in y)
+        or not any(v > 0 for v in y)
+        or any(sum(y[i] * rows[i][j] for i in range(m)) != 0 for j in range(n))
+    ):
+        raise RegulartriError("certificate failed exact recheck")
     return Feasibility(False, certificate=tuple(y))

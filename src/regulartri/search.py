@@ -22,6 +22,12 @@ the search's identity: flip lists with their per-flip verdicts are memoized
 in an LRU cache keyed by the node itself, and visitors receive the node.
 Any cache capacity (including zero) yields the same enumeration; only the
 hit counters move.
+
+`orbit_search` is the symmetric variant (as in mptopcom's symmetric reverse
+search): it walks one representative per symmetry orbit, the member with
+the lex-max GKZ-vector, and recovers the full count as the sum of the orbit
+sizes.  It uses the same provider, predecessor and root walk, so the cache
+semantics above hold for it unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
 from .points import PointConfiguration
 from .regularity import RayStats, regular_flips
+from .symmetry import inverse_permutations, orbit_key, relabel
 from .triangulation import Triangulation, gkz, placing_triangulation
 
 
@@ -206,6 +213,62 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
                         visitor(target, tgkz, depth + 1)
                     stack.append((target, tgkz, depth + 1))
     return stats.nodes
+
+
+def orbit_search(provider: NeighborProvider, group, visitor=None):
+    """Reverse search over orbit representatives under a symmetry group.
+
+    A representative is the lex-max-GKZ member of its orbit (see
+    `symmetry.orbit_key`).  The parent of a representative C is the
+    representative of C's predecessor; its GKZ-vector is strictly larger
+    than C's, so the parent links form a tree rooted at the representative
+    of the lex-max root.  If the upflip of C is g·R, then g⁻¹·C is a
+    neighbor of R whose representative is C, so the children of R are found
+    among the representatives of R's neighbors.  Memory is bounded by the
+    tree depth times the degree — no visited set exists.
+
+    Regular mode only: GKZ is not injective on non-regular triangulations,
+    so the orbit key would merge distinct orbits in all-flips mode.
+
+    The visitor, when given, receives (representative, gkz, depth) once per
+    orbit.  `provider.stats.nodes` counts representatives.  Returns
+    (orbits, triangulations), the latter the sum of |G|/|Stab| over orbits.
+    """
+    if getattr(provider.oracle, "mode", None) is SearchMode.ALL_FLIPS:
+        raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
+                              "do not identify non-regular triangulations")
+    stats = provider.stats
+    order = len(group)
+    group_inverses = inverse_permutations(group)
+    root, root_gkz = find_root(provider, provider.oracle.seed())
+    key, _, stabiliser = orbit_key(root_gkz, group, group_inverses)
+    if key != root_gkz:
+        raise RegulartriError("the lex-max root is not its orbit's representative")
+    orbits = 1
+    total = order // stabiliser
+    stats.nodes += 1
+    if visitor is not None:
+        visitor(root, root_gkz, 0)
+    stack = [(root, root_gkz, 0)]
+    while stack:
+        node, node_gkz, depth = stack.pop()
+        seen = set()
+        for target, tgkz in provider.neighbors(node, node_gkz):
+            cgkz, perm, stabiliser = orbit_key(tgkz, group, group_inverses)
+            if cgkz >= node_gkz or cgkz in seen:
+                continue
+            seen.add(cgkz)
+            child = relabel(target, perm)
+            pred = predecessor(provider, child, cgkz)
+            if pred is None or orbit_key(pred[1], group, group_inverses)[0] != node_gkz:
+                continue
+            orbits += 1
+            total += order // stabiliser
+            stats.nodes += 1
+            if visitor is not None:
+                visitor(child, cgkz, depth + 1)
+            stack.append((child, cgkz, depth + 1))
+    return orbits, total
 
 
 def baseline_dfs(provider: NeighborProvider, visitor=None, seed=None, max_nodes=None):

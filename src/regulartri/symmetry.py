@@ -3,9 +3,16 @@
 A symmetry is a permutation g of the point labels such that the map
 a_i -> a_{g(i)} extends to an affine transformation; such permutations send
 triangulations to triangulations and permute GKZ-vector coordinates.  Groups
-are given by generators and expanded by breadth-first closure.  Orbits are
-counted after enumeration by canonicalizing every triangulation to the
-lexicographically smallest relabelling over the group.
+are given by generators and expanded by breadth-first closure.
+
+Two orbit keys live here.  `orbit_key` ranks the relabelled GKZ-vectors of
+a regular triangulation and keeps the lex-largest: GKZ is injective on
+regular triangulations, so this key is exact, and the number of group
+elements reaching it is the stabiliser order.  Orbit-level reverse search
+(`search.orbit_search`) visits one representative per orbit by this key.
+`canonical_form` relabels the simplices themselves and keeps the lex-least
+image; it is slower but holds for non-regular triangulations too, and
+`orbit_count` uses it to count orbits of an enumerated stream.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 from . import exact
 from .errors import InvalidInputError, ResourceLimitError
 from .points import PointConfiguration
-from .triangulation import Triangulation, parse_triangulation
+from .triangulation import Triangulation
 
 GROUP_ORDER_CAP = 10**6
 
@@ -81,27 +88,47 @@ def relabel(t: Triangulation, perm) -> Triangulation:
     return Triangulation(tuple(perm[i] for i in s) for s in t.simplices)
 
 
-def canonical_form(t: Triangulation, group) -> str:
-    """Lexicographically smallest relabelling of t over the group, as the
-    canonical text form.  Constant on orbits, distinct across orbits."""
+def inverse_permutations(group):
+    """The inverse of each permutation of the group, in the group's order."""
+    return tuple(tuple(sorted(range(len(g)), key=g.__getitem__)) for g in group)
+
+
+def orbit_key(node_gkz, group, group_inverses):
+    """The lex-max GKZ image of a regular triangulation over the group.
+
+    Relabelling by g moves GKZ entry i to position g[i], so the image is
+    w[j] = node_gkz[g⁻¹[j]].  Returns (image, g, stabiliser order): `g` is
+    the first element reaching the image, so `relabel(t, g)` is the orbit
+    representative, and the count of elements reaching it is |Stab(t)|
+    because GKZ is injective on regular triangulations.
+    """
+    pick = node_gkz.__getitem__
+    images = [tuple(map(pick, inv)) for inv in group_inverses]
+    best = max(images)
+    return best, group[images.index(best)], images.count(best)
+
+
+def canonical_form(t: Triangulation, group) -> Triangulation:
+    """Lexicographically smallest relabelling of t over the group.
+
+    Constant on orbits, distinct across orbits.
+    """
     best = None
     for perm in group:
         image = tuple(sorted(tuple(sorted(perm[i] for i in s)) for s in t.simplices))
         if best is None or image < best:
             best = image
-    return Triangulation(best).canonical()
+    return Triangulation(best)
 
 
 def orbit_count(stream, group, max_size=None) -> int:
     """Number of orbits among the streamed triangulations.
 
-    Accepts Triangulation objects or canonical strings.  Memory grows with
-    the number of distinct orbits; `max_size` bounds it explicitly
-    (ResourceLimitError when exceeded).
+    Memory grows with the number of distinct orbits; `max_size` bounds it
+    explicitly (ResourceLimitError when exceeded).
     """
     forms = set()
-    for item in stream:
-        t = parse_triangulation(item) if isinstance(item, str) else item
+    for t in stream:
         forms.add(canonical_form(t, group))
         if max_size is not None and len(forms) > max_size:
             raise ResourceLimitError(f"orbit set exceeded {max_size} entries")

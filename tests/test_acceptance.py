@@ -45,7 +45,13 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
-from regulartri.search import NeighborProvider, SearchStats, reverse_search
+from regulartri.search import (
+    GeometricFlipOracle,
+    NeighborProvider,
+    SearchStats,
+    orbit_search,
+    reverse_search,
+)
 
 from test_regularity import SPARSE_SYSTEM
 from test_search import MockOracle, TargetTrustingProvider
@@ -251,7 +257,17 @@ def _stretch_run():
 @stretch_only
 @_criterion(5, budget=7200.0)
 def test_criterion_05_product_of_simplices_orbits():
-    assert _stretch_run()["orbits"] == 13621
+    config = simplex_product(2, 5)
+    group = expand_group(config, simplex_product_symmetry_generators(2, 5))
+    assert len(group) == 4320
+    stats = SearchStats()
+    oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats)
+    orbits, total = orbit_search(NeighborProvider(oracle, stats), group)
+    print(
+        f"criterion 5: orbits={orbits} triangulations={total} "
+        f"flip_lists={stats.cache_misses} lps_solved={stats.rays.lps_solved}"
+    )
+    assert orbits == 13621
 
 
 @stretch_only

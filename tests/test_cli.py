@@ -29,6 +29,18 @@ NESTED_INPUT = (
 PINWHEEL = "{{0,1,4},{0,3,4},{1,2,5},{1,4,5},{0,2,3},{2,3,5},{3,4,5}}"
 
 
+def _product_input(m, n):
+    def literal(rows):
+        return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]"
+
+    points = simplex_product(m, n).points
+    gens = simplex_product_symmetry_generators(m, n)
+    return f"points: {literal(points)}\nsymmetry: {literal(gens)}\n"
+
+
+D2D2_INPUT = _product_input(2, 2)
+
+
 def _run(argv):
     out = io.StringIO()
     code = cli.main(argv, out=out)
@@ -204,14 +216,32 @@ def test_enumerate_product_of_triangles_counts(tmp_path):
     )
     assert (count, len(forms)) == (108, 5)
 
-    def literal(rows):
-        return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]"
-
-    path = _write(
-        tmp_path, "d2d2.txt", f"points: {literal(config.points)}\nsymmetry: {literal(gens)}\n"
-    )
+    path = _write(tmp_path, "d2d2.txt", D2D2_INPUT)
     code, text = _run(["enumerate", "--input", path, "--orbits"])
     assert (code, text) == (0, "triangulations: 108\norbits: 5\n")
+
+
+@pytest.mark.parametrize(
+    "text", (SQUARE_INPUT, NESTED_INPUT, D2D2_INPUT), ids=("square", "nested", "d2d2")
+)
+def test_enumerate_orbit_search_agrees_with_full_enumeration(tmp_path, text):
+    path = _write(tmp_path, "input.txt", text)
+    for extra in ([], ["--print"]):
+        argv = ["enumerate", "--input", path, "--orbits", *extra]
+        orbit_search = _run(argv)
+        assert orbit_search[0] == 0
+        # --baseline takes the full enumeration with canonical forms.
+        assert _run(argv + ["--baseline"]) == orbit_search
+        assert _run(argv + ["--flip-cache", "0"]) == orbit_search
+
+
+def test_enumerate_orbit_search_checks_orbit_sizes(tmp_path, monkeypatch):
+    path = _write(tmp_path, "nested.txt", NESTED_INPUT)
+    monkeypatch.setattr(cli, "orbit_key", lambda gkz_vec, group, inverses: (gkz_vec, None, 5))
+    code, _ = _run(["enumerate", "--input", path, "--orbits"])
+    assert code == 0
+    code, _ = _run(["enumerate", "--input", path, "--orbits", "--print"])
+    assert code == cli.EXIT_SEMANTIC
 
 
 # -- regular --------------------------------------------------------------

@@ -13,6 +13,8 @@ import random
 import pytest
 
 from regulartri import (
+    PointConfiguration,
+    RegulartriError,
     StaleFlipError,
     Triangulation,
     apply_flip,
@@ -27,6 +29,9 @@ from regulartri import (
     triangle_with_interior,
     validate,
 )
+from regulartri.flips import _make_flip
+
+from test_search import optimized_output
 
 
 def test_square_flip_pins():
@@ -207,3 +212,44 @@ def test_upflip_downflip_partition():
     for f in find_flips(cfg, t):
         target_gkz = tuple(a + b for a, b in zip(base, f.delta))
         assert target_gkz != base
+
+
+#: Volume functions that break a recheck in `_make_flip`, and its message.
+FORGED_VOLUMES = (
+    (lambda self, s: 0, "inserted flip simplex is degenerate"),
+    # The removed simplex {0,1,2} weighs 5, every other simplex 1.
+    (lambda self, s: 5 if 3 not in s else 1, "flip displacement must be positive"),
+)
+
+
+def forged_square_flip(volume):
+    """Rebuild the square's flip with `normalized_volume` replaced by `volume`."""
+    sq = square()
+    circuit = find_flips(sq, parse_triangulation("{{0,1,2},{0,2,3}}"))[0].circuit
+    original = PointConfiguration.normalized_volume
+    PointConfiguration.normalized_volume = volume
+    try:
+        return _make_flip(sq, circuit, frozenset({()}))
+    finally:
+        PointConfiguration.normalized_volume = original
+
+
+@pytest.mark.parametrize("volume, message", FORGED_VOLUMES)
+def test_make_flip_rechecks_raise(volume, message):
+    with pytest.raises(RegulartriError, match=message):
+        forged_square_flip(volume)
+
+
+def test_make_flip_rechecks_survive_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_flips import FORGED_VOLUMES, forged_square_flip\n"
+        "for volume, _ in FORGED_VOLUMES:\n"
+        "    try:\n"
+        "        forged_square_flip(volume)\n"
+        "    except RegulartriError as e:\n"
+        "        print(e)\n"
+    )
+    assert len(lines) == len(FORGED_VOLUMES)
+    for line, (_, message) in zip(lines, FORGED_VOLUMES):
+        assert line.startswith(message)

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from regulartri import DimensionError, nonneg_combination, strict_homogeneous
+from regulartri import (
+    DimensionError,
+    RegulartriError,
+    lp,
+    nonneg_combination,
+    strict_homogeneous,
+)
+
+from test_search import optimized_output
 
 
 def _dot(a, b):
@@ -177,3 +185,51 @@ def test_strict_random_infeasible():
         r = strict_homogeneous(rows)
         assert not r.feasible
         _check_strict_answer(rows, r)
+
+
+# -- the exact rechecks catch a wrong phase-1 answer ------------------------
+
+#: (solver, arguments, forged phase-1 answer, the part that fails its recheck)
+FORGED_PHASE_ONE = (
+    # x·gens = (3, 4), not the target
+    ("nonneg_combination", ([(1, 0), (0, 1)], (3, 5)), (True, (3, 4), None), "witness"),
+    # x·gens hits the target, but with a negative coefficient
+    ("nonneg_combination", ([(1, 0), (0, 1), (1, 1)], (3, 5)),
+     (True, (4, 6, -1), None), "witness"),
+    # y·target < 0
+    ("nonneg_combination", ([(1, 0), (0, 1)], (3, 5)), (False, None, (-1, -1)),
+     "certificate"),
+    # h = 0 satisfies no row strictly
+    ("strict_homogeneous", ([(1, 0), (0, 1)],), (True, (0,) * 6, None), "witness"),
+    # 1·(1,-1) + 2·(-1,1) is not zero
+    ("strict_homogeneous", ([(1, -1), (-1, 1)],), (False, None, (1, 2)), "certificate"),
+)
+
+
+def forged_solve(solver, args, answer):
+    """Call the solver with `lp._phase_one` answering `answer` instead."""
+    original = lp._phase_one
+    lp._phase_one = lambda columns, rhs: answer
+    try:
+        return getattr(lp, solver)(*args)
+    finally:
+        lp._phase_one = original
+
+
+@pytest.mark.parametrize("solver, args, answer, part", FORGED_PHASE_ONE)
+def test_forged_phase_one_answers_raise(solver, args, answer, part):
+    with pytest.raises(RegulartriError, match=f"{part} failed exact recheck"):
+        forged_solve(solver, args, answer)
+
+
+def test_lp_rechecks_survive_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_lp import FORGED_PHASE_ONE, forged_solve\n"
+        "for solver, args, answer, _ in FORGED_PHASE_ONE:\n"
+        "    try:\n"
+        "        forged_solve(solver, args, answer)\n"
+        "    except RegulartriError as e:\n"
+        "        print(e)\n"
+    )
+    assert lines == [f"{part} failed exact recheck" for *_, part in FORGED_PHASE_ONE]

@@ -8,6 +8,7 @@ below) silently drops the bottom triangulation from the search tree.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,11 +20,19 @@ from regulartri import (
     ResourceLimitError,
     SearchMode,
     cube,
+    cube_symmetry_generators,
     enumerate_triangulations,
+    expand_group,
     gkz,
+    inverse_permutations,
     nested_triangles,
+    new_configuration,
+    orbit_count,
+    orbit_key,
     parse_triangulation,
     placing_triangulation,
+    simplex_product,
+    simplex_product_symmetry_generators,
     square,
     triangle_with_interior,
 )
@@ -34,6 +43,7 @@ from regulartri.search import (
     SearchStats,
     baseline_dfs,
     find_root,
+    orbit_search,
     predecessor,
     reverse_search,
 )
@@ -143,14 +153,28 @@ def test_increment_check_raises():
         oracle.flip_items(placing_triangulation(sq), (0, 0, 0, 0))
 
 
-def test_exactness_checks_survive_optimize_flag():
+def optimized_output(code):
+    """Standard output lines of `code` run under `python -O`.
+
+    `src/` and `tests/` are importable; the run fails if assertions are on.
+    """
     here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "assert False, 'assertions are on'\n" + code],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_exactness_checks_survive_optimize_flag():
     code = (
         "from regulartri import RegulartriError, SearchMode, placing_triangulation, square\n"
         "from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats\n"
         "from regulartri.search import reverse_search\n"
         "from test_search import SharedGkzOracle\n"
-        "assert False, 'assertions are on'\n"
     )
     checks = (
         "reverse_search(NeighborProvider(SharedGkzOracle(bad=()), SearchStats()))",
@@ -159,14 +183,7 @@ def test_exactness_checks_survive_optimize_flag():
     )
     for check in checks:
         code += f"try:\n    {check}\nexcept RegulartriError as e:\n    print(e)\n"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert optimized_output(code) == [
         "distinct neighbors share a GKZ-vector",
         "incremental GKZ update disagrees with recomputation",
     ]
@@ -359,3 +376,119 @@ def test_all_flips_baseline_on_nested_triangles():
     regular_count, _ = enumerate_triangulations(nested_triangles())
     assert all_count == 18
     assert regular_count == 16
+
+
+# -- orbit-level reverse search ---------------------------------------------
+
+NESTED_ROTATION = (1, 2, 0, 4, 5, 3)
+NESTED_REFLECTION = (0, 2, 1, 3, 5, 4)
+
+#: (configuration, generators, triangulations, orbits)
+ORBIT_FIXTURES = (
+    pytest.param(square, [(1, 2, 3, 0)], 2, 1, id="square-C4"),
+    pytest.param(lambda: cube(3), cube_symmetry_generators(3), 74, 6, id="cube3-48"),
+    pytest.param(lambda: cube(3), [], 74, 74, id="cube3-trivial"),
+    pytest.param(lambda: simplex_product(2, 2), simplex_product_symmetry_generators(2, 2),
+                 108, 5, id="d2d2-36"),
+    pytest.param(nested_triangles, [NESTED_ROTATION], 16, 6, id="nested-C3"),
+    pytest.param(nested_triangles, [NESTED_ROTATION, NESTED_REFLECTION], 16, 4,
+                 id="nested-S3"),
+    pytest.param(nested_triangles, [], 16, 16, id="nested-trivial"),
+)
+
+
+def _orbit_search(config, generators, capacity=40000, visitor=None):
+    group = expand_group(config, generators)
+    provider, stats = _provider(config, capacity=capacity)
+    orbits, total = orbit_search(provider, group, visitor)
+    return orbits, total, stats
+
+
+@pytest.mark.parametrize("make, generators, count, orbits", ORBIT_FIXTURES)
+def test_orbit_search_agrees_with_full_search(make, generators, count, orbits):
+    config = make()
+    group = expand_group(config, generators)
+    members = []
+    full, _ = enumerate_triangulations(config, visitor=lambda t, g, d: members.append(t))
+    assert full == count
+    # Orbits counted two ways, and orbit sizes summing to the full count.
+    assert (orbits, count) == _orbit_search(config, generators)[:2]
+    assert orbit_count(members, group) == orbits
+
+
+@pytest.mark.parametrize("make, generators, count, orbits", ORBIT_FIXTURES)
+def test_orbit_search_visits_each_representative_once(make, generators, count, orbits):
+    config = make()
+    group = expand_group(config, generators)
+    group_inverses = inverse_permutations(group)
+    log = []
+    for capacity in (0, 40000):
+        log.clear()
+        found, _, stats = _orbit_search(
+            config, generators, capacity, lambda t, g, d: log.append((t, g, d))
+        )
+        assert found == stats.nodes == len(log) == orbits
+        assert log[0][2] == 0
+        keys = set()
+        for t, g, _ in log:
+            assert g == gkz(config, t)
+            # Each visited node is the lex-max member of its orbit.
+            assert orbit_key(g, group, group_inverses)[0] == g
+            keys.add(g)
+        assert len(keys) == orbits
+
+
+def _relabelled(points, generators, seed):
+    """Points relabelled by a seeded shuffle, generators conjugated to match."""
+    perm = list(range(len(points)))
+    random.Random(seed).shuffle(perm)
+    new_points = [None] * len(points)
+    for i, p in enumerate(points):
+        new_points[perm[i]] = p
+    new_generators = []
+    for g in generators:
+        h = [None] * len(points)
+        for i in range(len(points)):
+            h[perm[i]] = perm[g[i]]
+        new_generators.append(h)
+    return new_configuration(new_points), new_generators
+
+
+@pytest.mark.parametrize("seed", (11, 12))
+def test_orbit_search_product_of_triangle_and_tetrahedron(seed):
+    base = simplex_product(2, 3)
+    config, generators = _relabelled(
+        base.points, simplex_product_symmetry_generators(2, 3), seed
+    )
+    assert len(expand_group(config, generators)) == 144
+    orbits, total, stats = _orbit_search(config, generators)
+    assert (orbits, total) == (35, 4488)
+    assert stats.cache_misses < 100
+
+
+def test_orbit_search_product_of_triangle_and_4_simplex():
+    orbits, total, _ = _orbit_search(
+        simplex_product(2, 4), simplex_product_symmetry_generators(2, 4)
+    )
+    assert (orbits, total) == (530, 376200)
+
+
+def test_orbit_search_refuses_all_flips_mode():
+    provider, _ = _provider(nested_triangles(), mode=SearchMode.ALL_FLIPS)
+    with pytest.raises(RegulartriError, match="regular mode"):
+        orbit_search(provider, expand_group(nested_triangles(), [NESTED_ROTATION]))
+
+
+class LoneNodeOracle(MockOracle):
+    """One triangulation, no flips, whose GKZ-vector is not lex-max under
+    the swap of its two coordinates."""
+
+    GKZ = {"T0": (1, 2)}
+    EDGES = {"T0": []}
+
+
+def test_orbit_search_checks_the_root_key():
+    provider = NeighborProvider(LoneNodeOracle(), SearchStats())
+    assert orbit_search(provider, ((0, 1),)) == (1, 1)
+    with pytest.raises(RegulartriError, match="representative"):
+        orbit_search(provider, ((0, 1), (1, 0)))

@@ -15,10 +15,12 @@ from regulartri import (
     enumerate_triangulations,
     expand_group,
     gkz,
+    inverse_permutations,
     is_symmetry,
     nested_triangles,
     nested_triangles_pinwheel,
     orbit_count,
+    orbit_key,
     parse_triangulation,
     placing_triangulation,
     relabel,
@@ -105,10 +107,11 @@ def test_canonical_form_constant_on_orbits():
     for perm in group:
         assert canonical_form(relabel(t, perm), group) == form
     # The canonical form is a member of the orbit, and the lex-least one.
-    images = sorted(relabel(t, p).canonical() for p in group)
-    assert form == images[0]
+    images = [relabel(t, p) for p in group]
+    assert form in images
+    assert form.simplices == min(image.simplices for image in images)
     # Idempotence: canonicalizing the canonical member changes nothing.
-    assert canonical_form(parse_triangulation(form), group) == form
+    assert canonical_form(form, group) == form
 
 
 def test_square_triangulations_form_one_orbit():
@@ -168,11 +171,11 @@ def test_gkz_is_equivariant_under_symmetries():
             assert moved[perm[i]] == base[i]
 
 
-def test_orbit_count_accepts_triangulations_and_strings():
+def test_orbit_count_accepts_triangulations():
     sq = square()
     group = expand_group(sq, [SQUARE_ROTATION])
     a = parse_triangulation("{{0,1,2},{0,2,3}}")
-    b = "{{0,1,3},{1,2,3}}"
+    b = parse_triangulation("{{0,1,3},{1,2,3}}")
     assert orbit_count([a, b], group) == 1
     assert orbit_count([a, b], group, max_size=5) == 1
     with pytest.raises(ResourceLimitError):
@@ -181,3 +184,20 @@ def test_orbit_count_accepts_triangulations_and_strings():
         seen = []
         enumerate_triangulations(bigger, visitor=lambda c, g, d: seen.append(c))
         orbit_count(seen, trivial, max_size=1)
+
+
+def test_orbit_key_against_relabelling():
+    cfg = cube(3)
+    group = expand_group(cfg, cube_symmetry_generators(3))
+    group_inverses = inverse_permutations(group)
+    assert all(tuple(g[i] for i in inv) == tuple(range(cfg.n))
+               for g, inv in zip(group, group_inverses))
+    ts = []
+    enumerate_triangulations(cfg, visitor=lambda c, g, d: ts.append(c))
+    for t in ts:
+        key, perm, stabiliser = orbit_key(gkz(cfg, t), group, group_inverses)
+        images = [relabel(t, p) for p in group]
+        assert key == max(gkz(cfg, image) for image in images)
+        assert gkz(cfg, relabel(t, perm)) == key
+        assert stabiliser == sum(1 for image in images if image == t)
+        assert len(set(images)) * stabiliser == len(group)
