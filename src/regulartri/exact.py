@@ -12,7 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, NoDependenceError, NotCorankOneError
+from .errors import (
+    DimensionError,
+    NoDependenceError,
+    NotCorankOneError,
+    RegulartriError,
+)
 
 def _as_rows(m):
     rows = [list(r) for r in m]
@@ -175,7 +180,11 @@ def kernel_vector(m) -> tuple:
         pr += 1
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(nc) if c not in pivot_cols]
-    assert len(free_cols) == 1
+    if len(free_cols) != 1:
+        raise RegulartriError(
+            f"elimination left {len(free_cols)} free columns for a kernel of "
+            "dimension one"
+        )
     fc = free_cols[0]
     sol = [Fraction(0)] * nc
     sol[fc] = Fraction(1)

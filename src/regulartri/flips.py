@@ -13,11 +13,27 @@ The GKZ displacement of a flip is gkz(T′) − gkz(T): positive exactly on the
 removed side of the circuit, negative exactly on the inserted side, zero
 elsewhere.  It is never the zero vector, and no two distinct flips of the
 same triangulation have positively proportional displacements.
+
+No exact arithmetic runs per triangulation.  `find_flips` reads, for each
+maximal simplex S, the configuration's circuit index (the reduced circuits
+of the sets S ∪ {p}, each with both orientations and the faces of each
+side, computed once per simplex and shared per circuit support), and tests
+the side faces against the triangulation's vertex-to-simplex bitmasks.  A
+flip depends only on its circuit side and link, so the `Flip` for each
+(side, link) pair is built once per configuration and memoised in
+`PointConfiguration.flip_memo`; `_make_flip`'s volume and sign checks run on
+every `Flip` object that exists.  The memo grows with the number of distinct
+flips of the triangulations visited (1 584 for all of Δ2×Δ3's 4 488), not
+with the number of times they are found (28 368).  `apply_flip` builds the
+target from the frozenset it computes anyway, sharing the simplex tuples of
+the source triangulation and the flip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .errors import RegulartriError, StaleFlipError
 from .points import CorankOneConfig, PointConfiguration
@@ -49,67 +65,58 @@ def find_flips(config: PointConfiguration, t: Triangulation) -> list:
     to the same circuit are deduplicated) and contributes at most one flip.
     """
     simplices = t.simplices
-    by_vertex = {v: set() for v in range(config.n)}
+    # by_vertex[v] has bit k set when simplex k contains v.
+    by_vertex = [0] * config.n
     for k, s in enumerate(simplices):
+        bit = 1 << k
         for v in s:
-            by_vertex[v].add(k)
-    seen_sets = set()
-    seen_circuits = set()
+            by_vertex[v] |= bit
+    memo = config.flip_memo
+    seen = set()
     out = []
     for s in simplices:
-        s_set = set(s)
-        for p in range(config.n):
-            if p in s_set:
+        for entry in config.simplex_circuits(s):
+            if entry in seen:
                 continue
-            j = tuple(sorted(s + (p,)))
-            if j in seen_sets:
-                continue
-            seen_sets.add(j)
-            full = config.circuit_or_none(j)
-            if full is None:
-                continue
-            circuit = full.reduced()
-            if circuit.support in seen_circuits:
-                continue
-            seen_circuits.add(circuit.support)
-            flip = _try_flip(config, circuit, simplices, by_vertex)
-            if flip is not None:
-                out.append(flip)
+            seen.add(entry)
+            for side in entry.sides:
+                link = _side_link(side.faces, simplices, by_vertex)
+                if link is not None:
+                    flip = memo.get((side, link))
+                    if flip is None:
+                        flip = _make_flip(config, side.circuit, link)
+                        memo[side, link] = flip
+                    out.append(flip)
+                    break
     out.sort(key=lambda f: f.circuit.support)
     return out
 
 
-def _side_link(side, support, simplices, by_vertex):
-    """The common link of the faces {Z∖{j} : j ∈ side}, or None.
+def _side_link(faces, simplices, by_vertex):
+    """The common link of a circuit side's faces, or None.
 
+    `faces` holds (tuple, frozenset) pairs for the faces Z∖{j}, and
+    `by_vertex` the bitmask of the simplices containing each vertex.
     Returns a frozenset of sorted vertex tuples when every face is a face of
     the triangulation and all their links agree; None otherwise.
     """
     common = None
-    for q in side:
-        face = _without(support, q)
-        cofaces = set.intersection(*(by_vertex[v] for v in face))
+    for face, face_set in faces:
+        cofaces = reduce(and_, map(by_vertex.__getitem__, face))
         if not cofaces:
             return None
-        face_set = set(face)
-        link = frozenset(
-            tuple(v for v in simplices[k] if v not in face_set) for k in cofaces
-        )
+        link = []
+        while cofaces:
+            low = cofaces & -cofaces
+            coface = simplices[low.bit_length() - 1]
+            link.append(tuple(v for v in coface if v not in face_set))
+            cofaces ^= low
+        link = frozenset(link)
         if common is None:
             common = link
         elif link != common:
             return None
     return common
-
-
-def _try_flip(config, circuit, simplices, by_vertex):
-    link = _side_link(circuit.plus, circuit.support, simplices, by_vertex)
-    if link is None:
-        circuit = circuit.negated()
-        link = _side_link(circuit.plus, circuit.support, simplices, by_vertex)
-        if link is None:
-            return None
-    return _make_flip(config, circuit, link)
 
 
 def _without(support, q):
@@ -168,4 +175,4 @@ def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Tria
         raise StaleFlipError(
             f"flip on circuit {flip.circuit.support} does not apply here"
         )
-    return Triangulation((tset - flip.removed) | flip.inserted)
+    return Triangulation._from_canonical_set((tset - flip.removed) | flip.inserted)

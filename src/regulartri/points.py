@@ -82,11 +82,55 @@ class CorankOneConfig:
         return CorankOneConfig(support, dependence, self.plus, (), self.minus)
 
 
+class CircuitSide:
+    """One orientation of a reduced circuit, with the faces of its plus side.
+
+    `circuit.plus` is the side whose joins a flip on this orientation
+    removes; `faces` holds, for each j in that side, the face Z∖{j} as a
+    (sorted tuple, frozenset) pair.  Sides compare by identity: the circuit
+    index creates each one once per configuration.
+    """
+
+    __slots__ = ("circuit", "faces")
+
+    def __init__(self, circuit: CorankOneConfig):
+        self.circuit = circuit
+        faces = (tuple(v for v in circuit.support if v != q) for q in circuit.plus)
+        self.faces = tuple((face, frozenset(face)) for face in faces)
+
+
+class IndexedCircuit:
+    """A reduced circuit in a configuration's circuit index: its support and
+    its two sides, the stored orientation first, then the negated one."""
+
+    __slots__ = ("support", "sides")
+
+    def __init__(self, circuit: CorankOneConfig):
+        self.support = circuit.support
+        self.sides = (CircuitSide(circuit), CircuitSide(circuit.negated()))
+
+
 class PointConfiguration:
     """A labelled configuration of distinct integer points.
 
     Points keep their input order; every triangulation, flip and GKZ-vector
     refers to them by index.
+
+    Exact results are memoised per configuration, each filled on first use
+    (construction computes none of them):
+
+    - normalized volumes, keyed by simplex, and the dependence of each
+      (d+2)-subset that was asked for;
+    - the circuit index (`simplex_circuits`): for a simplex S, the reduced
+      circuits of the sets S ∪ {p}.  Each distinct circuit support is stored
+      once, as an `IndexedCircuit` with both orientations and their side
+      faces, and shared by every simplex that reaches it;
+    - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
+      filled by `flips.find_flips`.  A flip's circuit, removed side and link
+      determine its removed and inserted simplices and its displacement, so
+      the memo holds one entry per distinct flip met: its size is the number
+      of distinct flips of the triangulations visited, not the number of
+      times they were found.
     """
 
     def __init__(self, points, _columns=None):
@@ -118,6 +162,10 @@ class PointConfiguration:
 
         self._volume_cache = {}
         self._circuit_cache = {}
+        self._circuit_index = {}
+        self._indexed_circuits = {}
+        #: (CircuitSide, link) -> Flip; see the class docstring
+        self.flip_memo = {}
         self._total_volume = None
 
     # -- basic queries ------------------------------------------------
@@ -176,6 +224,33 @@ class PointConfiguration:
             cached = self._circuit(key)
             self._circuit_cache[key] = cached
         return None if cached is False else cached
+
+    def simplex_circuits(self, simplex) -> tuple:
+        """The reduced circuits of the sets simplex ∪ {p}, p ∉ simplex.
+
+        `simplex` must be a sorted tuple of point indices.  Degenerate sets
+        contribute nothing.  Returns `IndexedCircuit` entries in increasing
+        order of p, shared with every other simplex reaching the same
+        circuit support; the tuple is memoised per simplex.
+        """
+        entries = self._circuit_index.get(simplex)
+        if entries is None:
+            entries = []
+            for p in range(self.n):
+                if p in simplex:
+                    continue
+                full = self.circuit_or_none(tuple(sorted(simplex + (p,))))
+                if full is None:
+                    continue
+                circuit = full.reduced()
+                entry = self._indexed_circuits.get(circuit.support)
+                if entry is None:
+                    entry = IndexedCircuit(circuit)
+                    self._indexed_circuits[circuit.support] = entry
+                entries.append(entry)
+            entries = tuple(entries)
+            self._circuit_index[simplex] = entries
+        return entries
 
     def _circuit(self, key):
         # Right kernel of the (d+1) x (d+2) matrix whose columns are the

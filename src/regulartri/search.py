@@ -92,8 +92,10 @@ class GeometricFlipOracle:
     """Oracle backed by an actual point configuration.
 
     With `verify_increments=True` every incrementally updated GKZ-vector is
-    checked against a from-scratch recomputation (for tests; enumeration
-    relies on the exact increment).
+    checked against a from-scratch recomputation, and every flip target
+    against the triangulation the public constructor builds from its
+    simplices (for tests; enumeration relies on the exact increment and on
+    `apply_flip`'s shared-simplex construction).
     """
 
     def __init__(self, config: PointConfiguration, mode: SearchMode,
@@ -111,10 +113,15 @@ class GeometricFlipOracle:
         for flip in find_flips(self.config, t):
             target = apply_flip(self.config, t, flip)
             tgkz = tuple(a + b for a, b in zip(t_gkz, flip.delta))
-            if self.verify_increments and tgkz != gkz(self.config, target):
-                raise RegulartriError(
-                    "incremental GKZ update disagrees with recomputation"
-                )
+            if self.verify_increments:
+                if tgkz != gkz(self.config, target):
+                    raise RegulartriError(
+                        "incremental GKZ update disagrees with recomputation"
+                    )
+                if target != Triangulation(target.simplices):
+                    raise RegulartriError(
+                        "flip target differs from its canonical construction"
+                    )
             items.append((flip, target, tgkz))
         return items
 
@@ -122,10 +129,13 @@ class GeometricFlipOracle:
         if self.mode is SearchMode.ALL_FLIPS:
             return [True] * len(items)
         flips = [it[0] for it in items]
-        good = set(
-            id(f) for f in regular_flips(self.config, t, flips, self.stats.rays)
-        )
-        return [id(f) in good for f in flips]
+        # One flip per circuit support, so supports key the verdicts; Flip
+        # objects are memoised per configuration and shared between lists.
+        kept = {
+            f.circuit.support
+            for f in regular_flips(self.config, t, flips, self.stats.rays)
+        }
+        return [f.circuit.support in kept for f in flips]
 
     def seed(self) -> Triangulation:
         return placing_triangulation(self.config)

@@ -42,6 +42,20 @@ class Triangulation:
         self._set = frozenset(simps)
         self._hash = hash(simps)
 
+    @classmethod
+    def _from_canonical_set(cls, simplex_set: frozenset) -> "Triangulation":
+        """Internal constructor from a nonempty frozenset of ascending tuples.
+
+        Used for flip targets, whose simplices come from a triangulation and
+        a flip that are canonical already: only the order of the simplices
+        is computed, and the set and its tuples are shared, not copied.
+        """
+        t = object.__new__(cls)
+        t.simplices = tuple(sorted(simplex_set))
+        t._set = simplex_set
+        t._hash = hash(t.simplices)
+        return t
+
     def __contains__(self, simplex):
         return tuple(simplex) in self._set
 

@@ -15,10 +15,14 @@ from regulartri import (
     DimensionError,
     NoDependenceError,
     NotCorankOneError,
+    RegulartriError,
     determinant,
     kernel_vector,
     rank,
 )
+from regulartri import exact
+
+from test_search import optimized_output
 
 
 def _cofactor_det(rows):
@@ -151,3 +155,32 @@ def test_kernel_vector_error_cases():
         kernel_vector([(1, 0), (0, 1)])
     with pytest.raises(NotCorankOneError):
         kernel_vector([(1, 0, 0, 0), (0, 1, 0, 0)])
+
+
+def kernel_with_understated_rank():
+    """kernel_vector on a matrix with a two-dimensional kernel while
+    `exact.rank` reports one rank too many, so elimination finds two free
+    columns where the rank promised one."""
+    original = exact.rank
+    exact.rank = lambda m: original(m) + 1
+    try:
+        return kernel_vector([(1, 0, 0)])
+    finally:
+        exact.rank = original
+
+
+def test_kernel_vector_free_column_check_raises():
+    with pytest.raises(RegulartriError, match="2 free columns"):
+        kernel_with_understated_rank()
+
+
+def test_kernel_vector_free_column_check_survives_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_exact import kernel_with_understated_rank\n"
+        "try:\n"
+        "    kernel_with_understated_rank()\n"
+        "except RegulartriError as e:\n"
+        "    print(e)\n"
+    )
+    assert len(lines) == 1 and "2 free columns" in lines[0]

@@ -9,27 +9,34 @@ simplices (ignoring their common link) produces broken targets on the
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from regulartri import (
+    DegenerateConfigError,
     PointConfiguration,
     RegulartriError,
+    SearchMode,
     StaleFlipError,
     Triangulation,
     apply_flip,
     cube,
+    enumerate_triangulations,
     find_flips,
     gkz,
     nested_triangles,
     new_configuration,
     parse_triangulation,
     placing_triangulation,
+    reverse_search,
+    simplex_product,
     square,
     triangle_with_interior,
     validate,
 )
-from regulartri.flips import _make_flip
+from regulartri.flips import Flip, _make_flip
+from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
 
 from test_search import optimized_output
 
@@ -253,3 +260,144 @@ def test_make_flip_rechecks_survive_optimize_flag():
     assert len(lines) == len(FORGED_VOLUMES)
     for line, (_, message) in zip(lines, FORGED_VOLUMES):
         assert line.startswith(message)
+
+
+# -- cross-check of the circuit index and the flip memo --------------------
+
+
+class ReferenceFlips:
+    """The flips of a triangulation found from scratch, independently of
+    `find_flips`.
+
+    Works on a fresh configuration, so no circuit index, flip memo or cached
+    dependence is shared with the code under test.  The reduced circuit of
+    every (d+2)-subset is taken once; a triangulation's flip on a circuit is
+    the side whose faces Z∖{j} all lie in it with one common link.
+    """
+
+    def __init__(self, points):
+        self.config = PointConfiguration(points)
+        circuits = {}
+        for subset in combinations(range(self.config.n), self.config.dim + 2):
+            try:
+                circuit = self.config.corank_one(subset).reduced()
+            except DegenerateConfigError:
+                continue
+            circuits.setdefault(circuit.support, circuit)
+        self.circuits = [circuits[support] for support in sorted(circuits)]
+
+    def __call__(self, t):
+        out = []
+        for circuit in self.circuits:
+            for oriented in (circuit, circuit.negated()):
+                links = []
+                for q in oriented.plus:
+                    face = set(oriented.support) - {q}
+                    links.append(frozenset(
+                        tuple(v for v in s if v not in face)
+                        for s in t.simplices if face <= set(s)
+                    ))
+                if links[0] and all(link == links[0] for link in links):
+                    out.append(reference_flip(self.config, oriented, links[0]))
+                    break
+        return out
+
+
+def reference_flip(config, circuit, link):
+    def joins(side):
+        return frozenset(
+            tuple(sorted(set(circuit.support) - {q} | set(tau)))
+            for q in side for tau in link
+        )
+
+    removed, inserted = joins(circuit.plus), joins(circuit.minus)
+    delta = [0] * config.n
+    for simplices, sign in ((removed, -1), (inserted, 1)):
+        for s in simplices:
+            for v in s:
+                delta[v] += sign * config.normalized_volume(s)
+    return Flip(circuit, removed, inserted, tuple(delta))
+
+
+def all_triangulations(config):
+    found = []
+    enumerate_triangulations(config, SearchMode.ALL_FLIPS, baseline=True,
+                             visitor=lambda t, g, d: found.append(t))
+    return found
+
+
+@pytest.mark.parametrize("make, count", [
+    (square, 2), (lambda: cube(3), 74), (lambda: simplex_product(2, 2), 108),
+    (nested_triangles, 18),
+], ids=["square", "cube3", "d2d2", "nested"])
+def test_find_flips_matches_reference(make, count):
+    # The nested triangles have non-regular triangulations and
+    # triangulations that leave inner points unused; their (d+2)-subsets
+    # carry zero coefficients.
+    config = make()
+    reference = ReferenceFlips(config.points)
+    triangulations = all_triangulations(config)
+    assert len(triangulations) == count
+    for t in triangulations:
+        assert find_flips(config, t) == reference(t)
+
+
+def test_find_flips_matches_reference_on_d2d3_prefix():
+    config = simplex_product(2, 3)
+    prefix = []
+
+    class Enough(Exception):
+        pass
+
+    def visitor(t, g, d):
+        prefix.append(t)
+        if len(prefix) == 200:
+            raise Enough
+
+    stats = SearchStats()
+    provider = NeighborProvider(
+        GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
+    with pytest.raises(Enough):
+        reverse_search(provider, visitor)
+    reference = ReferenceFlips(config.points)
+    for t in prefix:
+        assert find_flips(config, t) == reference(t)
+
+
+def test_flip_memo_holds_one_flip_per_distinct_flip():
+    config = simplex_product(2, 2)
+    assert config.flip_memo == {}
+    lists = [find_flips(config, t) for t in all_triangulations(config)]
+    distinct = {f for flips in lists for f in flips}
+    assert len(config.flip_memo) == len(distinct)
+    # An equal flip found again is the memoised object itself.
+    by_value = {}
+    for flips in lists:
+        for f in flips:
+            assert by_value.setdefault(f, f) is f
+
+
+def test_circuit_index_is_lazy_and_shared():
+    config = cube(3)
+    assert config._circuit_index == {} and config._indexed_circuits == {}
+    t = placing_triangulation(config)
+    entries = {}
+    for s in t.simplices:
+        for entry in config.simplex_circuits(s):
+            assert entries.setdefault(entry.support, entry) is entry
+            for side in entry.sides:
+                assert side.circuit.support == entry.support
+                assert [face for face, _ in side.faces] == [
+                    tuple(v for v in entry.support if v != q) for q in side.circuit.plus
+                ]
+    assert len(config._circuit_index) == len(t.simplices)
+
+
+def test_flip_targets_share_simplices():
+    config = cube(3)
+    t = placing_triangulation(config)
+    for f in find_flips(config, t):
+        target = apply_flip(config, t, f)
+        assert target == Triangulation(target.simplices)
+        kept = {id(s) for s in t.simplices} | {id(s) for s in f.inserted}
+        assert all(id(s) in kept for s in target.simplices)

@@ -19,6 +19,7 @@ from regulartri import (
     RegulartriError,
     ResourceLimitError,
     SearchMode,
+    Triangulation,
     cube,
     cube_symmetry_generators,
     enumerate_triangulations,
@@ -36,6 +37,7 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
+from regulartri import search
 from regulartri.search import (
     FlipCache,
     GeometricFlipOracle,
@@ -151,6 +153,44 @@ def test_increment_check_raises():
     oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
     with pytest.raises(RegulartriError, match="incremental GKZ"):
         oracle.flip_items(placing_triangulation(sq), (0, 0, 0, 0))
+
+
+def forged_target_items():
+    """The square's flip items under `verify_increments`, with `apply_flip`
+    returning a target whose simplex (0,1,3) is stored as (3,1,0): its
+    GKZ-vector is right, its simplices are not canonical."""
+    original = search.apply_flip
+
+    def forged(config, t, flip):
+        target = original(config, t, flip)
+        return Triangulation._from_canonical_set(frozenset(
+            s[::-1] if s == (0, 1, 3) else s for s in target.simplices))
+
+    sq = square()
+    t = parse_triangulation("{{0,1,2},{0,2,3}}")
+    search.apply_flip = forged
+    try:
+        oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
+        return oracle.flip_items(t, gkz(sq, t))
+    finally:
+        search.apply_flip = original
+
+
+def test_target_check_raises():
+    with pytest.raises(RegulartriError, match="canonical construction"):
+        forged_target_items()
+
+
+def test_target_check_survives_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_search import forged_target_items\n"
+        "try:\n"
+        "    forged_target_items()\n"
+        "except RegulartriError as e:\n"
+        "    print(e)\n"
+    )
+    assert lines == ["flip target differs from its canonical construction"]
 
 
 def optimized_output(code):
