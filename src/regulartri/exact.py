@@ -50,14 +50,25 @@ def _clear_denominators(rows):
 def determinant(m):
     """Exact determinant via fraction-free Bareiss elimination.
 
-    Integer input stays integer throughout; rational input is scaled to an
-    integer matrix first.  Raises DimensionError on non-square input.
+    Integer input stays integer throughout and always gives an `int`;
+    rational input is scaled to an integer matrix first and gives an `int`
+    whenever the determinant is integral.  Raises DimensionError on
+    non-square input.
     """
     rows = _as_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant requires a square matrix")
+    if all(type(x) is int for r in rows for x in r):
+        return _bareiss(rows)
     rows, scale = _clear_denominators(rows)
+    result = Fraction(_bareiss(rows)) / scale
+    return int(result) if result.denominator == 1 else result
+
+
+def _bareiss(rows) -> int:
+    """Determinant of a square integer matrix; eliminates in place."""
+    n = len(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -68,7 +79,7 @@ def determinant(m):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = rows[k][k]
         for i in range(k + 1, n):
             ri = rows[i]
@@ -78,9 +89,7 @@ def determinant(m):
                 ri[j] = (pivot * ri[j] - lead * rk[j]) // prev
             ri[k] = 0
         prev = pivot
-    det = sign * rows[n - 1][n - 1]
-    result = Fraction(det) / scale
-    return int(result) if result.denominator == 1 else result
+    return sign * rows[n - 1][n - 1]
 
 
 def rank(m) -> int:
@@ -148,6 +157,11 @@ def kernel_vector(m) -> tuple:
 
     Raises NoDependenceError when the kernel is trivial and
     NotCorankOneError when it has dimension two or more.
+
+    This is the routine for general matrices.  Flip finding no longer calls
+    it: `PointConfiguration` gets each circuit by Cramer's rule from its
+    cached signed minors, and the tests use this function as the
+    independent reference for those circuits.
     """
     rows, _ = _clear_denominators(_as_rows(m))
     nc = len(rows[0])

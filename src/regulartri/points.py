@@ -10,6 +10,12 @@ the lattice-normalized volume (|det|, i.e. d! times Euclidean volume) whenever
 the configuration is full-dimensional in its own ambient space.  For
 lower-dimensional configurations all quantities are scaled by one global
 positive constant, which no sign test or comparison in the library can see.
+
+The signed maximal minors (the chirotope, up to that constant) are the one
+source of both volumes and circuits.  A simplex's normalized volume is
+|minor|, and the dependence of a sorted (d+2)-subset Z is, by Cramer's rule,
+lambda_i = (-1)^i * minor(Z without its i-th point): the d+2 minors of Z,
+each shared with every other subset and simplex that contains it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import (
     DimensionError,
     InvalidInputError,
     NotCorankOneError,
+    RegulartriError,
 )
 
 
@@ -119,8 +126,11 @@ class PointConfiguration:
     Exact results are memoised per configuration, each filled on first use
     (construction computes none of them):
 
-    - normalized volumes, keyed by simplex, and the dependence of each
-      (d+2)-subset that was asked for;
+    - signed minors: the determinant of the homogenized rows of a sorted
+      (d+1)-tuple.  A normalized volume is |minor|, and the dependence of a
+      (d+2)-subset comes from its d+2 minors by Cramer's rule, so volumes,
+      circuits and `total_volume` share each determinant;
+    - the dependence of each (d+2)-subset that was asked for;
     - the circuit index (`simplex_circuits`): for a simplex S, the reduced
       circuits of the sets S ∪ {p}.  Each distinct circuit support is stored
       once, as an `IndexedCircuit` with both orientations and their side
@@ -160,7 +170,8 @@ class PointConfiguration:
         #: homogenized points in basis coordinates, one integer row per point
         self.hom = tuple(tuple(row[c] for c in cols) for row in full)
 
-        self._volume_cache = {}
+        #: sorted (d+1)-tuple -> signed determinant of its homogenized rows
+        self._minors = {}
         self._circuit_cache = {}
         self._circuit_index = {}
         self._indexed_circuits = {}
@@ -183,12 +194,15 @@ class PointConfiguration:
         if len(set(key)) != len(key):
             raise InvalidInputError(f"repeated vertex in simplex {key}")
         self._check_range(key)
-        cached = self._volume_cache.get(key)
-        if cached is None:
+        return abs(self._minor(key))
+
+    def _minor(self, key) -> int:
+        """Signed determinant of the homogenized rows of a sorted (d+1)-tuple."""
+        det = self._minors.get(key)
+        if det is None:
             det = exact.determinant([self.hom[i] for i in key])
-            cached = abs(int(det))
-            self._volume_cache[key] = cached
-        return cached
+            self._minors[key] = det
+        return det
 
     def corank_one(self, subset) -> CorankOneConfig:
         """The unique-circuit structure of d+2 points spanning the hull.
@@ -204,15 +218,12 @@ class PointConfiguration:
         if len(set(key)) != len(key):
             raise InvalidInputError(f"repeated index in subset {key}")
         self._check_range(key)
-        cached = self._circuit_cache.get(key)
-        if cached is None:
-            cached = self._circuit(key)
-            self._circuit_cache[key] = cached
-        if cached is False:
+        circuit = self.circuit_or_none(key)
+        if circuit is None:
             raise DegenerateConfigError(
                 f"points {key} do not span the affine hull"
             )
-        return cached
+        return circuit
 
     def circuit_or_none(self, key):
         """corank_one for presorted tuples, returning None when degenerate.
@@ -253,14 +264,21 @@ class PointConfiguration:
         return entries
 
     def _circuit(self, key):
-        # Right kernel of the (d+1) x (d+2) matrix whose columns are the
-        # homogenized points: lambda with sum(lambda_i * hom_i) = 0.
-        cols = [self.hom[i] for i in key]
-        matrix = list(zip(*cols))
-        try:
-            lam = exact.kernel_vector(matrix)
-        except NotCorankOneError:
+        # Cramer's rule: lambda_i = (-1)^i * minor(key without key[i]) spans
+        # the kernel of the (d+1) x (d+2) matrix of homogenized columns
+        # whenever some minor is nonzero; when all are zero the rank is
+        # below d+1 and the kernel is not one-dimensional.
+        minor = self._minor
+        lam = [minor(key[:i] + key[i + 1:]) for i in range(len(key))]
+        if not any(lam):
             return False
+        lam = exact._primitive([-x if i % 2 else x for i, x in enumerate(lam)])
+        rows = [self.hom[p] for p in key]
+        for coords in zip(*rows):
+            if sum(c * x for c, x in zip(lam, coords)):
+                raise RegulartriError(
+                    f"minors of {key} give no affine dependence"
+                )
         plus = tuple(p for p, c in zip(key, lam) if c > 0)
         zero = tuple(p for p, c in zip(key, lam) if c == 0)
         minus = tuple(p for p, c in zip(key, lam) if c < 0)

@@ -32,7 +32,6 @@ otherwise one small LP runs against the snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import RegulartriError
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
@@ -390,20 +389,23 @@ def _deferred_extremal(item: DeferredCandidate, stats: RayStats) -> bool:
 
 
 def _positive_multiple(u, v) -> bool:
-    """True when u = a*v for some a > 0 (exact)."""
-    a = None
+    """True when u = a*v for some a > 0 (exact).
+
+    Compares every nonzero pair (x, y) with the first one (x0, y0) by
+    cross-multiplication: x/y = x0/y0 exactly when x*y0 = x0*y.
+    """
+    first = None
     for x, y in zip(u, v):
         if (x == 0) != (y == 0):
             return False
         if y != 0:
-            ratio = Fraction(x) / Fraction(y)
-            if ratio <= 0:
+            if (x > 0) != (y > 0):
                 return False
-            if a is None:
-                a = ratio
-            elif ratio != a:
+            if first is None:
+                first = (x, y)
+            elif x * first[1] != first[0] * y:
                 return False
-    return a is not None
+    return first is not None
 
 
 def naive_extremal_rays(vectors) -> set:

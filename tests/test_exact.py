@@ -72,6 +72,18 @@ def test_determinant_pins():
     assert determinant([(3,)]) == 3
 
 
+def test_determinant_of_integers_is_int():
+    # Singular matrices too, with or without a pivot column of zeros.
+    for rows in ([(0, 1), (0, 2)], [(1, 2, 3), (4, 5, 6), (7, 8, 9)], [(2, 3), (4, 5)]):
+        assert type(determinant(rows)) is int
+    rng = random.Random(20261018)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        assert type(determinant(rows)) is int
+    assert type(determinant([(Fraction(1, 2), 0), (0, 2)])) is int
+
+
 def test_determinant_rational_entries():
     rows = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 7))]
     assert determinant(rows) == Fraction(1, 14) - Fraction(1, 15)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,12 +13,18 @@ from regulartri import (
     DimensionError,
     InvalidInputError,
     NotCorankOneError,
+    RegulartriError,
     cube,
+    determinant,
+    kernel_vector,
     new_configuration,
     nested_triangles,
+    simplex_product,
     square,
     triangle_with_interior,
 )
+
+from test_search import optimized_output
 
 
 def test_construction_errors():
@@ -183,3 +190,110 @@ def test_affine_coordinates_exact():
         new_configuration([(0, 0), (1, 0), (2, 0), (0, 1)]).affine_coordinates(
             3, (0, 1, 2)
         )
+
+
+# -- circuits by Cramer's rule against kernel_vector -------------------------
+
+#: Configurations whose every (d+2)-subset and simplex is checked; the last
+#: two have collinear and coplanar points, so degenerate subsets occur.
+CRAMER_FIXTURES = {
+    "square": square,
+    "cube3": lambda: cube(3),
+    "d2d2": lambda: simplex_product(2, 2),
+    "d2d3": lambda: simplex_product(2, 3),
+    "nested": nested_triangles,
+    "collinear": lambda: new_configuration(
+        [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2)]
+    ),
+    "coplanar": lambda: new_configuration(
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0),
+         (0, 0, 1), (0, 0, 2), (1, 1, 1)]
+    ),
+}
+
+
+def _reference_dependence(cfg, key):
+    """kernel_vector on the homogenized columns of `key`, or None when it
+    finds no one-dimensional kernel."""
+    try:
+        return kernel_vector(list(zip(*(cfg.hom[i] for i in key))))
+    except NotCorankOneError:
+        return None
+
+
+def _agrees(got, want):
+    """A circuit_or_none result against a _reference_dependence result."""
+    return got is None if want is None else got.dependence == want
+
+
+@pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
+def test_circuits_match_kernel_vector(name):
+    # One configuration answers every subset, sharing its minors; fresh
+    # ones answer each subset cold, through both entry points.
+    make = CRAMER_FIXTURES[name]
+    shared = make()
+    degenerate = set()
+    for key in combinations(range(shared.n), shared.dim + 2):
+        want = _reference_dependence(shared, key)
+        degenerate.add(want is None)
+        assert _agrees(shared.circuit_or_none(key), want), key
+        assert _agrees(make().circuit_or_none(key), want), key
+        if want is None:
+            with pytest.raises(DegenerateConfigError):
+                make().corank_one(key)
+        else:
+            assert make().corank_one(key).dependence == want, key
+    if name in ("collinear", "coplanar"):
+        assert degenerate == {True, False}
+
+
+def test_circuits_match_kernel_vector_on_d2d4_sample():
+    cfg = simplex_product(2, 4)
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        key = tuple(sorted(rng.sample(range(cfg.n), cfg.dim + 2)))
+        assert _agrees(cfg.circuit_or_none(key), _reference_dependence(cfg, key)), key
+
+
+@pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
+def test_normalized_volume_is_abs_determinant(name):
+    cfg = CRAMER_FIXTURES[name]()
+    for simplex in combinations(range(cfg.n), cfg.dim + 1):
+        vol = cfg.normalized_volume(simplex)
+        assert type(vol) is int
+        assert vol == abs(determinant([cfg.hom[i] for i in simplex])), simplex
+
+
+def test_minors_fill_lazily_and_are_shared():
+    cfg = square()
+    assert cfg._minors == {}
+    c = cfg.corank_one((0, 1, 2, 3))
+    assert set(cfg._minors) == {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
+    assert [cfg.normalized_volume(s) for s in sorted(cfg._minors)] == [
+        abs(x) for x in c.dependence[::-1]
+    ]
+    assert len(cfg._minors) == 4
+
+
+def forged_minor_circuit():
+    """The square's circuit with one cached minor replaced by a wrong value."""
+    cfg = square()
+    cfg._minors[(0, 1, 2)] = 2 * cfg._minor((0, 1, 2))
+    return cfg.circuit_or_none((0, 1, 2, 3))
+
+
+def test_forged_minor_raises():
+    with pytest.raises(RegulartriError, match="give no affine dependence"):
+        forged_minor_circuit()
+
+
+def test_forged_minor_check_survives_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_points import forged_minor_circuit\n"
+        "try:\n"
+        "    forged_minor_circuit()\n"
+        "except RegulartriError as e:\n"
+        "    print(e)\n"
+    )
+    assert lines == ["minors of (0, 1, 2, 3) give no affine dependence"]

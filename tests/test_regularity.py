@@ -32,6 +32,7 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
+from regulartri.regularity import _positive_multiple
 
 # A sparse 12x18 displacement system whose screening cascade exercises
 # every reduction rule; ids are the one-based row numbers.
@@ -267,3 +268,39 @@ def test_regular_flips_matches_target_regularity():
             f for f in flips if is_regular(cfg, apply_flip(cfg, t, f)).regular
         ]
         assert got == want
+
+
+def _fraction_positive_multiple(u, v) -> bool:
+    """The scalar test by Fraction ratios: u = a*v for one a > 0."""
+    a = None
+    for x, y in zip(u, v):
+        if (x == 0) != (y == 0):
+            return False
+        if y != 0:
+            ratio = Fraction(x) / Fraction(y)
+            if ratio <= 0 or (a is not None and ratio != a):
+                return False
+            a = ratio
+    return a is not None
+
+
+def test_positive_multiple_matches_fraction_ratios():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        v = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+        kind = rng.randrange(3)
+        if kind == 0:  # u = (p/q)*v, p of either sign
+            p, q = rng.choice((-3, -1, 1, 2, 3)), rng.choice((1, 2))
+            u, v = [p * y for y in v], [q * y for y in v]
+        elif kind == 1:  # proportional with one entry disturbed
+            u = [2 * y for y in v]
+            u[rng.randrange(n)] += rng.choice((-1, 1))
+        else:
+            u = [rng.randint(-4, 4) for _ in range(n)]
+        assert all(type(x) is int for x in u + v)
+        want = _fraction_positive_multiple(u, v)
+        assert _positive_multiple(u, v) is want, (u, v)
+        outcomes.add((kind, want))
+    assert {(0, True), (0, False), (1, False), (2, False)} <= outcomes
