@@ -41,5 +41,5 @@ for m, n in ((2, 2), (2, 3), (2, 4)):
         f"({elapsed:.1f}s)"
     )
 
-# 2x5 (4320 symmetries, 13 621 orbits) runs the same loop in about twenty
-# minutes; it is stretch criterion 5 of tests/test_acceptance.py
+# 2x5 (4320 symmetries, 13 621 orbits) runs the same loop in about 35 s and
+# 400 MB; it is stretch criterion 5 of tests/test_acceptance.py

@@ -60,6 +60,7 @@ from .search import (
 from .symmetry import (
     canonical_form,
     expand_group,
+    group_trie,
     inverse_permutations,
     is_symmetry,
     orbit_count,
@@ -115,6 +116,7 @@ __all__ = [
     "find_root",
     "format_triangulation",
     "gkz",
+    "group_trie",
     "inverse_permutations",
     "is_regular",
     "is_symmetry",

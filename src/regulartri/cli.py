@@ -37,7 +37,7 @@ from .search import (
 from .symmetry import (
     canonical_form,
     expand_group,
-    inverse_permutations,
+    group_trie,
     orbit_key,
     relabel,
 )
@@ -221,11 +221,11 @@ def cmd_enumerate(args, out) -> int:
         stats = SearchStats()
         oracle = GeometricFlipOracle(config, mode, stats)
         provider = NeighborProvider(oracle, stats, args.flip_cache)
-        group_inverses = inverse_permutations(group)
+        trie = group_trie(group) if args.print_triangulations else None
 
         def print_orbit(rep, gkz_vec, depth):
             members = {relabel(rep, perm) for perm in group}
-            stabiliser = orbit_key(gkz_vec, group, group_inverses)[2]
+            stabiliser = orbit_key(gkz_vec, group, trie)[2]
             if len(members) * stabiliser != len(group):
                 raise RegulartriError(
                     f"orbit of {rep.canonical()} has {len(members)} members, "

@@ -40,7 +40,7 @@ from .errors import RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
 from .points import PointConfiguration
 from .regularity import RayStats, regular_flips
-from .symmetry import inverse_permutations, orbit_key, relabel
+from .symmetry import group_trie, orbit_key, relabel
 from .triangulation import Triangulation, gkz, placing_triangulation
 
 
@@ -190,7 +190,15 @@ def find_root(provider: NeighborProvider, seed, seed_gkz=None):
         node, node_gkz = up
 
 
-def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
+def _count_visit(visited, max_nodes, search):
+    """The visit count after one more node; crossing `max_nodes` raises."""
+    if max_nodes is not None and visited >= max_nodes:
+        raise ResourceLimitError(f"{search} exceeded its budget of {max_nodes} nodes")
+    return visited + 1
+
+
+def reverse_search(provider: NeighborProvider, visitor=None, seed=None,
+                   max_nodes=None):
     """Enumerate the predecessor tree rooted at the sink above the seed.
 
     In regular mode the flip graph is the edge graph of a polytope, every
@@ -202,12 +210,14 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
     The visitor, when given, receives (node, gkz, depth) for
     every triangulation exactly once and must not mutate search state.
     Memory use is bounded by the tree depth — no visited set exists.
-    Returns the number of triangulations visited.
+    Returns the number of triangulations visited.  `max_nodes` bounds the
+    run: visiting more nodes than that raises ResourceLimitError.
     """
     stats = provider.stats
     if seed is None:
         seed = provider.oracle.seed()
     root, root_gkz = find_root(provider, seed)
+    visited = _count_visit(0, max_nodes, "reverse search")
     stats.nodes += 1
     if visitor is not None:
         visitor(root, root_gkz, 0)
@@ -218,6 +228,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
             if tgkz < node_gkz:
                 pred = predecessor(provider, target, tgkz)
                 if pred is not None and pred[0] == node:
+                    visited = _count_visit(visited, max_nodes, "reverse search")
                     stats.nodes += 1
                     if visitor is not None:
                         visitor(target, tgkz, depth + 1)
@@ -225,36 +236,40 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None):
     return stats.nodes
 
 
-def orbit_search(provider: NeighborProvider, group, visitor=None):
+def orbit_search(provider: NeighborProvider, group, visitor=None, max_nodes=None):
     """Reverse search over orbit representatives under a symmetry group.
 
     A representative is the lex-max-GKZ member of its orbit (see
-    `symmetry.orbit_key`).  The parent of a representative C is the
-    representative of C's predecessor; its GKZ-vector is strictly larger
-    than C's, so the parent links form a tree rooted at the representative
-    of the lex-max root.  If the upflip of C is g·R, then g⁻¹·C is a
-    neighbor of R whose representative is C, so the children of R are found
-    among the representatives of R's neighbors.  Memory is bounded by the
-    tree depth times the degree — no visited set exists.
+    `symmetry.orbit_key`, which walks a trie of the group built once per
+    call, so a key costs about one image, not |G| of them).  The parent of
+    a representative C is the representative of C's predecessor; its
+    GKZ-vector is strictly larger than C's, so the parent links form a tree
+    rooted at the representative of the lex-max root.  If the upflip of C
+    is g·R, then g⁻¹·C is a neighbor of R whose representative is C, so the
+    children of R are found among the representatives of R's neighbors.
+    Memory is bounded by the tree depth times the degree, plus the trie —
+    no visited set exists.
 
     Regular mode only: GKZ is not injective on non-regular triangulations,
     so the orbit key would merge distinct orbits in all-flips mode.
 
     The visitor, when given, receives (representative, gkz, depth) once per
-    orbit.  `provider.stats.nodes` counts representatives.  Returns
-    (orbits, triangulations), the latter the sum of |G|/|Stab| over orbits.
+    orbit.  `provider.stats.nodes` counts representatives, and so does
+    `max_nodes`: visiting more representatives than that raises
+    ResourceLimitError.  Returns (orbits, triangulations), the latter the
+    sum of |G|/|Stab| over orbits.
     """
     if getattr(provider.oracle, "mode", None) is SearchMode.ALL_FLIPS:
         raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
                               "do not identify non-regular triangulations")
     stats = provider.stats
     order = len(group)
-    group_inverses = inverse_permutations(group)
+    trie = group_trie(group)
     root, root_gkz = find_root(provider, provider.oracle.seed())
-    key, _, stabiliser = orbit_key(root_gkz, group, group_inverses)
+    key, _, stabiliser = orbit_key(root_gkz, group, trie)
     if key != root_gkz:
         raise RegulartriError("the lex-max root is not its orbit's representative")
-    orbits = 1
+    orbits = _count_visit(0, max_nodes, "orbit search")
     total = order // stabiliser
     stats.nodes += 1
     if visitor is not None:
@@ -264,15 +279,15 @@ def orbit_search(provider: NeighborProvider, group, visitor=None):
         node, node_gkz, depth = stack.pop()
         seen = set()
         for target, tgkz in provider.neighbors(node, node_gkz):
-            cgkz, perm, stabiliser = orbit_key(tgkz, group, group_inverses)
+            cgkz, perm, stabiliser = orbit_key(tgkz, group, trie)
             if cgkz >= node_gkz or cgkz in seen:
                 continue
             seen.add(cgkz)
             child = relabel(target, perm)
             pred = predecessor(provider, child, cgkz)
-            if pred is None or orbit_key(pred[1], group, group_inverses)[0] != node_gkz:
+            if pred is None or orbit_key(pred[1], group, trie)[0] != node_gkz:
                 continue
-            orbits += 1
+            orbits = _count_visit(orbits, max_nodes, "orbit search")
             total += order // stabiliser
             stats.nodes += 1
             if visitor is not None:
@@ -293,6 +308,7 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, seed=None, max_nodes=
     if seed is None:
         seed = provider.oracle.seed()
     seed_gkz = provider.oracle.gkz(seed)
+    _count_visit(0, max_nodes, "baseline traversal")
     visited = {seed}
     stats.nodes += 1
     if visitor is not None:
@@ -303,10 +319,7 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, seed=None, max_nodes=
         for target, tgkz in provider.neighbors(node, node_gkz):
             if target in visited:
                 continue
-            if max_nodes is not None and len(visited) >= max_nodes:
-                raise ResourceLimitError(
-                    f"baseline traversal exceeded {max_nodes} stored nodes"
-                )
+            _count_visit(len(visited), max_nodes, "baseline traversal")
             visited.add(target)
             stats.nodes += 1
             if visitor is not None:
@@ -327,7 +340,8 @@ def enumerate_triangulations(
     """Convenience front end tying oracle, cache and traversal together.
 
     Returns (count, stats).  With `baseline=True` the memory-unbounded DFS
-    replaces reverse search (for cross-checks).
+    replaces reverse search (for cross-checks).  `max_nodes` is the node
+    budget of either traversal.
     """
     stats = SearchStats()
     oracle = GeometricFlipOracle(config, mode, stats, verify_increments)
@@ -335,5 +349,5 @@ def enumerate_triangulations(
     if baseline:
         visited = baseline_dfs(provider, visitor=visitor, max_nodes=max_nodes)
         return len(visited), stats
-    count = reverse_search(provider, visitor=visitor)
+    count = reverse_search(provider, visitor=visitor, max_nodes=max_nodes)
     return count, stats

@@ -5,11 +5,15 @@ a_i -> a_{g(i)} extends to an affine transformation; such permutations send
 triangulations to triangulations and permute GKZ-vector coordinates.  Groups
 are given by generators and expanded by breadth-first closure.
 
-Two orbit keys live here.  `orbit_key` ranks the relabelled GKZ-vectors of
-a regular triangulation and keeps the lex-largest: GKZ is injective on
-regular triangulations, so this key is exact, and the number of group
-elements reaching it is the stabiliser order.  Orbit-level reverse search
-(`search.orbit_search`) visits one representative per orbit by this key.
+Two orbit keys live here.  `orbit_key` gives the lex-largest relabelled
+GKZ-vector of a regular triangulation: GKZ is injective on regular
+triangulations, so this key is exact, and the number of group elements
+reaching it is the stabiliser order.  It walks a trie of the inverse
+permutations (`group_trie`) position by position and follows only the
+branches that can still reach the maximum, the lex-max-image step of
+symmetric reverse search in mptopcom (Jordan, Joswig and Kastner, 2018).
+Orbit-level reverse search (`search.orbit_search`) visits one
+representative per orbit by this key.
 `canonical_form` relabels the simplices themselves and keeps the lex-least
 image; it is slower but holds for non-regular triangulations too, and
 `orbit_count` uses it to count orbits of an enumerated stream.
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exact
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import DimensionError, InvalidInputError, ResourceLimitError
 from .points import PointConfiguration
 from .triangulation import Triangulation
 
@@ -93,19 +97,51 @@ def inverse_permutations(group):
     return tuple(tuple(sorted(range(len(g)), key=g.__getitem__)) for g in group)
 
 
-def orbit_key(node_gkz, group, group_inverses):
+def group_trie(group):
+    """The inverse permutations of the group as a trie, for `orbit_key`.
+
+    Level j of the trie branches on g⁻¹[j]: a node maps each value to the
+    node below it, and the last level maps to the group index of g.  The
+    trie holds one node per distinct prefix of the inverses, so its size
+    is at most |G| times the degree; build it once per search.
+    """
+    root = {}
+    for index, inverse in enumerate(inverse_permutations(group)):
+        node = root
+        for point in inverse[:-1]:
+            node = node.setdefault(point, {})
+        node[inverse[-1]] = index
+    return root
+
+
+def orbit_key(node_gkz, group, trie):
     """The lex-max GKZ image of a regular triangulation over the group.
 
     Relabelling by g moves GKZ entry i to position g[i], so the image is
-    w[j] = node_gkz[g⁻¹[j]].  Returns (image, g, stabiliser order): `g` is
-    the first element reaching the image, so `relabel(t, g)` is the orbit
-    representative, and the count of elements reaching it is |Stab(t)|
-    because GKZ is injective on regular triangulations.
+    w[j] = node_gkz[g⁻¹[j]].  The walk goes down `trie` (see `group_trie`)
+    one position at a time and keeps only the branches whose entry equals
+    the largest one among them, so it builds the best image alone and
+    never the |G| images.  Returns (image, g, stabiliser order): `g` is the
+    reached element with the lowest index in the group, so
+    `relabel(t, g)` is the orbit representative, and the number of
+    elements reached is |Stab(t)| because GKZ is injective on regular
+    triangulations.  A vector whose length is not the degree of the group
+    raises DimensionError.
     """
+    if len(node_gkz) != len(group[0]):
+        raise DimensionError(
+            f"GKZ-vector has length {len(node_gkz)}, "
+            f"the group acts on {len(group[0])} points"
+        )
     pick = node_gkz.__getitem__
-    images = [tuple(map(pick, inv)) for inv in group_inverses]
-    best = max(images)
-    return best, group[images.index(best)], images.count(best)
+    level = [trie]
+    image = []
+    for _ in node_gkz:
+        best = max(pick(point) for node in level for point in node)
+        level = [child for node in level for point, child in node.items()
+                 if pick(point) == best]
+        image.append(best)
+    return tuple(image), group[min(level)], len(level)
 
 
 def canonical_form(t: Triangulation, group) -> Triangulation:

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from regulartri import (
     enumerate_triangulations,
     expand_group,
     gkz,
-    inverse_permutations,
+    group_trie,
     nested_triangles,
     new_configuration,
     orbit_count,
@@ -49,6 +50,10 @@ from regulartri.search import (
     predecessor,
     reverse_search,
 )
+
+from test_symmetry import list_orbit_key
+
+STRETCH = os.environ.get("RUN_STRETCH") == "1"
 
 
 def _provider(config, mode=SearchMode.REGULAR_ONLY, capacity=40000):
@@ -437,10 +442,10 @@ ORBIT_FIXTURES = (
 )
 
 
-def _orbit_search(config, generators, capacity=40000, visitor=None):
+def _orbit_search(config, generators, capacity=40000, visitor=None, max_nodes=None):
     group = expand_group(config, generators)
     provider, stats = _provider(config, capacity=capacity)
-    orbits, total = orbit_search(provider, group, visitor)
+    orbits, total = orbit_search(provider, group, visitor, max_nodes)
     return orbits, total, stats
 
 
@@ -460,7 +465,7 @@ def test_orbit_search_agrees_with_full_search(make, generators, count, orbits):
 def test_orbit_search_visits_each_representative_once(make, generators, count, orbits):
     config = make()
     group = expand_group(config, generators)
-    group_inverses = inverse_permutations(group)
+    trie = group_trie(group)
     log = []
     for capacity in (0, 40000):
         log.clear()
@@ -473,9 +478,53 @@ def test_orbit_search_visits_each_representative_once(make, generators, count, o
         for t, g, _ in log:
             assert g == gkz(config, t)
             # Each visited node is the lex-max member of its orbit.
-            assert orbit_key(g, group, group_inverses)[0] == g
+            assert orbit_key(g, group, trie)[0] == g
             keys.add(g)
         assert len(keys) == orbits
+
+
+@pytest.mark.parametrize("make, generators, count, orbits", ORBIT_FIXTURES)
+def test_orbit_search_keys_match_the_list_key(make, generators, count, orbits, monkeypatch):
+    config = make()
+    group = expand_group(config, generators)
+    keys = []
+
+    def checked_key(node_gkz, key_group, trie):
+        key = orbit_key(node_gkz, key_group, trie)
+        assert key == list_orbit_key(node_gkz, key_group)
+        keys.append(node_gkz)
+        return key
+
+    monkeypatch.setattr(search, "orbit_key", checked_key)
+    for capacity in (0, 40000):
+        keys.clear()
+        assert _orbit_search(config, generators, capacity)[:2] == (orbits, count)
+        # The root, every neighbour of a representative, and the
+        # predecessors of the candidate children were all keyed.
+        assert len(keys) > orbits
+
+
+def test_search_node_budgets():
+    config = simplex_product(2, 2)
+    generators = simplex_product_symmetry_generators(2, 2)
+    for budget in (None, 108, 109):
+        assert enumerate_triangulations(config, max_nodes=budget)[0] == 108
+        assert enumerate_triangulations(config, max_nodes=budget, baseline=True)[0] == 108
+        provider, _ = _provider(config)
+        assert reverse_search(provider, max_nodes=budget) == 108
+    for budget in (None, 5, 6):
+        assert _orbit_search(config, generators, max_nodes=budget)[:2] == (5, 108)
+    for budget in (0, 107):
+        with pytest.raises(ResourceLimitError, match="reverse search"):
+            enumerate_triangulations(config, max_nodes=budget)
+        with pytest.raises(ResourceLimitError, match="baseline traversal"):
+            enumerate_triangulations(config, max_nodes=budget, baseline=True)
+        provider, _ = _provider(config)
+        with pytest.raises(ResourceLimitError, match=f"budget of {budget} nodes"):
+            reverse_search(provider, max_nodes=budget)
+    for budget in (0, 4):
+        with pytest.raises(ResourceLimitError, match="orbit search"):
+            _orbit_search(config, generators, max_nodes=budget)
 
 
 def _relabelled(points, generators, seed):
@@ -511,6 +560,30 @@ def test_orbit_search_product_of_triangle_and_4_simplex():
         simplex_product(2, 4), simplex_product_symmetry_generators(2, 4)
     )
     assert (orbits, total) == (530, 376200)
+
+
+@pytest.mark.skipif(not STRETCH, reason="long-running stretch case; set RUN_STRETCH=1 to include")
+def test_orbit_search_product_of_two_tetrahedra():
+    # Counts published here agree on two labellings; the budgets leave at
+    # least ten times the 7 869 orbits and the 20 to 26 s each run takes.
+    base = simplex_product(3, 3)
+    generators = simplex_product_symmetry_generators(3, 3)
+    results = []
+    for config, gens in ((base, generators), _relabelled(base.points, generators, 13)):
+        group = expand_group(config, gens)
+        assert len(group) == 576
+        start = time.perf_counter()
+        stats = SearchStats()
+        provider = NeighborProvider(
+            GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats
+        )
+        orbits, total = orbit_search(provider, group, max_nodes=100_000)
+        elapsed = time.perf_counter() - start
+        print(f"d3d3: orbits={orbits} triangulations={total} "
+              f"lps={stats.rays.lps_solved} ({elapsed:.1f}s)")
+        assert elapsed < 600.0
+        results.append((orbits, total))
+    assert results == [(7869, 4494288)] * 2
 
 
 def test_orbit_search_refuses_all_flips_mode():

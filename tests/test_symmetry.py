@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from regulartri import (
+    DimensionError,
     InvalidInputError,
     ResourceLimitError,
     canonical_form,
@@ -15,6 +17,7 @@ from regulartri import (
     enumerate_triangulations,
     expand_group,
     gkz,
+    group_trie,
     inverse_permutations,
     is_symmetry,
     nested_triangles,
@@ -189,15 +192,72 @@ def test_orbit_count_accepts_triangulations():
 def test_orbit_key_against_relabelling():
     cfg = cube(3)
     group = expand_group(cfg, cube_symmetry_generators(3))
-    group_inverses = inverse_permutations(group)
     assert all(tuple(g[i] for i in inv) == tuple(range(cfg.n))
-               for g, inv in zip(group, group_inverses))
+               for g, inv in zip(group, inverse_permutations(group)))
+    trie = group_trie(group)
     ts = []
     enumerate_triangulations(cfg, visitor=lambda c, g, d: ts.append(c))
     for t in ts:
-        key, perm, stabiliser = orbit_key(gkz(cfg, t), group, group_inverses)
+        key, perm, stabiliser = orbit_key(gkz(cfg, t), group, trie)
         images = [relabel(t, p) for p in group]
         assert key == max(gkz(cfg, image) for image in images)
         assert gkz(cfg, relabel(t, perm)) == key
         assert stabiliser == sum(1 for image in images if image == t)
         assert len(set(images)) * stabiliser == len(group)
+
+
+def list_orbit_key(node_gkz, group):
+    """Reference for `orbit_key`: all |G| images of the vector in one pass.
+
+    Returns the lex-max image, the first group element reaching it and the
+    number of elements reaching it.
+    """
+    pick = node_gkz.__getitem__
+    images = [tuple(map(pick, inv)) for inv in inverse_permutations(group)]
+    best = max(images)
+    return best, group[images.index(best)], images.count(best)
+
+
+def _product_group(m, n):
+    return expand_group(simplex_product(m, n), simplex_product_symmetry_generators(m, n))
+
+
+@pytest.mark.parametrize("make_group", (
+    pytest.param(lambda: expand_group(cube(3), cube_symmetry_generators(3)), id="cube3-48"),
+    pytest.param(lambda: _product_group(2, 2), id="d2d2-36"),
+    pytest.param(lambda: _product_group(2, 3), id="d2d3-144"),
+    pytest.param(lambda: _product_group(2, 4), id="d2d4-720"),
+))
+def test_orbit_key_matches_list_key_on_random_vectors(make_group):
+    group = make_group()
+    trie = group_trie(group)
+    rng = random.Random(len(group))
+    stabilisers = set()
+    for _ in range(2000):
+        # Entries in 0..3 make ties, and so branching walks, common.
+        vec = tuple(rng.randrange(4) for _ in range(len(group[0])))
+        key = orbit_key(vec, group, trie)
+        assert key == list_orbit_key(vec, group)
+        stabilisers.add(key[2])
+    assert len(stabilisers) > 1
+
+
+def test_orbit_key_on_trivial_and_swap_groups():
+    trivial = ((0, 1, 2),)
+    swap = ((0, 1, 2), (1, 0, 2))
+    for group in (trivial, swap):
+        trie = group_trie(group)
+        for vec in itertools.product(range(3), repeat=3):
+            assert orbit_key(vec, group, trie) == list_orbit_key(vec, group)
+    assert orbit_key((4, 1, 0), trivial, group_trie(trivial)) == ((4, 1, 0), (0, 1, 2), 1)
+    assert orbit_key((0, 1, 5), swap, group_trie(swap)) == ((1, 0, 5), (1, 0, 2), 1)
+    assert orbit_key((1, 1, 0), swap, group_trie(swap)) == ((1, 1, 0), (0, 1, 2), 2)
+
+
+def test_orbit_key_rejects_vectors_of_the_wrong_length():
+    cycle = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    trie = group_trie(cycle)
+    assert orbit_key((1, 2, 3), cycle, trie) == ((3, 1, 2), (1, 2, 0), 1)
+    for vec in ((1, 2, 3, 99), (1, 2)):
+        with pytest.raises(DimensionError, match="length"):
+            orbit_key(vec, cycle, trie)
