@@ -13,23 +13,20 @@ number of orbits.  The full count comes back as the sum of the orbit sizes.
 import time
 
 from regulartri import (
-    SearchMode,
-    SearchStats,
+    enumerate_triangulations,
     expand_group,
-    orbit_search,
     simplex_product,
     simplex_product_symmetry_generators,
 )
-from regulartri.search import GeometricFlipOracle, NeighborProvider
 
 for m, n in ((2, 2), (2, 3), (2, 4)):
     config = simplex_product(m, n)
     group = expand_group(config, simplex_product_symmetry_generators(m, n))
-    stats = SearchStats()
-    oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats)
 
     start = time.perf_counter()
-    orbits, count = orbit_search(NeighborProvider(oracle, stats), group)
+    # With a group, reverse search visits one node per orbit.
+    count, stats = enumerate_triangulations(config, group=group)
+    orbits = stats.nodes
     elapsed = time.perf_counter() - start
     print(
         f"product {m}x{n}: points={config.n} dim={config.dim} "

@@ -53,7 +53,6 @@ from .search import (
     baseline_dfs,
     enumerate_triangulations,
     find_root,
-    orbit_search,
     predecessor,
     reverse_search,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "nonneg_combination",
     "orbit_count",
     "orbit_key",
-    "orbit_search",
     "parse_triangulation",
     "placing_triangulation",
     "predecessor",

@@ -26,14 +26,7 @@ from .errors import (
 from .flips import find_flips
 from .points import PointConfiguration
 from .regularity import is_regular, regular_flips
-from .search import (
-    GeometricFlipOracle,
-    NeighborProvider,
-    SearchMode,
-    SearchStats,
-    enumerate_triangulations,
-    orbit_search,
-)
+from .search import SearchMode, enumerate_triangulations
 from .symmetry import (
     canonical_form,
     expand_group,
@@ -41,7 +34,7 @@ from .symmetry import (
     orbit_key,
     relabel,
 )
-from .triangulation import parse_triangulation, validate
+from .triangulation import gkz, parse_triangulation, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,11 +209,9 @@ def cmd_enumerate(args, out) -> int:
     lines = []
     # Regular-mode --orbits walks one representative per orbit; --all and
     # --baseline enumerate every triangulation and canonicalise each one,
-    # which also serves as the cross-check of the orbit search.
-    if group is not None and not args.all and not args.baseline:
-        stats = SearchStats()
-        oracle = GeometricFlipOracle(config, mode, stats)
-        provider = NeighborProvider(oracle, stats, args.flip_cache)
+    # which also serves as the cross-check of the orbit walk.
+    orbit_walk = group is not None and not args.all and not args.baseline
+    if orbit_walk:
         trie = group_trie(group) if args.print_triangulations else None
 
         def print_orbit(rep, gkz_vec, depth):
@@ -232,10 +223,9 @@ def cmd_enumerate(args, out) -> int:
                     f"expected |G|/|Stab| = {len(group)}/{stabiliser}"
                 )
             for t in members:
-                lines.append(f"{t.canonical()} {_format_tuple(oracle.gkz(t))}")
+                lines.append(f"{t.canonical()} {_format_tuple(gkz(config, t))}")
 
         visitor = print_orbit if args.print_triangulations else None
-        orbits, count = orbit_search(provider, group, visitor)
     else:
         forms = set()
 
@@ -245,14 +235,15 @@ def cmd_enumerate(args, out) -> int:
             if group is not None:
                 forms.add(canonical_form(t, group))
 
-        count, stats = enumerate_triangulations(
-            config,
-            mode=mode,
-            visitor=visitor,
-            cache_capacity=args.flip_cache,
-            baseline=args.baseline,
-        )
-        orbits = len(forms)
+    count, stats = enumerate_triangulations(
+        config,
+        mode=mode,
+        visitor=visitor,
+        cache_capacity=args.flip_cache,
+        baseline=args.baseline,
+        group=group if orbit_walk else None,
+    )
+    orbits = stats.nodes if orbit_walk else len(forms)
     for line in sorted(lines):
         out.write(line + "\n")
     out.write(f"triangulations: {count}\n")

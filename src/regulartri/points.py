@@ -33,6 +33,18 @@ from .errors import (
 )
 
 
+def as_integer(value, what):
+    """`value` as an int, never rounded: InvalidInputError unless `value`
+    equals an integer (1.0 is taken, 1.9, Fraction(3, 2) and "1" are not)."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise InvalidInputError(f"{what} {value!r} is not an integer")
+    return number
+
+
 @dataclass(frozen=True)
 class CorankOneConfig:
     """A (d+2)-point subconfiguration with a unique affine dependence.
@@ -143,8 +155,8 @@ class PointConfiguration:
       times they were found.
     """
 
-    def __init__(self, points, _columns=None):
-        pts = tuple(tuple(int(x) for x in p) for p in points)
+    def __init__(self, points):
+        pts = tuple(tuple(as_integer(x, "coordinate") for x in p) for p in points)
         if len(pts) < 2:
             raise InvalidInputError("need at least two points")
         width = len(pts[0])
@@ -162,11 +174,9 @@ class PointConfiguration:
         self.ambient_dim = width
 
         full = [(1,) + p for p in pts]
-        cols = _columns if _columns is not None else exact.greedy_basis(list(zip(*full)))
+        cols = exact.greedy_basis(list(zip(*full)))
         self.basis_columns = tuple(cols)
         self.dim = len(cols) - 1
-        if _columns is not None and exact.rank([[row[c] for c in cols] for row in full]) != len(cols):
-            raise DegenerateConfigError("supplied basis columns are dependent")
         #: homogenized points in basis coordinates, one integer row per point
         self.hom = tuple(tuple(row[c] for c in cols) for row in full)
 

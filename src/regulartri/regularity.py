@@ -209,7 +209,7 @@ def screen_rays(vectors) -> ScreeningOutcome:
             combo = _cancel(vp, vm, col)
             system = [v for k, v in enumerate(system) if k not in (ip, im)]
             system.append(combo)
-        elif rule in ("R3", "R3x"):
+        elif rule == "R3":
             single, opposite = data
             v1 = system[single]
             confirmed = (v1.ident,) if v1.is_candidate else ()
@@ -281,20 +281,13 @@ def _find_reduction(system, active):
             return ("R1", col, (pos + neg)[0:1])
         if np_ == 1 and nn == 1 and r2 is None:
             r2 = ("R2", col, (pos[0], neg[0]))
-        elif np_ == 1 and nn >= 2:
-            cand = system[pos[0]].is_candidate
-            pick = ("R3", col, (pos[0], tuple(neg)))
-            if cand and r3c is None:
-                r3c = pick
-            elif not cand and r3 is None:
-                r3 = pick
-        elif nn == 1 and np_ >= 2:
-            cand = system[neg[0]].is_candidate
-            pick = ("R3", col, (neg[0], tuple(pos)))
-            if cand and r3c is None:
-                r3c = pick
-            elif not cand and r3 is None:
-                r3 = pick
+        elif min(np_, nn) == 1 and max(np_, nn) >= 2:
+            single, opposite = (pos[0], neg) if np_ == 1 else (neg[0], pos)
+            pick = ("R3", col, (single, tuple(opposite)))
+            if system[single].is_candidate:
+                r3c = r3c or pick
+            else:
+                r3 = r3 or pick
         elif (np_ == 0 or nn == 0) and r4 is None:
             r4 = ("R4", col, tuple(pos + neg))
     _deactivate(active, dead)
@@ -322,14 +315,6 @@ class RayStats:
 
     def confirmed_by_screening(self):
         return self.r1 + self.r2 + self.r3
-
-    def merge(self, other: "RayStats"):
-        self.r1 += other.r1
-        self.r2 += other.r2
-        self.r3 += other.r3
-        self.r4 += other.r4
-        self.scalar_tests += other.scalar_tests
-        self.lps_solved += other.lps_solved
 
 
 def extremal_rays(vectors, stats: RayStats = None) -> set:

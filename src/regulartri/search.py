@@ -23,11 +23,11 @@ in an LRU cache keyed by the node itself, and visitors receive the node.
 Any cache capacity (including zero) yields the same enumeration; only the
 hit counters move.
 
-`orbit_search` is the symmetric variant (as in mptopcom's symmetric reverse
-search): it walks one representative per symmetry orbit, the member with
-the lex-max GKZ-vector, and recovers the full count as the sum of the orbit
-sizes.  It uses the same provider, predecessor and root walk, so the cache
-semantics above hold for it unchanged.
+Given a symmetry group, `reverse_search` is symmetric reverse search (as in
+mptopcom): it walks one representative per orbit, the member with the
+lex-max GKZ-vector, and recovers the full count as the sum of the orbit
+sizes.  The provider, predecessor, root walk and cache semantics are the
+same; the plain search is the case without a group.
 """
 
 from __future__ import annotations
@@ -179,10 +179,9 @@ def predecessor(provider: NeighborProvider, node, node_gkz):
     return None
 
 
-def find_root(provider: NeighborProvider, seed, seed_gkz=None):
+def find_root(provider: NeighborProvider, seed):
     """Walk lex-largest upflips from the seed until a sink is reached."""
-    node = seed
-    node_gkz = seed_gkz if seed_gkz is not None else provider.oracle.gkz(seed)
+    node, node_gkz = seed, provider.oracle.gkz(seed)
     while True:
         up = predecessor(provider, node, node_gkz)
         if up is None:
@@ -197,8 +196,8 @@ def _count_visit(visited, max_nodes, search):
     return visited + 1
 
 
-def reverse_search(provider: NeighborProvider, visitor=None, seed=None,
-                   max_nodes=None):
+def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
+                   group=None):
     """Enumerate the predecessor tree rooted at the sink above the seed.
 
     In regular mode the flip graph is the edge graph of a polytope, every
@@ -207,70 +206,35 @@ def reverse_search(provider: NeighborProvider, visitor=None, seed=None,
     may exist, so only the tree of the sink reached from the seed is
     enumerated; use baseline_dfs for the full connected component.
 
-    The visitor, when given, receives (node, gkz, depth) for
-    every triangulation exactly once and must not mutate search state.
-    Memory use is bounded by the tree depth — no visited set exists.
-    Returns the number of triangulations visited.  `max_nodes` bounds the
-    run: visiting more nodes than that raises ResourceLimitError.
+    A symmetry `group` (regular mode only: GKZ does not identify
+    non-regular triangulations) makes each node stand for its orbit, as its
+    lex-max-GKZ member given by `symmetry.orbit_key` over a trie of the
+    group built once per call.  The parent of a representative C is the
+    representative of C's predecessor, whose GKZ-vector is larger; if that
+    predecessor is g·R, then g⁻¹·C is a neighbor of R with representative
+    C, so R's children are found among its neighbors' representatives.
+
+    The visitor, when given, receives (node, gkz, depth) once per node and
+    must not mutate search state.  Memory is bounded by the tree depth
+    times the degree, plus the trie — no visited set exists.  `stats.nodes`
+    and `max_nodes` count nodes (orbits, under a group); crossing the
+    budget raises ResourceLimitError.  Returns the number of triangulations
+    this call enumerated (the sum of |G|/|Stab| under a group).
     """
-    stats = provider.stats
-    if seed is None:
-        seed = provider.oracle.seed()
-    root, root_gkz = find_root(provider, seed)
-    visited = _count_visit(0, max_nodes, "reverse search")
-    stats.nodes += 1
-    if visitor is not None:
-        visitor(root, root_gkz, 0)
-    stack = [(root, root_gkz, 0)]
-    while stack:
-        node, node_gkz, depth = stack.pop()
-        for target, tgkz in provider.neighbors(node, node_gkz):
-            if tgkz < node_gkz:
-                pred = predecessor(provider, target, tgkz)
-                if pred is not None and pred[0] == node:
-                    visited = _count_visit(visited, max_nodes, "reverse search")
-                    stats.nodes += 1
-                    if visitor is not None:
-                        visitor(target, tgkz, depth + 1)
-                    stack.append((target, tgkz, depth + 1))
-    return stats.nodes
-
-
-def orbit_search(provider: NeighborProvider, group, visitor=None, max_nodes=None):
-    """Reverse search over orbit representatives under a symmetry group.
-
-    A representative is the lex-max-GKZ member of its orbit (see
-    `symmetry.orbit_key`, which walks a trie of the group built once per
-    call, so a key costs about one image, not |G| of them).  The parent of
-    a representative C is the representative of C's predecessor; its
-    GKZ-vector is strictly larger than C's, so the parent links form a tree
-    rooted at the representative of the lex-max root.  If the upflip of C
-    is g·R, then g⁻¹·C is a neighbor of R whose representative is C, so the
-    children of R are found among the representatives of R's neighbors.
-    Memory is bounded by the tree depth times the degree, plus the trie —
-    no visited set exists.
-
-    Regular mode only: GKZ is not injective on non-regular triangulations,
-    so the orbit key would merge distinct orbits in all-flips mode.
-
-    The visitor, when given, receives (representative, gkz, depth) once per
-    orbit.  `provider.stats.nodes` counts representatives, and so does
-    `max_nodes`: visiting more representatives than that raises
-    ResourceLimitError.  Returns (orbits, triangulations), the latter the
-    sum of |G|/|Stab| over orbits.
-    """
-    if getattr(provider.oracle, "mode", None) is SearchMode.ALL_FLIPS:
+    mode = getattr(provider.oracle, "mode", None)
+    if group is not None and mode is SearchMode.ALL_FLIPS:
         raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
                               "do not identify non-regular triangulations")
     stats = provider.stats
-    order = len(group)
-    trie = group_trie(group)
     root, root_gkz = find_root(provider, provider.oracle.seed())
-    key, _, stabiliser = orbit_key(root_gkz, group, trie)
-    if key != root_gkz:
-        raise RegulartriError("the lex-max root is not its orbit's representative")
-    orbits = _count_visit(0, max_nodes, "orbit search")
-    total = order // stabiliser
+    search, total = "reverse search", 1
+    if group is not None:
+        search, order, trie = "orbit search", len(group), group_trie(group)
+        key, _, stabiliser = orbit_key(root_gkz, group, trie)
+        if key != root_gkz:
+            raise RegulartriError("the lex-max root is not its orbit's representative")
+        total = order // stabiliser
+    visited = _count_visit(0, max_nodes, search)
     stats.nodes += 1
     if visitor is not None:
         visitor(root, root_gkz, 0)
@@ -279,24 +243,32 @@ def orbit_search(provider: NeighborProvider, group, visitor=None, max_nodes=None
         node, node_gkz, depth = stack.pop()
         seen = set()
         for target, tgkz in provider.neighbors(node, node_gkz):
-            cgkz, perm, stabiliser = orbit_key(tgkz, group, trie)
-            if cgkz >= node_gkz or cgkz in seen:
-                continue
-            seen.add(cgkz)
-            child = relabel(target, perm)
+            if group is None:
+                if tgkz >= node_gkz:
+                    continue
+                child, cgkz, size = target, tgkz, 1
+            else:
+                cgkz, perm, stabiliser = orbit_key(tgkz, group, trie)
+                if cgkz >= node_gkz or cgkz in seen:
+                    continue
+                seen.add(cgkz)
+                child, size = relabel(target, perm), order // stabiliser
             pred = predecessor(provider, child, cgkz)
-            if pred is None or orbit_key(pred[1], group, trie)[0] != node_gkz:
+            if pred is None or (
+                pred[0] != node if group is None
+                else orbit_key(pred[1], group, trie)[0] != node_gkz
+            ):
                 continue
-            orbits = _count_visit(orbits, max_nodes, "orbit search")
-            total += order // stabiliser
+            visited = _count_visit(visited, max_nodes, search)
+            total += size
             stats.nodes += 1
             if visitor is not None:
                 visitor(child, cgkz, depth + 1)
             stack.append((child, cgkz, depth + 1))
-    return orbits, total
+    return total
 
 
-def baseline_dfs(provider: NeighborProvider, visitor=None, seed=None, max_nodes=None):
+def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
     """Reference traversal: visited-set DFS over the same neighbor relation.
 
     Exhaustive on the seed's connected component regardless of predecessor
@@ -305,8 +277,7 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, seed=None, max_nodes=
     explicitly; crossing it raises ResourceLimitError.
     """
     stats = provider.stats
-    if seed is None:
-        seed = provider.oracle.seed()
+    seed = provider.oracle.seed()
     seed_gkz = provider.oracle.gkz(seed)
     _count_visit(0, max_nodes, "baseline traversal")
     visited = {seed}
@@ -336,18 +307,22 @@ def enumerate_triangulations(
     baseline: bool = False,
     max_nodes=None,
     verify_increments: bool = False,
+    group=None,
 ):
     """Convenience front end tying oracle, cache and traversal together.
 
     Returns (count, stats).  With `baseline=True` the memory-unbounded DFS
     replaces reverse search (for cross-checks).  `max_nodes` is the node
-    budget of either traversal.
+    budget of either traversal.  A symmetry `group` goes to reverse search,
+    so `stats.nodes` counts orbits; the baseline DFS takes none.
     """
+    if group is not None and baseline:
+        raise RegulartriError("the baseline traversal takes no symmetry group")
     stats = SearchStats()
     oracle = GeometricFlipOracle(config, mode, stats, verify_increments)
     provider = NeighborProvider(oracle, stats, cache_capacity)
     if baseline:
         visited = baseline_dfs(provider, visitor=visitor, max_nodes=max_nodes)
         return len(visited), stats
-    count = reverse_search(provider, visitor=visitor, max_nodes=max_nodes)
+    count = reverse_search(provider, visitor=visitor, max_nodes=max_nodes, group=group)
     return count, stats

@@ -12,8 +12,8 @@ reaching it is the stabiliser order.  It walks a trie of the inverse
 permutations (`group_trie`) position by position and follows only the
 branches that can still reach the maximum, the lex-max-image step of
 symmetric reverse search in mptopcom (Jordan, Joswig and Kastner, 2018).
-Orbit-level reverse search (`search.orbit_search`) visits one
-representative per orbit by this key.
+Reverse search with a group (`search.reverse_search(..., group=G)`) visits
+one representative per orbit by this key.
 `canonical_form` relabels the simplices themselves and keeps the lex-least
 image; it is slower but holds for non-regular triangulations too, and
 `orbit_count` uses it to count orbits of an enumerated stream.
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import DimensionError, InvalidInputError, ResourceLimitError
-from .points import PointConfiguration
+from .points import PointConfiguration, as_integer
 from .triangulation import Triangulation
 
 GROUP_ORDER_CAP = 10**6
@@ -61,7 +61,7 @@ def expand_group(config: PointConfiguration, generators, cap=None):
         cap = GROUP_ORDER_CAP
     gens = []
     for g in generators:
-        g = tuple(int(x) for x in g)
+        g = tuple(as_integer(x, "generator entry") for x in g)
         if len(g) != config.n:
             raise InvalidInputError(
                 f"generator has length {len(g)}, expected {config.n}"

@@ -46,10 +46,8 @@ from regulartri import (
     triangle_with_interior,
 )
 from regulartri.search import (
-    GeometricFlipOracle,
     NeighborProvider,
     SearchStats,
-    orbit_search,
     reverse_search,
 )
 
@@ -260,9 +258,8 @@ def test_criterion_05_product_of_simplices_orbits():
     config = simplex_product(2, 5)
     group = expand_group(config, simplex_product_symmetry_generators(2, 5))
     assert len(group) == 4320
-    stats = SearchStats()
-    oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats)
-    orbits, total = orbit_search(NeighborProvider(oracle, stats), group)
+    total, stats = enumerate_triangulations(config, group=group)
+    orbits = stats.nodes
     print(
         f"criterion 5: orbits={orbits} triangulations={total} "
         f"flip_lists={stats.cache_misses} lps_solved={stats.rays.lps_solved}"

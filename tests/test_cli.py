@@ -11,6 +11,8 @@ import pytest
 from regulartri import cli
 from regulartri import (
     canonical_form,
+    cube,
+    cube_symmetry_generators,
     enumerate_triangulations,
     expand_group,
     parse_triangulation,
@@ -29,16 +31,15 @@ NESTED_INPUT = (
 PINWHEEL = "{{0,1,4},{0,3,4},{1,2,5},{1,4,5},{0,2,3},{2,3,5},{3,4,5}}"
 
 
-def _product_input(m, n):
+def _input(points, gens):
     def literal(rows):
         return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]"
 
-    points = simplex_product(m, n).points
-    gens = simplex_product_symmetry_generators(m, n)
     return f"points: {literal(points)}\nsymmetry: {literal(gens)}\n"
 
 
-D2D2_INPUT = _product_input(2, 2)
+D2D2_INPUT = _input(simplex_product(2, 2).points, simplex_product_symmetry_generators(2, 2))
+CUBE3_INPUT = _input(cube(3).points, cube_symmetry_generators(3))
 
 
 def _run(argv):
@@ -233,6 +234,31 @@ def test_enumerate_orbit_search_agrees_with_full_enumeration(tmp_path, text):
         # --baseline takes the full enumeration with canonical forms.
         assert _run(argv + ["--baseline"]) == orbit_search
         assert _run(argv + ["--flip-cache", "0"]) == orbit_search
+
+
+def _stats_lines(nodes, flips, r1, r3, hits, misses):
+    return (
+        f"nodes: {nodes}\nflips_evaluated: {flips}\nreductions_r1: {r1}\n"
+        f"reductions_r2: 0\nreductions_r3: {r3}\nreductions_r4: 0\n"
+        f"scalar_tests: 0\nlps_solved: 0\ncache_hits: {hits}\ncache_misses: {misses}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, count, orbits, walk, plain",
+    (
+        (SQUARE_INPUT, 2, 1, (1, 1, 1, 0, 1, 1), (2, 2, 2, 0, 2, 2)),
+        (CUBE3_INPUT, 74, 6, (6, 42, 36, 6, 10, 10), (74, 304, 280, 24, 161, 74)),
+        (D2D2_INPUT, 108, 5, (5, 58, 52, 6, 7, 14), (108, 444, 408, 36, 233, 108)),
+    ),
+    ids=("square", "cube3", "d2d2"),
+)
+def test_enumerate_stats_lines(tmp_path, text, count, orbits, walk, plain):
+    path = _write(tmp_path, "input.txt", text)
+    assert _run(["enumerate", "--input", path, "--orbits", "--stats"]) == (
+        0, f"triangulations: {count}\norbits: {orbits}\n" + _stats_lines(*walk))
+    assert _run(["enumerate", "--input", path, "--stats"]) == (
+        0, f"triangulations: {count}\n" + _stats_lines(*plain))
 
 
 def test_enumerate_orbit_search_checks_orbit_sizes(tmp_path, monkeypatch):

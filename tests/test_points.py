@@ -36,6 +36,18 @@ def test_construction_errors():
         new_configuration([(0, 0), (1, 0, 0)])
 
 
+def test_non_integer_coordinates_are_refused():
+    square_points = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    for bad in (1.9, Fraction(3, 2), "1", "a", None, float("nan"), float("inf")):
+        points = [square_points[0], (bad, 0)] + square_points[2:]
+        with pytest.raises(InvalidInputError, match="coordinate .* is not an integer"):
+            new_configuration(points)
+    # Values equal to an integer are taken as that integer.
+    exact = new_configuration([(0, 0), (1.0, 0), (Fraction(2, 2), True), (0, 1)])
+    assert exact.points == square().points
+    assert all(type(x) is int for p in exact.points for x in p)
+
+
 def test_dimension_detection():
     assert square().dim == 2
     assert cube(3).dim == 3

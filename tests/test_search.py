@@ -46,7 +46,6 @@ from regulartri.search import (
     SearchStats,
     baseline_dfs,
     find_root,
-    orbit_search,
     predecessor,
     reverse_search,
 )
@@ -407,6 +406,13 @@ def test_stats_conservation():
     assert decided >= stats.flips_evaluated
 
 
+def test_reverse_search_returns_this_calls_count():
+    provider, stats = _provider(cube(3))
+    assert reverse_search(provider) == 74
+    assert reverse_search(provider) == 74
+    assert stats.nodes == 148
+
+
 def test_baseline_dfs_resource_limit():
     provider, _ = _provider(cube(3), mode=SearchMode.ALL_FLIPS)
     with pytest.raises(ResourceLimitError):
@@ -445,8 +451,8 @@ ORBIT_FIXTURES = (
 def _orbit_search(config, generators, capacity=40000, visitor=None, max_nodes=None):
     group = expand_group(config, generators)
     provider, stats = _provider(config, capacity=capacity)
-    orbits, total = orbit_search(provider, group, visitor, max_nodes)
-    return orbits, total, stats
+    total = reverse_search(provider, visitor, max_nodes, group)
+    return stats.nodes, total, stats
 
 
 @pytest.mark.parametrize("make, generators, count, orbits", ORBIT_FIXTURES)
@@ -577,7 +583,8 @@ def test_orbit_search_product_of_two_tetrahedra():
         provider = NeighborProvider(
             GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats
         )
-        orbits, total = orbit_search(provider, group, max_nodes=100_000)
+        total = reverse_search(provider, max_nodes=100_000, group=group)
+        orbits = stats.nodes
         elapsed = time.perf_counter() - start
         print(f"d3d3: orbits={orbits} triangulations={total} "
               f"lps={stats.rays.lps_solved} ({elapsed:.1f}s)")
@@ -587,9 +594,14 @@ def test_orbit_search_product_of_two_tetrahedra():
 
 
 def test_orbit_search_refuses_all_flips_mode():
+    group = expand_group(nested_triangles(), [NESTED_ROTATION])
     provider, _ = _provider(nested_triangles(), mode=SearchMode.ALL_FLIPS)
     with pytest.raises(RegulartriError, match="regular mode"):
-        orbit_search(provider, expand_group(nested_triangles(), [NESTED_ROTATION]))
+        reverse_search(provider, group=group)
+    with pytest.raises(RegulartriError, match="regular mode"):
+        enumerate_triangulations(nested_triangles(), SearchMode.ALL_FLIPS, group=group)
+    with pytest.raises(RegulartriError, match="no symmetry group"):
+        enumerate_triangulations(nested_triangles(), baseline=True, group=group)
 
 
 class LoneNodeOracle(MockOracle):
@@ -602,6 +614,7 @@ class LoneNodeOracle(MockOracle):
 
 def test_orbit_search_checks_the_root_key():
     provider = NeighborProvider(LoneNodeOracle(), SearchStats())
-    assert orbit_search(provider, ((0, 1),)) == (1, 1)
+    assert reverse_search(provider, group=((0, 1),)) == 1
+    assert provider.stats.nodes == 1
     with pytest.raises(RegulartriError, match="representative"):
-        orbit_search(provider, ((0, 1), (1, 0)))
+        reverse_search(provider, group=((0, 1), (1, 0)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +96,11 @@ def test_expand_group_input_checks():
         expand_group(sq, [(1, 0, 2, 3)])
     with pytest.raises(ResourceLimitError):
         expand_group(sq, [SQUARE_ROTATION], cap=3)
+    # Generator entries are never rounded to the square's rotation.
+    for bad in ((1.2, 2.9, 3, 0), (1, 2, 3, Fraction(1, 2)), ("1", 2, 3, 0), ("a", 2, 3, 0)):
+        with pytest.raises(InvalidInputError, match="generator entry .* is not an integer"):
+            expand_group(sq, [bad])
+    assert expand_group(sq, [(1.0, 2, Fraction(3), 0)]) == expand_group(sq, [SQUARE_ROTATION])
 
 
 def test_relabel():
