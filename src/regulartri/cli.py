@@ -34,7 +34,7 @@ from .symmetry import (
     orbit_key,
     relabel,
 )
-from .triangulation import gkz, parse_triangulation, validate
+from .triangulation import parse_triangulation, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,15 +215,22 @@ def cmd_enumerate(args, out) -> int:
         trie = group_trie(group) if args.print_triangulations else None
 
         def print_orbit(rep, gkz_vec, depth):
-            members = {relabel(rep, perm) for perm in group}
+            # One permutation per distinct member; relabelling by perm moves
+            # GKZ entry i to position perm[i].
+            members = {}
+            for perm in group:
+                members.setdefault(relabel(rep, perm), perm)
             stabiliser = orbit_key(gkz_vec, group, trie)[2]
             if len(members) * stabiliser != len(group):
                 raise RegulartriError(
                     f"orbit of {rep.canonical()} has {len(members)} members, "
                     f"expected |G|/|Stab| = {len(group)}/{stabiliser}"
                 )
-            for t in members:
-                lines.append(f"{t.canonical()} {_format_tuple(gkz(config, t))}")
+            image = [0] * len(gkz_vec)
+            for t, perm in members.items():
+                for i, x in enumerate(gkz_vec):
+                    image[perm[i]] = x
+                lines.append(f"{t.canonical()} {_format_tuple(image)}")
 
         visitor = print_orbit if args.print_triangulations else None
     else:

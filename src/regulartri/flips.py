@@ -18,11 +18,15 @@ No exact arithmetic runs per triangulation.  `find_flips` reads, for each
 maximal simplex S, the configuration's circuit index (the reduced circuits
 of the sets S ∪ {p}, each with both orientations and the faces of each
 side, computed once per simplex and shared per circuit support), and tests
-the side faces against the triangulation's vertex-to-simplex bitmasks.  A
-flip depends only on its circuit side and link, so the `Flip` for each
+the side faces on integer bitmasks: the simplices containing a face are the
+AND of the triangulation's vertex-to-simplex masks, and the link of the
+face in a coface is the coface's vertex mask minus the face's.  So a link
+is a frozenset of ints and no vertex tuple is built per coface.  A flip
+depends only on its circuit side and link, so the `Flip` for each
 (side, link) pair is built once per configuration and memoised in
-`PointConfiguration.flip_memo`; `_make_flip`'s volume and sign checks run on
-every `Flip` object that exists.  The memo grows with the number of distinct
+`PointConfiguration.flip_memo`; the link's vertex tuples are decoded on a
+memo miss only, and `_make_flip`'s volume and sign checks run on every
+`Flip` object that exists.  The memo grows with the number of distinct
 flips of the triangulations visited (1 584 for all of Δ2×Δ3's 4 488), not
 with the number of times they are found (28 368).  `apply_flip` builds the
 target from the frozenset it computes anyway, sharing the simplex tuples of
@@ -36,7 +40,7 @@ from functools import reduce
 from operator import and_
 
 from .errors import RegulartriError, StaleFlipError
-from .points import CorankOneConfig, PointConfiguration
+from .points import CorankOneConfig, PointConfiguration, mask_bits
 from .triangulation import GkzVector, Triangulation
 
 
@@ -65,12 +69,17 @@ def find_flips(config: PointConfiguration, t: Triangulation) -> list:
     to the same circuit are deduplicated) and contributes at most one flip.
     """
     simplices = t.simplices
-    # by_vertex[v] has bit k set when simplex k contains v.
+    # by_vertex[v] has bit k set when simplex k contains v; masks[k] has bit
+    # v set for each vertex v of simplex k.
     by_vertex = [0] * config.n
+    masks = []
     for k, s in enumerate(simplices):
         bit = 1 << k
+        mask = 0
         for v in s:
             by_vertex[v] |= bit
+            mask |= 1 << v
+        masks.append(mask)
     memo = config.flip_memo
     seen = set()
     out = []
@@ -80,11 +89,12 @@ def find_flips(config: PointConfiguration, t: Triangulation) -> list:
                 continue
             seen.add(entry)
             for side in entry.sides:
-                link = _side_link(side.faces, simplices, by_vertex)
+                link = _side_link(side.faces, masks, by_vertex)
                 if link is not None:
                     flip = memo.get((side, link))
                     if flip is None:
-                        flip = _make_flip(config, side.circuit, link)
+                        tuples = frozenset(map(mask_bits, link))
+                        flip = _make_flip(config, side.circuit, tuples)
                         memo[side, link] = flip
                     out.append(flip)
                     break
@@ -92,31 +102,41 @@ def find_flips(config: PointConfiguration, t: Triangulation) -> list:
     return out
 
 
-def _side_link(faces, simplices, by_vertex):
+def _side_link(faces, masks, by_vertex):
     """The common link of a circuit side's faces, or None.
 
-    `faces` holds (tuple, frozenset) pairs for the faces Z∖{j}, and
-    `by_vertex` the bitmask of the simplices containing each vertex.
-    Returns a frozenset of sorted vertex tuples when every face is a face of
-    the triangulation and all their links agree; None otherwise.
+    `faces` holds (tuple, vertex mask) pairs for the faces Z∖{j}, `masks`
+    the vertex mask of each simplex and `by_vertex` the mask of the
+    simplices containing each vertex.  Returns the link as a frozenset of
+    vertex masks, one per coface, when every face is a face of the
+    triangulation and all their links agree; None otherwise.
     """
-    common = None
-    for face, face_set in faces:
+    (face, face_mask), rest = faces[0], faces[1:]
+    cofaces = reduce(and_, map(by_vertex.__getitem__, face))
+    if not cofaces:
+        return None
+    keep = ~face_mask
+    link = []
+    while cofaces:
+        low = cofaces & -cofaces
+        link.append(masks[low.bit_length() - 1] & keep)
+        cofaces ^= low
+    link = frozenset(link)
+    # The links of distinct cofaces of one face are distinct, so another
+    # face has the same link when it has as many cofaces, each with a link
+    # in the first face's.
+    size = len(link)
+    for face, face_mask in rest:
         cofaces = reduce(and_, map(by_vertex.__getitem__, face))
-        if not cofaces:
+        if cofaces.bit_count() != size:
             return None
-        link = []
+        keep = ~face_mask
         while cofaces:
             low = cofaces & -cofaces
-            coface = simplices[low.bit_length() - 1]
-            link.append(tuple(v for v in coface if v not in face_set))
+            if masks[low.bit_length() - 1] & keep not in link:
+                return None
             cofaces ^= low
-        link = frozenset(link)
-        if common is None:
-            common = link
-        elif link != common:
-            return None
-    return common
+    return link
 
 
 def _without(support, q):

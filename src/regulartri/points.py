@@ -106,8 +106,9 @@ class CircuitSide:
 
     `circuit.plus` is the side whose joins a flip on this orientation
     removes; `faces` holds, for each j in that side, the face Z∖{j} as a
-    (sorted tuple, frozenset) pair.  Sides compare by identity: the circuit
-    index creates each one once per configuration.
+    (sorted tuple, vertex mask) pair, the mask having bit v set for each
+    vertex v.  Sides compare by identity: the circuit index creates each one
+    once per configuration.
     """
 
     __slots__ = ("circuit", "faces")
@@ -115,7 +116,25 @@ class CircuitSide:
     def __init__(self, circuit: CorankOneConfig):
         self.circuit = circuit
         faces = (tuple(v for v in circuit.support if v != q) for q in circuit.plus)
-        self.faces = tuple((face, frozenset(face)) for face in faces)
+        self.faces = tuple((face, vertex_mask(face)) for face in faces)
+
+
+def vertex_mask(vertices) -> int:
+    """The int with bit v set for each vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_bits(mask) -> tuple:
+    """The set bits of a mask, ascending: the inverse of `vertex_mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class IndexedCircuit:
@@ -148,11 +167,12 @@ class PointConfiguration:
       once, as an `IndexedCircuit` with both orientations and their side
       faces, and shared by every simplex that reaches it;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
-      filled by `flips.find_flips`.  A flip's circuit, removed side and link
-      determine its removed and inserted simplices and its displacement, so
-      the memo holds one entry per distinct flip met: its size is the number
-      of distinct flips of the triangulations visited, not the number of
-      times they were found.
+      filled by `flips.find_flips`; the link is a frozenset of vertex masks
+      (see `vertex_mask`), one per simplex of the link.  A flip's circuit,
+      removed side and link determine its removed and inserted simplices
+      and its displacement, so the memo holds one entry per distinct flip
+      met: its size is the number of distinct flips of the triangulations
+      visited, not the number of times they were found.
     """
 
     def __init__(self, points):
@@ -185,7 +205,7 @@ class PointConfiguration:
         self._circuit_cache = {}
         self._circuit_index = {}
         self._indexed_circuits = {}
-        #: (CircuitSide, link) -> Flip; see the class docstring
+        #: (CircuitSide, link of vertex masks) -> Flip; see the class docstring
         self.flip_memo = {}
         self._total_volume = None
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import RegulartriError
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
-from .points import PointConfiguration
+from .points import PointConfiguration, mask_bits
 from .triangulation import Triangulation, facet_incidence
 
 
@@ -164,18 +164,25 @@ def screen_rays(vectors) -> ScreeningOutcome:
     ascending order, restarting after every applied reduction.  Screening
     stops as soon as no candidates remain in the system, since reductions
     among known non-rays cannot decide anything further.
+
+    The system is a `_System`: live vectors in input order, cancellations
+    appended, and per column the bitmasks of the vectors with a positive
+    and with a negative entry, updated on each removal and append.  So a
+    column's counts are two popcounts and no column is rescanned after a
+    reduction; the order in which rules are chosen, the events and every
+    snapshot are those of a scan over the vector list.
     """
-    system = []
+    tagged = []
     for v in vectors:
         if isinstance(v, TaggedVector):
-            system.append(v)
+            tagged.append(v)
         else:
             vec, ident = v
-            system.append(TaggedVector(tuple(vec), ident))
-    if not system:
+            tagged.append(TaggedVector(tuple(vec), ident))
+    if not tagged:
         return ScreeningOutcome()
-    ncols = len(system[0].vec)
-    for v in system:
+    ncols = len(tagged[0].vec)
+    for v in tagged:
         if len(v.vec) != ncols:
             raise RegulartriError("ray system vectors of mixed lengths")
         if all(x == 0 for x in v.vec):
@@ -183,70 +190,123 @@ def screen_rays(vectors) -> ScreeningOutcome:
 
     out = ScreeningOutcome()
     active = list(range(ncols))
+    system = _System(tagged, ncols)
+    live = system.live
 
-    while any(v.is_candidate for v in system):
+    while system.candidates:
         action = _find_reduction(system, active)
         if action is None:
             break
         rule, col, data = action
         if rule == "R1":
-            (i,) = data
-            v = system[i]
-            if v.is_candidate:
+            v = live[data]
+            if v.ident is not None:
                 out.confirmed.append(v.ident)
                 out.r1 += 1
                 out.events.append(ScreeningEvent("R1", col, confirmed=(v.ident,)))
             else:
                 out.events.append(ScreeningEvent("R1", col))
-            del system[i]
+            system.remove(data)
         elif rule == "R2":
             ip, im = data
-            vp, vm = system[ip], system[im]
-            confirmed = tuple(v.ident for v in (vp, vm) if v.is_candidate)
+            vp, vm = live[ip], live[im]
+            confirmed = tuple(v.ident for v in (vp, vm) if v.ident is not None)
             out.confirmed.extend(confirmed)
             out.r2 += len(confirmed)
             out.events.append(ScreeningEvent("R2", col, confirmed=confirmed))
             combo = _cancel(vp, vm, col)
-            system = [v for k, v in enumerate(system) if k not in (ip, im)]
-            system.append(combo)
+            system.remove(ip)
+            system.remove(im)
+            system.add(combo)
         elif rule == "R3":
             single, opposite = data
-            v1 = system[single]
-            confirmed = (v1.ident,) if v1.is_candidate else ()
+            opposite = mask_bits(opposite)
+            v1 = live[single]
+            confirmed = (v1.ident,) if v1.ident is not None else ()
             out.confirmed.extend(confirmed)
             out.r3 += len(confirmed)
-            deferred_ids = _defer(system, opposite, out)
+            deferred_ids = _defer(live, opposite, out)
             out.events.append(
                 ScreeningEvent("R3", col, confirmed=confirmed, deferred=deferred_ids)
             )
-            combos = [_cancel(v1, system[k], col) for k in opposite]
-            drop = set(opposite) | {single}
-            system = [v for k, v in enumerate(system) if k not in drop]
-            system.extend(combos)
+            combos = [_cancel(v1, live[k], col) for k in opposite]
+            system.remove(single)
+            for k in opposite:
+                system.remove(k)
+            for combo in combos:
+                system.add(combo)
         else:  # R4
-            nonzero = data
-            deferred_ids = _defer(system, nonzero, out)
+            nonzero = mask_bits(data)
+            deferred_ids = _defer(live, nonzero, out)
             out.r4 += 1
             out.events.append(ScreeningEvent("R4", col, deferred=deferred_ids))
-            drop = set(nonzero)
-            system = [v for k, v in enumerate(system) if k not in drop]
+            for k in nonzero:
+                system.remove(k)
 
     # Whatever candidates survive an irreducible system go to the LP stage.
-    leftovers = [k for k, v in enumerate(system) if v.is_candidate]
+    leftovers = [k for k, v in live.items() if v.ident is not None]
     if leftovers:
-        deferred_ids = _defer(system, leftovers, out)
+        deferred_ids = _defer(live, leftovers, out)
         out.events.append(ScreeningEvent("fixpoint", -1, deferred=deferred_ids))
-    out.residual = tuple(system)
+    out.residual = tuple(live.values())
     return out
 
 
-def _defer(system, indices, out):
+class _System:
+    """The live vectors of one screening run, with per-column sign masks.
+
+    `live` maps slot ids to vectors in insertion order; a slot id is never
+    reused, so ascending slot order is the order of the vector list the
+    rules are defined on.  `pos[c]` and `neg[c]` have bit k set when slot k
+    holds a positive, resp. negative, entry in column c.  `candidates`
+    counts the live candidate vectors.
+    """
+
+    __slots__ = ("live", "pos", "neg", "candidates", "_next")
+
+    def __init__(self, vectors, ncols):
+        self.live = {}
+        self.pos = [0] * ncols
+        self.neg = [0] * ncols
+        self.candidates = 0
+        self._next = 0
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v: TaggedVector):
+        slot = self._next
+        self._next += 1
+        bit = 1 << slot
+        pos, neg = self.pos, self.neg
+        for col, x in enumerate(v.vec):
+            if x > 0:
+                pos[col] |= bit
+            elif x < 0:
+                neg[col] |= bit
+        self.live[slot] = v
+        if v.ident is not None:
+            self.candidates += 1
+
+    def remove(self, slot):
+        v = self.live.pop(slot)
+        keep = ~(1 << slot)
+        pos, neg = self.pos, self.neg
+        for col, x in enumerate(v.vec):
+            if x > 0:
+                pos[col] &= keep
+            elif x < 0:
+                neg[col] &= keep
+        if v.ident is not None:
+            self.candidates -= 1
+
+
+def _defer(live, slots, out):
     idents = []
-    for k in indices:
-        v = system[k]
-        if not v.is_candidate:
+    for k in slots:
+        v = live[k]
+        if v.ident is None:
             continue
-        others = tuple(w for j, w in enumerate(system) if j != k)
+        others = tuple(w for j, w in live.items() if j != k)
         out.deferred.append(DeferredCandidate(v.ident, v.vec, others))
         idents.append(v.ident)
     return tuple(idents)
@@ -266,30 +326,37 @@ def _cancel(a: TaggedVector, b: TaggedVector, col: int) -> TaggedVector:
 
 
 def _find_reduction(system, active):
-    """Pick the next reduction: (rule, column, data) or None at fixpoint."""
+    """Pick the next reduction: (rule, column, data) or None at fixpoint.
+
+    Data is a slot for R1, a (positive, negative) slot pair for R2, a
+    (single slot, opposite mask) pair for R3 and the mask of the nonzero
+    slots for R4.
+    """
     r2 = r3c = r3 = r4 = None
     dead = []
+    pos, neg, live = system.pos, system.neg, system.live
     for col in active:
-        pos = [k for k, v in enumerate(system) if v.vec[col] > 0]
-        neg = [k for k, v in enumerate(system) if v.vec[col] < 0]
-        np_, nn = len(pos), len(neg)
-        if np_ == 0 and nn == 0:
+        p, n = pos[col], neg[col]
+        if not (p or n):
             dead.append(col)
             continue
+        np_, nn = p.bit_count(), n.bit_count()
         if np_ + nn == 1:
             _deactivate(active, dead)
-            return ("R1", col, (pos + neg)[0:1])
-        if np_ == 1 and nn == 1 and r2 is None:
-            r2 = ("R2", col, (pos[0], neg[0]))
-        elif min(np_, nn) == 1 and max(np_, nn) >= 2:
-            single, opposite = (pos[0], neg) if np_ == 1 else (neg[0], pos)
-            pick = ("R3", col, (single, tuple(opposite)))
-            if system[single].is_candidate:
-                r3c = r3c or pick
-            else:
-                r3 = r3 or pick
+            return ("R1", col, (p | n).bit_length() - 1)
+        if np_ == 1 and nn == 1:
+            if r2 is None:
+                r2 = ("R2", col, (p.bit_length() - 1, n.bit_length() - 1))
+        elif np_ == 1 or nn == 1:
+            single, opposite = (p, n) if np_ == 1 else (n, p)
+            single = single.bit_length() - 1
+            if live[single].ident is not None:
+                if r3c is None:
+                    r3c = ("R3", col, (single, opposite))
+            elif r3 is None:
+                r3 = ("R3", col, (single, opposite))
         elif (np_ == 0 or nn == 0) and r4 is None:
-            r4 = ("R4", col, tuple(pos + neg))
+            r4 = ("R4", col, p | n)
     _deactivate(active, dead)
     return r2 or r3c or r3 or r4
 

@@ -36,7 +36,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import RegulartriError, ResourceLimitError
+from .errors import InvalidInputError, RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
 from .points import PointConfiguration
 from .regularity import RayStats, regular_flips
@@ -62,11 +62,12 @@ class FlipCache:
     """LRU map from a node to its evaluated flip list.
 
     capacity 0 disables storage entirely; eviction is least-recently-used.
+    A negative capacity raises InvalidInputError.
     """
 
     def __init__(self, capacity: int):
         if capacity < 0:
-            raise ValueError("cache capacity must be nonnegative")
+            raise InvalidInputError(f"cache capacity must be nonnegative, got {capacity}")
         self.capacity = capacity
         self._data = OrderedDict()
 
@@ -189,6 +190,12 @@ def find_root(provider: NeighborProvider, seed):
         node, node_gkz = up
 
 
+def _check_budget(max_nodes):
+    """InvalidInputError for a negative node budget, before any work."""
+    if max_nodes is not None and max_nodes < 0:
+        raise InvalidInputError(f"node budget must be nonnegative, got {max_nodes}")
+
+
 def _count_visit(visited, max_nodes, search):
     """The visit count after one more node; crossing `max_nodes` raises."""
     if max_nodes is not None and visited >= max_nodes:
@@ -219,8 +226,10 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     times the degree, plus the trie — no visited set exists.  `stats.nodes`
     and `max_nodes` count nodes (orbits, under a group); crossing the
     budget raises ResourceLimitError.  Returns the number of triangulations
-    this call enumerated (the sum of |G|/|Stab| under a group).
+    this call enumerated (the sum of |G|/|Stab| under a group).  A negative
+    `max_nodes` raises InvalidInputError.
     """
+    _check_budget(max_nodes)
     mode = getattr(provider.oracle, "mode", None)
     if group is not None and mode is SearchMode.ALL_FLIPS:
         raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
@@ -274,8 +283,10 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
     Exhaustive on the seed's connected component regardless of predecessor
     structure, at the price of remembering every visited triangulation.
     Returns the set of visited nodes.  `max_nodes` bounds memory
-    explicitly; crossing it raises ResourceLimitError.
+    explicitly; crossing it raises ResourceLimitError, and a negative one
+    raises InvalidInputError.
     """
+    _check_budget(max_nodes)
     stats = provider.stats
     seed = provider.oracle.seed()
     seed_gkz = provider.oracle.gkz(seed)

@@ -15,6 +15,7 @@ from regulartri import (
     cube_symmetry_generators,
     enumerate_triangulations,
     expand_group,
+    gkz,
     parse_triangulation,
     simplex_product,
     simplex_product_symmetry_generators,
@@ -234,6 +235,20 @@ def test_enumerate_orbit_search_agrees_with_full_enumeration(tmp_path, text):
         # --baseline takes the full enumeration with canonical forms.
         assert _run(argv + ["--baseline"]) == orbit_search
         assert _run(argv + ["--flip-cache", "0"]) == orbit_search
+
+
+def test_enumerate_orbit_print_gkz_vectors(tmp_path):
+    # --orbits --print permutes the representative's GKZ vector for each
+    # member; every printed vector must be the member's own.
+    path = _write(tmp_path, "d2d2.txt", D2D2_INPUT)
+    code, text = _run(["enumerate", "--input", path, "--orbits", "--print"])
+    assert code == 0
+    config = simplex_product(2, 2)
+    lines = text.splitlines()[:-2]
+    assert len(lines) == 108
+    for line in lines:
+        literal, vector = line.split(" ")
+        assert vector == cli._format_tuple(gkz(config, parse_triangulation(literal)))
 
 
 def _stats_lines(nodes, flips, r1, r3, hits, misses):

@@ -17,6 +17,7 @@ from regulartri import (
     DegenerateConfigError,
     PointConfiguration,
     RegulartriError,
+    ResourceLimitError,
     SearchMode,
     StaleFlipError,
     Triangulation,
@@ -36,9 +37,10 @@ from regulartri import (
     validate,
 )
 from regulartri.flips import Flip, _make_flip
+from regulartri.points import mask_bits
 from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
 
-from test_search import optimized_output
+from test_search import _relabelled, optimized_output
 
 
 def test_square_flip_pins():
@@ -342,23 +344,20 @@ def test_find_flips_matches_reference(make, count):
         assert find_flips(config, t) == reference(t)
 
 
-def test_find_flips_matches_reference_on_d2d3_prefix():
-    config = simplex_product(2, 3)
-    prefix = []
-
-    class Enough(Exception):
-        pass
-
-    def visitor(t, g, d):
-        prefix.append(t)
-        if len(prefix) == 200:
-            raise Enough
-
+def search_prefix(config, size):
+    """The first `size` triangulations visited by regular reverse search."""
     stats = SearchStats()
     provider = NeighborProvider(
         GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
-    with pytest.raises(Enough):
-        reverse_search(provider, visitor)
+    prefix = []
+    with pytest.raises(ResourceLimitError):
+        reverse_search(provider, lambda t, g, d: prefix.append(t), max_nodes=size)
+    return prefix
+
+
+def test_find_flips_matches_reference_on_d2d3_prefix():
+    config = simplex_product(2, 3)
+    prefix = search_prefix(config, 200)
     reference = ReferenceFlips(config.points)
     for t in prefix:
         assert find_flips(config, t) == reference(t)
@@ -377,6 +376,20 @@ def test_flip_memo_holds_one_flip_per_distinct_flip():
             assert by_value.setdefault(f, f) is f
 
 
+def test_link_masks_under_another_bit_order():
+    # A seeded shuffle of Δ2×Δ3's labels, so the vertex masks of faces and
+    # simplices see another bit order than in catalog order.
+    points = _relabelled(simplex_product(2, 3).points, (), 903)[0].points
+    prefix = search_prefix(PointConfiguration(points), 200)
+    config = PointConfiguration(points)
+    reference = ReferenceFlips(points)
+    lists = [find_flips(config, t) for t in prefix]
+    for t, flips in zip(prefix, lists):
+        assert flips == reference(t)
+    distinct = {f for flips in lists for f in flips}
+    assert len(config.flip_memo) == len(distinct)
+
+
 def test_circuit_index_is_lazy_and_shared():
     config = cube(3)
     assert config._circuit_index == {} and config._indexed_circuits == {}
@@ -390,6 +403,7 @@ def test_circuit_index_is_lazy_and_shared():
                 assert [face for face, _ in side.faces] == [
                     tuple(v for v in entry.support if v != q) for q in side.circuit.plus
                 ]
+                assert all(mask_bits(mask) == face for face, mask in side.faces)
     assert len(config._circuit_index) == len(t.simplices)
 
 

@@ -15,9 +15,11 @@ import pytest
 from regulartri import (
     RayStats,
     RegulartriError,
+    ResourceLimitError,
     TaggedVector,
     apply_flip,
     cube,
+    enumerate_triangulations,
     extremal_rays,
     find_flips,
     is_regular,
@@ -29,10 +31,24 @@ from regulartri import (
     regular_flips,
     regularity_rows,
     screen_rays,
+    simplex_product,
     square,
     triangle_with_interior,
 )
-from regulartri.regularity import _positive_multiple
+from regulartri import regularity
+from regulartri.regularity import (
+    DeferredCandidate,
+    ScreeningEvent,
+    ScreeningOutcome,
+    _positive_multiple,
+)
+from regulartri.search import (
+    GeometricFlipOracle,
+    NeighborProvider,
+    SearchMode,
+    SearchStats,
+    reverse_search,
+)
 
 # A sparse 12x18 displacement system whose screening cascade exercises
 # every reduction rule; ids are the one-based row numbers.
@@ -214,9 +230,13 @@ def test_extremal_rays_does_not_report_untagged_vectors():
     assert ext == {"a"}
 
 
-def test_screening_matches_naive_oracle_on_random_systems():
-    # Systems drawn inside a halfspace w·v > 0 are pointed by construction;
-    # positive-multiple duplicates are filtered to meet the precondition.
+def random_pointed_systems():
+    """250 seeded random systems as (vec, ident) lists, skipping those with
+    fewer than two vectors.
+
+    Systems drawn inside a halfspace w·v > 0 are pointed by construction;
+    positive-multiple duplicates are filtered to meet the precondition.
+    """
     rng = random.Random(424242)
     for _ in range(250):
         d = rng.randint(3, 7)
@@ -238,9 +258,13 @@ def test_screening_matches_naive_oracle_on_random_systems():
                 continue
             seen_directions.add(direction)
             vectors.append(v)
-        if len(vectors) < 2:
-            continue
-        tagged = [(v, k) for k, v in enumerate(vectors)]
+        if len(vectors) >= 2:
+            yield [(v, k) for k, v in enumerate(vectors)]
+
+
+def test_screening_matches_naive_oracle_on_random_systems():
+    for tagged in random_pointed_systems():
+        vectors = [v for v, _ in tagged]
         stats = RayStats()
         assert extremal_rays(tagged, stats) == naive_extremal_rays(tagged)
         decided = (
@@ -304,3 +328,175 @@ def test_positive_multiple_matches_fraction_ratios():
         assert _positive_multiple(u, v) is want, (u, v)
         outcomes.add((kind, want))
     assert {(0, True), (0, False), (1, False), (2, False)} <= outcomes
+
+
+# -- the rescanning screen as the reference for the mask-based one -----------
+
+
+def rescanning_screen_rays(vectors) -> ScreeningOutcome:
+    """`screen_rays` over a plain vector list: the column signs are found
+    by scanning the whole list for every active column after every
+    reduction.  The same rules in the same order, so every field of the
+    outcome must agree with the mask-based screen."""
+    system = [v if isinstance(v, TaggedVector) else TaggedVector(tuple(v[0]), v[1])
+              for v in vectors]
+    if not system:
+        return ScreeningOutcome()
+    out = ScreeningOutcome()
+    active = list(range(len(system[0].vec)))
+    while any(v.is_candidate for v in system):
+        action = _rescanning_reduction(system, active)
+        if action is None:
+            break
+        rule, col, data = action
+        if rule == "R1":
+            (i,) = data
+            v = system[i]
+            if v.is_candidate:
+                out.confirmed.append(v.ident)
+                out.r1 += 1
+                out.events.append(ScreeningEvent("R1", col, confirmed=(v.ident,)))
+            else:
+                out.events.append(ScreeningEvent("R1", col))
+            del system[i]
+        elif rule == "R2":
+            ip, im = data
+            vp, vm = system[ip], system[im]
+            confirmed = tuple(v.ident for v in (vp, vm) if v.is_candidate)
+            out.confirmed.extend(confirmed)
+            out.r2 += len(confirmed)
+            out.events.append(ScreeningEvent("R2", col, confirmed=confirmed))
+            combo = _rescanning_cancel(vp, vm, col)
+            system = [v for k, v in enumerate(system) if k not in (ip, im)]
+            system.append(combo)
+        elif rule == "R3":
+            single, opposite = data
+            v1 = system[single]
+            confirmed = (v1.ident,) if v1.is_candidate else ()
+            out.confirmed.extend(confirmed)
+            out.r3 += len(confirmed)
+            deferred_ids = _rescanning_defer(system, opposite, out)
+            out.events.append(
+                ScreeningEvent("R3", col, confirmed=confirmed, deferred=deferred_ids)
+            )
+            combos = [_rescanning_cancel(v1, system[k], col) for k in opposite]
+            drop = set(opposite) | {single}
+            system = [v for k, v in enumerate(system) if k not in drop]
+            system.extend(combos)
+        else:
+            deferred_ids = _rescanning_defer(system, data, out)
+            out.r4 += 1
+            out.events.append(ScreeningEvent("R4", col, deferred=deferred_ids))
+            system = [v for k, v in enumerate(system) if k not in set(data)]
+    leftovers = [k for k, v in enumerate(system) if v.is_candidate]
+    if leftovers:
+        deferred_ids = _rescanning_defer(system, leftovers, out)
+        out.events.append(ScreeningEvent("fixpoint", -1, deferred=deferred_ids))
+    out.residual = tuple(system)
+    return out
+
+
+def _rescanning_defer(system, indices, out):
+    idents = []
+    for k in indices:
+        v = system[k]
+        if v.is_candidate:
+            others = tuple(w for j, w in enumerate(system) if j != k)
+            out.deferred.append(DeferredCandidate(v.ident, v.vec, others))
+            idents.append(v.ident)
+    return tuple(idents)
+
+
+def _rescanning_cancel(a, b, col):
+    ca, cb = abs(a.vec[col]), abs(b.vec[col])
+    return TaggedVector(tuple(ca * y + cb * x for x, y in zip(a.vec, b.vec)), None)
+
+
+def _rescanning_reduction(system, active):
+    r2 = r3c = r3 = r4 = None
+    for col in list(active):
+        pos = [k for k, v in enumerate(system) if v.vec[col] > 0]
+        neg = [k for k, v in enumerate(system) if v.vec[col] < 0]
+        np_, nn = len(pos), len(neg)
+        if np_ == 0 and nn == 0:
+            active.remove(col)
+            continue
+        if np_ + nn == 1:
+            return ("R1", col, (pos + neg)[0:1])
+        if np_ == 1 and nn == 1 and r2 is None:
+            r2 = ("R2", col, (pos[0], neg[0]))
+        elif min(np_, nn) == 1 and max(np_, nn) >= 2:
+            single, opposite = (pos[0], neg) if np_ == 1 else (neg[0], pos)
+            pick = ("R3", col, (single, tuple(opposite)))
+            if system[single].is_candidate:
+                r3c = r3c or pick
+            else:
+                r3 = r3 or pick
+        elif (np_ == 0 or nn == 0) and r4 is None:
+            r4 = ("R4", col, tuple(pos + neg))
+    return r2 or r3c or r3 or r4
+
+
+def recorded_screens(monkeypatch):
+    """Record the input and outcome of every `screen_rays` call, nested
+    calls from the deferred stage included, as (vectors, outcome) pairs."""
+    calls = []
+    screen = regularity.screen_rays
+
+    def recording(vectors):
+        vectors = list(vectors)
+        outcome = screen(vectors)
+        calls.append((vectors, outcome))
+        return outcome
+
+    monkeypatch.setattr(regularity, "screen_rays", recording)
+    return calls
+
+
+def assert_same_as_rescanning(calls):
+    for vectors, outcome in calls:
+        want = rescanning_screen_rays(vectors)
+        assert outcome.confirmed == want.confirmed
+        assert [(d.ident, d.vec, d.others) for d in outcome.deferred] == [
+            (d.ident, d.vec, d.others) for d in want.deferred
+        ]
+        assert outcome.events == want.events
+        assert outcome.residual == want.residual
+        assert (outcome.r1, outcome.r2, outcome.r3, outcome.r4) == (
+            want.r1, want.r2, want.r3, want.r4
+        )
+
+
+def test_screening_matches_rescanning_reference_on_random_systems(monkeypatch):
+    calls = recorded_screens(monkeypatch)
+    for tagged in random_pointed_systems():
+        extremal_rays(tagged)
+    extremal_rays(_tagged_rows())
+    # Every column has two entries of each sign: no rule applies at all.
+    extremal_rays([((3, -1, -1), 0), ((-1, 3, -1), 1), ((-1, -1, 3), 2),
+                   ((2, 2, -1), 3), ((2, -1, 2), 4)])
+    assert len(calls) > 250
+    assert {e.rule for _, out in calls for e in out.events} == {
+        "R1", "R2", "R3", "R4", "fixpoint"}
+    assert_same_as_rescanning(calls)
+
+
+def test_screening_matches_rescanning_reference_on_d2d2(monkeypatch):
+    calls = recorded_screens(monkeypatch)
+    count, _ = enumerate_triangulations(simplex_product(2, 2))
+    assert count == 108 and len(calls) > 100
+    assert_same_as_rescanning(calls)
+
+
+def test_screening_matches_rescanning_reference_on_d2d4_prefix(monkeypatch):
+    # The first LP of this search comes at node 259 and the first R4 at
+    # node 273, so 300 nodes reach both.
+    calls = recorded_screens(monkeypatch)
+    stats = SearchStats()
+    provider = NeighborProvider(GeometricFlipOracle(
+        simplex_product(2, 4), SearchMode.REGULAR_ONLY, stats), stats)
+    with pytest.raises(ResourceLimitError):
+        reverse_search(provider, max_nodes=300)
+    assert stats.nodes == 300
+    assert stats.rays.lps_solved > 0 and stats.rays.r4 > 0
+    assert_same_as_rescanning(calls)

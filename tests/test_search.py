@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from regulartri import (
+    InvalidInputError,
     RegulartriError,
     ResourceLimitError,
     SearchMode,
@@ -376,7 +377,7 @@ def test_flip_cache_lru_eviction():
     disabled = FlipCache(0)
     disabled.put("a", 1)
     assert disabled.get("a") is None
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         FlipCache(-1)
 
 
@@ -531,6 +532,21 @@ def test_search_node_budgets():
     for budget in (0, 4):
         with pytest.raises(ResourceLimitError, match="orbit search"):
             _orbit_search(config, generators, max_nodes=budget)
+
+
+def test_negative_budgets_are_invalid_input():
+    # Both are library errors raised before the search does any work.
+    config = simplex_product(2, 2)
+    with pytest.raises(InvalidInputError, match="cache capacity"):
+        enumerate_triangulations(config, cache_capacity=-1)
+    for baseline in (False, True):
+        with pytest.raises(InvalidInputError, match="node budget"):
+            enumerate_triangulations(config, max_nodes=-1, baseline=baseline)
+    for search_call in (reverse_search, baseline_dfs):
+        provider, stats = _provider(config)
+        with pytest.raises(InvalidInputError, match="node budget"):
+            search_call(provider, max_nodes=-1)
+        assert stats.cache_misses == 0 and stats.nodes == 0
 
 
 def _relabelled(points, generators, seed):
