@@ -169,20 +169,23 @@ def parse_input(text: str) -> dict:
     return {"points": seen["points"], "symmetry": seen.get("symmetry")}
 
 
-def _load(path: str) -> dict:
+def _load(path: str, parse=parse_input):
+    """`parse` applied to the text of the file at `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_input(fh.read())
+            return parse(fh.read())
     except OSError as e:
         raise InvalidInputError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _load_triangulation(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_triangulation(fh.read())
-    except OSError as e:
-        raise InvalidInputError(f"cannot read {path}: {e.strerror}") from None
+def _config_and_triangulation(args):
+    """The configuration and the validated triangulation of `regular`/`flips`."""
+    config = PointConfiguration(_load(args.input)["points"])
+    t = _load(args.triangulation, parse_triangulation)
+    check = validate(config, t)
+    if not check:
+        raise InvalidInputError(f"invalid triangulation ({check.kind}): {check.detail}")
+    return config, t
 
 
 def _format_tuple(values) -> str:
@@ -271,12 +274,7 @@ def cmd_enumerate(args, out) -> int:
 
 
 def cmd_regular(args, out) -> int:
-    data = _load(args.input)
-    config = PointConfiguration(data["points"])
-    t = _load_triangulation(args.triangulation)
-    check = validate(config, t)
-    if not check:
-        raise InvalidInputError(f"invalid triangulation ({check.kind}): {check.detail}")
+    config, t = _config_and_triangulation(args)
     verdict = is_regular(config, t)
     if verdict.regular:
         out.write("regular\n")
@@ -288,12 +286,7 @@ def cmd_regular(args, out) -> int:
 
 
 def cmd_flips(args, out) -> int:
-    data = _load(args.input)
-    config = PointConfiguration(data["points"])
-    t = _load_triangulation(args.triangulation)
-    check = validate(config, t)
-    if not check:
-        raise InvalidInputError(f"invalid triangulation ({check.kind}): {check.detail}")
+    config, t = _config_and_triangulation(args)
     flips = find_flips(config, t)
     verdicts = None
     if is_regular(config, t).regular:

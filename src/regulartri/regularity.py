@@ -150,6 +150,17 @@ class ScreeningOutcome:
     r4: int = 0  # rule-4 applications (it only defers)
 
 
+def _tagged(vectors) -> list:
+    """The ray system as TaggedVectors: (vector, ident) pairs are wrapped."""
+    tagged = []
+    for v in vectors:
+        if not isinstance(v, TaggedVector):
+            vec, ident = v
+            v = TaggedVector(tuple(vec), ident)
+        tagged.append(v)
+    return tagged
+
+
 def screen_rays(vectors) -> ScreeningOutcome:
     """Run the column reductions to a fixpoint.
 
@@ -172,13 +183,7 @@ def screen_rays(vectors) -> ScreeningOutcome:
     reduction; the order in which rules are chosen, the events and every
     snapshot are those of a scan over the vector list.
     """
-    tagged = []
-    for v in vectors:
-        if isinstance(v, TaggedVector):
-            tagged.append(v)
-        else:
-            vec, ident = v
-            tagged.append(TaggedVector(tuple(vec), ident))
+    tagged = _tagged(vectors)
     if not tagged:
         return ScreeningOutcome()
     ncols = len(tagged[0].vec)
@@ -466,13 +471,7 @@ def naive_extremal_rays(vectors) -> set:
     Used as the independent oracle for the screening path; no reductions,
     no shortcuts.
     """
-    tagged = []
-    for v in vectors:
-        if isinstance(v, TaggedVector):
-            tagged.append(v)
-        else:
-            vec, ident = v
-            tagged.append(TaggedVector(tuple(vec), ident))
+    tagged = _tagged(vectors)
     out = set()
     for k, v in enumerate(tagged):
         others = [w.vec for j, w in enumerate(tagged) if j != k]

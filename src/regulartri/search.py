@@ -8,20 +8,20 @@ the graph is the edge graph of a polytope — is found by walking upflips from
 the placing seed.  Children of a node are exactly the lex-smaller neighbors
 whose predecessor is the node, so no visited set is ever needed.
 
-The engine is generic over a four-method oracle, so that the same traversal
+The engine is generic over a three-method oracle, so that the same traversal
 (and the same cache semantics) can be driven by the real geometry or by a
 hand-built graph in tests:
 
-    gkz(node)                     -> tuple
-    flip_items(node, node_gkz)    -> [(edge, target, target_gkz)]
-    true_flip_valid(node, items)  -> [bool]  (mode-dependent flip verdicts)
-    seed()                        -> node
+    gkz(node)                  -> tuple
+    neighbors(node, node_gkz)  -> [(target, target_gkz)]  (the mode-valid ones)
+    seed()                     -> node
 
 Nodes are hashable values (`Triangulation` objects for the geometry) and are
-the search's identity: flip lists with their per-flip verdicts are memoized
-in an LRU cache keyed by the node itself, and visitors receive the node.
-Any cache capacity (including zero) yields the same enumeration; only the
-hit counters move.
+the search's identity: a node's valid neighbours are memoized in an LRU cache
+keyed by the node itself, and visitors receive the node.  Each list is a
+verdict about the node's flips, never about their targets' regularity.  Any
+cache capacity (including zero) yields the same enumeration; only the hit
+counters move.
 
 Given a symmetry group, `reverse_search` is symmetric reverse search (as in
 mptopcom): it walks one representative per orbit, the member with the
@@ -58,37 +58,6 @@ class SearchStats:
     rays: RayStats = field(default_factory=RayStats)
 
 
-class FlipCache:
-    """LRU map from a node to its evaluated flip list.
-
-    capacity 0 disables storage entirely; eviction is least-recently-used.
-    A negative capacity raises InvalidInputError.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise InvalidInputError(f"cache capacity must be nonnegative, got {capacity}")
-        self.capacity = capacity
-        self._data = OrderedDict()
-
-    def get(self, key):
-        entry = self._data.get(key)
-        if entry is not None:
-            self._data.move_to_end(key)
-        return entry
-
-    def put(self, key, value):
-        if self.capacity == 0:
-            return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def __len__(self):
-        return len(self._data)
-
-
 class GeometricFlipOracle:
     """Oracle backed by an actual point configuration.
 
@@ -109,59 +78,63 @@ class GeometricFlipOracle:
     def gkz(self, t: Triangulation):
         return gkz(self.config, t)
 
-    def flip_items(self, t: Triangulation, t_gkz):
-        items = []
-        for flip in find_flips(self.config, t):
-            target = apply_flip(self.config, t, flip)
-            tgkz = tuple(a + b for a, b in zip(t_gkz, flip.delta))
-            if self.verify_increments:
-                if tgkz != gkz(self.config, target):
-                    raise RegulartriError(
-                        "incremental GKZ update disagrees with recomputation"
-                    )
-                if target != Triangulation(target.simplices):
-                    raise RegulartriError(
-                        "flip target differs from its canonical construction"
-                    )
-            items.append((flip, target, tgkz))
-        return items
+    def neighbors(self, t: Triangulation, t_gkz):
+        """The targets and GKZ-vectors of the mode-valid flips, in
+        `find_flips` order; targets are built for these flips only."""
+        flips = find_flips(self.config, t)
+        self.stats.flips_evaluated += len(flips)
+        if self.verify_increments:
+            # Screening reads every flip's displacement, so every flip is
+            # checked, kept or not.
+            for flip in flips:
+                self._check(t, t_gkz, flip)
+        if self.mode is SearchMode.REGULAR_ONLY:
+            flips = regular_flips(self.config, t, flips, self.stats.rays)
+        return [
+            (apply_flip(self.config, t, f), tuple(a + b for a, b in zip(t_gkz, f.delta)))
+            for f in flips
+        ]
 
-    def true_flip_valid(self, t, items):
-        if self.mode is SearchMode.ALL_FLIPS:
-            return [True] * len(items)
-        flips = [it[0] for it in items]
-        # One flip per circuit support, so supports key the verdicts; Flip
-        # objects are memoised per configuration and shared between lists.
-        kept = {
-            f.circuit.support
-            for f in regular_flips(self.config, t, flips, self.stats.rays)
-        }
-        return [f.circuit.support in kept for f in flips]
+    def _check(self, t, t_gkz, flip):
+        target = apply_flip(self.config, t, flip)
+        if tuple(a + b for a, b in zip(t_gkz, flip.delta)) != gkz(self.config, target):
+            raise RegulartriError("incremental GKZ update disagrees with recomputation")
+        if target != Triangulation(target.simplices):
+            raise RegulartriError("flip target differs from its canonical construction")
 
     def seed(self) -> Triangulation:
         return placing_triangulation(self.config)
 
 
 class NeighborProvider:
-    """Evaluates and caches mode-valid neighbors on top of an oracle."""
+    """An oracle's valid neighbours, memoized in an LRU keyed by the node.
+
+    capacity 0 stores nothing; the least recently used entry is evicted
+    first.  A negative capacity raises InvalidInputError.
+    """
 
     def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
+        if cache_capacity < 0:
+            raise InvalidInputError(
+                f"cache capacity must be nonnegative, got {cache_capacity}")
         self.oracle = oracle
         self.stats = stats
-        self.cache = FlipCache(cache_capacity)
+        self.capacity = cache_capacity
+        self.cache = OrderedDict()
 
     def neighbors(self, node, node_gkz):
         """Valid neighbors as (target, target_gkz) pairs, deterministic order."""
         entry = self.cache.get(node)
         if entry is not None:
+            self.cache.move_to_end(node)
             self.stats.cache_hits += 1
             return entry
         self.stats.cache_misses += 1
-        items = self.oracle.flip_items(node, node_gkz)
-        self.stats.flips_evaluated += len(items)
-        valid = self.oracle.true_flip_valid(node, items)
-        entry = [(target, tgkz) for (_, target, tgkz), ok in zip(items, valid) if ok]
-        self.cache.put(node, entry)
+        entry = self.oracle.neighbors(node, node_gkz)
+        if self.capacity:
+            self.cache[node] = entry
+            if len(self.cache) > self.capacity:
+                self.cache.popitem(last=False)
         return entry
 
 
@@ -222,8 +195,10 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     C, so R's children are found among its neighbors' representatives.
 
     The visitor, when given, receives (node, gkz, depth) once per node and
-    must not mutate search state.  Memory is bounded by the tree depth
-    times the degree, plus the trie — no visited set exists.  `stats.nodes`
+    must not mutate search state.  No visited set exists: memory is the
+    stack (at most the tree depth times the degree), the trie and the
+    provider's cache of up to `cache_capacity` neighbour lists, which
+    dominates on large inputs.  `stats.nodes`
     and `max_nodes` count nodes (orbits, under a group); crossing the
     budget raises ResourceLimitError.  Returns the number of triangulations
     this call enumerated (the sum of |G|/|Stab| under a group).  A negative

@@ -57,7 +57,7 @@ class Triangulation:
         return t
 
     def __contains__(self, simplex):
-        return tuple(simplex) in self._set
+        return tuple(sorted(simplex)) in self._set
 
     def __iter__(self):
         return iter(self.simplices)
@@ -99,11 +99,14 @@ def parse_triangulation(text: str) -> Triangulation:
     current = None
     token = ""
     depth = 0
+    separated = True  # a simplex may open: none closed yet, or a comma since
     for ch in body:
         if ch == "{":
             depth += 1
             if depth != 1:
                 raise InvalidInputError("nested braces in triangulation literal")
+            if not separated:
+                raise InvalidInputError("missing comma between simplices")
             current = []
             token = ""
         elif ch == "}":
@@ -116,13 +119,17 @@ def parse_triangulation(text: str) -> Triangulation:
             simplices.append(tuple(current))
             current = None
             token = ""
+            separated = False
         elif ch == ",":
             if depth == 1:
                 if token == "":
                     raise InvalidInputError("missing index in triangulation literal")
                 current.append(_parse_index(token))
                 token = ""
-            # commas between simplices carry no content
+            elif separated:
+                raise InvalidInputError("extra comma between simplices")
+            else:
+                separated = True
         elif ch.isdigit():
             if depth != 1:
                 raise InvalidInputError("digit outside a simplex")

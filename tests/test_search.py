@@ -1,8 +1,9 @@
-"""Reverse search, baseline DFS, and the flip-verdict cache.
+"""Reverse search, baseline DFS, and the neighbour cache.
 
-Includes the three-node mock graph that pins down why cached verdicts must
-be about flips: trusting cached *target* regularity (TargetTrustingProvider
-below) silently drops the bottom triangulation from the search tree.
+Includes the three-node mock graph that pins down why cached neighbour lists
+must hold verdicts about flips: trusting cached *target* regularity
+(TargetTrustingProvider below) silently drops the bottom triangulation from
+the search tree.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from regulartri import (
     cube_symmetry_generators,
     enumerate_triangulations,
     expand_group,
+    find_flips,
     gkz,
     group_trie,
     nested_triangles,
@@ -34,6 +36,7 @@ from regulartri import (
     orbit_key,
     parse_triangulation,
     placing_triangulation,
+    regular_flips,
     simplex_product,
     simplex_product_symmetry_generators,
     square,
@@ -41,7 +44,6 @@ from regulartri import (
 )
 from regulartri import search
 from regulartri.search import (
-    FlipCache,
     GeometricFlipOracle,
     NeighborProvider,
     SearchStats,
@@ -79,44 +81,39 @@ class MockOracle:
     def gkz(self, t):
         return self.GKZ[t]
 
-    def flip_items(self, t, t_gkz):
-        return [(f, tgt, self.GKZ[tgt]) for f, tgt in self.EDGES[t]]
-
-    def true_flip_valid(self, t, items):
-        return [f not in self.bad for f, _, _ in items]
-
-    def node_regular(self, t):
-        return True
+    def neighbors(self, t, t_gkz):
+        return [(tgt, self.GKZ[tgt]) for f, tgt in self.EDGES[t] if f not in self.bad]
 
     def seed(self):
         return "T0"
 
 
 class TargetTrustingProvider(NeighborProvider):
-    """A deliberately broken provider: a flip counts as valid whenever its
-    *target* is known regular from an earlier expansion, in place of the
-    per-flip verdict.  The verdicts are frozen into the node's cached list
-    at first expansion, so a wrong trust-based verdict sticks."""
+    """A deliberately broken provider over a MockOracle: a flip counts as
+    valid whenever its *target* is known regular from an earlier expansion,
+    in place of the per-flip verdict.  Every mock node is regular, so a
+    target is known once any expanded node has a flip to it.  The verdicts
+    are frozen into the node's cached list at first expansion, so a wrong
+    trust-based verdict sticks."""
 
     def __init__(self, oracle, stats, cache_capacity=40000):
-        super().__init__(oracle, stats, cache_capacity)
-        self.target_regular = {}
+        super().__init__(_TargetTrustingOracle(oracle), stats, cache_capacity)
 
-    def neighbors(self, node, node_gkz):
-        entry = self.cache.get(node)
-        if entry is not None:
-            return entry
-        items = self.oracle.flip_items(node, node_gkz)
-        valid = []
-        for (_, target, _), ok in zip(items, self.oracle.true_flip_valid(node, items)):
-            if target in self.target_regular:
-                valid.append(self.target_regular[target])
-            else:
-                self.target_regular[target] = self.oracle.node_regular(target)
-                valid.append(ok)
-        entry = [(target, tgkz) for (_, target, tgkz), ok in zip(items, valid) if ok]
-        self.cache.put(node, entry)
-        return entry
+
+class _TargetTrustingOracle:
+    def __init__(self, mock):
+        self.mock = mock
+        self.gkz = mock.gkz
+        self.seed = mock.seed
+        self.known_regular = set()
+
+    def neighbors(self, t, t_gkz):
+        kept = []
+        for f, target in self.mock.EDGES[t]:
+            if target in self.known_regular or f not in self.mock.bad:
+                kept.append((target, self.mock.GKZ[target]))
+            self.known_regular.add(target)
+        return kept
 
 
 def _run_mock(buggy, bad=("f02", "f20")):
@@ -157,11 +154,11 @@ def test_increment_check_raises():
     sq = square()
     oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
     with pytest.raises(RegulartriError, match="incremental GKZ"):
-        oracle.flip_items(placing_triangulation(sq), (0, 0, 0, 0))
+        oracle.neighbors(placing_triangulation(sq), (0, 0, 0, 0))
 
 
-def forged_target_items():
-    """The square's flip items under `verify_increments`, with `apply_flip`
+def forged_target_neighbors():
+    """The square's neighbours under `verify_increments`, with `apply_flip`
     returning a target whose simplex (0,1,3) is stored as (3,1,0): its
     GKZ-vector is right, its simplices are not canonical."""
     original = search.apply_flip
@@ -176,22 +173,22 @@ def forged_target_items():
     search.apply_flip = forged
     try:
         oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
-        return oracle.flip_items(t, gkz(sq, t))
+        return oracle.neighbors(t, gkz(sq, t))
     finally:
         search.apply_flip = original
 
 
 def test_target_check_raises():
     with pytest.raises(RegulartriError, match="canonical construction"):
-        forged_target_items()
+        forged_target_neighbors()
 
 
 def test_target_check_survives_optimize_flag():
     lines = optimized_output(
         "from regulartri import RegulartriError\n"
-        "from test_search import forged_target_items\n"
+        "from test_search import forged_target_neighbors\n"
         "try:\n"
-        "    forged_target_items()\n"
+        "    forged_target_neighbors()\n"
         "except RegulartriError as e:\n"
         "    print(e)\n"
     )
@@ -224,7 +221,7 @@ def test_exactness_checks_survive_optimize_flag():
     checks = (
         "reverse_search(NeighborProvider(SharedGkzOracle(bad=()), SearchStats()))",
         "GeometricFlipOracle(square(), SearchMode.REGULAR_ONLY, SearchStats(), True)"
-        ".flip_items(placing_triangulation(square()), (0, 0, 0, 0))",
+        ".neighbors(placing_triangulation(square()), (0, 0, 0, 0))",
     )
     for check in checks:
         code += f"try:\n    {check}\nexcept RegulartriError as e:\n    print(e)\n"
@@ -364,21 +361,98 @@ def test_cache_transparency():
     assert stats.cache_hits > 0
 
 
+class RecordingOracle:
+    """Every node has one neighbour, except "a", which has none; the nodes
+    whose neighbours were computed are recorded in order."""
+
+    def __init__(self):
+        self.computed = []
+
+    def neighbors(self, node, node_gkz):
+        self.computed.append(node)
+        return [] if node == "a" else [(node + "'", (0,))]
+
+
 def test_flip_cache_lru_eviction():
-    cache = FlipCache(2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1
-    cache.put("c", 3)  # evicts "b", the least recently used
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert cache.get("c") == 3
-    assert len(cache) == 2
-    disabled = FlipCache(0)
-    disabled.put("a", 1)
-    assert disabled.get("a") is None
-    with pytest.raises(InvalidInputError):
-        FlipCache(-1)
+    stats = SearchStats()
+    oracle = RecordingOracle()
+    provider = NeighborProvider(oracle, stats, 2)
+    lists = [provider.neighbors(node, (1,)) for node in "abacacb"]
+    # "c" evicts "b", the least recently used; "a"'s empty list is cached too.
+    assert oracle.computed == ["a", "b", "c", "b"]
+    assert (stats.cache_hits, stats.cache_misses) == (3, 4)
+    assert lists[3] is lists[5] == [("c'", (0,))]
+    assert list(provider.cache) == ["c", "b"]
+    stats = SearchStats()
+    oracle = RecordingOracle()
+    disabled = NeighborProvider(oracle, stats, 0)
+    for node in "aabb":
+        disabled.neighbors(node, (1,))
+    assert oracle.computed == ["a", "a", "b", "b"]
+    assert (stats.cache_hits, stats.cache_misses, len(disabled.cache)) == (0, 4, 0)
+    with pytest.raises(InvalidInputError, match="cache capacity must be nonnegative, got -1"):
+        NeighborProvider(RecordingOracle(), SearchStats(), -1)
+
+
+def test_targets_are_built_for_kept_flips_only(monkeypatch):
+    calls = []
+    original = search.apply_flip
+
+    def counting(config, t, flip):
+        calls.append(flip)
+        return original(config, t, flip)
+
+    monkeypatch.setattr(search, "apply_flip", counting)
+    count, stats = enumerate_triangulations(nested_triangles())
+    # 16 flip lists of 54 flips, six of which screening discards.
+    assert (count, stats.cache_misses, stats.flips_evaluated) == (16, 16, 54)
+    assert len(calls) == 48
+    calls.clear()
+    count, stats = enumerate_triangulations(
+        nested_triangles(), mode=SearchMode.ALL_FLIPS, baseline=True)
+    assert count == 18
+    assert len(calls) == stats.flips_evaluated > 54
+
+
+def _discarded_flip():
+    """A regular triangulation of the nested triangles and one of its flips
+    that screening discards."""
+    config = nested_triangles()
+    members = []
+    enumerate_triangulations(config, visitor=lambda t, g, d: members.append(t))
+    for t in members:
+        flips = find_flips(config, t)
+        kept = regular_flips(config, t, flips)
+        for flip in flips:
+            if flip not in kept:
+                return config, t, flip
+    raise AssertionError("no flip is discarded")
+
+
+@pytest.mark.parametrize("forgery, message", (
+    pytest.param("source", "incremental GKZ", id="increment"),
+    pytest.param("reversed", "canonical construction", id="target"),
+))
+def test_verify_increments_checks_discarded_flips(forgery, message, monkeypatch):
+    config, t, discarded = _discarded_flip()
+    original = search.apply_flip
+
+    def forged(cfg, tri, flip):
+        target = original(cfg, tri, flip)
+        if flip != discarded:
+            return target
+        if forgery == "source":
+            return tri  # a valid triangulation, not this flip's target
+        first = target.simplices[0]
+        return Triangulation._from_canonical_set(frozenset(
+            s[::-1] if s == first else s for s in target.simplices))
+
+    monkeypatch.setattr(search, "apply_flip", forged)
+    unchecked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats())
+    assert len(unchecked.neighbors(t, gkz(config, t))) < len(find_flips(config, t))
+    checked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats(), True)
+    with pytest.raises(RegulartriError, match=message):
+        checked.neighbors(t, gkz(config, t))
 
 
 def test_stats_conservation():

@@ -36,6 +36,12 @@ def test_canonical_order_and_equality():
     assert a.used_points() == frozenset({0, 1, 2, 3})
 
 
+def test_membership_sorts_the_query():
+    t = Triangulation([(2, 1, 0)])
+    assert (2, 1, 0) in t and [1, 0, 2] in t and (0, 1, 2) in t
+    assert (0, 1, 3) not in t
+
+
 def test_construction_errors():
     with pytest.raises(InvalidInputError):
         Triangulation([])
@@ -65,6 +71,8 @@ def test_parse_rejects_malformed_literals():
         "{{0,1,2},{1,2,x}}",
         "{{0,{1},2}}",
         "{{0,1,2}}}",
+        "{{0,1,2}{0,2,3}}",
+        "{{0,1,2},,{0,2,3}}",
     ]
     for text in bad:
         with pytest.raises(InvalidInputError):
