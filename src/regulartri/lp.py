@@ -2,10 +2,12 @@
 
 Only two questions are ever asked: is a target vector a nonnegative
 combination of given generators, and does a strict homogeneous system
-row·h > 0 admit a solution.  Both reduce to phase-1 of the simplex method,
-run in exact `Fraction` arithmetic with Bland's anti-cycling rule, so answers
-are deterministic and never approximate.  Every answer carries either a
-witness or a Farkas certificate, and both are re-verified exactly before
+row·h > 0 admit a solution.  Both reduce to phase-1 of the simplex method
+with Bland's anti-cycling rule, so answers are deterministic and never
+approximate.  The simplex pivots integers over one common denominator, as
+lrs does (Avis 2000): rational data is scaled to integers once, and
+`Fraction`s appear only in the returned answer.  Every answer carries either
+a witness or a Farkas certificate, and both are re-verified exactly before
 being returned — an infeasibility claim is never just the solver's word.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError, RegulartriError
 
@@ -38,86 +41,98 @@ def _phase_one(columns, rhs):
     """Feasibility of {x >= 0 : sum_j x_j * columns[j] = rhs}.
 
     Returns (True, x, None) or (False, None, y) with y·columns[j] <= 0 for
-    all j and y·rhs > 0.
+    all j and y·rhs > 0; x and y are tuples of Fractions.  Entries are ints
+    or Fractions.
+
+    Phase 1 with one artificial per row and Bland's rule, on an integer
+    tableau T with common denominator D: T / D is the usual tableau.  Rational
+    input is scaled once by a positive common multiple of its denominators,
+    which leaves the pivot sequence, x and y unchanged.  A pivot on p keeps
+    its row and maps every other entry a to (p·a - f·b) // D, where f is in
+    a's row and p's column and b in p's row and a's column; then D = p.  The
+    division is exact (Edmonds 1967, Bareiss 1968) and D stays positive.
     """
     m = len(rhs)
     k = len(columns)
-    sign = [1] * m
-    b = [Fraction(x) for x in rhs]
-    rows = [[Fraction(columns[j][i]) for j in range(k)] for i in range(m)]
-    for i in range(m):
-        if b[i] < 0:
-            b[i] = -b[i]
-            rows[i] = [-x for x in rows[i]]
-            sign[i] = -1
-    # columns: k structural + m artificial; artificial j corresponds to row j
     width = k + m
+    rows = [[col[i] for col in columns] + [rhs[i]] for i in range(m)]
+    if any(type(v) is not int for row in rows for v in row):
+        rows = _integer_multiple(rows)
+    sign = []
     tab = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * m + [b[i]]
-        row[k + i] = Fraction(1)
-        tab.append(row)
-    basis = [k + i for i in range(m)]
-    # objective: minimize the sum of artificials; reduced-cost row
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(width):
-        cj = Fraction(1) if j >= k else Fraction(0)
-        obj[j] = cj - sum(tab[i][j] for i in range(m))
-    obj[width] = -sum(b)
+    for i, row in enumerate(rows):
+        s = -1 if row[k] < 0 else 1
+        sign.append(s)
+        tab.append([s * v for v in row[:k]] + [0] * m + [s * row[k]])
+        tab[i][k + i] = 1
+    basis = list(range(k, width))
+    # reduced costs of "minimize the sum of the artificials", times D
+    obj = [-sum(row[j] for row in tab) for j in range(width + 1)]
+    for j in range(k, width):
+        obj[j] = 0
+    d = 1
 
     while True:
-        enter = None
-        for j in range(width):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][width] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # compare the ratios tab[i][width] / coef by cross-multiplying
+                left = tab[i][width] * tab[leave][enter]
+                right = tab[leave][width] * coef
+                if left < right or (left == right and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RegulartriError("phase-1 objective is bounded below by zero")
-        _pivot(tab, obj, basis, leave, enter, width)
+        prow = tab[leave]
+        p = prow[enter]
+        for i in range(m):
+            if i != leave:
+                tab[i] = _eliminate(tab[i], prow, p, d, enter)
+        obj = _eliminate(obj, prow, p, d, enter)
+        basis[leave] = enter
+        d = p
 
-    value = -obj[width]
-    if value == 0:
+    if obj[width] == 0:
         x = [Fraction(0)] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                x[bv] = tab[i][width]
+                x[bv] = Fraction(tab[i][width], d)
         return True, tuple(x), None
     # simplex multipliers: pi_i = 1 - reduced cost of artificial i,
     # mapped back through the row sign flips
-    y = tuple(sign[i] * (1 - obj[k + i]) for i in range(m))
+    y = tuple(Fraction(sign[i] * (d - obj[k + i]), d) for i in range(m))
     return False, None, y
 
 
-def _pivot(tab, obj, basis, leave, enter, width):
-    pivot = tab[leave][enter]
-    prow = [x / pivot for x in tab[leave]]
-    tab[leave] = prow
-    basis[leave] = enter
-    for i in range(len(tab)):
-        if i != leave and tab[i][enter] != 0:
-            f = tab[i][enter]
-            tab[i] = [a - f * p for a, p in zip(tab[i], prow)]
-    if obj[enter] != 0:
-        f = obj[enter]
-        for j in range(width + 1):
-            obj[j] -= f * prow[j]
+def _eliminate(row, prow, p, d, enter):
+    """One row of an integer pivot on prow[enter] = p, old denominator d."""
+    f = row[enter]
+    if f == 0:
+        return row if p == d else [p * a // d for a in row]
+    return [(p * a - f * b) // d for a, b in zip(row, prow)]
+
+
+def _integer_multiple(vectors):
+    """The vectors times one positive common multiple of their
+    denominators: a list of int lists, with every sign kept."""
+    scale = lcm(*(v.denominator for vec in vectors for v in vec))
+    return [[v.numerator * (scale // v.denominator) for v in vec] for vec in vectors]
 
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _exact(vector):
+    """The entries as ints where they are ints, as Fractions otherwise."""
+    return tuple(v if type(v) is int else Fraction(v) for v in vector)
 
 
 def nonneg_combination(generators, target) -> Feasibility:
@@ -125,26 +140,29 @@ def nonneg_combination(generators, target) -> Feasibility:
 
     Vectors may mix ints and Fractions; all must share one length.
     """
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    tgt = tuple(Fraction(x) for x in target)
+    gens = [_exact(g) for g in generators]
+    tgt = _exact(target)
     for g in gens:
         if len(g) != len(tgt):
             raise DimensionError("generator/target length mismatch")
     if not gens:
         if all(x == 0 for x in tgt):
             return Feasibility(True, witness=())
-        return Feasibility(False, certificate=tgt)
+        return Feasibility(False, certificate=tuple(Fraction(x) for x in tgt))
 
     feasible, x, y = _phase_one(gens, tgt)
+    # The rechecks use s·x and s·y for one s > 0 that makes them integer.
     if feasible:
-        combo = [Fraction(0)] * len(tgt)
-        for c, g in zip(x, gens):
+        sx, (s,) = _integer_multiple((x, (1,)))
+        combo = [0] * len(tgt)
+        for c, g in zip(sx, gens):
             for i, v in enumerate(g):
                 combo[i] += c * v
-        if any(c < 0 for c in x) or tuple(combo) != tgt:
+        if any(c < 0 for c in sx) or combo != [s * v for v in tgt]:
             raise RegulartriError("witness failed exact recheck")
         return Feasibility(True, witness=x)
-    if _dot(y, tgt) <= 0 or any(_dot(y, g) > 0 for g in gens):
+    (sy,) = _integer_multiple((y,))
+    if _dot(sy, tgt) <= 0 or any(_dot(sy, g) > 0 for g in gens):
         raise RegulartriError("certificate failed exact recheck")
     return Feasibility(False, certificate=y)
 
@@ -157,7 +175,7 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
     system yields a nonnegative nonzero combination of the rows equal to
     zero (re-verified exactly).
     """
-    rows = [tuple(Fraction(x) for x in r) for r in rows]
+    rows = [_exact(r) for r in rows]
     if not rows:
         if dim is None:
             raise DimensionError("dimension needed for an empty system")
@@ -175,21 +193,24 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
     for j in range(n):
         columns.append(tuple(-rows[i][j] for i in range(m)))
     for i in range(m):
-        col = [Fraction(0)] * m
-        col[i] = Fraction(-1)
+        col = [0] * m
+        col[i] = -1
         columns.append(tuple(col))
-    target = (Fraction(1),) * m
+    target = (1,) * m
 
     feasible, x, y = _phase_one(columns, target)
+    # The rechecks use s·h and s·y for one s > 0 that makes them integer.
     if feasible:
         h = tuple(x[j] - x[n + j] for j in range(n))
-        if any(_dot(r, h) < 1 for r in rows):
+        sh, (s,) = _integer_multiple((h, (1,)))
+        if any(_dot(r, sh) < s for r in rows):
             raise RegulartriError("witness failed exact recheck")
         return Feasibility(True, witness=h)
+    (sy,) = _integer_multiple((y,))
     if (
-        any(v < 0 for v in y)
-        or not any(v > 0 for v in y)
-        or any(sum(y[i] * rows[i][j] for i in range(m)) != 0 for j in range(n))
+        any(v < 0 for v in sy)
+        or not any(v > 0 for v in sy)
+        or any(sum(sy[i] * rows[i][j] for i in range(m)) != 0 for j in range(n))
     ):
         raise RegulartriError("certificate failed exact recheck")
     return Feasibility(False, certificate=tuple(y))

@@ -15,8 +15,10 @@ from regulartri import (
     cube_symmetry_generators,
     enumerate_triangulations,
     expand_group,
+    format_triangulation,
     gkz,
     parse_triangulation,
+    placing_triangulation,
     simplex_product,
     simplex_product_symmetry_generators,
     square,
@@ -296,6 +298,7 @@ def test_regular_square_diagonal(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "regular"
     assert lines[1].startswith("heights: (")
+    assert text == "regular\nheights: (0,1,0,0)\n"
 
 
 def test_regular_pinwheel_certificate(tmp_path):
@@ -306,6 +309,18 @@ def test_regular_pinwheel_certificate(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "non-regular"
     assert lines[1].startswith("certificate: (")
+    assert text == "non-regular\ncertificate: (0,1,0,1,1,0,0,0,0)\n"
+
+
+@pytest.mark.parametrize("text, tri, expected", [
+    (SQUARE_INPUT, "{{0,1,3},{1,2,3}}", "regular\nheights: (1,0,0,0)\n"),
+    (CUBE3_INPUT, format_triangulation(placing_triangulation(cube(3))),
+     "regular\nheights: (5,2,2,0,1,0,0,0)\n"),
+], ids=["square-other-diagonal", "cube3-placing"])
+def test_regular_output(tmp_path, text, tri, expected):
+    inp = _write(tmp_path, "input.txt", text)
+    tri = _write(tmp_path, "t.txt", tri)
+    assert _run(["regular", "--input", inp, "--triangulation", tri]) == (0, expected)
 
 
 def test_regular_rejects_invalid_triangulation(tmp_path):

@@ -12,10 +12,18 @@ import pytest
 from regulartri import (
     DimensionError,
     RegulartriError,
+    ResourceLimitError,
+    SearchMode,
+    SearchStats,
+    enumerate_triangulations,
+    is_regular,
     lp,
+    nested_triangles,
     nonneg_combination,
+    simplex_product,
     strict_homogeneous,
 )
+from regulartri.search import GeometricFlipOracle, NeighborProvider, reverse_search
 
 from test_search import optimized_output
 
@@ -233,3 +241,196 @@ def test_lp_rechecks_survive_optimize_flag():
         "        print(e)\n"
     )
     assert lines == [f"{part} failed exact recheck" for *_, part in FORGED_PHASE_ONE]
+
+
+# -- the integer phase 1 against the Fraction tableau it replaced -----------
+
+
+def fraction_phase_one(columns, rhs):
+    """Reference phase 1: the same simplex, pivoting a `Fraction` tableau.
+
+    Feasibility of {x >= 0 : sum_j x_j * columns[j] = rhs}.  Returns
+    (True, x, None) or (False, None, y) with y·columns[j] <= 0 for all j
+    and y·rhs > 0.
+    """
+    m = len(rhs)
+    k = len(columns)
+    sign = [1] * m
+    b = [Fraction(x) for x in rhs]
+    rows = [[Fraction(columns[j][i]) for j in range(k)] for i in range(m)]
+    for i in range(m):
+        if b[i] < 0:
+            b[i] = -b[i]
+            rows[i] = [-x for x in rows[i]]
+            sign[i] = -1
+    # columns: k structural + m artificial; artificial j corresponds to row j
+    width = k + m
+    tab = []
+    for i in range(m):
+        row = rows[i] + [Fraction(0)] * m + [b[i]]
+        row[k + i] = Fraction(1)
+        tab.append(row)
+    basis = [k + i for i in range(m)]
+    # objective: minimize the sum of artificials; reduced-cost row
+    obj = [Fraction(0)] * (width + 1)
+    for j in range(width):
+        cj = Fraction(1) if j >= k else Fraction(0)
+        obj[j] = cj - sum(tab[i][j] for i in range(m))
+    obj[width] = -sum(b)
+
+    while True:
+        enter = None
+        for j in range(width):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][width] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise RegulartriError("phase-1 objective is bounded below by zero")
+        _pivot(tab, obj, basis, leave, enter, width)
+
+    value = -obj[width]
+    if value == 0:
+        x = [Fraction(0)] * k
+        for i, bv in enumerate(basis):
+            if bv < k:
+                x[bv] = tab[i][width]
+        return True, tuple(x), None
+    # simplex multipliers: pi_i = 1 - reduced cost of artificial i,
+    # mapped back through the row sign flips
+    y = tuple(sign[i] * (1 - obj[k + i]) for i in range(m))
+    return False, None, y
+
+
+def _pivot(tab, obj, basis, leave, enter, width):
+    pivot = tab[leave][enter]
+    prow = [x / pivot for x in tab[leave]]
+    tab[leave] = prow
+    basis[leave] = enter
+    for i in range(len(tab)):
+        if i != leave and tab[i][enter] != 0:
+            f = tab[i][enter]
+            tab[i] = [a - f * p for a, p in zip(tab[i], prow)]
+    if obj[enter] != 0:
+        f = obj[enter]
+        for j in range(width + 1):
+            obj[j] -= f * prow[j]
+
+
+def assert_same_as_fraction_phase_one(columns, rhs):
+    answer = lp._phase_one(columns, rhs)
+    assert answer == fraction_phase_one(columns, rhs)
+    for part in answer[1:]:
+        assert part is None or all(type(v) is Fraction for v in part)
+    return answer
+
+
+def random_phase_one_systems(count, seed=2718):
+    """Small systems with zero entries and repeated rows and columns, so that
+    ratio tests tie; some with zero rows, a zero right-hand side or
+    Fraction entries; feasible ones built from a nonnegative combination."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        k = rng.randint(1, 7)
+        frac = rng.random() < 0.3
+
+        def entry():
+            v = rng.choice((0, 0, 0, 1, 1, -1, -1, 2, -2, 3, -3))
+            return Fraction(v, rng.randint(1, 4)) if frac else v
+
+        columns = [[entry() for _ in range(m)] for _ in range(k)]
+        for _ in range(rng.randint(0, 2)):
+            columns.append(list(rng.choice(columns)))
+        if m > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(m), 2)
+            for col in columns:
+                col[j] = 2 * col[i]  # a repeated row: its ratios tie
+        if rng.random() < 0.2:
+            i = rng.randrange(m)
+            for col in columns:
+                col[i] = 0
+        shape = rng.random()
+        if shape < 0.15:
+            rhs = [0] * m
+        elif shape < 0.6:
+            coeffs = [rng.choice((0, 0, 1, 2, Fraction(1, 2))) for _ in columns]
+            rhs = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(m)]
+        else:
+            rhs = [entry() for _ in range(m)]
+        yield [tuple(col) for col in columns], tuple(rhs)
+
+
+def test_phase_one_matches_fraction_reference_on_random_systems():
+    answers = [assert_same_as_fraction_phase_one(columns, rhs)
+               for columns, rhs in random_phase_one_systems(600)]
+    feasible = sum(1 for answer in answers if answer[0])
+    assert 100 < feasible < len(answers) - 100
+
+
+def test_phase_one_matches_fraction_reference_on_edge_systems():
+    for columns, rhs in (
+        ([(0, 0), (0, 0)], (0, 0)),  # all zero
+        ([(0, 0)], (0, 1)),  # a zero row against a nonzero right-hand side
+        ([(1, 1), (1, 1), (2, 2)], (2, 2)),  # every ratio ties
+        ([(Fraction(1, 3), Fraction(-1, 6))], (Fraction(2, 3), Fraction(-1, 3))),
+        ([(1,), (-1,)], (0,)),
+        ([], (1, 0)),
+        ([(1, 0)], (0, 0)),
+        ([(), ()], ()),  # no rows
+    ):
+        assert_same_as_fraction_phase_one(columns, rhs)
+
+
+def recorded_phase_ones(monkeypatch):
+    """Record the arguments of every `lp._phase_one` call."""
+    calls = []
+    solve = lp._phase_one
+
+    def recording(columns, rhs):
+        calls.append((columns, rhs))
+        return solve(columns, rhs)
+
+    monkeypatch.setattr(lp, "_phase_one", recording)
+    return calls
+
+
+def test_phase_one_matches_fraction_reference_on_d2d4_prefix(monkeypatch):
+    calls = recorded_phase_ones(monkeypatch)
+    stats = SearchStats()
+    provider = NeighborProvider(GeometricFlipOracle(
+        simplex_product(2, 4), SearchMode.REGULAR_ONLY, stats), stats)
+    with pytest.raises(ResourceLimitError):
+        reverse_search(provider, max_nodes=300)
+    monkeypatch.undo()
+    assert stats.rays.lps_solved > 0
+    assert len(calls) == stats.rays.lps_solved
+    for columns, rhs in calls:
+        assert_same_as_fraction_phase_one(columns, rhs)
+
+
+@pytest.mark.parametrize("make", [lambda: simplex_product(2, 2), nested_triangles],
+                         ids=["d2d2", "nested"])
+def test_phase_one_matches_fraction_reference_on_is_regular(monkeypatch, make):
+    config = make()
+    triangulations = []
+    enumerate_triangulations(config, SearchMode.ALL_FLIPS, baseline=True,
+                             visitor=lambda t, g, d: triangulations.append(t))
+    calls = recorded_phase_ones(monkeypatch)
+    verdicts = [is_regular(config, t).regular for t in triangulations]
+    monkeypatch.undo()
+    assert len(calls) == len(triangulations)
+    answers = [assert_same_as_fraction_phase_one(columns, rhs) for columns, rhs in calls]
+    assert [answer[0] for answer in answers] == verdicts
