@@ -103,7 +103,8 @@ class _Scanner:
             self.error("floating point numbers are not supported; use integers")
         return int(digits)
 
-    def parse_int_list(self) -> list:
+    def parse_list(self, item) -> list:
+        """A bracketed, comma-separated list of what `item()` parses."""
         self.expect("[")
         self.skip_blank()
         out = []
@@ -112,24 +113,7 @@ class _Scanner:
             return out
         while True:
             self.skip_blank()
-            out.append(self.parse_int())
-            self.skip_blank()
-            if self.peek() == ",":
-                self.advance()
-                continue
-            self.expect("]")
-            return out
-
-    def parse_list_of_lists(self) -> list:
-        self.expect("[")
-        self.skip_blank()
-        out = []
-        if self.peek() == "]":
-            self.advance()
-            return out
-        while True:
-            self.skip_blank()
-            out.append(self.parse_int_list())
+            out.append(item())
             self.skip_blank()
             if self.peek() == ",":
                 self.advance()
@@ -163,7 +147,7 @@ def parse_input(text: str) -> dict:
         sc.skip_blank()
         sc.expect(":")
         sc.skip_blank()
-        seen[key] = sc.parse_list_of_lists()
+        seen[key] = sc.parse_list(lambda: sc.parse_list(sc.parse_int))
     if "points" not in seen:
         raise ParseError(sc.line, sc.col, "missing required key 'points'")
     return {"points": seen["points"], "symmetry": seen.get("symmetry")}

@@ -28,9 +28,10 @@ depends only on its circuit side and link, so the `Flip` for each
 memo miss only, and `_make_flip`'s volume and sign checks run on every
 `Flip` object that exists.  The memo grows with the number of distinct
 flips of the triangulations visited (1 584 for all of Δ2×Δ3's 4 488), not
-with the number of times they are found (28 368).  `apply_flip` builds the
-target from the frozenset it computes anyway, sharing the simplex tuples of
-the source triangulation and the flip.
+with the number of times they are found (28 368).  `apply_flip` keeps the
+source simplices that the flip does not remove, adds the inserted ones and
+sorts the result, sharing the simplex tuples of the source triangulation
+and the flip.
 """
 
 from __future__ import annotations
@@ -190,9 +191,11 @@ def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Tria
     Raises StaleFlipError when the flip's removed simplices are not all
     present, i.e. the flip belongs to a different triangulation.
     """
-    tset = t.as_set()
-    if not flip.removed <= tset:
+    removed = flip.removed
+    kept = [s for s in t.simplices if s not in removed]
+    if len(t.simplices) - len(kept) < len(removed):
         raise StaleFlipError(
             f"flip on circuit {flip.circuit.support} does not apply here"
         )
-    return Triangulation._from_canonical_set((tset - flip.removed) | flip.inserted)
+    kept.extend(flip.inserted)
+    return Triangulation._from_canonical(kept)

@@ -32,6 +32,7 @@ otherwise one small LP runs against the snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import RegulartriError
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
@@ -107,8 +108,7 @@ def is_regular(config: PointConfiguration, t: Triangulation) -> RegularityVerdic
 # -- sparse ray screening -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaggedVector:
+class TaggedVector(NamedTuple):
     """A system vector: `ident` is the candidate id, or None for vectors
     known to be positive combinations of others (never rays)."""
 
@@ -151,14 +151,9 @@ class ScreeningOutcome:
 
 
 def _tagged(vectors) -> list:
-    """The ray system as TaggedVectors: (vector, ident) pairs are wrapped."""
-    tagged = []
-    for v in vectors:
-        if not isinstance(v, TaggedVector):
-            vec, ident = v
-            v = TaggedVector(tuple(vec), ident)
-        tagged.append(v)
-    return tagged
+    """The ray system as TaggedVectors, from TaggedVectors or (vector, ident)
+    pairs."""
+    return [TaggedVector(tuple(vec), ident) for vec, ident in vectors]
 
 
 def screen_rays(vectors) -> ScreeningOutcome:

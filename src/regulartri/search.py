@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add, itemgetter
 
 from .errors import InvalidInputError, RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
@@ -90,14 +91,11 @@ class GeometricFlipOracle:
                 self._check(t, t_gkz, flip)
         if self.mode is SearchMode.REGULAR_ONLY:
             flips = regular_flips(self.config, t, flips, self.stats.rays)
-        return [
-            (apply_flip(self.config, t, f), tuple(a + b for a, b in zip(t_gkz, f.delta)))
-            for f in flips
-        ]
+        return [(apply_flip(self.config, t, f), _shifted(t_gkz, f)) for f in flips]
 
     def _check(self, t, t_gkz, flip):
         target = apply_flip(self.config, t, flip)
-        if tuple(a + b for a, b in zip(t_gkz, flip.delta)) != gkz(self.config, target):
+        if _shifted(t_gkz, flip) != gkz(self.config, target):
             raise RegulartriError("incremental GKZ update disagrees with recomputation")
         if target != Triangulation(target.simplices):
             raise RegulartriError("flip target differs from its canonical construction")
@@ -106,11 +104,18 @@ class GeometricFlipOracle:
         return placing_triangulation(self.config)
 
 
+def _shifted(t_gkz, flip):
+    """The GKZ-vector across the flip: the source's plus the displacement."""
+    return tuple(map(add, t_gkz, flip.delta))
+
+
 class NeighborProvider:
     """An oracle's valid neighbours, memoized in an LRU keyed by the node.
 
     capacity 0 stores nothing; the least recently used entry is evicted
-    first.  A negative capacity raises InvalidInputError.
+    first.  A negative capacity raises InvalidInputError.  Each list is
+    checked once, on a miss: distinct neighbours on one GKZ-vector raise
+    RegulartriError, so every list returned, cached or not, has distinct ones.
     """
 
     def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
@@ -131,6 +136,8 @@ class NeighborProvider:
             return entry
         self.stats.cache_misses += 1
         entry = self.oracle.neighbors(node, node_gkz)
+        if len({tgkz for _, tgkz in entry}) != len(entry):
+            raise RegulartriError("distinct neighbors share a GKZ-vector")
         if self.capacity:
             self.cache[node] = entry
             if len(self.cache) > self.capacity:
@@ -139,15 +146,9 @@ class NeighborProvider:
 
 
 def predecessor(provider: NeighborProvider, node, node_gkz):
-    """The lex-largest valid neighbor, if it improves on the node; else None."""
-    best = None
-    seen = set()
-    for target, tgkz in provider.neighbors(node, node_gkz):
-        if tgkz in seen:
-            raise RegulartriError("distinct neighbors share a GKZ-vector")
-        seen.add(tgkz)
-        if best is None or tgkz > best[1]:
-            best = (target, tgkz)
+    """The lex-largest valid neighbor, if it improves on the node; else None.
+    It is unique: the provider checks that a list's GKZ-vectors differ."""
+    best = max(provider.neighbors(node, node_gkz), key=itemgetter(1), default=None)
     if best is not None and best[1] > node_gkz:
         return best
     return None
@@ -237,10 +238,14 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
                     continue
                 seen.add(cgkz)
                 child, size = relabel(target, perm), order // stabiliser
+            # The node is the parent when the predecessor's key (without a
+            # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
+            # even where GKZ does not identify triangulations: the node is a
+            # valid neighbour of the child, and one list's GKZ-vectors are
+            # distinct, so no other neighbour has the node's.
             pred = predecessor(provider, child, cgkz)
-            if pred is None or (
-                pred[0] != node if group is None
-                else orbit_key(pred[1], group, trie)[0] != node_gkz
+            if pred is None or node_gkz != (
+                pred[1] if group is None else orbit_key(pred[1], group, trie)[0]
             ):
                 continue
             visited = _count_visit(visited, max_nodes, search)

@@ -54,11 +54,14 @@ def expand_group(config: PointConfiguration, generators, cap=None):
 
     Every generator must be an affine symmetry of the configuration.  The
     identity is always included.  Exceeding `cap` elements (GROUP_ORDER_CAP
-    when not given) raises ResourceLimitError.  Elements come back sorted,
-    so group equality is plain tuple comparison.
+    when not given) raises ResourceLimitError, and a negative `cap` raises
+    InvalidInputError.  Elements come back sorted, so group equality is
+    plain tuple comparison.
     """
     if cap is None:
         cap = GROUP_ORDER_CAP
+    if cap < 0:
+        raise InvalidInputError(f"group order cap must be nonnegative, got {cap}")
     gens = []
     for g in generators:
         g = tuple(as_integer(x, "generator entry") for x in g)
@@ -161,8 +164,11 @@ def orbit_count(stream, group, max_size=None) -> int:
     """Number of orbits among the streamed triangulations.
 
     Memory grows with the number of distinct orbits; `max_size` bounds it
-    explicitly (ResourceLimitError when exceeded).
+    explicitly (ResourceLimitError when exceeded, InvalidInputError when
+    negative).
     """
+    if max_size is not None and max_size < 0:
+        raise InvalidInputError(f"orbit set bound must be nonnegative, got {max_size}")
     forms = set()
     for t in stream:
         forms.add(canonical_form(t, group))

@@ -28,9 +28,10 @@ GkzVector = tuple
 
 
 class Triangulation:
-    """An immutable set of maximal simplices in canonical order."""
+    """An immutable set of maximal simplices, held as the sorted tuple
+    `simplices` alone: equality, hashing and membership all read it."""
 
-    __slots__ = ("simplices", "_set", "_hash")
+    __slots__ = ("simplices", "_hash")
 
     def __init__(self, simplices):
         simps = tuple(sorted(tuple(sorted(s)) for s in simplices))
@@ -39,25 +40,23 @@ class Triangulation:
         if len(set(simps)) != len(simps):
             raise InvalidInputError("repeated simplex")
         self.simplices = simps
-        self._set = frozenset(simps)
         self._hash = hash(simps)
 
     @classmethod
-    def _from_canonical_set(cls, simplex_set: frozenset) -> "Triangulation":
-        """Internal constructor from a nonempty frozenset of ascending tuples.
+    def _from_canonical(cls, simplices) -> "Triangulation":
+        """Internal constructor from distinct ascending tuples, not empty.
 
         Used for flip targets, whose simplices come from a triangulation and
         a flip that are canonical already: only the order of the simplices
-        is computed, and the set and its tuples are shared, not copied.
+        is computed, and their tuples are shared, not copied.
         """
         t = object.__new__(cls)
-        t.simplices = tuple(sorted(simplex_set))
-        t._set = simplex_set
+        t.simplices = tuple(sorted(simplices))
         t._hash = hash(t.simplices)
         return t
 
     def __contains__(self, simplex):
-        return tuple(sorted(simplex)) in self._set
+        return tuple(sorted(simplex)) in self.simplices
 
     def __iter__(self):
         return iter(self.simplices)
@@ -73,9 +72,6 @@ class Triangulation:
 
     def used_points(self) -> frozenset:
         return frozenset(i for s in self.simplices for i in s)
-
-    def as_set(self) -> frozenset:
-        return self._set
 
     def canonical(self) -> str:
         return format_triangulation(self)

@@ -118,6 +118,30 @@ def test_parse_input_rejects_unclosed_list():
     assert "expected" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, column, message", (
+    pytest.param("points: [[0,0],[1,0", 1, 20, "expected ']', found end of input",
+                 id="unclosed-inner-list"),
+    pytest.param("points: [[0,0] [1,0]]", 1, 16, "expected ']', found '['",
+                 id="missing-comma"),
+    pytest.param("points: [[0 0],[1,0]]", 1, 13, "expected ']', found '0'",
+                 id="missing-inner-comma"),
+    pytest.param("points: [[0,0],\n  [1,0.5]]", 2, 7,
+                 "floating point numbers are not supported; use integers",
+                 id="float-in-inner-list"),
+    pytest.param("points: [] 7", 1, 12,
+                 "expected a key ('points' or 'symmetry'), found '7'",
+                 id="empty-list-then-junk"),
+    pytest.param("points: [[0,0],[1,0],]", 1, 22, "expected '[', found ']'",
+                 id="trailing-comma"),
+))
+def test_parse_error_positions(text, line, column, message):
+    # Recorded before the two list parsers became one.
+    with pytest.raises(cli.ParseError) as err:
+        cli.parse_input(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"parse error at line {line}, column {column}: {message}"
+
+
 # -- enumerate ------------------------------------------------------------
 
 

@@ -120,6 +120,25 @@ def test_apply_flip_requires_present_simplices():
         apply_flip(sq, other, f)
 
 
+def test_stale_flip_partly_present_raises():
+    # Triangulations that hold some, but not all, of a flip's removed
+    # simplices: all-flips members of the nested triangles against the
+    # flips of the others.
+    cfg = nested_triangles()
+    members = []
+    enumerate_triangulations(cfg, mode=SearchMode.ALL_FLIPS, baseline=True,
+                             visitor=lambda t, g, d: members.append(t))
+    cases = 0
+    for t in members:
+        for f in find_flips(cfg, t):
+            for other in members:
+                if 0 < sum(s in other for s in f.removed) < len(f.removed):
+                    with pytest.raises(StaleFlipError):
+                        apply_flip(cfg, other, f)
+                    cases += 1
+    assert cases == 222
+
+
 def test_flip_targets_always_validate():
     # Walk two levels of the flip graph on configurations whose flips need
     # the link condition (circuits with fewer than d+2 points).

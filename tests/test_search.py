@@ -144,10 +144,15 @@ class SharedGkzOracle(MockOracle):
     GKZ = {"T0": (3, 0), "T1": (2, 0), "T2": (2, 0)}
 
 
-def test_shared_gkz_vectors_raise():
-    provider = NeighborProvider(SharedGkzOracle(bad=()), SearchStats())
+@pytest.mark.parametrize("traversal", (reverse_search, baseline_dfs))
+@pytest.mark.parametrize("capacity", (0, None), ids=("uncached", "default"))
+def test_shared_gkz_vectors_raise(traversal, capacity):
+    # The provider checks each list as the oracle makes it, so both
+    # traversals raise, with or without the cache.
+    sizes = {} if capacity is None else {"cache_capacity": capacity}
+    provider = NeighborProvider(SharedGkzOracle(bad=()), SearchStats(), **sizes)
     with pytest.raises(RegulartriError, match="share a GKZ-vector"):
-        reverse_search(provider)
+        traversal(provider)
 
 
 def test_increment_check_raises():
@@ -165,8 +170,8 @@ def forged_target_neighbors():
 
     def forged(config, t, flip):
         target = original(config, t, flip)
-        return Triangulation._from_canonical_set(frozenset(
-            s[::-1] if s == (0, 1, 3) else s for s in target.simplices))
+        return Triangulation._from_canonical(
+            s[::-1] if s == (0, 1, 3) else s for s in target.simplices)
 
     sq = square()
     t = parse_triangulation("{{0,1,2},{0,2,3}}")
@@ -444,8 +449,8 @@ def test_verify_increments_checks_discarded_flips(forgery, message, monkeypatch)
         if forgery == "source":
             return tri  # a valid triangulation, not this flip's target
         first = target.simplices[0]
-        return Triangulation._from_canonical_set(frozenset(
-            s[::-1] if s == first else s for s in target.simplices))
+        return Triangulation._from_canonical(
+            s[::-1] if s == first else s for s in target.simplices)
 
     monkeypatch.setattr(search, "apply_flip", forged)
     unchecked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats())

@@ -101,6 +101,31 @@ def test_expand_group_input_checks():
         with pytest.raises(InvalidInputError, match="generator entry .* is not an integer"):
             expand_group(sq, [bad])
     assert expand_group(sq, [(1.0, 2, Fraction(3), 0)]) == expand_group(sq, [SQUARE_ROTATION])
+    # A negative cap is invalid input with or without generators, before
+    # any generator is checked.
+    for gens in ([], [SQUARE_ROTATION], [(0, 1, 2)]):
+        with pytest.raises(InvalidInputError, match="cap must be nonnegative"):
+            expand_group(sq, gens, cap=-1)
+    assert len(expand_group(sq, [SQUARE_ROTATION], cap=4)) == 4
+
+
+def test_orbit_count_input_checks():
+    sq = square()
+    group = expand_group(sq, [SQUARE_ROTATION])
+    ts = [parse_triangulation("{{0,1,2},{0,2,3}}"), parse_triangulation("{{0,1,3},{1,2,3}}")]
+    consumed = []
+
+    def stream():
+        for t in ts:
+            consumed.append(t)
+            yield t
+
+    with pytest.raises(InvalidInputError, match="must be nonnegative"):
+        orbit_count(stream(), group, max_size=-1)
+    assert consumed == []
+    assert orbit_count(ts, group, max_size=1) == 1
+    with pytest.raises(ResourceLimitError):
+        orbit_count(ts, expand_group(sq, []), max_size=1)
 
 
 def test_relabel():
