@@ -137,17 +137,6 @@ def mask_bits(mask) -> tuple:
     return tuple(out)
 
 
-class IndexedCircuit:
-    """A reduced circuit in a configuration's circuit index: its support and
-    its two sides, the stored orientation first, then the negated one."""
-
-    __slots__ = ("support", "sides")
-
-    def __init__(self, circuit: CorankOneConfig):
-        self.support = circuit.support
-        self.sides = (CircuitSide(circuit), CircuitSide(circuit.negated()))
-
-
 class PointConfiguration:
     """A labelled configuration of distinct integer points.
 
@@ -162,10 +151,10 @@ class PointConfiguration:
       (d+2)-subset comes from its d+2 minors by Cramer's rule, so volumes,
       circuits and `total_volume` share each determinant;
     - the dependence of each (d+2)-subset that was asked for;
-    - the circuit index (`simplex_circuits`): for a simplex S, the reduced
-      circuits of the sets S ∪ {p}.  Each distinct circuit support is stored
-      once, as an `IndexedCircuit` with both orientations and their side
-      faces, and shared by every simplex that reaches it;
+    - the circuit index (`simplex_sides`): for a simplex S, the reduced
+      circuit of each set S ∪ {p}, oriented with p on its plus side.  Each
+      distinct circuit support gets both of its `CircuitSide`s once, shared
+      by every simplex that reaches either;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
       filled by `flips.find_flips`; the link is a frozenset of vertex masks
       (see `vertex_mask`), one per simplex of the link.  A flip's circuit,
@@ -204,7 +193,7 @@ class PointConfiguration:
         self._minors = {}
         self._circuit_cache = {}
         self._circuit_index = {}
-        self._indexed_circuits = {}
+        self._circuit_sides = {}
         #: (CircuitSide, link of vertex masks) -> Flip; see the class docstring
         self.flip_memo = {}
         self._total_volume = None
@@ -266,17 +255,23 @@ class PointConfiguration:
             self._circuit_cache[key] = cached
         return None if cached is False else cached
 
-    def simplex_circuits(self, simplex) -> tuple:
-        """The reduced circuits of the sets simplex ∪ {p}, p ∉ simplex.
+    def simplex_sides(self, simplex) -> tuple:
+        """The circuit sides that a flip removing the simplex can remove.
 
-        `simplex` must be a sorted tuple of point indices.  Degenerate sets
-        contribute nothing.  Returns `IndexedCircuit` entries in increasing
-        order of p, shared with every other simplex reaching the same
-        circuit support; the tuple is memoised per simplex.
+        For each p ∉ simplex, in increasing order, the reduced circuit Z of
+        simplex ∪ {p}, as the `CircuitSide` with p on its plus side.  A flip
+        that removes the simplex removes it as a join (Z∖{q}) ∪ τ with q on
+        the removed side of its circuit Z; then q ∉ simplex, Z is the circuit
+        of simplex ∪ {q}, and the flip removes the side listed for p = q.
+        So a flip removes the simplex only if it removes one of these
+        sides.  `simplex` must be a sorted tuple of point indices.
+        Degenerate sets contribute nothing.  The two sides of a support are
+        created once and shared by every simplex that reaches them; the
+        tuple is memoised per simplex.
         """
-        entries = self._circuit_index.get(simplex)
-        if entries is None:
-            entries = []
+        sides = self._circuit_index.get(simplex)
+        if sides is None:
+            sides = []
             for p in range(self.n):
                 if p in simplex:
                     continue
@@ -284,14 +279,14 @@ class PointConfiguration:
                 if full is None:
                     continue
                 circuit = full.reduced()
-                entry = self._indexed_circuits.get(circuit.support)
-                if entry is None:
-                    entry = IndexedCircuit(circuit)
-                    self._indexed_circuits[circuit.support] = entry
-                entries.append(entry)
-            entries = tuple(entries)
-            self._circuit_index[simplex] = entries
-        return entries
+                pair = self._circuit_sides.get(circuit.support)
+                if pair is None:
+                    pair = (CircuitSide(circuit), CircuitSide(circuit.negated()))
+                    self._circuit_sides[circuit.support] = pair
+                sides.append(pair[0] if p in circuit.plus else pair[1])
+            sides = tuple(sides)
+            self._circuit_index[simplex] = sides
+        return sides
 
     def _circuit(self, key):
         # Cramer's rule: lambda_i = (-1)^i * minor(key without key[i]) spans

@@ -12,9 +12,9 @@ The engine is generic over a three-method oracle, so that the same traversal
 (and the same cache semantics) can be driven by the real geometry or by a
 hand-built graph in tests:
 
-    gkz(node)                  -> tuple
-    neighbors(node, node_gkz)  -> [(target, target_gkz)]  (the mode-valid ones)
-    seed()                     -> node
+    gkz(node)                          -> tuple
+    neighbors(node, node_gkz, parent)  -> [(target, target_gkz)]  (the mode-valid ones)
+    seed()                             -> node
 
 Nodes are hashable values (`Triangulation` objects for the geometry) and are
 the search's identity: a node's valid neighbours are memoized in an LRU cache
@@ -22,6 +22,13 @@ keyed by the node itself, and visitors receive the node.  Each list is a
 verdict about the node's flips, never about their targets' regularity.  Any
 cache capacity (including zero) yields the same enumeration; only the hit
 counters move.
+
+`parent` is None or a hint (entries, k): a list that `neighbors` returned
+for another node, whose k-th target is this node.  The traversals pass it
+whenever they query a target they took from a list, and an oracle may use
+it or ignore it; the answer must not depend on it.  The geometric oracle's
+lists carry their node's whole flip list and the flip behind each entry, so
+a child's flips are derived from its parent's (see `flips.find_flips`).
 
 Given a symmetry group, `reverse_search` is symmetric reverse search (as in
 mptopcom): it walks one representative per orbit, the member with the
@@ -79,19 +86,34 @@ class GeometricFlipOracle:
     def gkz(self, t: Triangulation):
         return gkz(self.config, t)
 
-    def neighbors(self, t: Triangulation, t_gkz):
+    def neighbors(self, t: Triangulation, t_gkz, parent=None):
         """The targets and GKZ-vectors of the mode-valid flips, in
-        `find_flips` order; targets are built for these flips only."""
-        flips = find_flips(self.config, t)
+        `find_flips` order; targets are built for these flips only.
+
+        With a hint (entries, k) from an earlier list, the flips are derived
+        from that list's; `verify_increments` compares them with
+        `find_flips` from scratch."""
+        if parent is None:
+            flips = find_flips(self.config, t)
+        else:
+            entries, k = parent
+            flips = find_flips(self.config, t, (entries.flips, entries.flips[k]))
+            if self.verify_increments and flips != find_flips(self.config, t):
+                raise RegulartriError("derived flips disagree with find_flips")
         self.stats.flips_evaluated += len(flips)
         if self.verify_increments:
             # Screening reads every flip's displacement, so every flip is
             # checked, kept or not.
             for flip in flips:
                 self._check(t, t_gkz, flip)
+        kept = flips
         if self.mode is SearchMode.REGULAR_ONLY:
-            flips = regular_flips(self.config, t, flips, self.stats.rays)
-        return [(apply_flip(self.config, t, f), _shifted(t_gkz, f)) for f in flips]
+            kept = regular_flips(self.config, t, flips, self.stats.rays)
+        out = NeighborList((apply_flip(self.config, t, f), _shifted(t_gkz, f)) for f in kept)
+        out.flips = tuple(kept)
+        if len(kept) < len(flips):
+            out.flips += tuple(f for f in flips if f not in kept)
+        return out
 
     def _check(self, t, t_gkz, flip):
         target = apply_flip(self.config, t, flip)
@@ -102,6 +124,15 @@ class GeometricFlipOracle:
 
     def seed(self) -> Triangulation:
         return placing_triangulation(self.config)
+
+
+class NeighborList(list):
+    """A geometric neighbour list: (target, target_gkz) entries, plus the
+    node's flips as one tuple, `flips`.  Its k-th flip is the one behind the
+    k-th entry; the flips that screening discarded follow.  Deriving a
+    child's flips reads the parent's in any order."""
+
+    __slots__ = ("flips",)
 
 
 def _shifted(t_gkz, flip):
@@ -116,6 +147,10 @@ class NeighborProvider:
     first.  A negative capacity raises InvalidInputError.  Each list is
     checked once, on a miss: distinct neighbours on one GKZ-vector raise
     RegulartriError, so every list returned, cached or not, has distinct ones.
+    A list is whatever the oracle returned; the geometric oracle's is a
+    `NeighborList`, which also carries its node's flips, the flip behind
+    each entry first, and so the cache holds those too.  The `parent` hint goes
+    to the oracle on a miss only.
     """
 
     def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
@@ -127,7 +162,7 @@ class NeighborProvider:
         self.capacity = cache_capacity
         self.cache = OrderedDict()
 
-    def neighbors(self, node, node_gkz):
+    def neighbors(self, node, node_gkz, parent=None):
         """Valid neighbors as (target, target_gkz) pairs, deterministic order."""
         entry = self.cache.get(node)
         if entry is not None:
@@ -135,7 +170,7 @@ class NeighborProvider:
             self.stats.cache_hits += 1
             return entry
         self.stats.cache_misses += 1
-        entry = self.oracle.neighbors(node, node_gkz)
+        entry = self.oracle.neighbors(node, node_gkz, parent)
         if len({tgkz for _, tgkz in entry}) != len(entry):
             raise RegulartriError("distinct neighbors share a GKZ-vector")
         if self.capacity:
@@ -145,23 +180,32 @@ class NeighborProvider:
         return entry
 
 
-def predecessor(provider: NeighborProvider, node, node_gkz):
+def predecessor(provider: NeighborProvider, node, node_gkz, parent=None):
     """The lex-largest valid neighbor, if it improves on the node; else None.
-    It is unique: the provider checks that a list's GKZ-vectors differ."""
-    best = max(provider.neighbors(node, node_gkz), key=itemgetter(1), default=None)
+    It is unique: the provider checks that a list's GKZ-vectors differ.
+    `parent` is the node's hint for the provider (see the module docstring)."""
+    return _upflip(provider.neighbors(node, node_gkz, parent), node_gkz)
+
+
+def _upflip(entries, node_gkz):
+    """The entry with the lex-largest GKZ-vector, if it is above node_gkz."""
+    best = max(entries, key=itemgetter(1), default=None)
     if best is not None and best[1] > node_gkz:
         return best
     return None
 
 
 def find_root(provider: NeighborProvider, seed):
-    """Walk lex-largest upflips from the seed until a sink is reached."""
-    node, node_gkz = seed, provider.oracle.gkz(seed)
+    """Walk lex-largest upflips from the seed until a sink is reached; each
+    step's list is derived from the one before."""
+    node, node_gkz, parent = seed, provider.oracle.gkz(seed), None
     while True:
-        up = predecessor(provider, node, node_gkz)
+        entries = provider.neighbors(node, node_gkz, parent)
+        up = _upflip(entries, node_gkz)
         if up is None:
             return node, node_gkz
         node, node_gkz = up
+        parent = (entries, entries.index(up))
 
 
 def _check_budget(max_nodes):
@@ -197,7 +241,8 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
 
     The visitor, when given, receives (node, gkz, depth) once per node and
     must not mutate search state.  No visited set exists: memory is the
-    stack (at most the tree depth times the degree), the trie and the
+    stack (at most the tree depth times the degree; an entry that is a
+    target of its parent's list holds that list as its hint), the trie and the
     provider's cache of up to `cache_capacity` neighbour lists, which
     dominates on large inputs.  `stats.nodes`
     and `max_nodes` count nodes (orbits, under a group); crossing the
@@ -215,6 +260,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     search, total = "reverse search", 1
     if group is not None:
         search, order, trie = "orbit search", len(group), group_trie(group)
+        identity = tuple(range(len(root_gkz)))
         key, _, stabiliser = orbit_key(root_gkz, group, trie)
         if key != root_gkz:
             raise RegulartriError("the lex-max root is not its orbit's representative")
@@ -223,11 +269,12 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     stats.nodes += 1
     if visitor is not None:
         visitor(root, root_gkz, 0)
-    stack = [(root, root_gkz, 0)]
+    stack = [(root, root_gkz, 0, None)]
     while stack:
-        node, node_gkz, depth = stack.pop()
+        node, node_gkz, depth, parent = stack.pop()
         seen = set()
-        for target, tgkz in provider.neighbors(node, node_gkz):
+        entries = provider.neighbors(node, node_gkz, parent)
+        for k, (target, tgkz) in enumerate(entries):
             if group is None:
                 if tgkz >= node_gkz:
                     continue
@@ -237,13 +284,17 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
                 if cgkz >= node_gkz or cgkz in seen:
                     continue
                 seen.add(cgkz)
-                child, size = relabel(target, perm), order // stabiliser
+                size = order // stabiliser
+                # A target that is its own representative is the child; a
+                # relabelled one has no list to derive its flips from.
+                child = target if perm == identity else relabel(target, perm)
+            hint = (entries, k) if child is target else None
             # The node is the parent when the predecessor's key (without a
             # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
             # even where GKZ does not identify triangulations: the node is a
             # valid neighbour of the child, and one list's GKZ-vectors are
             # distinct, so no other neighbour has the node's.
-            pred = predecessor(provider, child, cgkz)
+            pred = predecessor(provider, child, cgkz, hint)
             if pred is None or node_gkz != (
                 pred[1] if group is None else orbit_key(pred[1], group, trie)[0]
             ):
@@ -253,7 +304,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
             stats.nodes += 1
             if visitor is not None:
                 visitor(child, cgkz, depth + 1)
-            stack.append((child, cgkz, depth + 1))
+            stack.append((child, cgkz, depth + 1, hint))
     return total
 
 
@@ -275,10 +326,11 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
     stats.nodes += 1
     if visitor is not None:
         visitor(seed, seed_gkz, 0)
-    stack = [(seed, seed_gkz, 0)]
+    stack = [(seed, seed_gkz, 0, None)]
     while stack:
-        node, node_gkz, depth = stack.pop()
-        for target, tgkz in provider.neighbors(node, node_gkz):
+        node, node_gkz, depth, parent = stack.pop()
+        entries = provider.neighbors(node, node_gkz, parent)
+        for k, (target, tgkz) in enumerate(entries):
             if target in visited:
                 continue
             _count_visit(len(visited), max_nodes, "baseline traversal")
@@ -286,7 +338,7 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
             stats.nodes += 1
             if visitor is not None:
                 visitor(target, tgkz, depth + 1)
-            stack.append((target, tgkz, depth + 1))
+            stack.append((target, tgkz, depth + 1, (entries, k)))
     return visited
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import is_
 
 import pytest
 
@@ -36,6 +37,7 @@ from regulartri import (
     triangle_with_interior,
     validate,
 )
+from regulartri import search
 from regulartri.flips import Flip, _make_flip
 from regulartri.points import mask_bits
 from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
@@ -409,20 +411,88 @@ def test_link_masks_under_another_bit_order():
     assert len(config.flip_memo) == len(distinct)
 
 
+# -- flips derived from a parent's list -------------------------------------
+
+
+def check_derivations(config, nodes):
+    """For every flip f of every node t, the list of apply_flip(t, f) derived
+    from t's is the list from scratch: the same objects in the same order."""
+    scratch = {}
+    for t in nodes:
+        flips = find_flips(config, t)
+        for f in flips:
+            child = apply_flip(config, t, f)
+            want = scratch.get(child)
+            if want is None:
+                want = scratch[child] = find_flips(config, child)
+            got = find_flips(config, child, (flips, f))
+            assert len(got) == len(want) and all(map(is_, got, want)), (t, f)
+
+
+@pytest.mark.parametrize("make, count", [
+    (square, 2), (triangle_with_interior, 2), (nested_triangles, 18),
+    (lambda: cube(3), 74), (lambda: simplex_product(2, 2), 108),
+], ids=["square", "interior", "nested", "cube3", "d2d2"])
+def test_derived_flips_on_all_flips_graphs(make, count):
+    # Every edge of the whole flip graph, with non-regular triangulations
+    # and triangulations that leave points unused.
+    nodes = all_triangulations(make())
+    assert len(nodes) == count
+    check_derivations(make(), nodes)
+
+
+def test_derived_flips_on_d2d3_regular_search():
+    nodes = []
+    enumerate_triangulations(simplex_product(2, 3), visitor=lambda t, g, d: nodes.append(t))
+    assert len(nodes) == 4488
+    # Every flip of every regular triangulation, also those leading to a
+    # non-regular one.
+    check_derivations(simplex_product(2, 3), nodes)
+
+
+def test_derived_flips_on_d2d4_prefix():
+    nodes = search_prefix(simplex_product(2, 4), 300)
+    assert len(nodes) == 300
+    check_derivations(simplex_product(2, 4), nodes)
+
+
+def test_regular_search_derives_every_list_after_the_seed(monkeypatch):
+    hinted = []
+    original = search.find_flips
+
+    def recording(config, t, parent=None):
+        hinted.append(parent is not None)
+        return original(config, t, parent)
+
+    monkeypatch.setattr(search, "find_flips", recording)
+    count, stats = enumerate_triangulations(simplex_product(2, 3))
+    assert count == 4488
+    assert len(hinted) == stats.cache_misses == 4488
+    assert hinted[0] is False and hinted.count(False) == 1
+
+
 def test_circuit_index_is_lazy_and_shared():
     config = cube(3)
-    assert config._circuit_index == {} and config._indexed_circuits == {}
+    assert config._circuit_index == {} and config._circuit_sides == {}
     t = placing_triangulation(config)
-    entries = {}
+    pairs = {}
     for s in t.simplices:
-        for entry in config.simplex_circuits(s):
-            assert entries.setdefault(entry.support, entry) is entry
-            for side in entry.sides:
-                assert side.circuit.support == entry.support
-                assert [face for face, _ in side.faces] == [
-                    tuple(v for v in entry.support if v != q) for q in side.circuit.plus
-                ]
-                assert all(mask_bits(mask) == face for face, mask in side.faces)
+        outside = [p for p in range(config.n) if p not in s]
+        sides = config.simplex_sides(s)
+        assert len(sides) == len(outside)
+        for p, side in zip(outside, sides):
+            # The side that a flip removing s removes: p on its plus side,
+            # its other points in s.
+            assert p in side.circuit.plus
+            assert set(side.circuit.support) - set(s) == {p}
+            pair = pairs.setdefault(side.circuit.support, config._circuit_sides[
+                side.circuit.support])
+            assert side in pair and pair[1].circuit == pair[0].circuit.negated()
+            assert [face for face, _ in side.faces] == [
+                tuple(v for v in side.circuit.support if v != q) for q in side.circuit.plus
+            ]
+            assert all(mask_bits(mask) == face for face, mask in side.faces)
+    assert config.simplex_sides(t.simplices[0]) is config.simplex_sides(t.simplices[0])
     assert len(config._circuit_index) == len(t.simplices)
 
 

@@ -81,7 +81,7 @@ class MockOracle:
     def gkz(self, t):
         return self.GKZ[t]
 
-    def neighbors(self, t, t_gkz):
+    def neighbors(self, t, t_gkz, parent=None):
         return [(tgt, self.GKZ[tgt]) for f, tgt in self.EDGES[t] if f not in self.bad]
 
     def seed(self):
@@ -107,7 +107,7 @@ class _TargetTrustingOracle:
         self.seed = mock.seed
         self.known_regular = set()
 
-    def neighbors(self, t, t_gkz):
+    def neighbors(self, t, t_gkz, parent=None):
         kept = []
         for f, target in self.mock.EDGES[t]:
             if target in self.known_regular or f not in self.mock.bad:
@@ -200,6 +200,34 @@ def test_target_check_survives_optimize_flag():
     assert lines == ["flip target differs from its canonical construction"]
 
 
+def forged_derivation_neighbors():
+    """A child's neighbours under `verify_increments`, given its parent's
+    list, with a derived `find_flips` that drops the flips it keeps from the
+    parent's."""
+    original = search.find_flips
+
+    def forged(config, t, parent=None):
+        flips = original(config, t, parent)
+        if parent is None:
+            return flips
+        return [f for f in flips if f not in parent[0]]
+
+    config = cube(3)
+    oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats(), True)
+    t = placing_triangulation(config)
+    entries = oracle.neighbors(t, gkz(config, t))
+    search.find_flips = forged
+    try:
+        return oracle.neighbors(entries[0][0], entries[0][1], (entries, 0))
+    finally:
+        search.find_flips = original
+
+
+def test_derivation_check_raises():
+    with pytest.raises(RegulartriError, match="derived flips disagree with find_flips"):
+        forged_derivation_neighbors()
+
+
 def optimized_output(code):
     """Standard output lines of `code` run under `python -O`.
 
@@ -221,18 +249,20 @@ def test_exactness_checks_survive_optimize_flag():
         "from regulartri import RegulartriError, SearchMode, placing_triangulation, square\n"
         "from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats\n"
         "from regulartri.search import reverse_search\n"
-        "from test_search import SharedGkzOracle\n"
+        "from test_search import SharedGkzOracle, forged_derivation_neighbors\n"
     )
     checks = (
         "reverse_search(NeighborProvider(SharedGkzOracle(bad=()), SearchStats()))",
         "GeometricFlipOracle(square(), SearchMode.REGULAR_ONLY, SearchStats(), True)"
         ".neighbors(placing_triangulation(square()), (0, 0, 0, 0))",
+        "forged_derivation_neighbors()",
     )
     for check in checks:
         code += f"try:\n    {check}\nexcept RegulartriError as e:\n    print(e)\n"
     assert optimized_output(code) == [
         "distinct neighbors share a GKZ-vector",
         "incremental GKZ update disagrees with recomputation",
+        "derived flips disagree with find_flips",
     ]
 
 
@@ -373,7 +403,7 @@ class RecordingOracle:
     def __init__(self):
         self.computed = []
 
-    def neighbors(self, node, node_gkz):
+    def neighbors(self, node, node_gkz, parent=None):
         self.computed.append(node)
         return [] if node == "a" else [(node + "'", (0,))]
 
@@ -464,9 +494,9 @@ def test_stats_conservation():
     class CountingProvider(NeighborProvider):
         requests = 0
 
-        def neighbors(self, node, node_gkz):
+        def neighbors(self, node, node_gkz, parent=None):
             CountingProvider.requests += 1
-            return super().neighbors(node, node_gkz)
+            return super().neighbors(node, node_gkz, parent)
 
     CountingProvider.requests = 0
     stats = SearchStats()
@@ -588,6 +618,35 @@ def test_orbit_search_keys_match_the_list_key(make, generators, count, orbits, m
         # The root, every neighbour of a representative, and the
         # predecessors of the candidate children were all keyed.
         assert len(keys) > orbits
+
+
+@pytest.mark.parametrize("d, orbits, relabels, derived, lists", [
+    (3, 35, 42, 40, 53), (4, 530, 972, 313, 563),
+], ids=["d2d3", "d2d4"])
+def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived, lists,
+                                                   monkeypatch):
+    # A candidate child that is its own representative is the target
+    # itself, so its flips are derived from the node's list; only the
+    # others are relabelled (94 and 2 247 relabellings when every child was).
+    perms, hinted = [], []
+    original_relabel, original_find = search.relabel, search.find_flips
+
+    def counting_relabel(t, perm):
+        perms.append(perm)
+        return original_relabel(t, perm)
+
+    def recording(config, t, parent=None):
+        hinted.append(parent is not None)
+        return original_find(config, t, parent)
+
+    monkeypatch.setattr(search, "relabel", counting_relabel)
+    monkeypatch.setattr(search, "find_flips", recording)
+    config = simplex_product(2, d)
+    group = expand_group(config, simplex_product_symmetry_generators(2, d))
+    _, stats = enumerate_triangulations(config, group=group)
+    assert stats.nodes == orbits
+    assert tuple(range(config.n)) not in perms
+    assert (len(perms), sum(hinted), len(hinted)) == (relabels, derived, lists)
 
 
 def test_search_node_budgets():
