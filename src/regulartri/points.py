@@ -21,6 +21,7 @@ each shared with every other subset and simplex that contains it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import exact
@@ -63,6 +64,11 @@ class CorankOneConfig:
 
     def coefficient(self, point: int):
         return self.dependence[self.support.index(point)]
+
+    @cached_property
+    def support_mask(self) -> int:
+        """`vertex_mask` of the support."""
+        return vertex_mask(self.support)
 
     def oriented(self, positive_point: int) -> "CorankOneConfig":
         """Return the circuit with signs flipped, if needed, so that the

@@ -112,7 +112,9 @@ class GeometricFlipOracle:
         out = NeighborList((apply_flip(self.config, t, f), _shifted(t_gkz, f)) for f in kept)
         out.flips = tuple(kept)
         if len(kept) < len(flips):
-            out.flips += tuple(f for f in flips if f not in kept)
+            # `kept` holds flips' own objects, in order: test by identity.
+            kept_ids = set(map(id, kept))
+            out.flips += tuple(f for f in flips if id(f) not in kept_ids)
         return out
 
     def _check(self, t, t_gkz, flip):

@@ -36,11 +36,14 @@ from regulartri import (
     triangle_with_interior,
 )
 from regulartri import regularity
+from regulartri import search
 from regulartri.regularity import (
     DeferredCandidate,
     ScreeningEvent,
     ScreeningOutcome,
+    _peel,
     _positive_multiple,
+    _support_mask,
 )
 from regulartri.search import (
     GeometricFlipOracle,
@@ -453,6 +456,23 @@ def recorded_screens(monkeypatch):
     return calls
 
 
+def recorded_systems(monkeypatch):
+    """Record the ray system of every `regular_flips` call the search
+    makes, as `regular_flips` builds it: one candidate per flip.  Each
+    flip's cached support mask is checked against its displacement."""
+    systems = []
+    original = search.regular_flips
+
+    def recording(config, t, flips, stats=None):
+        assert [f.circuit.support_mask for f in flips] == [
+            _support_mask(f.delta) for f in flips]
+        systems.append([TaggedVector(f.delta, k) for k, f in enumerate(flips)])
+        return original(config, t, flips, stats)
+
+    monkeypatch.setattr(search, "regular_flips", recording)
+    return systems
+
+
 def assert_same_as_rescanning(calls):
     for vectors, outcome in calls:
         want = rescanning_screen_rays(vectors)
@@ -482,8 +502,13 @@ def test_screening_matches_rescanning_reference_on_random_systems(monkeypatch):
 
 
 def test_screening_matches_rescanning_reference_on_d2d2(monkeypatch):
+    # R1 is peeled before `screen_rays` runs, so most nodes never call it;
+    # every node's whole system is screened (and recorded) here as well.
     calls = recorded_screens(monkeypatch)
+    systems = recorded_systems(monkeypatch)
     count, _ = enumerate_triangulations(simplex_product(2, 2))
+    for system in systems:
+        regularity.screen_rays(system)
     assert count == 108 and len(calls) > 100
     assert_same_as_rescanning(calls)
 
@@ -492,11 +517,153 @@ def test_screening_matches_rescanning_reference_on_d2d4_prefix(monkeypatch):
     # The first LP of this search comes at node 259 and the first R4 at
     # node 273, so 300 nodes reach both.
     calls = recorded_screens(monkeypatch)
+    systems = recorded_systems(monkeypatch)
+    stats = d2d4_prefix()
+    assert stats.nodes == 300
+    assert stats.rays.lps_solved > 0 and stats.rays.r4 > 0
+    for system in systems:
+        regularity.screen_rays(system)
+    assert_same_as_rescanning(calls)
+
+
+def d2d4_prefix():
+    """The stats of the first 300 reverse-search nodes on Δ2×Δ4."""
     stats = SearchStats()
     provider = NeighborProvider(GeometricFlipOracle(
         simplex_product(2, 4), SearchMode.REGULAR_ONLY, stats), stats)
     with pytest.raises(ResourceLimitError):
         reverse_search(provider, max_nodes=300)
-    assert stats.nodes == 300
+    return stats
+
+
+# -- the R1 peel against the full cascade ------------------------------------
+
+
+def cascade_extremal_rays(vectors, stats, subsystems):
+    """`extremal_rays` without the peel: every system, the sole-candidate
+    ones of the deferred stage included, goes whole to `screen_rays`.
+    Each sole-candidate system is appended to `subsystems`."""
+    outcome = regularity.screen_rays(vectors)
+    regularity._accumulate(stats, outcome)
+    extremal = set(outcome.confirmed)
+    for item in outcome.deferred:
+        if _cascade_deferred(item, stats, subsystems):
+            extremal.add(item.ident)
+    return extremal
+
+
+def _cascade_deferred(item, stats, subsystems):
+    vec, ident = item.vec, item.ident
+    others = item.others
+    while True:
+        if not others:
+            return True
+        if len(others) == 1:
+            stats.scalar_tests += 1
+            return not _positive_multiple(others[0].vec, vec)
+        sub = [TaggedVector(vec, ident)]
+        sub.extend(TaggedVector(w.vec, None) for w in others)
+        subsystems.append(sub)
+        outcome = regularity.screen_rays(sub)
+        regularity._accumulate(stats, outcome)
+        if outcome.confirmed:
+            return True
+        (again,) = outcome.deferred
+        if len(again.others) >= len(others):
+            stats.lps_solved += 1
+            return not regularity.nonneg_combination(
+                [w.vec for w in again.others], vec).feasible
+        others = again.others
+
+
+def assert_peel_is_the_cascade_prefix(system):
+    """Peeling R1 and screening the residual is the full cascade."""
+    system = [TaggedVector(tuple(vec), ident) for vec, ident in system]
+    full = screen_rays(system)
+    peeled, left = _peel([_support_mask(v.vec) for v in system])
+    peeled = [system[k].ident for k in peeled if system[k].is_candidate]
+    residual = [system[k] for k in left]
+    rest = ScreeningOutcome()
+    if any(v.is_candidate for v in residual):
+        rest = screen_rays(residual)
+        assert rest.residual == full.residual
+    assert set(full.confirmed) == set(peeled) | set(rest.confirmed)
+    assert len(full.confirmed) == len(peeled) + len(rest.confirmed)
+    assert [(d.ident, d.vec, d.others) for d in full.deferred] == [
+        (d.ident, d.vec, d.others) for d in rest.deferred]
+    assert full.r1 == len(peeled) + rest.r1
+    assert (full.r2, full.r3, full.r4) == (rest.r2, rest.r3, rest.r4)
+    lead = next((k for k, e in enumerate(full.events) if e.rule != "R1"),
+                len(full.events))
+    assert full.events[lead:] == rest.events
+
+
+def assert_peel_keeps_results(systems):
+    """Over `systems` and their sole-candidate subsystems: the peel is the
+    cascade's R1 prefix, and `extremal_rays` gives the set and counters of
+    the cascade without it.  Returns the number of systems checked."""
+    checked = 0
+    for system in systems:
+        subsystems = []
+        want_stats = RayStats()
+        want = cascade_extremal_rays(system, want_stats, subsystems)
+        got_stats = RayStats()
+        assert extremal_rays(system, got_stats) == want
+        assert got_stats == want_stats
+        for sub in [system] + subsystems:
+            assert_peel_is_the_cascade_prefix(sub)
+            checked += 1
+    return checked
+
+
+def test_peel_matches_cascade_on_random_systems():
+    systems = list(random_pointed_systems()) + [_tagged_rows()]
+    assert assert_peel_keeps_results(systems) > len(systems)
+
+
+def test_peel_matches_cascade_on_d2d2_and_d2d4_prefix(monkeypatch):
+    systems = recorded_systems(monkeypatch)
+    count, stats = enumerate_triangulations(simplex_product(2, 2))
+    assert count == 108 and len(systems) == stats.cache_misses
+    d2d2 = len(systems)
+    stats = d2d4_prefix()
     assert stats.rays.lps_solved > 0 and stats.rays.r4 > 0
-    assert_same_as_rescanning(calls)
+    assert assert_peel_keeps_results(systems) > len(systems) > d2d2
+
+
+def test_peel_decides_r1_systems_without_a_screen(monkeypatch):
+    calls = recorded_screens(monkeypatch)
+    stats = RayStats()
+    assert extremal_rays([((1, 0, 0), "a"), ((0, 1, 1), "b")], stats) == {"a", "b"}
+    assert stats == RayStats(r1=2)
+    # Untagged vectors peel without counting.
+    stats = RayStats()
+    assert extremal_rays([((1, 0), "a"), ((0, 1), None)], stats) == {"a"}
+    assert stats == RayStats(r1=1)
+    assert calls == []
+
+
+def test_deferred_candidate_needs_its_own_private_column():
+    # (1, 1, 0) is the sum of two snapshot vectors.  The third snapshot
+    # vector peels, the candidate does not, and one LP decides it.
+    item = DeferredCandidate("v", (1, 1, 0), tuple(
+        TaggedVector(vec) for vec in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    want_stats = RayStats()
+    assert _cascade_deferred(item, want_stats, []) is False
+    stats = RayStats()
+    assert regularity._deferred_extremal(item, stats) is False
+    assert stats == want_stats == RayStats(r4=2, lps_solved=1)
+
+
+@pytest.mark.parametrize("ident", ("z", None))
+@pytest.mark.parametrize("vec, message", (
+    pytest.param((0, 0, 0), "zero vector", id="zero"),
+    pytest.param((0, 0, 0, 1), "mixed lengths", id="mixed"),
+))
+def test_input_checks_run_before_the_peel(vec, ident, message):
+    # Every other vector has a private column and would peel at once; an
+    # untagged bad vector would leave no candidate to screen.
+    system = [((1, 0, 0), "a"), ((0, 1, 0), "b"), ((0, 0, 1), "c")]
+    for k in range(len(system) + 1):
+        with pytest.raises(RegulartriError, match=message):
+            extremal_rays(system[:k] + [(vec, ident)] + system[k:])

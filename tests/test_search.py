@@ -19,6 +19,7 @@ import pytest
 
 from regulartri import (
     InvalidInputError,
+    RayStats,
     RegulartriError,
     ResourceLimitError,
     SearchMode,
@@ -716,10 +717,11 @@ def test_orbit_search_product_of_triangle_and_tetrahedron(seed):
 
 
 def test_orbit_search_product_of_triangle_and_4_simplex():
-    orbits, total, _ = _orbit_search(
+    orbits, total, stats = _orbit_search(
         simplex_product(2, 4), simplex_product_symmetry_generators(2, 4)
     )
     assert (orbits, total) == (530, 376200)
+    assert stats.rays == RayStats(r1=3476, r2=769, r3=580, r4=5, lps_solved=27)
 
 
 @pytest.mark.skipif(not STRETCH, reason="long-running stretch case; set RUN_STRETCH=1 to include")
