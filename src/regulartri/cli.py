@@ -6,10 +6,13 @@ Input files use a small key/value grammar::
     points: [[0,0],[1,0],[1,1],[0,1]]
     symmetry: [[1,2,3,0]]          # optional label permutations (generators)
 
-`#` starts a comment; coordinates must be integers.  Syntax problems report
-an exact line and column and exit with code 2; semantically bad input
-(duplicate points, invalid permutations, invalid triangulations) exits with
-code 3; usage errors exit 1; explicit resource-budget breaches exit 4.
+and a triangulation file (`regular`, `flips`) holds one literal such as
+`{{0,1,2},{0,2,3}}`.  One scanner reads both: whitespace and `#` comments
+may stand between tokens, numbers are integers, and a syntax error reports
+its line and column.  It exits with code 2 in an input file and with code 3
+in a triangulation file, like other semantically bad input (duplicate
+points, invalid permutations or triangulations, unreadable or non-UTF-8
+files); usage errors exit 1; explicit resource-budget breaches exit 4.
 All output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -20,6 +23,7 @@ import sys
 
 from .errors import (
     InvalidInputError,
+    ParseError,
     RegulartriError,
     ResourceLimitError,
 )
@@ -34,7 +38,7 @@ from .symmetry import (
     orbit_key,
     relabel,
 )
-from .triangulation import parse_triangulation, validate
+from .triangulation import Scanner, parse_triangulation, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,113 +47,29 @@ EXIT_SEMANTIC = 3
 EXIT_RESOURCE = 4
 
 
-class ParseError(RegulartriError):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"parse error at line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str):
-        raise ParseError(self.line, self.col, message)
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_blank(self):
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == "#":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif ch.isspace():
-                self.advance()
-            else:
-                return
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            got = repr(self.peek()) if self.peek() else "end of input"
-            self.error(f"expected {ch!r}, found {got}")
-        self.advance()
-
-    def parse_int(self) -> int:
-        digits = ""
-        if self.peek() == "-":
-            digits = self.advance()
-        if not self.peek().isdigit():
-            got = repr(self.peek()) if self.peek() else "end of input"
-            self.error(f"expected an integer, found {got}")
-        while self.peek().isdigit():
-            digits += self.advance()
-        if self.peek() == ".":
-            self.error("floating point numbers are not supported; use integers")
-        return int(digits)
-
-    def parse_list(self, item) -> list:
-        """A bracketed, comma-separated list of what `item()` parses."""
-        self.expect("[")
-        self.skip_blank()
-        out = []
-        if self.peek() == "]":
-            self.advance()
-            return out
-        while True:
-            self.skip_blank()
-            out.append(item())
-            self.skip_blank()
-            if self.peek() == ",":
-                self.advance()
-                continue
-            self.expect("]")
-            return out
-
-    def parse_key(self) -> str:
-        word = ""
-        while self.peek().isalpha() or self.peek() == "_":
-            word += self.advance()
-        if not word:
-            got = repr(self.peek()) if self.peek() else "end of input"
-            self.error(f"expected a key ('points' or 'symmetry'), found {got}")
-        return word
+def _parse_key(sc: Scanner) -> str:
+    word = ""
+    while sc.peek().isalpha() or sc.peek() == "_":
+        word += sc.advance()
+    if not word:
+        sc.error(f"expected a key ('points' or 'symmetry'), found {sc.found()}")
+    return word
 
 
 def parse_input(text: str) -> dict:
     """Parse an input file into {'points': [...], 'symmetry': [...] or None}."""
-    sc = _Scanner(text)
+    sc = Scanner(text)
     seen = {}
-    while True:
-        sc.skip_blank()
-        if sc.pos >= len(sc.text):
-            break
-        key = sc.parse_key()
+    while sc.skip_blank():
+        key = _parse_key(sc)
         if key not in ("points", "symmetry"):
             sc.error(f"unknown key {key!r} (expected 'points' or 'symmetry')")
         if key in seen:
             sc.error(f"duplicate key {key!r}")
-        sc.skip_blank()
         sc.expect(":")
-        sc.skip_blank()
-        seen[key] = sc.parse_list(lambda: sc.parse_list(sc.parse_int))
+        seen[key] = sc.parse_list(lambda: sc.parse_list(sc.parse_int, "[]"), "[]")
     if "points" not in seen:
-        raise ParseError(sc.line, sc.col, "missing required key 'points'")
+        sc.error("missing required key 'points'")
     return {"points": seen["points"], "symmetry": seen.get("symmetry")}
 
 
@@ -160,6 +80,8 @@ def _load(path: str, parse=parse_input):
             return parse(fh.read())
     except OSError as e:
         raise InvalidInputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InvalidInputError(f"cannot read {path}: {e}") from None
 
 
 def _config_and_triangulation(args):

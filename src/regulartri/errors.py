@@ -35,3 +35,12 @@ class TriangulationError(RegulartriError):
 
 class ResourceLimitError(RegulartriError):
     """An explicit resource budget (memory cap, group-order cap) was exceeded."""
+
+
+class ParseError(RegulartriError):
+    """A syntax error in a bracket-list text, at a 1-based line and column."""
+
+    def __init__(self, line: int, column: int, message: str):
+        super().__init__(f"parse error at line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column

@@ -46,6 +46,15 @@ def as_integer(value, what):
     return number
 
 
+def as_count(value, what):
+    """`value` as a nonnegative int: as_integer's InvalidInputError, or
+    "`what` must be nonnegative, got `value`" when it is negative."""
+    number = as_integer(value, what)
+    if number < 0:
+        raise InvalidInputError(f"{what} must be nonnegative, got {value}")
+    return number
+
+
 @dataclass(frozen=True)
 class CorankOneConfig:
     """A (d+2)-point subconfiguration with a unique affine dependence.

@@ -191,11 +191,7 @@ def screen_rays(vectors) -> ScreeningOutcome:
     if not tagged:
         return ScreeningOutcome()
     ncols = len(tagged[0].vec)
-    for v in tagged:
-        if len(v.vec) != ncols:
-            raise RegulartriError("ray system vectors of mixed lengths")
-        if all(x == 0 for x in v.vec):
-            raise RegulartriError("zero vector in ray system")
+    _check_system(((v.vec, any(v.vec)) for v in tagged), ncols)
 
     out = ScreeningOutcome()
     active = list(range(ncols))
@@ -411,12 +407,7 @@ def _extremal(vecs, idents, masks, stats):
     if stats is None:
         stats = RayStats()
     if vecs:
-        ncols = len(vecs[0])
-        for vec, mask in zip(vecs, masks):
-            if len(vec) != ncols:
-                raise RegulartriError("ray system vectors of mixed lengths")
-            if not mask:
-                raise RegulartriError("zero vector in ray system")
+        _check_system(zip(vecs, masks), len(vecs[0]))
     peeled, left = _peel(masks)
     peeled = [idents[k] for k in peeled if idents[k] is not None]
     stats.r1 += len(peeled)
@@ -430,6 +421,16 @@ def _extremal(vecs, idents, masks, stats):
             if _deferred_extremal(item, stats):
                 extremal.add(item.ident)
     return extremal
+
+
+def _check_system(pairs, ncols):
+    """RegulartriError unless each (vector, nonzero) pair, in order, has a
+    vector of length ncols and a true `nonzero`, such as its support mask."""
+    for vec, nonzero in pairs:
+        if len(vec) != ncols:
+            raise RegulartriError("ray system vectors of mixed lengths")
+        if not nonzero:
+            raise RegulartriError("zero vector in ray system")
 
 
 def _support_mask(vec) -> int:

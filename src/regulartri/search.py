@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import add, itemgetter
 
-from .errors import InvalidInputError, RegulartriError, ResourceLimitError
+from .errors import RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
-from .points import PointConfiguration
+from .points import PointConfiguration, as_count
 from .regularity import RayStats, regular_flips
 from .symmetry import group_trie, orbit_key, relabel
 from .triangulation import Triangulation, gkz, placing_triangulation
@@ -146,22 +146,19 @@ class NeighborProvider:
     """An oracle's valid neighbours, memoized in an LRU keyed by the node.
 
     capacity 0 stores nothing; the least recently used entry is evicted
-    first.  A negative capacity raises InvalidInputError.  Each list is
-    checked once, on a miss: distinct neighbours on one GKZ-vector raise
-    RegulartriError, so every list returned, cached or not, has distinct ones.
-    A list is whatever the oracle returned; the geometric oracle's is a
+    first, and a negative or non-integer capacity raises InvalidInputError.
+    Each list is checked once, on a miss: distinct neighbours on one GKZ-vector
+    raise RegulartriError, so every list returned, cached or not, has distinct
+    ones.  A list is whatever the oracle returned; the geometric oracle's is a
     `NeighborList`, which also carries its node's flips, the flip behind
     each entry first, and so the cache holds those too.  The `parent` hint goes
     to the oracle on a miss only.
     """
 
     def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
-        if cache_capacity < 0:
-            raise InvalidInputError(
-                f"cache capacity must be nonnegative, got {cache_capacity}")
         self.oracle = oracle
         self.stats = stats
-        self.capacity = cache_capacity
+        self.capacity = as_count(cache_capacity, "cache capacity")
         self.cache = OrderedDict()
 
     def neighbors(self, node, node_gkz, parent=None):
@@ -210,12 +207,6 @@ def find_root(provider: NeighborProvider, seed):
         parent = (entries, entries.index(up))
 
 
-def _check_budget(max_nodes):
-    """InvalidInputError for a negative node budget, before any work."""
-    if max_nodes is not None and max_nodes < 0:
-        raise InvalidInputError(f"node budget must be nonnegative, got {max_nodes}")
-
-
 def _count_visit(visited, max_nodes, search):
     """The visit count after one more node; crossing `max_nodes` raises."""
     if max_nodes is not None and visited >= max_nodes:
@@ -250,9 +241,10 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     and `max_nodes` count nodes (orbits, under a group); crossing the
     budget raises ResourceLimitError.  Returns the number of triangulations
     this call enumerated (the sum of |G|/|Stab| under a group).  A negative
-    `max_nodes` raises InvalidInputError.
+    or non-integer `max_nodes` raises InvalidInputError.
     """
-    _check_budget(max_nodes)
+    if max_nodes is not None:
+        max_nodes = as_count(max_nodes, "node budget")
     mode = getattr(provider.oracle, "mode", None)
     if group is not None and mode is SearchMode.ALL_FLIPS:
         raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
@@ -316,10 +308,11 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
     Exhaustive on the seed's connected component regardless of predecessor
     structure, at the price of remembering every visited triangulation.
     Returns the set of visited nodes.  `max_nodes` bounds memory
-    explicitly; crossing it raises ResourceLimitError, and a negative one
-    raises InvalidInputError.
+    explicitly; crossing it raises ResourceLimitError, and a negative or
+    non-integer one raises InvalidInputError.
     """
-    _check_budget(max_nodes)
+    if max_nodes is not None:
+        max_nodes = as_count(max_nodes, "node budget")
     stats = provider.stats
     seed = provider.oracle.seed()
     seed_gkz = provider.oracle.gkz(seed)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import exact
 from .errors import DimensionError, InvalidInputError, ResourceLimitError
-from .points import PointConfiguration, as_integer
+from .points import PointConfiguration, as_count, as_integer
 from .triangulation import Triangulation
 
 GROUP_ORDER_CAP = 10**6
@@ -54,14 +54,11 @@ def expand_group(config: PointConfiguration, generators, cap=None):
 
     Every generator must be an affine symmetry of the configuration.  The
     identity is always included.  Exceeding `cap` elements (GROUP_ORDER_CAP
-    when not given) raises ResourceLimitError, and a negative `cap` raises
-    InvalidInputError.  Elements come back sorted, so group equality is
-    plain tuple comparison.
+    when not given) raises ResourceLimitError, and a negative or non-integer
+    `cap` raises InvalidInputError.  Elements come back sorted, so group
+    equality is plain tuple comparison.
     """
-    if cap is None:
-        cap = GROUP_ORDER_CAP
-    if cap < 0:
-        raise InvalidInputError(f"group order cap must be nonnegative, got {cap}")
+    cap = GROUP_ORDER_CAP if cap is None else as_count(cap, "group order cap")
     gens = []
     for g in generators:
         g = tuple(as_integer(x, "generator entry") for x in g)
@@ -165,10 +162,10 @@ def orbit_count(stream, group, max_size=None) -> int:
 
     Memory grows with the number of distinct orbits; `max_size` bounds it
     explicitly (ResourceLimitError when exceeded, InvalidInputError when
-    negative).
+    negative or not an integer).
     """
-    if max_size is not None and max_size < 0:
-        raise InvalidInputError(f"orbit set bound must be nonnegative, got {max_size}")
+    if max_size is not None:
+        max_size = as_count(max_size, "orbit set bound")
     forms = set()
     for t in stream:
         forms.add(canonical_form(t, group))

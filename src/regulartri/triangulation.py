@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (
     DimensionError,
     InvalidInputError,
+    ParseError,
     TriangulationError,
 )
 from . import exact
@@ -86,64 +87,99 @@ def format_triangulation(t: Triangulation) -> str:
 
 
 def parse_triangulation(text: str) -> Triangulation:
-    """Parse the canonical `{{i,j,...},{...}}` form (whitespace tolerated)."""
-    s = "".join(text.split())
-    if not (s.startswith("{{") and s.endswith("}}")):
-        raise InvalidInputError(f"not a triangulation literal: {text!r}")
-    body = s[1:-1]
-    simplices = []
-    current = None
-    token = ""
-    depth = 0
-    separated = True  # a simplex may open: none closed yet, or a comma since
-    for ch in body:
-        if ch == "{":
-            depth += 1
-            if depth != 1:
-                raise InvalidInputError("nested braces in triangulation literal")
-            if not separated:
-                raise InvalidInputError("missing comma between simplices")
-            current = []
-            token = ""
-        elif ch == "}":
-            depth -= 1
-            if depth != 0 or current is None:
-                raise InvalidInputError("unbalanced braces in triangulation literal")
-            if token == "":
-                raise InvalidInputError("empty simplex in triangulation literal")
-            current.append(_parse_index(token))
-            simplices.append(tuple(current))
-            current = None
-            token = ""
-            separated = False
-        elif ch == ",":
-            if depth == 1:
-                if token == "":
-                    raise InvalidInputError("missing index in triangulation literal")
-                current.append(_parse_index(token))
-                token = ""
-            elif separated:
-                raise InvalidInputError("extra comma between simplices")
-            else:
-                separated = True
-        elif ch.isdigit():
-            if depth != 1:
-                raise InvalidInputError("digit outside a simplex")
-            token += ch
-        else:
-            raise InvalidInputError(f"unexpected character {ch!r} in triangulation")
-    if depth != 0:
-        raise InvalidInputError("unbalanced braces in triangulation literal")
-    if not simplices:
-        raise InvalidInputError("empty triangulation literal")
+    """Parse the canonical `{{i,j,...},{...}}` form with the Scanner of CLI
+    input files: blanks may stand between tokens, and a syntax error is an
+    InvalidInputError that gives its line and column."""
+    sc = Scanner(text)
+
+    def index():
+        if sc.skip_blank() == "-":
+            sc.error("point indices are nonnegative")
+        return sc.parse_int()
+
+    try:
+        simplices = sc.parse_list(lambda: sc.parse_list(index, "{}"), "{}")
+        if sc.skip_blank():
+            sc.error(f"expected end of input, found {sc.found()}")
+    except ParseError as e:
+        raise InvalidInputError(str(e)) from None
+    if not all(simplices):
+        raise InvalidInputError("empty simplex in triangulation literal")
     return Triangulation(simplices)
 
 
-def _parse_index(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise InvalidInputError(f"bad point index {token!r}") from None
+class Scanner:
+    """Reads the bracket lists of triangulation literals and CLI input files.
+    Blanks (whitespace and `#` comments) may stand between tokens; each reader
+    skips them first, so a ParseError gives the position of the bad token."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str):
+        raise ParseError(self.line, self.col, message)
+
+    def peek(self) -> str:
+        """The next character, or "" at the end of the text."""
+        return self.text[self.pos : self.pos + 1]
+
+    def found(self) -> str:
+        return repr(self.peek()) if self.peek() else "end of input"
+
+    def advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def skip_blank(self) -> str:
+        """Skip whitespace and comments; the next character, as peek()."""
+        while True:
+            ch = self.peek()
+            if ch == "#":
+                while self.peek() not in ("", "\n"):
+                    self.advance()
+            elif ch.isspace():
+                self.advance()
+            else:
+                return ch
+
+    def expect(self, ch: str):
+        if self.skip_blank() != ch:
+            self.error(f"expected {ch!r}, found {self.found()}")
+        self.advance()
+
+    def parse_int(self) -> int:
+        # isdecimal, not isdigit: int() refuses digits such as '²'.
+        digits = self.advance() if self.skip_blank() == "-" else ""
+        if not self.peek().isdecimal():
+            self.error(f"expected an integer, found {self.found()}")
+        while self.peek().isdecimal():
+            digits += self.advance()
+        if self.peek() == ".":
+            self.error("floating point numbers are not supported; use integers")
+        return int(digits)
+
+    def parse_list(self, item, brackets: str) -> list:
+        """A comma-separated list of what `item()` reads, enclosed in the two
+        characters of `brackets`, such as "[]"."""
+        opening, closing = brackets
+        self.expect(opening)
+        out = []
+        if self.skip_blank() != closing:
+            out.append(item())
+            while self.skip_blank() == ",":
+                self.advance()
+                out.append(item())
+        self.expect(closing)
+        return out
 
 
 # -- GKZ-vectors -------------------------------------------------------

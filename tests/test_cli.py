@@ -133,9 +133,11 @@ def test_parse_input_rejects_unclosed_list():
                  id="empty-list-then-junk"),
     pytest.param("points: [[0,0],[1,0],]", 1, 22, "expected '[', found ']'",
                  id="trailing-comma"),
+    pytest.param("points: [[0,\u00b2]]", 1, 13, "expected an integer, found '\u00b2'",
+                 id="superscript-digit"),
 ))
 def test_parse_error_positions(text, line, column, message):
-    # Recorded before the two list parsers became one.
+    # All but the last were recorded before the two list parsers became one.
     with pytest.raises(cli.ParseError) as err:
         cli.parse_input(text)
     assert (err.value.line, err.value.column) == (line, column)
@@ -354,6 +356,16 @@ def test_regular_rejects_invalid_triangulation(tmp_path):
     assert code == cli.EXIT_SEMANTIC
 
 
+def test_regular_rejects_malformed_literal_with_position(tmp_path, capsys):
+    # A space inside an index list is a missing comma, not part of "12".
+    inp = _write(tmp_path, "square.txt", SQUARE_INPUT)
+    tri = _write(tmp_path, "bad.txt", "{{0,1 2},{0,2,3}}\n")
+    code, text = _run(["regular", "--input", inp, "--triangulation", tri])
+    assert (code, text) == (cli.EXIT_SEMANTIC, "")
+    assert capsys.readouterr().err == (
+        "error: parse error at line 1, column 7: expected '}', found '2'\n")
+
+
 # -- flips ----------------------------------------------------------------
 
 
@@ -414,6 +426,21 @@ def test_exit_semantic(tmp_path):
     missing = str(tmp_path / "does-not-exist.txt")
     code, _ = _run(["enumerate", "--input", missing])
     assert code == cli.EXIT_SEMANTIC
+
+
+def test_exit_semantic_on_non_utf8_files(tmp_path, capsys):
+    good_inp = _write(tmp_path, "square.txt", SQUARE_INPUT)
+    good_tri = _write(tmp_path, "t.txt", "{{0,1,2},{0,2,3}}")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"# caf\xe9\n")
+    for argv in (
+        ["enumerate", "--input", str(latin1)],
+        ["regular", "--input", good_inp, "--triangulation", str(latin1)],
+        ["regular", "--input", str(latin1), "--triangulation", good_tri],
+    ):
+        assert _run(argv) == (cli.EXIT_SEMANTIC, "")
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_exit_resource(tmp_path, monkeypatch):

@@ -676,16 +676,24 @@ def test_search_node_budgets():
 def test_negative_budgets_are_invalid_input():
     # Both are library errors raised before the search does any work.
     config = simplex_product(2, 2)
-    with pytest.raises(InvalidInputError, match="cache capacity"):
-        enumerate_triangulations(config, cache_capacity=-1)
-    for baseline in (False, True):
-        with pytest.raises(InvalidInputError, match="node budget"):
-            enumerate_triangulations(config, max_nodes=-1, baseline=baseline)
-    for search_call in (reverse_search, baseline_dfs):
-        provider, stats = _provider(config)
-        with pytest.raises(InvalidInputError, match="node budget"):
-            search_call(provider, max_nodes=-1)
-        assert stats.cache_misses == 0 and stats.nodes == 0
+    # Non-integers are refused too: a budget of 2.5 is never rounded.
+    for bad in (-1, 2.5, "3"):
+        with pytest.raises(InvalidInputError, match="cache capacity"):
+            enumerate_triangulations(config, cache_capacity=bad)
+        for baseline in (False, True):
+            with pytest.raises(InvalidInputError, match="node budget"):
+                enumerate_triangulations(config, max_nodes=bad, baseline=baseline)
+        for search_call in (reverse_search, baseline_dfs):
+            provider, stats = _provider(config)
+            with pytest.raises(InvalidInputError, match="node budget"):
+                search_call(provider, max_nodes=bad)
+            assert stats.cache_misses == 0 and stats.nodes == 0
+    with pytest.raises(InvalidInputError) as err:
+        enumerate_triangulations(config, max_nodes=-1)
+    assert str(err.value) == "node budget must be nonnegative, got -1"
+    with pytest.raises(InvalidInputError) as err:
+        enumerate_triangulations(config, max_nodes=2.5)
+    assert str(err.value) == "node budget 2.5 is not an integer"
 
 
 def _relabelled(points, generators, seed):

@@ -106,6 +106,9 @@ def test_expand_group_input_checks():
     for gens in ([], [SQUARE_ROTATION], [(0, 1, 2)]):
         with pytest.raises(InvalidInputError, match="cap must be nonnegative"):
             expand_group(sq, gens, cap=-1)
+        for cap in (3.5, "4"):
+            with pytest.raises(InvalidInputError, match="cap .* is not an integer"):
+                expand_group(sq, gens, cap=cap)
     assert len(expand_group(sq, [SQUARE_ROTATION], cap=4)) == 4
 
 
@@ -122,6 +125,8 @@ def test_orbit_count_input_checks():
 
     with pytest.raises(InvalidInputError, match="must be nonnegative"):
         orbit_count(stream(), group, max_size=-1)
+    with pytest.raises(InvalidInputError, match="orbit set bound 0.5 is not an integer"):
+        orbit_count(stream(), group, max_size=0.5)
     assert consumed == []
     assert orbit_count(ts, group, max_size=1) == 1
     with pytest.raises(ResourceLimitError):

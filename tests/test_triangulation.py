@@ -55,8 +55,9 @@ def test_format_parse_round_trip():
     assert text == "{{0,1,2},{0,2,3}}"
     assert parse_triangulation(text) == t
     assert t.canonical() == text
-    # Whitespace is tolerated, order is normalized.
+    # Whitespace and comments are tolerated, order is normalized.
     assert parse_triangulation(" { {2, 0, 3}, {1, 0, 2} } ") == t
+    assert parse_triangulation("# the square\n{{0,1,2},  # first\n {0,2,3}}\n") == t
 
 
 def test_parse_rejects_malformed_literals():
@@ -73,6 +74,10 @@ def test_parse_rejects_malformed_literals():
         "{{0,1,2}}}",
         "{{0,1,2}{0,2,3}}",
         "{{0,1,2},,{0,2,3}}",
+        "{{0,1 2},{0,2,3}}",
+        "{{0,1,2 3}}",
+        "{{-1,0,1}}",
+        "{{0,1,\u00b2}}",
     ]
     for text in bad:
         with pytest.raises(InvalidInputError):
