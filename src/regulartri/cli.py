@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .flips import find_flips
-from .points import PointConfiguration
+from .points import PointConfiguration, as_count
 from .regularity import is_regular, regular_flips
 from .search import SearchMode, enumerate_triangulations
 from .symmetry import (
@@ -214,14 +214,13 @@ def cmd_flips(args, out) -> int:
 # -- entry point ---------------------------------------------------------
 
 
-def _nonnegative_int(text: str) -> int:
+def _cache_capacity(text: str) -> int:
     try:
-        value = int(text)
+        return as_count(int(text), "cache capacity")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    except InvalidInputError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enum.add_argument("--stats", action="store_true", help="print run counters")
     enum.add_argument(
-        "--flip-cache", type=_nonnegative_int, default=40000, metavar="N",
+        "--flip-cache", type=_cache_capacity, default=40000, metavar="N",
         help="flip-list cache capacity (0 disables caching; default 40000)",
     )
     enum.add_argument(

@@ -8,27 +8,36 @@ the graph is the edge graph of a polytope — is found by walking upflips from
 the placing seed.  Children of a node are exactly the lex-smaller neighbors
 whose predecessor is the node, so no visited set is ever needed.
 
-The engine is generic over a three-method oracle, so that the same traversal
+The engine is generic over a four-method oracle, so that the same traversal
 (and the same cache semantics) can be driven by the real geometry or by a
 hand-built graph in tests:
 
     gkz(node)                          -> tuple
-    neighbors(node, node_gkz, parent)  -> [(target, target_gkz)]  (the mode-valid ones)
+    neighbors(node, node_gkz, parent)  -> NeighborList  (its node's flips)
+    target(node, flip)                 -> node
     seed()                             -> node
 
+A `NeighborList` holds its node, the node's GKZ-vector, the node's flips
+with the `kept` mode-valid ones first, and `up`, the index of the upflip;
+no entry's target or GKZ-vector.  Entry k has GKZ-vector node_gkz +
+flips[k].delta, so entries compare with each other and with the node as
+their deltas do with each other and with zero (lex order is invariant
+under translation).  Its target, `target(node, flips[k])`, is built only
+when a traversal takes the entry: a root-walk step, a candidate child, a
+baseline step.
+
 Nodes are hashable values (`Triangulation` objects for the geometry) and are
-the search's identity: a node's valid neighbours are memoized in an LRU cache
-keyed by the node itself, and visitors receive the node.  Each list is a
-verdict about the node's flips, never about their targets' regularity.  Any
-cache capacity (including zero) yields the same enumeration; only the hit
+the search's identity: a node's list is memoized in an LRU cache keyed by
+the node itself, and visitors receive the node.  Each list is a verdict
+about the node's flips, never about their targets' regularity.  Any cache
+capacity (including zero) yields the same enumeration; only the hit
 counters move.
 
 `parent` is None or a hint (entries, k): a list that `neighbors` returned
 for another node, whose k-th target is this node.  The traversals pass it
 whenever they query a target they took from a list, and an oracle may use
-it or ignore it; the answer must not depend on it.  The geometric oracle's
-lists carry their node's whole flip list and the flip behind each entry, so
-a child's flips are derived from its parent's (see `flips.find_flips`).
+it or ignore it; the answer must not depend on it.  The geometric oracle
+derives a child's flips from its parent's (see `flips.find_flips`).
 
 Given a symmetry group, `reverse_search` is symmetric reverse search (as in
 mptopcom): it walks one representative per orbit, the member with the
@@ -42,7 +51,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import add, itemgetter
+from operator import add
 
 from .errors import RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
@@ -87,8 +96,7 @@ class GeometricFlipOracle:
         return gkz(self.config, t)
 
     def neighbors(self, t: Triangulation, t_gkz, parent=None):
-        """The targets and GKZ-vectors of the mode-valid flips, in
-        `find_flips` order; targets are built for these flips only.
+        """The node's flips in `find_flips` order, the mode-valid ones first.
 
         With a hint (entries, k) from an earlier list, the flips are derived
         from that list's; `verify_increments` compares them with
@@ -109,13 +117,14 @@ class GeometricFlipOracle:
         kept = flips
         if self.mode is SearchMode.REGULAR_ONLY:
             kept = regular_flips(self.config, t, flips, self.stats.rays)
-        out = NeighborList((apply_flip(self.config, t, f), _shifted(t_gkz, f)) for f in kept)
-        out.flips = tuple(kept)
         if len(kept) < len(flips):
             # `kept` holds flips' own objects, in order: test by identity.
             kept_ids = set(map(id, kept))
-            out.flips += tuple(f for f in flips if id(f) not in kept_ids)
-        return out
+            flips = kept + [f for f in flips if id(f) not in kept_ids]
+        return NeighborList(t, t_gkz, tuple(flips), len(kept))
+
+    def target(self, t: Triangulation, flip):
+        return apply_flip(self.config, t, flip)
 
     def _check(self, t, t_gkz, flip):
         target = apply_flip(self.config, t, flip)
@@ -128,13 +137,15 @@ class GeometricFlipOracle:
         return placing_triangulation(self.config)
 
 
-class NeighborList(list):
-    """A geometric neighbour list: (target, target_gkz) entries, plus the
-    node's flips as one tuple, `flips`.  Its k-th flip is the one behind the
-    k-th entry; the flips that screening discarded follow.  Deriving a
-    child's flips reads the parent's in any order."""
+class NeighborList:
+    """A node's compact neighbour list (see the module docstring): entries
+    `flips[:kept]` are the mode-valid flips, the rest were discarded, and
+    the provider sets `up`."""
 
-    __slots__ = ("flips",)
+    __slots__ = ("node", "gkz", "flips", "kept", "up")
+
+    def __init__(self, node, node_gkz, flips, kept):
+        self.node, self.gkz, self.flips, self.kept, self.up = node, node_gkz, flips, kept, None
 
 
 def _shifted(t_gkz, flip):
@@ -143,16 +154,14 @@ def _shifted(t_gkz, flip):
 
 
 class NeighborProvider:
-    """An oracle's valid neighbours, memoized in an LRU keyed by the node.
+    """An oracle's neighbour lists, memoized in an LRU keyed by the node.
 
     capacity 0 stores nothing; the least recently used entry is evicted
     first, and a negative or non-integer capacity raises InvalidInputError.
-    Each list is checked once, on a miss: distinct neighbours on one GKZ-vector
-    raise RegulartriError, so every list returned, cached or not, has distinct
-    ones.  A list is whatever the oracle returned; the geometric oracle's is a
-    `NeighborList`, which also carries its node's flips, the flip behind
-    each entry first, and so the cache holds those too.  The `parent` hint goes
-    to the oracle on a miss only.
+    Each list is checked once, on a miss: distinct entries on one
+    GKZ-vector raise RegulartriError, so every list returned, cached or
+    not, has distinct ones, and its `up` is set then.  The `parent` hint
+    goes to the oracle on a miss only.
     """
 
     def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
@@ -162,36 +171,35 @@ class NeighborProvider:
         self.cache = OrderedDict()
 
     def neighbors(self, node, node_gkz, parent=None):
-        """Valid neighbors as (target, target_gkz) pairs, deterministic order."""
-        entry = self.cache.get(node)
-        if entry is not None:
+        """The node's `NeighborList`, with `up` set."""
+        entries = self.cache.get(node)
+        if entries is not None:
             self.cache.move_to_end(node)
             self.stats.cache_hits += 1
-            return entry
+            return entries
         self.stats.cache_misses += 1
-        entry = self.oracle.neighbors(node, node_gkz, parent)
-        if len({tgkz for _, tgkz in entry}) != len(entry):
+        entries = self.oracle.neighbors(node, node_gkz, parent)
+        # Entries compare as their deltas do (see the module docstring).
+        deltas = [f.delta for f in entries.flips[:entries.kept]]
+        if len(set(deltas)) != len(deltas):
             raise RegulartriError("distinct neighbors share a GKZ-vector")
+        top = max(deltas, default=())
+        if top > (0,) * len(top):
+            entries.up = deltas.index(top)
         if self.capacity:
-            self.cache[node] = entry
+            self.cache[node] = entries
             if len(self.cache) > self.capacity:
                 self.cache.popitem(last=False)
-        return entry
+        return entries
 
 
 def predecessor(provider: NeighborProvider, node, node_gkz, parent=None):
-    """The lex-largest valid neighbor, if it improves on the node; else None.
-    It is unique: the provider checks that a list's GKZ-vectors differ.
-    `parent` is the node's hint for the provider (see the module docstring)."""
-    return _upflip(provider.neighbors(node, node_gkz, parent), node_gkz)
-
-
-def _upflip(entries, node_gkz):
-    """The entry with the lex-largest GKZ-vector, if it is above node_gkz."""
-    best = max(entries, key=itemgetter(1), default=None)
-    if best is not None and best[1] > node_gkz:
-        return best
-    return None
+    """The node's lex-largest valid neighbour as an entry (entries, k) of
+    its list, if it improves on the node; else None.  It is unique: a
+    list's GKZ-vectors differ.  `parent` is the node's hint (see the module
+    docstring)."""
+    entries = provider.neighbors(node, node_gkz, parent)
+    return None if entries.up is None else (entries, entries.up)
 
 
 def find_root(provider: NeighborProvider, seed):
@@ -200,11 +208,11 @@ def find_root(provider: NeighborProvider, seed):
     node, node_gkz, parent = seed, provider.oracle.gkz(seed), None
     while True:
         entries = provider.neighbors(node, node_gkz, parent)
-        up = _upflip(entries, node_gkz)
-        if up is None:
+        if entries.up is None:
             return node, node_gkz
-        node, node_gkz = up
-        parent = (entries, entries.index(up))
+        flip = entries.flips[entries.up]
+        parent = (entries, entries.up)
+        node, node_gkz = provider.oracle.target(node, flip), _shifted(node_gkz, flip)
 
 
 def _count_visit(visited, max_nodes, search):
@@ -250,7 +258,9 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
         raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
                               "do not identify non-regular triangulations")
     stats = provider.stats
+    target = provider.oracle.target
     root, root_gkz = find_root(provider, provider.oracle.seed())
+    zero = (0,) * len(root_gkz)
     search, total = "reverse search", 1
     if group is not None:
         search, order, trie = "orbit search", len(group), group_trie(group)
@@ -268,30 +278,36 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
         node, node_gkz, depth, parent = stack.pop()
         seen = set()
         entries = provider.neighbors(node, node_gkz, parent)
-        for k, (target, tgkz) in enumerate(entries):
+        flips = entries.flips
+        for k in range(entries.kept):
+            flip = flips[k]
+            if flip.delta >= zero:
+                # Not below the node, nor is its orbit key: never a child.
+                continue
+            hint = (entries, k)
             if group is None:
-                if tgkz >= node_gkz:
-                    continue
-                child, cgkz, size = target, tgkz, 1
+                child, cgkz, size = target(node, flip), _shifted(node_gkz, flip), 1
             else:
-                cgkz, perm, stabiliser = orbit_key(tgkz, group, trie)
+                cgkz, perm, stabiliser = orbit_key(_shifted(node_gkz, flip), group, trie)
                 if cgkz >= node_gkz or cgkz in seen:
                     continue
                 seen.add(cgkz)
                 size = order // stabiliser
                 # A target that is its own representative is the child; a
                 # relabelled one has no list to derive its flips from.
-                child = target if perm == identity else relabel(target, perm)
-            hint = (entries, k) if child is target else None
+                child = target(node, flip)
+                if perm != identity:
+                    child, hint = relabel(child, perm), None
             # The node is the parent when the predecessor's key (without a
             # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
             # even where GKZ does not identify triangulations: the node is a
             # valid neighbour of the child, and one list's GKZ-vectors are
             # distinct, so no other neighbour has the node's.
             pred = predecessor(provider, child, cgkz, hint)
-            if pred is None or node_gkz != (
-                pred[1] if group is None else orbit_key(pred[1], group, trie)[0]
-            ):
+            if pred is None:
+                continue
+            pred_gkz = _shifted(cgkz, pred[0].flips[pred[1]])
+            if node_gkz != (pred_gkz if group is None else orbit_key(pred_gkz, group, trie)[0]):
                 continue
             visited = _count_visit(visited, max_nodes, search)
             total += size
@@ -325,12 +341,15 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
     while stack:
         node, node_gkz, depth, parent = stack.pop()
         entries = provider.neighbors(node, node_gkz, parent)
-        for k, (target, tgkz) in enumerate(entries):
+        for k in range(entries.kept):
+            flip = entries.flips[k]
+            target = provider.oracle.target(node, flip)
             if target in visited:
                 continue
             _count_visit(len(visited), max_nodes, "baseline traversal")
             visited.add(target)
             stats.nodes += 1
+            tgkz = _shifted(node_gkz, flip)
             if visitor is not None:
                 visitor(target, tgkz, depth + 1)
             stack.append((target, tgkz, depth + 1, (entries, k)))

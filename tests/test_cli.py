@@ -230,7 +230,7 @@ def test_enumerate_rejects_negative_flip_cache(tmp_path, capsys):
     assert (code, text) == (cli.EXIT_USAGE, "")
     err = capsys.readouterr().err
     assert err.startswith("usage: regulartri enumerate")
-    assert err.endswith("argument --flip-cache: must be nonnegative, got -1\n")
+    assert err.endswith("argument --flip-cache: cache capacity must be nonnegative, got -1\n")
     code, _ = _run(["enumerate", "--input", path, "--flip-cache", "x"])
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err.endswith("--flip-cache: invalid int value: 'x'\n")

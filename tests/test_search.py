@@ -8,12 +8,16 @@ the search tree.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from operator import add, sub
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -46,6 +50,7 @@ from regulartri import (
 from regulartri import search
 from regulartri.search import (
     GeometricFlipOracle,
+    NeighborList,
     NeighborProvider,
     SearchStats,
     baseline_dfs,
@@ -65,7 +70,33 @@ def _provider(config, mode=SearchMode.REGULAR_ONLY, capacity=40000):
     return NeighborProvider(oracle, stats, capacity), stats
 
 
-class MockOracle:
+class PairFlip(NamedTuple):
+    """An edge of a hand-built graph: its GKZ displacement and its target."""
+
+    delta: tuple
+    target: object
+
+
+class PairOracle:
+    """Serves a hand-built graph, given as `pairs(t)`, a node's valid
+    (target, target_gkz) pairs, through the oracle protocol: each pair is a
+    kept `PairFlip` of the node's list."""
+
+    def neighbors(self, t, t_gkz, parent=None):
+        flips = tuple(PairFlip(tuple(map(sub, g, t_gkz)), tgt) for tgt, g in self.pairs(t))
+        return NeighborList(t, t_gkz, flips, len(flips))
+
+    def target(self, t, flip):
+        return flip.target
+
+
+def entry(oracle, entries, k):
+    """Entry k of a neighbour list as (target, target_gkz)."""
+    flip = entries.flips[k]
+    return oracle.target(entries.node, flip), tuple(map(add, entries.gkz, flip.delta))
+
+
+class MockOracle(PairOracle):
     """Three triangulations; the direct edge between top and bottom is a
     non-regular flip, and it is the bottom node's lex-largest upflip."""
 
@@ -82,7 +113,7 @@ class MockOracle:
     def gkz(self, t):
         return self.GKZ[t]
 
-    def neighbors(self, t, t_gkz, parent=None):
+    def pairs(self, t):
         return [(tgt, self.GKZ[tgt]) for f, tgt in self.EDGES[t] if f not in self.bad]
 
     def seed(self):
@@ -101,14 +132,14 @@ class TargetTrustingProvider(NeighborProvider):
         super().__init__(_TargetTrustingOracle(oracle), stats, cache_capacity)
 
 
-class _TargetTrustingOracle:
+class _TargetTrustingOracle(PairOracle):
     def __init__(self, mock):
         self.mock = mock
         self.gkz = mock.gkz
         self.seed = mock.seed
         self.known_regular = set()
 
-    def neighbors(self, t, t_gkz, parent=None):
+    def pairs(self, t):
         kept = []
         for f, target in self.mock.EDGES[t]:
             if target in self.known_regular or f not in self.mock.bad:
@@ -219,7 +250,7 @@ def forged_derivation_neighbors():
     entries = oracle.neighbors(t, gkz(config, t))
     search.find_flips = forged
     try:
-        return oracle.neighbors(entries[0][0], entries[0][1], (entries, 0))
+        return oracle.neighbors(*entry(oracle, entries, 0), (entries, 0))
     finally:
         search.find_flips = original
 
@@ -274,8 +305,7 @@ def test_predecessor_square():
     high = parse_triangulation("{{0,1,2},{0,2,3}}")
     pred = predecessor(provider, low, gkz(sq, low))
     assert pred is not None
-    assert pred[0] == high
-    assert pred[1] == (2, 1, 2, 1)
+    assert entry(provider.oracle, *pred) == (high, (2, 1, 2, 1))
     assert predecessor(provider, high, gkz(sq, high)) is None
 
 
@@ -369,8 +399,9 @@ def test_predecessor_chains_reach_root():
             up = predecessor(provider, node, node_gkz)
             if up is None:
                 break
-            assert up[1] > node_gkz
-            node, node_gkz = up
+            up_node, up_gkz = entry(provider.oracle, *up)
+            assert up_gkz > node_gkz
+            node, node_gkz = up_node, up_gkz
             hops += 1
             assert hops <= len(members)
         assert node == root
@@ -397,14 +428,14 @@ def test_cache_transparency():
     assert stats.cache_hits > 0
 
 
-class RecordingOracle:
+class RecordingOracle(PairOracle):
     """Every node has one neighbour, except "a", which has none; the nodes
     whose neighbours were computed are recorded in order."""
 
     def __init__(self):
         self.computed = []
 
-    def neighbors(self, node, node_gkz, parent=None):
+    def pairs(self, node):
         self.computed.append(node)
         return [] if node == "a" else [(node + "'", (0,))]
 
@@ -417,7 +448,8 @@ def test_flip_cache_lru_eviction():
     # "c" evicts "b", the least recently used; "a"'s empty list is cached too.
     assert oracle.computed == ["a", "b", "c", "b"]
     assert (stats.cache_hits, stats.cache_misses) == (3, 4)
-    assert lists[3] is lists[5] == [("c'", (0,))]
+    assert lists[3] is lists[5]
+    assert (lists[3].kept, entry(oracle, lists[3], 0)) == (1, ("c'", (0,)))
     assert list(provider.cache) == ["c", "b"]
     stats = SearchStats()
     oracle = RecordingOracle()
@@ -430,7 +462,73 @@ def test_flip_cache_lru_eviction():
         NeighborProvider(RecordingOracle(), SearchStats(), -1)
 
 
-def test_targets_are_built_for_kept_flips_only(monkeypatch):
+def test_cached_lists_hold_no_targets():
+    # A list holds its node, the node's GKZ-vector and the configuration's
+    # memoised flips: no other triangulation and no entry's GKZ-vector.
+    config = simplex_product(2, 2)
+    provider, _ = _provider(config)
+    reverse_search(provider)
+    memo = set(map(id, config.flip_memo.values()))
+    assert len(provider.cache) == 108
+    for node, entries in provider.cache.items():
+        held = gc.get_referents(entries)
+        assert [x for x in held if isinstance(x, Triangulation)] == [node]
+        assert {id(x) for x in held if isinstance(x, tuple)} == {
+            id(entries.gkz), id(entries.flips)}
+        assert entries.node is node and entries.gkz == gkz(config, node)
+        assert all(id(flip) in memo for flip in entries.flips)
+
+
+def test_cache_bytes_per_list():
+    # What the cache frees when it is emptied after a search of Δ2×Δ2, per
+    # list.  Lists that held every kept target and its GKZ-vector took
+    # 1 626 bytes each under tracemalloc (Python 3.11); compact lists take
+    # under half of that.
+    stats = SearchStats()
+    provider = NeighborProvider(
+        GeometricFlipOracle(simplex_product(2, 2), SearchMode.REGULAR_ONLY, stats), stats)
+    tracemalloc.start()
+    try:
+        reverse_search(provider)
+        lists = len(provider.cache)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        provider.cache.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert lists == 108
+    assert 0 < freed / lists < 1626 / 2
+
+
+@pytest.mark.parametrize("options, hits, misses, flips, rays", (
+    pytest.param({}, 14207, 4488, 28368, RayStats(r1=23328, r2=2016, r3=3024), id="default"),
+    pytest.param({"cache_capacity": 0}, 0, 18695, 119226,
+                 RayStats(r1=94602, r2=9504, r3=15120), id="uncached"),
+    pytest.param({"verify_increments": True}, 14207, 4488, 28368,
+                 RayStats(r1=23328, r2=2016, r3=3024), id="verified"),
+))
+def test_search_counters_on_triangle_times_tetrahedron(options, hits, misses, flips, rays):
+    count, stats = enumerate_triangulations(simplex_product(2, 3), **options)
+    assert (count, stats.nodes) == (4488, 4488)
+    assert (stats.cache_hits, stats.cache_misses, stats.flips_evaluated) == (hits, misses, flips)
+    assert stats.rays == rays
+
+
+def test_reverse_search_matches_baseline_on_triangle_times_tetrahedron():
+    config = simplex_product(2, 3)
+    seen, base = set(), set()
+    enumerate_triangulations(config, visitor=lambda t, g, d: seen.add(t))
+    enumerate_triangulations(config, baseline=True, visitor=lambda t, g, d: base.add(t))
+    assert len(seen) == 4488
+    assert seen == base
+
+
+def test_targets_are_built_for_taken_entries_only(monkeypatch):
+    # A target is built only when a traversal takes its entry: reverse
+    # search takes the root walk's upflips, then each lower neighbour of
+    # each node, so each edge of the flip graph once, from its upper end.
     calls = []
     original = search.apply_flip
 
@@ -440,10 +538,19 @@ def test_targets_are_built_for_kept_flips_only(monkeypatch):
 
     monkeypatch.setattr(search, "apply_flip", counting)
     count, stats = enumerate_triangulations(nested_triangles())
-    # 16 flip lists of 54 flips, six of which screening discards.
+    # 16 flip lists of 54 flips, six of which screening discards: 48 kept
+    # entries, two per edge.  The placing seed is the root.
     assert (count, stats.cache_misses, stats.flips_evaluated) == (16, 16, 54)
-    assert len(calls) == 48
+    assert len(calls) == 24
+    assert all(flip.delta < (0,) * 6 for flip in calls)
     calls.clear()
+    # cube(3): 304 flips, all regular, so 152 edges; the walk takes 8 steps.
+    count, stats = enumerate_triangulations(cube(3))
+    walk = [flip for flip in calls if flip.delta > (0,) * 8]
+    assert (count, stats.flips_evaluated) == (74, 304)
+    assert (calls[:len(walk)], len(walk), len(calls)) == (walk, 8, 8 + 152)
+    calls.clear()
+    # The baseline takes every entry of every node it pops.
     count, stats = enumerate_triangulations(
         nested_triangles(), mode=SearchMode.ALL_FLIPS, baseline=True)
     assert count == 18
@@ -485,7 +592,7 @@ def test_verify_increments_checks_discarded_flips(forgery, message, monkeypatch)
 
     monkeypatch.setattr(search, "apply_flip", forged)
     unchecked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats())
-    assert len(unchecked.neighbors(t, gkz(config, t))) < len(find_flips(config, t))
+    assert unchecked.neighbors(t, gkz(config, t)).kept < len(find_flips(config, t))
     checked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats(), True)
     with pytest.raises(RegulartriError, match=message):
         checked.neighbors(t, gkz(config, t))
@@ -616,7 +723,7 @@ def test_orbit_search_keys_match_the_list_key(make, generators, count, orbits, m
     for capacity in (0, 40000):
         keys.clear()
         assert _orbit_search(config, generators, capacity)[:2] == (orbits, count)
-        # The root, every neighbour of a representative, and the
+        # The root, every lower neighbour of a representative, and the
         # predecessors of the candidate children were all keyed.
         assert len(keys) > orbits
 
@@ -648,6 +755,26 @@ def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived,
     assert stats.nodes == orbits
     assert tuple(range(config.n)) not in perms
     assert (len(perms), sum(hinted), len(hinted)) == (relabels, derived, lists)
+
+
+def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
+    # A neighbour at or above the node is never keyed: its key, at least
+    # its own GKZ-vector, could not be below the node's.
+    keyed = []
+
+    def counting(node_gkz, key_group, trie):
+        keyed.append(node_gkz)
+        return orbit_key(node_gkz, key_group, trie)
+
+    monkeypatch.setattr(search, "orbit_key", counting)
+    config = simplex_product(2, 3)
+    group = expand_group(config, simplex_product_symmetry_generators(2, 3))
+    total, stats = enumerate_triangulations(config, group=group)
+    assert total == 4488
+    assert stats == SearchStats(nodes=35, flips_evaluated=330, cache_hits=99, cache_misses=53,
+                                rays=RayStats(r1=288, r2=16, r3=26))
+    # 317 calls when every neighbour was keyed.
+    assert len(keyed) == 250
 
 
 def test_search_node_budgets():
