@@ -45,8 +45,9 @@ for event in outcome.events:
 print("confirmed extremal by screening:", sorted(outcome.confirmed))
 print("deferred to closer inspection:", [d.ident for d in outcome.deferred])
 
-# phase 2 — the full decision; deferred candidates fall back to scalar
-# comparisons and, only if those fail too, to an exact simplex LP
+# phase 2 — the full decision; each deferred candidate goes through the
+# cascade again on its snapshot, down to a scalar comparison or, only if the
+# snapshot stops shrinking, an exact simplex LP
 stats = RayStats()
 extremal = extremal_rays(tagged, stats)
 print("extremal rays:", sorted(extremal))

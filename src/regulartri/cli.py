@@ -30,7 +30,7 @@ from .errors import (
 from .flips import find_flips
 from .points import PointConfiguration, as_count
 from .regularity import is_regular, regular_flips
-from .search import SearchMode, enumerate_triangulations
+from .search import DEFAULT_CACHE_CAPACITY, SearchMode, enumerate_triangulations
 from .symmetry import (
     canonical_form,
     expand_group,
@@ -110,7 +110,7 @@ def cmd_enumerate(args, out) -> int:
     config = PointConfiguration(data["points"])
     group = None
     if args.orbits:
-        if not data["symmetry"]:
+        if data["symmetry"] is None:
             raise InvalidInputError("--orbits requires a 'symmetry' key in the input")
         group = expand_group(config, data["symmetry"])
 
@@ -256,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enum.add_argument("--stats", action="store_true", help="print run counters")
     enum.add_argument(
-        "--flip-cache", type=_cache_capacity, default=40000, metavar="N",
-        help="flip-list cache capacity (0 disables caching; default 40000)",
+        "--flip-cache", type=_cache_capacity, metavar="N",
+        default=DEFAULT_CACHE_CAPACITY,
+        help="flip-list cache capacity (0 disables caching; default %(default)s)",
     )
     enum.add_argument(
         "--orbits", action="store_true",

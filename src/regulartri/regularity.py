@@ -24,9 +24,11 @@ without any LP by scanning columns:
   be solved on its own; the nonzero-side vectors are set aside as in R3
   (R4).
 
-Deferred vectors are decided afterwards: against a two-vector snapshot whose
-other vector is a known non-ray, extremality is a scalar-multiple test;
-otherwise one small LP runs against the snapshot.
+A deferred vector is decided afterwards by the same cascade, run on its
+snapshot with the other vectors untagged.  It is extremal once confirmed or
+once the snapshot is empty; against a single other vector extremality is a
+scalar-multiple test; and when the cascade defers it again without
+shrinking the snapshot, one small LP runs against the snapshot.
 
 R1 leads the cascade and removals only shrink columns, so the cascade opens
 with R1 run to its unique fixpoint.  `extremal_rays` and the deferred stage
@@ -175,7 +177,7 @@ def screen_rays(vectors) -> ScreeningOutcome:
     the partition is exact, screening never misclassifies.
 
     Scheduling is deterministic: rules are tried in the order R1, R2,
-    R3-with-candidate-singleton, R3, R4, each scanning active columns in
+    R3-with-candidate-singleton, R3, R4, each scanning nonempty columns in
     ascending order, restarting after every applied reduction.  Screening
     stops as soon as no candidates remain in the system, since reductions
     among known non-rays cannot decide anything further.
@@ -194,12 +196,11 @@ def screen_rays(vectors) -> ScreeningOutcome:
     _check_system(((v.vec, any(v.vec)) for v in tagged), ncols)
 
     out = ScreeningOutcome()
-    active = list(range(ncols))
     system = _System(tagged, ncols)
     live = system.live
 
     while system.candidates:
-        action = _find_reduction(system, active)
+        action = _find_reduction(system)
         if action is None:
             break
         rule, col, data = action
@@ -330,24 +331,21 @@ def _cancel(a: TaggedVector, b: TaggedVector, col: int) -> TaggedVector:
     return TaggedVector(vec, None)
 
 
-def _find_reduction(system, active):
+def _find_reduction(system):
     """Pick the next reduction: (rule, column, data) or None at fixpoint.
 
+    Every column is scanned in ascending order; an empty one is skipped.
     Data is a slot for R1, a (positive, negative) slot pair for R2, a
     (single slot, opposite mask) pair for R3 and the mask of the nonzero
     slots for R4.
     """
     r2 = r3c = r3 = r4 = None
-    dead = []
-    pos, neg, live = system.pos, system.neg, system.live
-    for col in active:
-        p, n = pos[col], neg[col]
+    live = system.live
+    for col, (p, n) in enumerate(zip(system.pos, system.neg)):
         if not (p or n):
-            dead.append(col)
             continue
         np_, nn = p.bit_count(), n.bit_count()
         if np_ + nn == 1:
-            _deactivate(active, dead)
             return ("R1", col, (p | n).bit_length() - 1)
         if np_ == 1 and nn == 1:
             if r2 is None:
@@ -362,13 +360,7 @@ def _find_reduction(system, active):
                 r3 = ("R3", col, (single, opposite))
         elif (np_ == 0 or nn == 0) and r4 is None:
             r4 = ("R4", col, p | n)
-    _deactivate(active, dead)
     return r2 or r3c or r3 or r4
-
-
-def _deactivate(active, dead):
-    for col in dead:
-        active.remove(col)
 
 
 # -- extremal-ray classification ------------------------------------------
@@ -394,16 +386,18 @@ def extremal_rays(vectors, stats: RayStats = None) -> set:
 
     `vectors` as in screen_rays.  R1 is peeled on support masks first (see
     the module docstring); deferred candidates are decided against their
-    snapshots by recursive screening, see _deferred_extremal.
+    snapshots by the same cascade, see _deferred_extremal.
     """
     tagged = _tagged(vectors)
     return _extremal([v.vec for v in tagged], [v.ident for v in tagged],
                      [_support_mask(v.vec) for v in tagged], stats)
 
 
-def _extremal(vecs, idents, masks, stats):
+def _extremal(vecs, idents, masks, stats, bound=None):
     """extremal_rays on three parallel sequences: the vectors, their idents
-    and their support masks.  TaggedVectors are built for the residual only."""
+    and their support masks.  TaggedVectors are built for the residual only.
+    Deferred candidates go to _deferred_extremal with `bound`, the size of
+    the snapshot this system was built from (None for a top-level system)."""
     if stats is None:
         stats = RayStats()
     if vecs:
@@ -418,7 +412,7 @@ def _extremal(vecs, idents, masks, stats):
         _accumulate(stats, outcome)
         extremal.update(outcome.confirmed)
         for item in outcome.deferred:
-            if _deferred_extremal(item, stats):
+            if _deferred_extremal(item, stats, bound):
                 extremal.add(item.ident)
     return extremal
 
@@ -471,41 +465,31 @@ def _accumulate(stats, outcome):
     stats.r4 += outcome.r4
 
 
-def _deferred_extremal(item: DeferredCandidate, stats: RayStats) -> bool:
+def _deferred_extremal(item: DeferredCandidate, stats: RayStats,
+                       bound=None) -> bool:
     """Decide one deferred candidate against its snapshot system.
 
-    The column reductions apply recursively to the snapshot: the candidate
-    is screened (alone, the snapshot vectors all untagged) against a
-    strictly shrinking system until it is confirmed, a single generator is
-    left — then extremality is just the positive-scalar-multiple test — or
-    no shrinking reduction applies, in which case one exact LP settles
-    membership of the candidate in the cone of the snapshot.  Each round
-    peels R1 on support masks first and confirms the candidate if it peels.
+    An empty snapshot leaves the candidate extremal, and against a single
+    generator extremality is the positive-scalar-multiple test.  A snapshot
+    that did not shrink below `bound`, the size of the system the candidate
+    was deferred from, gets one exact LP: is the candidate in the cone of
+    the snapshot?  Otherwise the candidate, alone among untagged snapshot
+    vectors, goes through the cascade again (`_extremal`), with the
+    snapshot's size as the bound; snapshots strictly shrink, so the
+    recursion ends.
     """
-    vec, ident = item.vec, item.ident
-    others = item.others
-    while True:
-        if not others:
-            return True
-        if len(others) == 1:
-            stats.scalar_tests += 1
-            return not _positive_multiple(others[0].vec, vec)
-        sub = [TaggedVector(vec, ident)]
-        sub.extend(TaggedVector(w.vec, None) for w in others)
-        peeled, left = _peel([_support_mask(v.vec) for v in sub])
-        if 0 in peeled:  # the candidate
-            stats.r1 += 1
-            return True
-        outcome = screen_rays([sub[k] for k in left])
-        _accumulate(stats, outcome)
-        if outcome.confirmed:
-            return True
-        (again,) = outcome.deferred  # sole candidate, deferred exactly once
-        if len(again.others) >= len(others):
-            stats.lps_solved += 1
-            res = nonneg_combination([w.vec for w in again.others], vec)
-            return not res.feasible
-        others = again.others
+    vec, ident, others = item.vec, item.ident, item.others
+    if not others:
+        return True
+    if len(others) == 1:
+        stats.scalar_tests += 1
+        return not _positive_multiple(others[0].vec, vec)
+    if bound is not None and len(others) >= bound:
+        stats.lps_solved += 1
+        return not nonneg_combination([w.vec for w in others], vec).feasible
+    vecs = [vec] + [w.vec for w in others]
+    return ident in _extremal(vecs, [ident] + [None] * len(others),
+                              [_support_mask(v) for v in vecs], stats, bound=len(others))
 
 
 def _positive_multiple(u, v) -> bool:

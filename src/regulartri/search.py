@@ -61,6 +61,9 @@ from .symmetry import group_trie, orbit_key, relabel
 from .triangulation import Triangulation, gkz, placing_triangulation
 
 
+DEFAULT_CACHE_CAPACITY = 40000  # neighbour lists kept by a provider
+
+
 class SearchMode(Enum):
     ALL_FLIPS = "all"
     REGULAR_ONLY = "regular"
@@ -164,7 +167,7 @@ class NeighborProvider:
     goes to the oracle on a miss only.
     """
 
-    def __init__(self, oracle, stats: SearchStats, cache_capacity: int = 40000):
+    def __init__(self, oracle, stats: SearchStats, cache_capacity: int = DEFAULT_CACHE_CAPACITY):
         self.oracle = oracle
         self.stats = stats
         self.capacity = as_count(cache_capacity, "cache capacity")
@@ -307,7 +310,10 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
             if pred is None:
                 continue
             pred_gkz = _shifted(cgkz, pred[0].flips[pred[1]])
-            if node_gkz != (pred_gkz if group is None else orbit_key(pred_gkz, group, trie)[0]):
+            # A key is never below its vector: a predecessor above the node fails unkeyed.
+            if group is not None and pred_gkz <= node_gkz:
+                pred_gkz = orbit_key(pred_gkz, group, trie)[0]
+            if pred_gkz != node_gkz:
                 continue
             visited = _count_visit(visited, max_nodes, search)
             total += size
@@ -360,7 +366,7 @@ def enumerate_triangulations(
     config: PointConfiguration,
     mode: SearchMode = SearchMode.REGULAR_ONLY,
     visitor=None,
-    cache_capacity: int = 40000,
+    cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     baseline: bool = False,
     max_nodes=None,
     verify_increments: bool = False,

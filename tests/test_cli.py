@@ -24,6 +24,7 @@ from regulartri import (
     square,
     validate,
 )
+from regulartri.search import DEFAULT_CACHE_CAPACITY
 
 SQUARE_INPUT = "points: [[0,0],[1,0],[1,1],[0,1]]\nsymmetry: [[1,2,3,0]]\n"
 TRIANGLE_INPUT = "points: [[0,0],[3,0],[0,3],[1,1]]\n"
@@ -194,6 +195,15 @@ def test_enumerate_orbits_requires_symmetry(tmp_path):
     assert code == cli.EXIT_SEMANTIC
 
 
+def test_enumerate_orbits_under_no_generators(tmp_path):
+    # An empty generator list is the trivial group, one orbit per
+    # triangulation; only a missing key is refused.
+    path = _write(tmp_path, "square.txt", "points: [[0,0],[1,0],[1,1],[0,1]]\nsymmetry: []\n")
+    for extra in ([], ["--baseline"], ["--all"]):
+        assert _run(["enumerate", "--input", path, "--orbits"] + extra) == (
+            0, "triangulations: 2\norbits: 2\n")
+
+
 def test_enumerate_all_baseline(tmp_path):
     path = _write(tmp_path, "nested.txt", NESTED_INPUT)
     code, text = _run(["enumerate", "--input", path, "--all", "--baseline"])
@@ -234,6 +244,13 @@ def test_enumerate_rejects_negative_flip_cache(tmp_path, capsys):
     code, _ = _run(["enumerate", "--input", path, "--flip-cache", "x"])
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err.endswith("--flip-cache: invalid int value: 'x'\n")
+
+
+def test_enumerate_help_names_the_default_cache_capacity(capsys):
+    assert _run(["enumerate", "--help"]) == (0, "")
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(0 disables caching; default {DEFAULT_CACHE_CAPACITY})" in help_text
+    assert DEFAULT_CACHE_CAPACITY == 40000
 
 
 def test_enumerate_product_of_triangles_counts(tmp_path):

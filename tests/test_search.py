@@ -759,7 +759,8 @@ def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived,
 
 def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     # A neighbour at or above the node is never keyed: its key, at least
-    # its own GKZ-vector, could not be below the node's.
+    # its own GKZ-vector, could not be below the node's.  For the same
+    # reason a child's predecessor above the node is not keyed either.
     keyed = []
 
     def counting(node_gkz, key_group, trie):
@@ -773,8 +774,9 @@ def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     assert total == 4488
     assert stats == SearchStats(nodes=35, flips_evaluated=330, cache_hits=99, cache_misses=53,
                                 rays=RayStats(r1=288, r2=16, r3=26))
-    # 317 calls when every neighbour was keyed.
-    assert len(keyed) == 250
+    # 317 calls when every neighbour and predecessor was keyed, 250 when
+    # every predecessor was.
+    assert len(keyed) == 197
 
 
 def test_search_node_budgets():
@@ -859,6 +861,21 @@ def test_orbit_search_product_of_triangle_and_4_simplex():
     assert stats.rays == RayStats(r1=3476, r2=769, r3=580, r4=5, lps_solved=27)
 
 
+def test_orbit_search_product_of_two_tetrahedra_prefix():
+    # The first 1 000 orbits of Δ3×Δ3 reach every exit of the deferred
+    # stage: scalar tests, LPs and re-screened snapshots.
+    config = simplex_product(3, 3)
+    group = expand_group(config, simplex_product_symmetry_generators(3, 3))
+    stats = SearchStats()
+    provider = NeighborProvider(GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
+    with pytest.raises(ResourceLimitError, match="budget of 1000 nodes"):
+        reverse_search(provider, max_nodes=1000, group=group)
+    assert stats == SearchStats(
+        nodes=1000, flips_evaluated=25184, cache_hits=3418, cache_misses=2540,
+        rays=RayStats(r1=15427, r2=5911, r3=3382, r4=85, scalar_tests=4, lps_solved=460),
+    )
+
+
 @pytest.mark.skipif(not STRETCH, reason="long-running stretch case; set RUN_STRETCH=1 to include")
 def test_orbit_search_product_of_two_tetrahedra():
     # Counts published here agree on two labellings; the budgets leave at
@@ -881,6 +898,9 @@ def test_orbit_search_product_of_two_tetrahedra():
               f"lps={stats.rays.lps_solved} ({elapsed:.1f}s)")
         assert elapsed < 600.0
         results.append((orbits, total))
+        if config is base:
+            assert stats.rays == RayStats(r1=46691, r2=18669, r3=12229, r4=371,
+                                          scalar_tests=56, lps_solved=1624)
     assert results == [(7869, 4494288)] * 2
 
 
