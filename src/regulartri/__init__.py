@@ -6,8 +6,9 @@ yields a spanning tree of the regular triangulations needing no visited set.
 Whether a flip leads to a regular triangulation is decided through the
 extremal-ray criterion on flip GKZ displacements — usually by sparse column
 reductions alone, falling back to one small exact LP per undecided flip.
-All arithmetic is exact (integers and fractions); every LP answer carries a
-witness or certificate that is re-verified before being returned.
+All arithmetic is exact: integer data in, exact rational answers out.  Every
+LP answer carries a witness or certificate that is re-verified before being
+returned.
 """
 
 from .errors import (

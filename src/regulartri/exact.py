@@ -1,10 +1,11 @@
-"""Exact linear algebra over arbitrary-precision integers and rationals.
+"""Exact linear algebra over arbitrary-precision integers.
 
 Everything in this module is combinatorial bookkeeping for geometry that must
-never see floating point: determinants and ranks are computed by fraction-free
-Bareiss elimination, and one-dimensional kernels are returned as primitive
-integer vectors with a fixed sign convention so they can be compared and
-hashed exactly.
+never see floating point.  Every matrix is integer data in: an entry whose
+type is not `int` raises InvalidInputError.  Determinants and ranks are
+computed by fraction-free Bareiss elimination, and one-dimensional kernels
+are returned as primitive integer vectors with a fixed sign convention so
+they can be compared and hashed exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +15,26 @@ from math import gcd
 
 from .errors import (
     DimensionError,
+    InvalidInputError,
     NoDependenceError,
     NotCorankOneError,
     RegulartriError,
 )
 
-def _as_rows(m):
+
+def int_rows(m, what="matrix"):
+    """The rows of `m` as lists: InvalidInputError on any entry whose type
+    is not `int` (a bool, float, Fraction or str is refused)."""
     rows = [list(r) for r in m]
+    for r in rows:
+        for x in r:
+            if type(x) is not int:
+                raise InvalidInputError(f"{what} entry {x!r} is not an int")
+    return rows
+
+
+def _as_rows(m):
+    rows = int_rows(m)
     if not rows or not rows[0]:
         raise DimensionError("empty matrix")
     width = len(rows[0])
@@ -29,41 +43,16 @@ def _as_rows(m):
     return rows
 
 
-def _clear_denominators(rows):
-    """Scale each row to integers; return (int_rows, product of scale factors).
-
-    The scale product multiplies the determinant of the integer matrix
-    relative to the original: det(original) = det(int_rows) / product.
-    """
-    scale = Fraction(1)
-    out = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                mult = mult * x.denominator // gcd(mult, x.denominator)
-        scale *= mult
-        out.append([int(x * mult) for x in row])
-    return out, scale
-
-
-def determinant(m):
-    """Exact determinant via fraction-free Bareiss elimination.
-
-    Integer input stays integer throughout and always gives an `int`;
-    rational input is scaled to an integer matrix first and gives an `int`
-    whenever the determinant is integral.  Raises DimensionError on
-    non-square input.
+def determinant(m) -> int:
+    """Exact determinant of an integer matrix, as an `int`, via
+    fraction-free Bareiss elimination.  Raises DimensionError on non-square
+    input.
     """
     rows = _as_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant requires a square matrix")
-    if all(type(x) is int for r in rows for x in r):
-        return _bareiss(rows)
-    rows, scale = _clear_denominators(rows)
-    result = Fraction(_bareiss(rows)) / scale
-    return int(result) if result.denominator == 1 else result
+    return _bareiss(rows)
 
 
 def _bareiss(rows) -> int:
@@ -93,8 +82,8 @@ def _bareiss(rows) -> int:
 
 
 def rank(m) -> int:
-    """Rank of an exact matrix (Bareiss-style integer elimination)."""
-    rows, _ = _clear_denominators(_as_rows(m))
+    """Rank of an integer matrix (Bareiss-style integer elimination)."""
+    rows = _as_rows(m)
     nr, nc = len(rows), len(rows[0])
     r = 0
     prev = 1
@@ -152,8 +141,9 @@ def _primitive(vec):
 
 
 def kernel_vector(m) -> tuple:
-    """Spanning vector of a one-dimensional right kernel, as a primitive
-    integer tuple whose first nonzero entry is positive.
+    """Spanning vector of the one-dimensional right kernel of an integer
+    matrix, as a primitive integer tuple whose first nonzero entry is
+    positive.
 
     Raises NoDependenceError when the kernel is trivial and
     NotCorankOneError when it has dimension two or more.
@@ -163,7 +153,7 @@ def kernel_vector(m) -> tuple:
     cached signed minors, and the tests use this function as the
     independent reference for those circuits.
     """
-    rows, _ = _clear_denominators(_as_rows(m))
+    rows = _as_rows(m)
     nc = len(rows[0])
     r = rank(rows)
     nullity = nc - r

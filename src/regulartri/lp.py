@@ -1,14 +1,16 @@
-"""Exact rational feasibility LPs with certified answers.
+"""Exact feasibility LPs with certified answers: integer data in, exact
+rational answers out.
 
 Only two questions are ever asked: is a target vector a nonnegative
 combination of given generators, and does a strict homogeneous system
 row·h > 0 admit a solution.  Both reduce to phase-1 of the simplex method
 with Bland's anti-cycling rule, so answers are deterministic and never
-approximate.  The simplex pivots integers over one common denominator, as
-lrs does (Avis 2000): rational data is scaled to integers once, and
-`Fraction`s appear only in the returned answer.  Every answer carries either
-a witness or a Farkas certificate, and both are re-verified exactly before
-being returned — an infeasibility claim is never just the solver's word.
+approximate.  The data must be `int`s (anything else raises
+InvalidInputError), and the simplex pivots integers over one common
+denominator, as lrs does (Avis 2000): `Fraction`s appear only in the
+returned answer.  Every answer carries either a witness or a Farkas
+certificate, and both are re-verified exactly before being returned — an
+infeasibility claim is never just the solver's word.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionError, RegulartriError
+from .exact import int_rows
 
 
 @dataclass(frozen=True)
@@ -41,23 +44,21 @@ def _phase_one(columns, rhs):
     """Feasibility of {x >= 0 : sum_j x_j * columns[j] = rhs}.
 
     Returns (True, x, None) or (False, None, y) with y·columns[j] <= 0 for
-    all j and y·rhs > 0; x and y are tuples of Fractions.  Entries are ints
-    or Fractions.
+    all j and y·rhs > 0; x and y are tuples of Fractions.  It takes integer
+    columns and an integer right-hand side; scaling the system by a positive
+    number leaves the pivot sequence, x and y unchanged.
 
     Phase 1 with one artificial per row and Bland's rule, on an integer
-    tableau T with common denominator D: T / D is the usual tableau.  Rational
-    input is scaled once by a positive common multiple of its denominators,
-    which leaves the pivot sequence, x and y unchanged.  A pivot on p keeps
-    its row and maps every other entry a to (p·a - f·b) // D, where f is in
-    a's row and p's column and b in p's row and a's column; then D = p.  The
-    division is exact (Edmonds 1967, Bareiss 1968) and D stays positive.
+    tableau T with common denominator D: T / D is the usual tableau.  A
+    pivot on p keeps its row and maps every other entry a to
+    (p·a - f·b) // D, where f is in a's row and p's column and b in p's row
+    and a's column; then D = p.  The division is exact (Edmonds 1967,
+    Bareiss 1968) and D stays positive.
     """
     m = len(rhs)
     k = len(columns)
     width = k + m
     rows = [[col[i] for col in columns] + [rhs[i]] for i in range(m)]
-    if any(type(v) is not int for row in rows for v in row):
-        rows = _integer_multiple(rows)
     sign = []
     tab = []
     for i, row in enumerate(rows):
@@ -130,18 +131,13 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _exact(vector):
-    """The entries as ints where they are ints, as Fractions otherwise."""
-    return tuple(v if type(v) is int else Fraction(v) for v in vector)
-
-
 def nonneg_combination(generators, target) -> Feasibility:
     """Is `target` a nonnegative combination of `generators`?
 
-    Vectors may mix ints and Fractions; all must share one length.
+    Vectors are ints (InvalidInputError otherwise) and all share one length.
     """
-    gens = [_exact(g) for g in generators]
-    tgt = _exact(target)
+    gens = int_rows(generators, "generator")
+    (tgt,) = int_rows([target], "target")
     for g in gens:
         if len(g) != len(tgt):
             raise DimensionError("generator/target length mismatch")
@@ -173,9 +169,9 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
     Valid only for homogeneous systems: feasibility is equivalent to
     row·h >= 1 by rescaling, which is what gets solved.  An infeasible
     system yields a nonnegative nonzero combination of the rows equal to
-    zero (re-verified exactly).
+    zero (re-verified exactly).  Rows are ints (InvalidInputError otherwise).
     """
-    rows = [_exact(r) for r in rows]
+    rows = int_rows(rows, "row")
     if not rows:
         if dim is None:
             raise DimensionError("dimension needed for an empty system")

@@ -25,10 +25,10 @@ without any LP by scanning columns:
   (R4).
 
 A deferred vector is decided afterwards by the same cascade, run on its
-snapshot with the other vectors untagged.  It is extremal once confirmed or
-once the snapshot is empty; against a single other vector extremality is a
-scalar-multiple test; and when the cascade defers it again without
-shrinking the snapshot, one small LP runs against the snapshot.
+snapshot with the other vectors untagged.  It is extremal once confirmed;
+against a single other vector extremality is a scalar-multiple test; and
+when the cascade defers it again without shrinking the snapshot, one small
+LP runs against the snapshot.
 
 R1 leads the cascade and removals only shrink columns, so the cascade opens
 with R1 run to its unique fixpoint.  `extremal_rays` and the deferred stage
@@ -469,18 +469,21 @@ def _deferred_extremal(item: DeferredCandidate, stats: RayStats,
                        bound=None) -> bool:
     """Decide one deferred candidate against its snapshot system.
 
-    An empty snapshot leaves the candidate extremal, and against a single
-    generator extremality is the positive-scalar-multiple test.  A snapshot
-    that did not shrink below `bound`, the size of the system the candidate
-    was deferred from, gets one exact LP: is the candidate in the cone of
-    the snapshot?  Otherwise the candidate, alone among untagged snapshot
-    vectors, goes through the cascade again (`_extremal`), with the
-    snapshot's size as the bound; snapshots strictly shrink, so the
-    recursion ends.
+    Against a single generator extremality is the positive-scalar-multiple
+    test.  A snapshot that did not shrink below `bound`, the size of the
+    system the candidate was deferred from, gets one exact LP: is the
+    candidate in the cone of the snapshot?  Otherwise the candidate, alone
+    among untagged snapshot vectors, goes through the cascade again
+    (`_extremal`), with the snapshot's size as the bound; snapshots strictly
+    shrink, so the recursion ends.
+
+    A snapshot is never empty.  R3 defers the opposite side of a singleton,
+    at least two vectors, while the singleton stays live; R4 defers a
+    one-sided column of at least two vectors; and a fixpoint never holds a
+    lone vector, since a lone nonzero vector has an R1 column.  (Were a
+    snapshot empty, the lone candidate would peel and be confirmed.)
     """
     vec, ident, others = item.vec, item.ident, item.others
-    if not others:
-        return True
     if len(others) == 1:
         stats.scalar_tests += 1
         return not _positive_multiple(others[0].vec, vec)

@@ -17,9 +17,9 @@ hand-built graph in tests:
     target(node, flip)                 -> node
     seed()                             -> node
 
-A `NeighborList` holds its node, the node's GKZ-vector, the node's flips
-with the `kept` mode-valid ones first, and `up`, the index of the upflip;
-no entry's target or GKZ-vector.  Entry k has GKZ-vector node_gkz +
+A `NeighborList` holds the node's flips with the `kept` mode-valid ones
+first, and `up`, the index of the upflip; not the node, nor its GKZ-vector,
+nor any entry's target or GKZ-vector.  Entry k has GKZ-vector node_gkz +
 flips[k].delta, so entries compare with each other and with the node as
 their deltas do with each other and with zero (lex order is invariant
 under translation).  Its target, `target(node, flips[k])`, is built only
@@ -124,7 +124,7 @@ class GeometricFlipOracle:
             # `kept` holds flips' own objects, in order: test by identity.
             kept_ids = set(map(id, kept))
             flips = kept + [f for f in flips if id(f) not in kept_ids]
-        return NeighborList(t, t_gkz, tuple(flips), len(kept))
+        return NeighborList(tuple(flips), len(kept))
 
     def target(self, t: Triangulation, flip):
         return apply_flip(self.config, t, flip)
@@ -145,10 +145,10 @@ class NeighborList:
     `flips[:kept]` are the mode-valid flips, the rest were discarded, and
     the provider sets `up`."""
 
-    __slots__ = ("node", "gkz", "flips", "kept", "up")
+    __slots__ = ("flips", "kept", "up")
 
-    def __init__(self, node, node_gkz, flips, kept):
-        self.node, self.gkz, self.flips, self.kept, self.up = node, node_gkz, flips, kept, None
+    def __init__(self, flips, kept):
+        self.flips, self.kept, self.up = flips, kept, None
 
 
 def _shifted(t_gkz, flip):

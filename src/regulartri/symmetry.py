@@ -29,11 +29,15 @@ from .points import PointConfiguration, as_count, as_integer
 from .triangulation import Triangulation
 
 GROUP_ORDER_CAP = 10**6
+_EMPTY_GROUP = "the group is empty: it needs at least the identity"
 
 
 def is_symmetry(config: PointConfiguration, perm) -> bool:
-    """Does the label permutation extend to an affine map of the points?"""
-    perm = tuple(perm)
+    """Does the label permutation extend to an affine map of the points?
+
+    Entries are read as `expand_group` reads them: a non-integer one
+    raises InvalidInputError."""
+    perm = tuple(as_integer(x, "permutation entry") for x in perm)
     if sorted(perm) != list(range(config.n)):
         raise InvalidInputError(f"not a permutation of 0..{config.n - 1}: {perm}")
     basis = exact.greedy_basis(config.hom)
@@ -125,9 +129,11 @@ def orbit_key(node_gkz, group, trie):
     reached element with the lowest index in the group, so
     `relabel(t, g)` is the orbit representative, and the number of
     elements reached is |Stab(t)| because GKZ is injective on regular
-    triangulations.  A vector whose length is not the degree of the group
-    raises DimensionError.
+    triangulations.  An empty group raises InvalidInputError, and a vector
+    whose length is not the degree of the group raises DimensionError.
     """
+    if not group:
+        raise InvalidInputError(_EMPTY_GROUP)
     if len(node_gkz) != len(group[0]):
         raise DimensionError(
             f"GKZ-vector has length {len(node_gkz)}, "
@@ -147,8 +153,11 @@ def orbit_key(node_gkz, group, trie):
 def canonical_form(t: Triangulation, group) -> Triangulation:
     """Lexicographically smallest relabelling of t over the group.
 
-    Constant on orbits, distinct across orbits.
+    Constant on orbits, distinct across orbits.  An empty group raises
+    InvalidInputError.
     """
+    if not group:
+        raise InvalidInputError(_EMPTY_GROUP)
     best = None
     for perm in group:
         image = tuple(sorted(tuple(sorted(perm[i] for i in s)) for s in t.simplices))

@@ -13,6 +13,7 @@ import pytest
 
 from regulartri import (
     DimensionError,
+    InvalidInputError,
     NoDependenceError,
     NotCorankOneError,
     RegulartriError,
@@ -81,12 +82,15 @@ def test_determinant_of_integers_is_int():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         assert type(determinant(rows)) is int
-    assert type(determinant([(Fraction(1, 2), 0), (0, 2)])) is int
 
 
-def test_determinant_rational_entries():
-    rows = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 7))]
-    assert determinant(rows) == Fraction(1, 14) - Fraction(1, 15)
+@pytest.mark.parametrize("function", (determinant, rank, kernel_vector))
+def test_non_int_entries_are_refused(function):
+    # Integer data in: even an integral Fraction or float is not an int.
+    for bad in (Fraction(1, 2), Fraction(2), 2.0, "2", True):
+        for rows in ([(bad, 0), (0, 2)], [(1, 0), (0, bad)]):
+            with pytest.raises(InvalidInputError, match="is not an int"):
+                function(rows)
 
 
 def test_determinant_rejects_non_square():

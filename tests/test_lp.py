@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 import pytest
 
 from regulartri import (
     DimensionError,
+    InvalidInputError,
     RegulartriError,
     ResourceLimitError,
     SearchMode,
@@ -89,12 +92,15 @@ def test_combination_dimension_check():
         nonneg_combination([(1, 0, 0)], (1, 0))
 
 
-def test_combination_rational_data():
-    gens = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 5), 1)]
-    target = (Fraction(2, 15), Fraction(3, 2))
-    r = nonneg_combination(gens, target)
-    _check_combination_answer(gens, target, r)
-    assert r.feasible
+def test_lp_refuses_non_int_data():
+    # Integer data in: even an integral Fraction or float is not an int.
+    for bad in (Fraction(1, 3), Fraction(2), 2.0, "2", True):
+        for gens, target in (([(bad, 1), (0, 1)], (1, 1)), ([(1, 0), (0, 1)], (1, bad))):
+            with pytest.raises(InvalidInputError, match="is not an int"):
+                nonneg_combination(gens, target)
+        for rows in ([(bad, 1), (0, 1)], [(1, 0), (0, bad)]):
+            with pytest.raises(InvalidInputError, match="is not an int"):
+                strict_homogeneous(rows)
 
 
 def test_combination_random_feasible():
@@ -329,6 +335,14 @@ def _pivot(tab, obj, basis, leave, enter, width):
             obj[j] -= f * prow[j]
 
 
+def integer_system(columns, rhs):
+    """The system times the lcm of its entries' denominators: int columns
+    and an int right-hand side, as `lp._phase_one` takes them."""
+    scale = lcm(*(Fraction(v).denominator for v in (*chain(*columns), *rhs)))
+    return ([tuple(int(v * scale) for v in col) for col in columns],
+            tuple(int(v * scale) for v in rhs))
+
+
 def assert_same_as_fraction_phase_one(columns, rhs):
     answer = lp._phase_one(columns, rhs)
     assert answer == fraction_phase_one(columns, rhs)
@@ -340,7 +354,8 @@ def assert_same_as_fraction_phase_one(columns, rhs):
 def random_phase_one_systems(count, seed=2718):
     """Small systems with zero entries and repeated rows and columns, so that
     ratio tests tie; some with zero rows, a zero right-hand side or
-    Fraction entries; feasible ones built from a nonnegative combination."""
+    Fraction entries; feasible ones built from a nonnegative combination.
+    `integer_system` scales each to the ints `lp._phase_one` takes."""
     rng = random.Random(seed)
     for _ in range(count):
         m = rng.randint(1, 5)
@@ -374,8 +389,12 @@ def random_phase_one_systems(count, seed=2718):
 
 
 def test_phase_one_matches_fraction_reference_on_random_systems():
-    answers = [assert_same_as_fraction_phase_one(columns, rhs)
-               for columns, rhs in random_phase_one_systems(600)]
+    answers = []
+    for columns, rhs in random_phase_one_systems(600):
+        # A positive scaling leaves the reference's x and y unchanged.
+        scaled = integer_system(columns, rhs)
+        assert fraction_phase_one(*scaled) == fraction_phase_one(columns, rhs)
+        answers.append(assert_same_as_fraction_phase_one(*scaled))
     feasible = sum(1 for answer in answers if answer[0])
     assert 100 < feasible < len(answers) - 100
 
@@ -391,7 +410,9 @@ def test_phase_one_matches_fraction_reference_on_edge_systems():
         ([(1, 0)], (0, 0)),
         ([(), ()], ()),  # no rows
     ):
-        assert_same_as_fraction_phase_one(columns, rhs)
+        scaled = integer_system(columns, rhs)
+        assert fraction_phase_one(*scaled) == fraction_phase_one(columns, rhs)
+        assert_same_as_fraction_phase_one(*scaled)
 
 
 def recorded_phase_ones(monkeypatch):

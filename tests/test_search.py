@@ -84,16 +84,16 @@ class PairOracle:
 
     def neighbors(self, t, t_gkz, parent=None):
         flips = tuple(PairFlip(tuple(map(sub, g, t_gkz)), tgt) for tgt, g in self.pairs(t))
-        return NeighborList(t, t_gkz, flips, len(flips))
+        return NeighborList(flips, len(flips))
 
     def target(self, t, flip):
         return flip.target
 
 
-def entry(oracle, entries, k):
-    """Entry k of a neighbour list as (target, target_gkz)."""
+def entry(oracle, node, node_gkz, entries, k):
+    """Entry k of the node's neighbour list as (target, target_gkz)."""
     flip = entries.flips[k]
-    return oracle.target(entries.node, flip), tuple(map(add, entries.gkz, flip.delta))
+    return oracle.target(node, flip), tuple(map(add, node_gkz, flip.delta))
 
 
 class MockOracle(PairOracle):
@@ -247,10 +247,11 @@ def forged_derivation_neighbors():
     config = cube(3)
     oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats(), True)
     t = placing_triangulation(config)
-    entries = oracle.neighbors(t, gkz(config, t))
+    t_gkz = gkz(config, t)
+    entries = oracle.neighbors(t, t_gkz)
     search.find_flips = forged
     try:
-        return oracle.neighbors(*entry(oracle, entries, 0), (entries, 0))
+        return oracle.neighbors(*entry(oracle, t, t_gkz, entries, 0), (entries, 0))
     finally:
         search.find_flips = original
 
@@ -305,7 +306,7 @@ def test_predecessor_square():
     high = parse_triangulation("{{0,1,2},{0,2,3}}")
     pred = predecessor(provider, low, gkz(sq, low))
     assert pred is not None
-    assert entry(provider.oracle, *pred) == (high, (2, 1, 2, 1))
+    assert entry(provider.oracle, low, gkz(sq, low), *pred) == (high, (2, 1, 2, 1))
     assert predecessor(provider, high, gkz(sq, high)) is None
 
 
@@ -399,7 +400,7 @@ def test_predecessor_chains_reach_root():
             up = predecessor(provider, node, node_gkz)
             if up is None:
                 break
-            up_node, up_gkz = entry(provider.oracle, *up)
+            up_node, up_gkz = entry(provider.oracle, node, node_gkz, *up)
             assert up_gkz > node_gkz
             node, node_gkz = up_node, up_gkz
             hops += 1
@@ -449,7 +450,7 @@ def test_flip_cache_lru_eviction():
     assert oracle.computed == ["a", "b", "c", "b"]
     assert (stats.cache_hits, stats.cache_misses) == (3, 4)
     assert lists[3] is lists[5]
-    assert (lists[3].kept, entry(oracle, lists[3], 0)) == (1, ("c'", (0,)))
+    assert (lists[3].kept, entry(oracle, "c", (1,), lists[3], 0)) == (1, ("c'", (0,)))
     assert list(provider.cache) == ["c", "b"]
     stats = SearchStats()
     oracle = RecordingOracle()
@@ -463,19 +464,17 @@ def test_flip_cache_lru_eviction():
 
 
 def test_cached_lists_hold_no_targets():
-    # A list holds its node, the node's GKZ-vector and the configuration's
-    # memoised flips: no other triangulation and no entry's GKZ-vector.
+    # A list holds the configuration's memoised flips and two small ints:
+    # no triangulation, not even its node, and no GKZ-vector.
     config = simplex_product(2, 2)
     provider, _ = _provider(config)
     reverse_search(provider)
     memo = set(map(id, config.flip_memo.values()))
     assert len(provider.cache) == 108
-    for node, entries in provider.cache.items():
+    for entries in provider.cache.values():
         held = gc.get_referents(entries)
-        assert [x for x in held if isinstance(x, Triangulation)] == [node]
-        assert {id(x) for x in held if isinstance(x, tuple)} == {
-            id(entries.gkz), id(entries.flips)}
-        assert entries.node is node and entries.gkz == gkz(config, node)
+        assert not [x for x in held if isinstance(x, Triangulation)]
+        assert [id(x) for x in held if isinstance(x, tuple)] == [id(entries.flips)]
         assert all(id(flip) in memo for flip in entries.flips)
 
 
@@ -483,7 +482,8 @@ def test_cache_bytes_per_list():
     # What the cache frees when it is emptied after a search of Δ2×Δ2, per
     # list.  Lists that held every kept target and its GKZ-vector took
     # 1 626 bytes each under tracemalloc (Python 3.11); compact lists take
-    # under half of that.
+    # under half of that: 520 bytes while they held their node's GKZ-vector,
+    # 393 without it.
     stats = SearchStats()
     provider = NeighborProvider(
         GeometricFlipOracle(simplex_product(2, 2), SearchMode.REGULAR_ONLY, stats), stats)
@@ -913,6 +913,15 @@ def test_orbit_search_refuses_all_flips_mode():
         enumerate_triangulations(nested_triangles(), SearchMode.ALL_FLIPS, group=group)
     with pytest.raises(RegulartriError, match="no symmetry group"):
         enumerate_triangulations(nested_triangles(), baseline=True, group=group)
+
+
+def test_orbit_search_refuses_an_empty_group():
+    provider, stats = _provider(square())
+    with pytest.raises(InvalidInputError, match="group is empty"):
+        reverse_search(provider, group=())
+    assert stats.nodes == 0
+    with pytest.raises(InvalidInputError, match="group is empty"):
+        enumerate_triangulations(square(), group=())
 
 
 class LoneNodeOracle(MockOracle):

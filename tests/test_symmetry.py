@@ -55,6 +55,16 @@ def test_is_symmetry():
     assert not is_symmetry(cfg, (1, 2, 0, 3, 4, 5))
 
 
+def test_is_symmetry_reads_entries_as_integers():
+    # Entries are read as expand_group reads generator entries: an integral
+    # float or Fraction is its integer, anything else is refused.
+    sq = square()
+    assert is_symmetry(sq, (1.0, 2, Fraction(3), 0))
+    for bad in ((1.5, 2, 3, 0), (1, 2, 3, Fraction(1, 2)), ("1", 2, 3, 0), (None, 2, 3, 0)):
+        with pytest.raises(InvalidInputError, match="permutation entry .* is not an integer"):
+            is_symmetry(sq, bad)
+
+
 def test_expand_group_orders():
     sq = square()
     assert len(expand_group(sq, [])) == 1
@@ -288,6 +298,17 @@ def test_orbit_key_on_trivial_and_swap_groups():
     assert orbit_key((4, 1, 0), trivial, group_trie(trivial)) == ((4, 1, 0), (0, 1, 2), 1)
     assert orbit_key((0, 1, 5), swap, group_trie(swap)) == ((1, 0, 5), (1, 0, 2), 1)
     assert orbit_key((1, 1, 0), swap, group_trie(swap)) == ((1, 1, 0), (0, 1, 2), 2)
+
+
+def test_empty_group_is_invalid_input():
+    sq = square()
+    t = placing_triangulation(sq)
+    with pytest.raises(InvalidInputError, match="group is empty"):
+        orbit_key(gkz(sq, t), (), group_trie(()))
+    with pytest.raises(InvalidInputError, match="group is empty"):
+        canonical_form(t, ())
+    with pytest.raises(InvalidInputError, match="group is empty"):
+        orbit_count([t], [])
 
 
 def test_orbit_key_rejects_vectors_of_the_wrong_length():
