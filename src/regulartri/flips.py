@@ -22,14 +22,19 @@ computed once per simplex and shared per circuit support), and tests each
 side it meets once, on integer bitmasks: the simplices containing a face
 are the AND of the triangulation's vertex-to-simplex masks, and the link of
 the face in a coface is the coface's vertex mask minus the face's.  So a
-link is a frozenset of ints and no vertex tuple is built per coface.  A
-flip depends only on its circuit side and link, so the `Flip` for each
-(side, link) pair is built once per configuration and memoised in
-`PointConfiguration.flip_memo`; the link's vertex tuples are decoded on a
-memo miss only, and `_make_flip`'s volume and sign checks run on every
-`Flip` object that exists.  The memo grows with the number of distinct
-flips of the triangulations visited (1 584 for all of Δ2×Δ3's 4 488), not
-with the number of times they are found (28 368).
+link is a set of ints and no vertex tuple is built per coface.  A flip
+depends only on its circuit side and link, so the `Flip` for each (side,
+link) pair is built once per configuration and memoised in
+`PointConfiguration.flip_memo`, keyed by the side and the sorted tuple of
+the link's masks; the link's vertex tuples are decoded on a memo miss only,
+and `_make_flip`'s volume and sign checks run on every `Flip` object that
+exists.  The memo grows with the number of distinct flips of the
+triangulations visited (1 584 for all of Δ2×Δ3's 4 488), not with the
+number of times they are found (28 368).
+
+A flip's removed and inserted simplices are sorted tuples of the tuples in
+`PointConfiguration.simplex_table`, so all flips share one tuple per
+simplex (432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips).
 
 A flip changes the flips of a triangulation only near the flipped region,
 so `find_flips` derives the list of T′ = apply_flip(P, flip) from P's when
@@ -41,7 +46,8 @@ sides) to 51 037.
 
 `apply_flip` keeps the source simplices that the flip does not remove, adds
 the inserted ones and sorts the result, sharing the simplex tuples of the
-source triangulation and the flip.
+source triangulation and the flip: a target of a node whose simplices are
+table tuples has table tuples too.
 """
 
 from __future__ import annotations
@@ -55,18 +61,19 @@ from .points import CorankOneConfig, PointConfiguration, mask_bits
 from .triangulation import GkzVector, Triangulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flip:
     """A flip out of a specific triangulation.
 
     The circuit is reduced (no zero coefficients) and oriented so that
     `circuit.plus` indexes the side whose joined simplices are currently
-    present (and will be removed).
+    present (and will be removed).  `removed` and `inserted` are sorted
+    tuples of simplices, each a `PointConfiguration.simplex` tuple.
     """
 
     circuit: CorankOneConfig
-    removed: frozenset
-    inserted: frozenset
+    removed: tuple
+    inserted: tuple
     delta: GkzVector
 
     def __repr__(self):
@@ -117,7 +124,7 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
         out, scan = [], simplices
     else:
         parent_flips, step = parent
-        gone = step.removed
+        gone = frozenset(step.removed)
         out = [f for f in parent_flips if gone.isdisjoint(f.removed)]
         scan = step.inserted
     memo = config.flip_memo
@@ -129,11 +136,12 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
             tested.add(side)
             link = _side_link(side.faces, masks, by_vertex)
             if link is not None:
-                flip = memo.get((side, link))
+                sorted_link = tuple(sorted(link))
+                flip = memo.get((side, sorted_link))
                 if flip is None:
-                    tuples = frozenset(map(mask_bits, link))
+                    tuples = tuple(map(mask_bits, sorted_link))
                     flip = _make_flip(config, side.circuit, tuples)
-                    memo[side, link] = flip
+                    memo[side, sorted_link] = flip
                 out.append(flip)
     out.sort(key=lambda f: f.circuit.support)
     return out
@@ -182,13 +190,16 @@ def _without(support, q):
 
 
 def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Flip:
+    """The flip on the circuit side with the link, an iterable of vertex
+    tuples: its simplices are the configuration's table tuples."""
     removed = []
     inserted = []
     delta = [0] * config.n
+    simplex_of = config.simplex
     for q in circuit.plus:
         face = _without(circuit.support, q)
         for tau in link:
-            simplex = tuple(sorted(face + tau))
+            simplex = simplex_of(tuple(sorted(face + tau)))
             removed.append(simplex)
             vol = config.normalized_volume(simplex)
             for v in simplex:
@@ -196,7 +207,7 @@ def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Fl
     for q in circuit.minus:
         face = _without(circuit.support, q)
         for tau in link:
-            simplex = tuple(sorted(face + tau))
+            simplex = simplex_of(tuple(sorted(face + tau)))
             inserted.append(simplex)
             vol = config.normalized_volume(simplex)
             if vol <= 0:
@@ -205,8 +216,8 @@ def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Fl
                 delta[v] += vol
     flip = Flip(
         circuit=circuit,
-        removed=frozenset(removed),
-        inserted=frozenset(inserted),
+        removed=tuple(sorted(removed)),
+        inserted=tuple(sorted(inserted)),
         delta=tuple(delta),
     )
     if not (

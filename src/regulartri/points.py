@@ -171,12 +171,17 @@ class PointConfiguration:
       distinct circuit support gets both of its `CircuitSide`s once, shared
       by every simplex that reaches either;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
-      filled by `flips.find_flips`; the link is a frozenset of vertex masks
-      (see `vertex_mask`), one per simplex of the link.  A flip's circuit,
+      filled by `flips.find_flips`; the link is the sorted tuple of its
+      simplices' vertex masks (see `vertex_mask`).  A flip's circuit,
       removed side and link determine its removed and inserted simplices
       and its displacement, so the memo holds one entry per distinct flip
       met: its size is the number of distinct flips of the triangulations
-      visited, not the number of times they were found.
+      visited, not the number of times they were found;
+    - `simplex_table`: each maximal simplex that flips and search nodes
+      hold, as a sorted tuple mapped to itself (see `simplex`).  So one
+      tuple stands for a simplex wherever it is kept, and the table grows
+      with the number of distinct simplices met, not with the number of
+      flips and triangulations that hold them.
     """
 
     def __init__(self, points):
@@ -209,8 +214,10 @@ class PointConfiguration:
         self._circuit_cache = {}
         self._circuit_index = {}
         self._circuit_sides = {}
-        #: (CircuitSide, link of vertex masks) -> Flip; see the class docstring
+        #: (CircuitSide, sorted link masks) -> Flip; see the class docstring
         self.flip_memo = {}
+        #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
+        self.simplex_table = {}
         self._total_volume = None
 
     # -- basic queries ------------------------------------------------
@@ -229,6 +236,14 @@ class PointConfiguration:
             raise InvalidInputError(f"repeated vertex in simplex {key}")
         self._check_range(key)
         return abs(self._minor(key))
+
+    def simplex(self, key) -> tuple:
+        """The tuple kept for a simplex, `key` itself on first sight.
+
+        `key` must be a sorted tuple of point indices.  Flips and search
+        nodes take their simplices from here, so equal simplices are one
+        object (see the class docstring)."""
+        return self.simplex_table.setdefault(key, key)
 
     def _minor(self, key) -> int:
         """Signed determinant of the homogenized rows of a sorted (d+1)-tuple."""

@@ -17,6 +17,8 @@ hand-built graph in tests:
     target(node, flip)                 -> node
     seed()                             -> node
 
+and, for a search under a symmetry group, `relabel(node, perm) -> node`.
+
 A `NeighborList` holds the node's flips with the `kept` mode-valid ones
 first, and `up`, the index of the upflip; not the node, nor its GKZ-vector,
 nor any entry's target or GKZ-vector.  Entry k has GKZ-vector node_gkz +
@@ -129,6 +131,10 @@ class GeometricFlipOracle:
     def target(self, t: Triangulation, flip):
         return apply_flip(self.config, t, flip)
 
+    def relabel(self, t: Triangulation, perm) -> Triangulation:
+        """`symmetry.relabel(t, perm)` on the configuration's simplex tuples."""
+        return self._on_table(relabel(t, perm))
+
     def _check(self, t, t_gkz, flip):
         target = apply_flip(self.config, t, flip)
         if _shifted(t_gkz, flip) != gkz(self.config, target):
@@ -137,7 +143,14 @@ class GeometricFlipOracle:
             raise RegulartriError("flip target differs from its canonical construction")
 
     def seed(self) -> Triangulation:
-        return placing_triangulation(self.config)
+        return self._on_table(placing_triangulation(self.config))
+
+    def _on_table(self, t: Triangulation) -> Triangulation:
+        """`t` with each simplex replaced by its `PointConfiguration.simplex`
+        tuple.  Flip targets share the simplices of their source and flip,
+        so with the seed and relabelled children on the table every node
+        of a search holds table tuples only."""
+        return Triangulation._from_canonical(map(self.config.simplex, t.simplices))
 
 
 class NeighborList:
@@ -262,11 +275,13 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
                               "do not identify non-regular triangulations")
     stats = provider.stats
     target = provider.oracle.target
-    root, root_gkz = find_root(provider, provider.oracle.seed())
-    zero = (0,) * len(root_gkz)
     search, total = "reverse search", 1
     if group is not None:
+        # The trie refuses an empty group before the root walk starts.
         search, order, trie = "orbit search", len(group), group_trie(group)
+    root, root_gkz = find_root(provider, provider.oracle.seed())
+    zero = (0,) * len(root_gkz)
+    if group is not None:
         identity = tuple(range(len(root_gkz)))
         key, _, stabiliser = orbit_key(root_gkz, group, trie)
         if key != root_gkz:
@@ -300,7 +315,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
                 # relabelled one has no list to derive its flips from.
                 child = target(node, flip)
                 if perm != identity:
-                    child, hint = relabel(child, perm), None
+                    child, hint = provider.oracle.relabel(child, perm), None
             # The node is the parent when the predecessor's key (without a
             # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
             # even where GKZ does not identify triangulations: the node is a

@@ -21,8 +21,6 @@ image; it is slower but holds for non-regular triangulations too, and
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import exact
 from .errors import DimensionError, InvalidInputError, ResourceLimitError
 from .points import PointConfiguration, as_count, as_integer
@@ -37,20 +35,40 @@ def is_symmetry(config: PointConfiguration, perm) -> bool:
 
     Entries are read as `expand_group` reads them: a non-integer one
     raises InvalidInputError."""
-    perm = tuple(as_integer(x, "permutation entry") for x in perm)
-    if sorted(perm) != list(range(config.n)):
-        raise InvalidInputError(f"not a permutation of 0..{config.n - 1}: {perm}")
-    basis = exact.greedy_basis(config.hom)
-    coords = [config.affine_coordinates(i, basis) for i in range(config.n)]
-    image_rows = [config.hom[perm[b]] for b in basis]
-    for i in range(config.n):
-        expected = [
-            sum(Fraction(c) * row[k] for c, row in zip(coords[i], image_rows))
-            for k in range(config.dim + 1)
-        ]
-        if any(Fraction(x) != e for x, e in zip(config.hom[perm[i]], expected)):
-            return False
-    return True
+    return _symmetry_test(config)(perm)
+
+
+def _symmetry_test(config: PointConfiguration):
+    """`is_symmetry` on the configuration, as a function of the permutation.
+
+    By Cramer's rule, the affine coordinates of a point in a basis B of the
+    points are integer numerators over D = det(B); they are computed once
+    here.  The map a_i -> a_perm(i) is affine exactly when every image
+    point has the same coordinates in the image basis perm(B), which the
+    test checks multiplied through by D, in integers.
+    """
+    hom = config.hom
+    basis = exact.greedy_basis(hom)
+    frame = [hom[b] for b in basis]
+    denom = exact.determinant(frame)
+    numerators = [
+        [exact.determinant(frame[:k] + [target] + frame[k + 1:])
+         for k in range(len(frame))]
+        for target in hom
+    ]
+
+    def test(perm):
+        perm = tuple(as_integer(x, "permutation entry") for x in perm)
+        if sorted(perm) != list(range(config.n)):
+            raise InvalidInputError(f"not a permutation of 0..{config.n - 1}: {perm}")
+        image = [hom[perm[b]] for b in basis]
+        for nums, p in zip(numerators, perm):
+            for k, x in enumerate(hom[p]):
+                if denom * x != sum(c * row[k] for c, row in zip(nums, image)):
+                    return False
+        return True
+
+    return test
 
 
 def expand_group(config: PointConfiguration, generators, cap=None):
@@ -63,6 +81,7 @@ def expand_group(config: PointConfiguration, generators, cap=None):
     equality is plain tuple comparison.
     """
     cap = GROUP_ORDER_CAP if cap is None else as_count(cap, "group order cap")
+    is_symmetric = _symmetry_test(config)
     gens = []
     for g in generators:
         g = tuple(as_integer(x, "generator entry") for x in g)
@@ -70,7 +89,7 @@ def expand_group(config: PointConfiguration, generators, cap=None):
             raise InvalidInputError(
                 f"generator has length {len(g)}, expected {config.n}"
             )
-        if not is_symmetry(config, g):
+        if not is_symmetric(g):
             raise InvalidInputError(f"generator {g} is not a configuration symmetry")
         gens.append(g)
     identity = tuple(range(config.n))
@@ -107,8 +126,11 @@ def group_trie(group):
     Level j of the trie branches on g⁻¹[j]: a node maps each value to the
     node below it, and the last level maps to the group index of g.  The
     trie holds one node per distinct prefix of the inverses, so its size
-    is at most |G| times the degree; build it once per search.
+    is at most |G| times the degree; build it once per search.  An empty
+    group raises InvalidInputError.
     """
+    if not group:
+        raise InvalidInputError(_EMPTY_GROUP)
     root = {}
     for index, inverse in enumerate(inverse_permutations(group)):
         node = root

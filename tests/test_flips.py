@@ -8,7 +8,9 @@ simplices (ignoring their common link) produces broken targets on the
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from itertools import combinations
 from operator import is_
 
@@ -56,8 +58,8 @@ def test_square_flip_pins():
     # T contains the joins over {1,3}, and delta is positive there.
     assert f.circuit.plus == (1, 3)
     assert f.circuit.minus == (0, 2)
-    assert f.removed == frozenset({(0, 1, 2), (0, 2, 3)})
-    assert f.inserted == frozenset({(0, 1, 3), (1, 2, 3)})
+    assert f.removed == ((0, 1, 2), (0, 2, 3))
+    assert f.inserted == ((0, 1, 3), (1, 2, 3))
     assert f.delta == (-1, 1, -1, 1)
     other = apply_flip(sq, t, f)
     assert other == parse_triangulation("{{0,1,3},{1,2,3}}")
@@ -259,7 +261,7 @@ def forged_square_flip(volume):
     original = PointConfiguration.normalized_volume
     PointConfiguration.normalized_volume = volume
     try:
-        return _make_flip(sq, circuit, frozenset({()}))
+        return _make_flip(sq, circuit, ((),))
     finally:
         PointConfiguration.normalized_volume = original
 
@@ -328,10 +330,10 @@ class ReferenceFlips:
 
 def reference_flip(config, circuit, link):
     def joins(side):
-        return frozenset(
+        return tuple(sorted(
             tuple(sorted(set(circuit.support) - {q} | set(tau)))
             for q in side for tau in link
-        )
+        ))
 
     removed, inserted = joins(circuit.plus), joins(circuit.minus)
     delta = [0] * config.n
@@ -395,6 +397,29 @@ def test_flip_memo_holds_one_flip_per_distinct_flip():
     for flips in lists:
         for f in flips:
             assert by_value.setdefault(f, f) is f
+
+
+def test_flip_memo_bytes_per_flip():
+    # What the flip memo and the simplex table free when they are emptied
+    # after a search of Δ2×Δ3, per memoised flip.  Flips with frozenset
+    # sides of their own simplex tuples, memoised under frozenset links,
+    # took 2 134 bytes each under tracemalloc (Python 3.11); flips with
+    # sorted tuples of table tuples, under sorted link tuples, take 558.
+    config = simplex_product(2, 3)
+    tracemalloc.start()
+    try:
+        enumerate_triangulations(config)
+        flips = len(config.flip_memo)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        config.flip_memo.clear()
+        config.simplex_table.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert flips == 1584
+    assert 0 < freed / flips < 2134 / 2
 
 
 def test_link_masks_under_another_bit_order():

@@ -42,6 +42,7 @@ from regulartri import (
     parse_triangulation,
     placing_triangulation,
     regular_flips,
+    relabel,
     simplex_product,
     simplex_product_symmetry_generators,
     square,
@@ -502,6 +503,27 @@ def test_cache_bytes_per_list():
     assert 0 < freed / lists < 1626 / 2
 
 
+def test_flips_and_nodes_share_one_tuple_per_simplex():
+    # After a search of Δ2×Δ3, every simplex that a memoised flip or a
+    # cached node holds is the configuration's table tuple for it: at most
+    # 432 tuples (every simplex of Δ2×Δ3) for the 13 536 simplices of the
+    # 1 584 flips.
+    config = simplex_product(2, 3)
+    stats = SearchStats()
+    provider = NeighborProvider(
+        GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
+    assert reverse_search(provider) == 4488
+    table = config.simplex_table
+    flips = config.flip_memo.values()
+    assert len(flips) == 1584 and len(table) <= 432
+    assert sum(len(f.removed) + len(f.inserted) for f in flips) == 13536
+    for flip in flips:
+        assert all(table[s] is s for s in flip.removed + flip.inserted)
+    assert len(provider.cache) == 4488
+    for node in provider.cache:
+        assert all(table[s] is s for s in node.simplices)
+
+
 @pytest.mark.parametrize("options, hits, misses, flips, rays", (
     pytest.param({}, 14207, 4488, 28368, RayStats(r1=23328, r2=2016, r3=3024), id="default"),
     pytest.param({"cache_capacity": 0}, 0, 18695, 119226,
@@ -757,6 +779,28 @@ def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived,
     assert (len(perms), sum(hinted), len(hinted)) == (relabels, derived, lists)
 
 
+def test_relabelled_children_hold_table_tuples(monkeypatch):
+    # The orbit search of Δ2×Δ4 relabels 972 children; each is the
+    # relabelled target, on the configuration's simplex tuples.
+    children = []
+    original = GeometricFlipOracle.relabel
+
+    def recording(oracle, t, perm):
+        child = original(oracle, t, perm)
+        assert child == relabel(t, perm)
+        children.append(child)
+        return child
+
+    monkeypatch.setattr(GeometricFlipOracle, "relabel", recording)
+    config = simplex_product(2, 4)
+    group = expand_group(config, simplex_product_symmetry_generators(2, 4))
+    _, stats = enumerate_triangulations(config, group=group)
+    assert (stats.nodes, len(children)) == (530, 972)
+    table = config.simplex_table
+    for child in children:
+        assert all(table[s] is s for s in child.simplices)
+
+
 def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     # A neighbour at or above the node is never keyed: its key, at least
     # its own GKZ-vector, could not be below the node's.  For the same
@@ -916,10 +960,11 @@ def test_orbit_search_refuses_all_flips_mode():
 
 
 def test_orbit_search_refuses_an_empty_group():
-    provider, stats = _provider(square())
+    # Refused before the root walk: no list is built.
+    provider, stats = _provider(simplex_product(2, 3))
     with pytest.raises(InvalidInputError, match="group is empty"):
         reverse_search(provider, group=())
-    assert stats.nodes == 0
+    assert (stats.nodes, stats.cache_misses, stats.flips_evaluated) == (0, 0, 0)
     with pytest.raises(InvalidInputError, match="group is empty"):
         enumerate_triangulations(square(), group=())
 

@@ -23,6 +23,7 @@ from regulartri import (
     is_symmetry,
     nested_triangles,
     nested_triangles_pinwheel,
+    new_configuration,
     orbit_count,
     orbit_key,
     parse_triangulation,
@@ -33,6 +34,7 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
+from regulartri.exact import greedy_basis
 
 SQUARE_ROTATION = (1, 2, 3, 0)
 NESTED_ROTATION = (1, 2, 0, 4, 5, 3)
@@ -63,6 +65,43 @@ def test_is_symmetry_reads_entries_as_integers():
     for bad in ((1.5, 2, 3, 0), (1, 2, 3, Fraction(1, 2)), ("1", 2, 3, 0), (None, 2, 3, 0)):
         with pytest.raises(InvalidInputError, match="permutation entry .* is not an integer"):
             is_symmetry(sq, bad)
+
+
+def fraction_is_symmetry(config, perm):
+    """is_symmetry as it was computed with `Fraction` affine coordinates,
+    for a permutation tuple: the reference for the integer test."""
+    basis = greedy_basis(config.hom)
+    image_rows = [config.hom[perm[b]] for b in basis]
+    for i in range(config.n):
+        coords = config.affine_coordinates(i, basis)
+        expected = [sum(Fraction(c) * row[k] for c, row in zip(coords, image_rows))
+                    for k in range(config.dim + 1)]
+        if any(Fraction(x) != e for x, e in zip(config.hom[perm[i]], expected)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("config, generators", [
+    (simplex_product(2, 3), simplex_product_symmetry_generators(2, 3)),
+    (cube(3), cube_symmetry_generators(3)),
+    (nested_triangles(), [NESTED_ROTATION, NESTED_REFLECTION]),
+    # A plane in space: the basis determinant is not ±1.
+    (new_configuration([(0, 0, 0), (2, 1, 0), (0, 3, 1), (2, 4, 1)]),
+     [(1, 0, 3, 2), (2, 3, 0, 1)]),
+], ids=["d2d3", "cube3", "nested", "plane"])
+def test_integer_symmetry_test_matches_fractions(config, generators):
+    # The catalog generators, their products, and seeded shuffles, most of
+    # which are not symmetries.
+    rng = random.Random(19)
+    perms = [tuple(g) for g in generators]
+    perms += [tuple(g[h[i]] for i in range(config.n)) for g in perms for h in perms]
+    for _ in range(60):
+        shuffled = list(range(config.n))
+        rng.shuffle(shuffled)
+        perms.append(tuple(shuffled))
+    verdicts = [is_symmetry(config, perm) for perm in perms]
+    assert verdicts == [fraction_is_symmetry(config, perm) for perm in perms]
+    assert all(verdicts[:len(generators)]) and not all(verdicts)
 
 
 def test_expand_group_orders():
@@ -304,7 +343,9 @@ def test_empty_group_is_invalid_input():
     sq = square()
     t = placing_triangulation(sq)
     with pytest.raises(InvalidInputError, match="group is empty"):
-        orbit_key(gkz(sq, t), (), group_trie(()))
+        group_trie(())
+    with pytest.raises(InvalidInputError, match="group is empty"):
+        orbit_key(gkz(sq, t), (), {})
     with pytest.raises(InvalidInputError, match="group is empty"):
         canonical_form(t, ())
     with pytest.raises(InvalidInputError, match="group is empty"):
