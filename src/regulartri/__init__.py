@@ -32,7 +32,7 @@ from .catalog import (
     square,
     triangle_with_interior,
 )
-from .exact import determinant, kernel_vector, rank
+from .exact import adjugate, determinant, kernel_vector, rank
 from .flips import Flip, apply_flip, find_flips
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
 from .points import CorankOneConfig, PointConfiguration, new_configuration
@@ -75,6 +75,7 @@ from .triangulation import (
     gkz,
     parse_triangulation,
     placing_triangulation,
+    pulling_triangulation,
     validate,
 )
 
@@ -102,6 +103,7 @@ __all__ = [
     "Triangulation",
     "TriangulationError",
     "ValidationResult",
+    "adjugate",
     "apply_flip",
     "baseline_dfs",
     "canonical_form",
@@ -131,6 +133,7 @@ __all__ = [
     "parse_triangulation",
     "placing_triangulation",
     "predecessor",
+    "pulling_triangulation",
     "rank",
     "regular_flips",
     "regularity_rows",

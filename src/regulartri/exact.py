@@ -2,10 +2,10 @@
 
 Everything in this module is combinatorial bookkeeping for geometry that must
 never see floating point.  Every matrix is integer data in: an entry whose
-type is not `int` raises InvalidInputError.  Determinants and ranks are
-computed by fraction-free Bareiss elimination, and one-dimensional kernels
-are returned as primitive integer vectors with a fixed sign convention so
-they can be compared and hashed exactly.
+type is not `int` raises InvalidInputError.  Determinants, adjugates and
+ranks are computed by fraction-free Bareiss elimination, and
+one-dimensional kernels are returned as primitive integer vectors with a
+fixed sign convention so they can be compared and hashed exactly.
 """
 
 from __future__ import annotations
@@ -81,6 +81,48 @@ def _bareiss(rows) -> int:
     return sign * rows[n - 1][n - 1]
 
 
+def adjugate(m):
+    """(det, adj) of a square integer matrix, with m·adj = adj·m = det·I.
+
+    Fraction-free Gauss-Jordan elimination of [m | I] (Bareiss, 1968)
+    ends at [±det·I | ±adj]; a singular m takes its cofactors instead.
+    """
+    rows = _as_rows(m)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionError("adjugate requires a square matrix")
+    work = [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if work[i][k]), None)
+        if swap is None:
+            return 0, _cofactors(rows)
+        if swap != k:
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        rk = work[k]
+        pivot = rk[k]
+        for ri in work:
+            if ri is not rk:
+                lead = ri[k]
+                for j in range(k + 1, 2 * n):
+                    ri[j] = (pivot * ri[j] - lead * rk[j]) // prev
+        prev = pivot
+    return sign * prev, [[sign * x for x in r[n:]] for r in work]
+
+
+def _cofactors(rows):
+    """The adjugate by cofactors: entry (j, i) is (-1)^(i+j) times the minor
+    of `rows` without row i and column j."""
+    n = len(rows)
+
+    def minor(i, j):
+        sub = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+        return _bareiss(sub) if sub else 1
+
+    return [[(-1) ** (i + j) * minor(i, j) for i in range(n)] for j in range(n)]
+
+
 def rank(m) -> int:
     """Rank of an integer matrix (Bareiss-style integer elimination)."""
     rows = _as_rows(m)
@@ -149,9 +191,9 @@ def kernel_vector(m) -> tuple:
     NotCorankOneError when it has dimension two or more.
 
     This is the routine for general matrices.  Flip finding no longer calls
-    it: `PointConfiguration` gets each circuit by Cramer's rule from its
-    cached signed minors, and the tests use this function as the
-    independent reference for those circuits.
+    it: `PointConfiguration` gets each circuit by Cramer's rule, from its
+    cached signed minors or from a simplex's adjugate, and the tests use
+    this function as the independent reference for those circuits.
     """
     rows = _as_rows(m)
     nc = len(rows[0])

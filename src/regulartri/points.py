@@ -15,7 +15,9 @@ The signed maximal minors (the chirotope, up to that constant) are the one
 source of both volumes and circuits.  A simplex's normalized volume is
 |minor|, and the dependence of a sorted (d+2)-subset Z is, by Cramer's rule,
 lambda_i = (-1)^i * minor(Z without its i-th point): the d+2 minors of Z,
-each shared with every other subset and simplex that contains it.
+each shared with every other subset and simplex that contains it.  The
+circuit index takes the same dependences for all Z = S ∪ {p} of a simplex S
+at once from the adjugate of S's rows: hom(p)·adj on S and -det(S) on p.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 
 from . import exact
 from .errors import (
@@ -162,14 +165,15 @@ class PointConfiguration:
     (construction computes none of them):
 
     - signed minors: the determinant of the homogenized rows of a sorted
-      (d+1)-tuple.  A normalized volume is |minor|, and the dependence of a
-      (d+2)-subset comes from its d+2 minors by Cramer's rule, so volumes,
-      circuits and `total_volume` share each determinant;
+      (d+1)-tuple.  A normalized volume is |minor|, and `corank_one` gets
+      the dependence of a (d+2)-subset from its d+2 minors by Cramer's
+      rule, so volumes, circuits and `total_volume` share each determinant;
     - the dependence of each (d+2)-subset that was asked for;
     - the circuit index (`simplex_sides`): for a simplex S, the reduced
-      circuit of each set S ∪ {p}, oriented with p on its plus side.  Each
-      distinct circuit support gets both of its `CircuitSide`s once, shared
-      by every simplex that reaches either;
+      circuit of each set S ∪ {p}, oriented with p on its plus side.  The
+      dependences come from one `exact.adjugate` of S's rows, which leaves
+      det(S) among the minors.  Each distinct circuit support gets both of
+      its `CircuitSide`s once, shared by every simplex that reaches either;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
       filled by `flips.find_flips`; the link is the sorted tuple of its
       simplices' vertex masks (see `vertex_mask`).  A flip's circuit,
@@ -302,11 +306,22 @@ class PointConfiguration:
         sides = self._circuit_index.get(simplex)
         if sides is None:
             sides = []
+            adj = None
             for p in range(self.n):
                 if p in simplex:
                     continue
-                full = self.circuit_or_none(tuple(sorted(simplex + (p,))))
+                key = tuple(sorted(simplex + (p,)))
+                full = self._circuit_cache.get(key)
                 if full is None:
+                    if adj is None:
+                        det, adj = exact.adjugate([self.hom[i] for i in simplex])
+                        self._minors[simplex] = det
+                        adj = tuple(zip(*adj))
+                    # Cramer: hom(p)·adj on the simplex, -det on p.
+                    lam = [sum(map(mul, self.hom[p], col)) for col in adj]
+                    lam.insert(key.index(p), -det)
+                    full = self._circuit_cache[key] = self._dependence(key, lam)
+                if full is False:
                     continue
                 circuit = full.reduced()
                 pair = self._circuit_sides.get(circuit.support)
@@ -325,12 +340,17 @@ class PointConfiguration:
         # below d+1 and the kernel is not one-dimensional.
         minor = self._minor
         lam = [minor(key[:i] + key[i + 1:]) for i in range(len(key))]
+        return self._dependence(key, [-x if i % 2 else x for i, x in enumerate(lam)])
+
+    def _dependence(self, key, lam):
+        """The CorankOneConfig of the sorted (d+2)-tuple `key` from a
+        dependence `lam` of its rows, or False when `lam` is zero."""
         if not any(lam):
             return False
-        lam = exact._primitive([-x if i % 2 else x for i, x in enumerate(lam)])
+        lam = exact._primitive(lam)
         rows = [self.hom[p] for p in key]
         for coords in zip(*rows):
-            if sum(c * x for c, x in zip(lam, coords)):
+            if sum(map(mul, lam, coords)):
                 raise RegulartriError(
                     f"minors of {key} give no affine dependence"
                 )

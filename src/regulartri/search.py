@@ -3,10 +3,10 @@
 The enumeration walks the spanning tree induced by the predecessor map: the
 predecessor of a triangulation is its neighbor with lexicographically largest
 GKZ-vector, provided that neighbor improves on the triangulation itself (an
-"upflip").  The root — the unique lex-largest vertex in regular mode, where
-the graph is the edge graph of a polytope — is found by walking upflips from
-the placing seed.  Children of a node are exactly the lex-smaller neighbors
-whose predecessor is the node, so no visited set is ever needed.
+"upflip").  The root is the lex-largest vertex of the secondary polytope:
+the pulling seed, certified by a root walk that builds its list and finds
+no upflip.  Children of a node are exactly the lex-smaller neighbors whose
+predecessor is the node, so no visited set is ever needed.
 
 The engine is generic over a four-method oracle, so that the same traversal
 (and the same cache semantics) can be driven by the real geometry or by a
@@ -60,7 +60,7 @@ from .flips import apply_flip, find_flips
 from .points import PointConfiguration, as_count
 from .regularity import RayStats, regular_flips
 from .symmetry import group_trie, orbit_key, relabel
-from .triangulation import Triangulation, gkz, placing_triangulation
+from .triangulation import Triangulation, gkz, pulling_triangulation
 
 
 DEFAULT_CACHE_CAPACITY = 40000  # neighbour lists kept by a provider
@@ -143,7 +143,7 @@ class GeometricFlipOracle:
             raise RegulartriError("flip target differs from its canonical construction")
 
     def seed(self) -> Triangulation:
-        return self._on_table(placing_triangulation(self.config))
+        return self._on_table(pulling_triangulation(self.config))
 
     def _on_table(self, t: Triangulation) -> Triangulation:
         """`t` with each simplex replaced by its `PointConfiguration.simplex`
@@ -220,7 +220,9 @@ def predecessor(provider: NeighborProvider, node, node_gkz, parent=None):
 
 def find_root(provider: NeighborProvider, seed):
     """Walk lex-largest upflips from the seed until a sink is reached; each
-    step's list is derived from the one before."""
+    step's list is derived from the one before.  From the pulling seed the
+    walk builds one list: no triangulation, regular or not, has a larger
+    GKZ-vector, so the seed is the sink in either mode."""
     node, node_gkz, parent = seed, provider.oracle.gkz(seed), None
     while True:
         entries = provider.neighbors(node, node_gkz, parent)
@@ -245,8 +247,9 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     In regular mode the flip graph is the edge graph of a polytope, every
     upflip walk ends at the unique lex-max vertex, and the tree covers all
     regular triangulations.  In all-flips mode non-regular lex-local-maxima
-    may exist, so only the tree of the sink reached from the seed is
-    enumerated; use baseline_dfs for the full connected component.
+    may exist, so only the tree of the sink reached from the seed (from
+    the pulling seed, the lex-max vertex) is enumerated; use baseline_dfs
+    for the full connected component.
 
     A symmetry `group` (regular mode only: GKZ does not identify
     non-regular triangulations) makes each node stand for its orbit, as its

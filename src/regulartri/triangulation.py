@@ -289,7 +289,7 @@ def ensure_valid(config: PointConfiguration, t: Triangulation) -> None:
         raise TriangulationError(f"{res.kind}: {res.detail}")
 
 
-# -- placing construction ----------------------------------------------
+# -- placing and pulling constructions ---------------------------------
 
 
 def placing_triangulation(config: PointConfiguration) -> Triangulation:
@@ -320,3 +320,32 @@ def placing_triangulation(config: PointConfiguration) -> Triangulation:
             simplices.add(tuple(sorted(facet + (p,))))
     return Triangulation(simplices)
 
+
+def pulling_triangulation(config: PointConfiguration) -> Triangulation:
+    """Triangulation obtained by pulling the points in input order.
+
+    Each face of the hull, from the hull itself down, is coned from its
+    first point over the pulled facets of the face that miss that point.
+    The facets of the hull are the hyperplanes of the placing
+    triangulation's boundary facets, and the facets of a face are its
+    inclusion-maximal proper intersections with them.  Pulling
+    triangulations are regular, and this one has the lex-largest
+    GKZ-vector (De Loera, Rambau and Santos, Triangulations, 2010).
+    """
+    hyperplanes = []
+    for facet, owners in facet_incidence(placing_triangulation(config).simplices).items():
+        if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
+            hyperplanes.append(frozenset(
+                i for i in range(config.n) if config.facet_sign(facet, i) == 0))
+    memo = {}
+
+    def pull(face):
+        if face not in memo:
+            cuts = {face & h for h in hyperplanes} - {face, frozenset()}
+            apex = min(face)
+            memo[face] = [(apex,) + s for g in cuts
+                          if apex not in g and not any(g < c for c in cuts)
+                          for s in pull(g)] or [(apex,)]
+        return memo[face]
+
+    return Triangulation(pull(frozenset(range(config.n))))

@@ -308,8 +308,8 @@ def _stats_lines(nodes, flips, r1, r3, hits, misses):
     "text, count, orbits, walk, plain",
     (
         (SQUARE_INPUT, 2, 1, (1, 1, 1, 0, 1, 1), (2, 2, 2, 0, 2, 2)),
-        (CUBE3_INPUT, 74, 6, (6, 42, 36, 6, 10, 10), (74, 304, 280, 24, 161, 74)),
-        (D2D2_INPUT, 108, 5, (5, 58, 52, 6, 7, 14), (108, 444, 408, 36, 233, 108)),
+        (CUBE3_INPUT, 74, 6, (6, 26, 20, 6, 6, 6), (74, 304, 280, 24, 153, 74)),
+        (D2D2_INPUT, 108, 5, (5, 22, 16, 6, 6, 5), (108, 444, 408, 36, 223, 108)),
     ),
     ids=("square", "cube3", "d2d2"),
 )

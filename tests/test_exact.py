@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, ranks, kernel vectors.
+"""Exact linear algebra: determinants, adjugates, ranks, kernel vectors.
 
 Oracles here are deliberately naive (cofactor expansion, Fraction-based
 Gaussian elimination) and independent of the Bareiss code under test.
@@ -17,6 +17,7 @@ from regulartri import (
     NoDependenceError,
     NotCorankOneError,
     RegulartriError,
+    adjugate,
     determinant,
     kernel_vector,
     rank,
@@ -63,6 +64,10 @@ def test_matrix_shape_checks():
             rank(bad)
         with pytest.raises(DimensionError):
             determinant(bad)
+        with pytest.raises(DimensionError):
+            adjugate(bad)
+    with pytest.raises(DimensionError, match="square"):
+        adjugate([(1, 2, 3), (4, 5, 6)])
 
 
 def test_determinant_pins():
@@ -84,7 +89,7 @@ def test_determinant_of_integers_is_int():
         assert type(determinant(rows)) is int
 
 
-@pytest.mark.parametrize("function", (determinant, rank, kernel_vector))
+@pytest.mark.parametrize("function", (determinant, adjugate, rank, kernel_vector))
 def test_non_int_entries_are_refused(function):
     # Integer data in: even an integral Fraction or float is not an int.
     for bad in (Fraction(1, 2), Fraction(2), 2.0, "2", True):
@@ -104,6 +109,42 @@ def test_determinant_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         assert determinant(rows) == _cofactor_det(rows)
+
+
+def test_adjugate_matches_cofactor_oracle():
+    # m·adj = adj·m = det·I, with entries equal to the cofactors.  Some
+    # matrices are singular (a repeated or summed row), and zeroed leading
+    # entries make the elimination swap rows.
+    rng = random.Random(20261019)
+    kinds = set()
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+        if trial % 4 == 0:
+            for r in rows[:-1]:
+                r[0] = 0
+        det, adj = adjugate(rows)
+        assert det == _cofactor_det(rows) and type(det) is int
+        for i in range(n):
+            for j in range(n):
+                want = det if i == j else 0
+                assert sum(rows[i][k] * adj[k][j] for k in range(n)) == want
+                assert sum(adj[i][k] * rows[k][j] for k in range(n)) == want
+                minor = [[x for c, x in enumerate(r) if c != i] for k, r in enumerate(rows)
+                         if k != j]
+                assert adj[i][j] == (-1) ** (i + j) * (_cofactor_det(minor) if minor else 1)
+        kinds.add((det == 0, rows[0][0] == 0))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_adjugate_pins():
+    assert adjugate([(2, 3), (4, 5)]) == (-2, [[5, -3], [-4, 2]])
+    assert adjugate([(0, 1), (1, 0)]) == (-1, [[0, -1], [-1, 0]])
+    assert adjugate([(1, 2), (2, 4)]) == (0, [[4, -2], [-2, 1]])
+    assert adjugate([(7,)]) == (7, [[1]])
+    assert adjugate([(0,)]) == (0, [[1]])
 
 
 def test_determinant_exact_on_large_entries():

@@ -309,3 +309,81 @@ def test_forged_minor_check_survives_optimize_flag():
         "    print(e)\n"
     )
     assert lines == ["minors of (0, 1, 2, 3) give no affine dependence"]
+
+
+# -- the circuit index from one adjugate against the minor path --------------
+
+
+def _check_sides(make, simplices):
+    """simplex_sides of each simplex, all on one configuration, against
+    circuit_or_none (Cramer's rule on minors) on a fresh one."""
+    cfg, ref = make(), make()
+    checked = 0
+    for simplex in simplices:
+        sides = iter(cfg.simplex_sides(simplex))
+        for p in range(cfg.n):
+            if p in simplex:
+                continue
+            key = tuple(sorted(simplex + (p,)))
+            want = ref.circuit_or_none(key)
+            assert cfg._circuit_cache[key] == (False if want is None else want), key
+            if want is not None:
+                # p is on the plus side of the circuit listed for it, or
+                # off the circuit (in a flat simplex), which is then negated.
+                circuit = want.reduced()
+                assert next(sides).circuit == (
+                    circuit if p in circuit.plus else circuit.negated()), key
+            checked += 1
+        assert next(sides, None) is None
+    # Only the adjugates ran: each left its simplex's determinant, no other minor.
+    assert set(cfg._minors) <= set(simplices)
+    assert all(cfg._minors[s] == ref._minor(s) for s in cfg._minors)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
+def test_simplex_sides_match_minor_path(name):
+    # Every (d+1)-subset, flat ones included: a flat simplex's adjugate
+    # comes from cofactors, and its sets still match the minor path.
+    make = CRAMER_FIXTURES[name]
+    cfg = make()
+    assert _check_sides(make, list(combinations(range(cfg.n), cfg.dim + 1)))
+
+
+def test_simplex_sides_match_minor_path_on_random_configurations():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        d = rng.choice((1, 2, 3))
+        pts = sorted({tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(7)})
+        if len(pts) < 2:
+            continue
+        cfg = new_configuration(pts)
+        simplices = list(combinations(range(cfg.n), cfg.dim + 1))
+        _check_sides(lambda: new_configuration(pts), simplices)
+
+
+def test_simplex_sides_match_minor_path_on_d2d4_prefix():
+    # Every simplex whose sides the first 300 nodes of the Δ2×Δ4 search met.
+    from regulartri import ResourceLimitError, enumerate_triangulations
+
+    cfg = simplex_product(2, 4)
+    with pytest.raises(ResourceLimitError):
+        enumerate_triangulations(cfg, max_nodes=300)
+    simplices = list(cfg._circuit_index)
+    assert len(simplices) > 200
+    assert _check_sides(lambda: simplex_product(2, 4), simplices) > 1600
+
+
+def test_forged_adjugate_raises(monkeypatch):
+    from regulartri import exact
+
+    real = exact.adjugate
+
+    def forged(m):
+        det, adj = real(m)
+        adj[0][0] += 1
+        return det, adj
+
+    monkeypatch.setattr(exact, "adjugate", forged)
+    with pytest.raises(RegulartriError, match="give no affine dependence"):
+        square().simplex_sides((0, 1, 2))

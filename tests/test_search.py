@@ -15,7 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from operator import add, sub
+from operator import add, mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,18 +35,21 @@ from regulartri import (
     find_flips,
     gkz,
     group_trie,
+    is_regular,
     nested_triangles,
     new_configuration,
     orbit_count,
     orbit_key,
     parse_triangulation,
     placing_triangulation,
+    pulling_triangulation,
     regular_flips,
     relabel,
     simplex_product,
     simplex_product_symmetry_generators,
     square,
     triangle_with_interior,
+    validate,
 )
 from regulartri import search
 from regulartri.search import (
@@ -344,6 +347,81 @@ def test_find_root_is_seed_independent():
         assert len(roots) == 1
 
 
+def _pulling_inputs(rng, count):
+    """Seeded small configurations, points in shuffled order: dimensions 1
+    to 3 on a small grid (so interior points and points on faces occur),
+    some lower-dimensional in their ambient space, some embedded in one
+    more coordinate."""
+    configs = []
+    while len(configs) < count:
+        d = rng.choice((1, 2, 2, 3))
+        n = rng.randint(d + 1, 6 if d == 3 else 8)
+        pts = set()
+        while len(pts) < n:
+            pts.add(tuple(rng.randint(0, 3 if d > 1 else 9) for _ in range(d)))
+        pts = list(pts)
+        if rng.random() < 0.3:
+            pts = [p + (sum(p) - 2 * p[0] + 1,) for p in pts]
+        rng.shuffle(pts)
+        configs.append(new_configuration(pts))
+    return configs
+
+
+def _walk(config, seed, mode=SearchMode.REGULAR_ONLY):
+    """find_root from the seed: (root, number of lists built)."""
+    provider, stats = _provider(config, mode)
+    return find_root(provider, seed)[0], stats.cache_misses
+
+
+PULLING_CATALOG = (
+    square, triangle_with_interior, nested_triangles, lambda: cube(3), lambda: cube(4),
+    *(lambda d=d: simplex_product(2, d) for d in (2, 3, 4, 5)), lambda: simplex_product(3, 3),
+)
+
+
+@pytest.mark.parametrize("make", PULLING_CATALOG, ids=(
+    "square", "triangle_with_interior", "nested_triangles", "cube3", "cube4",
+    "d2d2", "d2d3", "d2d4", "d2d5", "d3d3"))
+def test_pulling_seed_is_the_root(make):
+    # The walk from the placing seed is the independent reference.
+    config = make()
+    t = pulling_triangulation(config)
+    assert validate(config, t)
+    verdict = is_regular(config, t)
+    assert verdict.regular
+    assert all(sum(map(mul, row, verdict.heights)) > 0 for row in verdict.rows)
+    assert _walk(config, placing_triangulation(config))[0] == t
+    for mode in SearchMode:
+        assert _walk(config, t, mode) == (t, 1)
+    oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats())
+    assert oracle.seed() == t
+
+
+def test_pulling_seed_is_the_root_on_random_configurations():
+    dims = set()
+    for config in _pulling_inputs(random.Random(20261019), 320):
+        dims.add((config.dim, config.ambient_dim))
+        t = pulling_triangulation(config)
+        assert validate(config, t)
+        verdict = is_regular(config, t)
+        assert verdict.regular
+        assert all(sum(map(mul, row, verdict.heights)) > 0 for row in verdict.rows)
+        assert _walk(config, placing_triangulation(config))[0] == t
+        for mode in SearchMode:
+            assert _walk(config, t, mode) == (t, 1)
+    assert {(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)} <= dims
+
+
+def test_all_flips_counts_agree_from_both_seeds():
+    for config in _pulling_inputs(random.Random(7), 110):
+        counts = []
+        for seed in (placing_triangulation, pulling_triangulation):
+            provider, _ = _provider(config, SearchMode.ALL_FLIPS)
+            provider.oracle.seed = lambda: seed(config)
+            counts.append(reverse_search(provider))
+        assert counts[0] == counts[1]
+
+
 def test_reverse_search_counts():
     for cfg, want in (
         (square(), 2),
@@ -525,10 +603,10 @@ def test_flips_and_nodes_share_one_tuple_per_simplex():
 
 
 @pytest.mark.parametrize("options, hits, misses, flips, rays", (
-    pytest.param({}, 14207, 4488, 28368, RayStats(r1=23328, r2=2016, r3=3024), id="default"),
-    pytest.param({"cache_capacity": 0}, 0, 18695, 119226,
-                 RayStats(r1=94602, r2=9504, r3=15120), id="uncached"),
-    pytest.param({"verify_increments": True}, 14207, 4488, 28368,
+    pytest.param({}, 14185, 4488, 28368, RayStats(r1=23328, r2=2016, r3=3024), id="default"),
+    pytest.param({"cache_capacity": 0}, 0, 18673, 119094,
+                 RayStats(r1=94470, r2=9504, r3=15120), id="uncached"),
+    pytest.param({"verify_increments": True}, 14185, 4488, 28368,
                  RayStats(r1=23328, r2=2016, r3=3024), id="verified"),
 ))
 def test_search_counters_on_triangle_times_tetrahedron(options, hits, misses, flips, rays):
@@ -549,8 +627,9 @@ def test_reverse_search_matches_baseline_on_triangle_times_tetrahedron():
 
 def test_targets_are_built_for_taken_entries_only(monkeypatch):
     # A target is built only when a traversal takes its entry: reverse
-    # search takes the root walk's upflips, then each lower neighbour of
-    # each node, so each edge of the flip graph once, from its upper end.
+    # search takes the root walk's upflips (none from the pulling seed),
+    # then each lower neighbour of each node, so each edge of the flip
+    # graph once, from its upper end.
     calls = []
     original = search.apply_flip
 
@@ -561,16 +640,17 @@ def test_targets_are_built_for_taken_entries_only(monkeypatch):
     monkeypatch.setattr(search, "apply_flip", counting)
     count, stats = enumerate_triangulations(nested_triangles())
     # 16 flip lists of 54 flips, six of which screening discards: 48 kept
-    # entries, two per edge.  The placing seed is the root.
+    # entries, two per edge.
     assert (count, stats.cache_misses, stats.flips_evaluated) == (16, 16, 54)
     assert len(calls) == 24
     assert all(flip.delta < (0,) * 6 for flip in calls)
     calls.clear()
-    # cube(3): 304 flips, all regular, so 152 edges; the walk takes 8 steps.
+    # cube(3): 304 flips, all regular, so 152 edges; the root walk takes
+    # no step from the pulling seed.
     count, stats = enumerate_triangulations(cube(3))
-    walk = [flip for flip in calls if flip.delta > (0,) * 8]
-    assert (count, stats.flips_evaluated) == (74, 304)
-    assert (calls[:len(walk)], len(walk), len(calls)) == (walk, 8, 8 + 152)
+    assert (count, stats.flips_evaluated, stats.cache_misses) == (74, 304, 74)
+    assert len(calls) == 152
+    assert all(flip.delta < (0,) * 8 for flip in calls)
     calls.clear()
     # The baseline takes every entry of every node it pops.
     count, stats = enumerate_triangulations(
@@ -751,7 +831,7 @@ def test_orbit_search_keys_match_the_list_key(make, generators, count, orbits, m
 
 
 @pytest.mark.parametrize("d, orbits, relabels, derived, lists", [
-    (3, 35, 42, 40, 53), (4, 530, 972, 313, 563),
+    (3, 35, 42, 20, 35), (4, 530, 972, 279, 530),
 ], ids=["d2d3", "d2d4"])
 def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived, lists,
                                                    monkeypatch):
@@ -816,8 +896,8 @@ def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     group = expand_group(config, simplex_product_symmetry_generators(2, 3))
     total, stats = enumerate_triangulations(config, group=group)
     assert total == 4488
-    assert stats == SearchStats(nodes=35, flips_evaluated=330, cache_hits=99, cache_misses=53,
-                                rays=RayStats(r1=288, r2=16, r3=26))
+    assert stats == SearchStats(nodes=35, flips_evaluated=222, cache_hits=95, cache_misses=35,
+                                rays=RayStats(r1=180, r2=16, r3=26))
     # 317 calls when every neighbour and predecessor was keyed, 250 when
     # every predecessor was.
     assert len(keyed) == 197
@@ -902,7 +982,7 @@ def test_orbit_search_product_of_triangle_and_4_simplex():
         simplex_product(2, 4), simplex_product_symmetry_generators(2, 4)
     )
     assert (orbits, total) == (530, 376200)
-    assert stats.rays == RayStats(r1=3476, r2=769, r3=580, r4=5, lps_solved=27)
+    assert stats.rays == RayStats(r1=3212, r2=769, r3=580, r4=5, lps_solved=27)
 
 
 def test_orbit_search_product_of_two_tetrahedra_prefix():
@@ -915,8 +995,8 @@ def test_orbit_search_product_of_two_tetrahedra_prefix():
     with pytest.raises(ResourceLimitError, match="budget of 1000 nodes"):
         reverse_search(provider, max_nodes=1000, group=group)
     assert stats == SearchStats(
-        nodes=1000, flips_evaluated=25184, cache_hits=3418, cache_misses=2540,
-        rays=RayStats(r1=15427, r2=5911, r3=3382, r4=85, scalar_tests=4, lps_solved=460),
+        nodes=1000, flips_evaluated=24725, cache_hits=3416, cache_misses=2489,
+        rays=RayStats(r1=14968, r2=5911, r3=3382, r4=85, scalar_tests=4, lps_solved=460),
     )
 
 
