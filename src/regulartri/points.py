@@ -11,8 +11,8 @@ the configuration is full-dimensional in its own ambient space.  For
 lower-dimensional configurations all quantities are scaled by one global
 positive constant, which no sign test or comparison in the library can see.
 
-The signed maximal minors (the chirotope, up to that constant) are the one
-source of both volumes and circuits.  A simplex's normalized volume is
+The signed maximal minors (the chirotope, up to that constant) give both
+volumes and circuits.  A simplex's normalized volume is
 |minor|, and the dependence of a sorted (d+2)-subset Z is, by Cramer's rule,
 lambda_i = (-1)^i * minor(Z without its i-th point): the d+2 minors of Z,
 each shared with every other subset and simplex that contains it.  The
@@ -306,19 +306,19 @@ class PointConfiguration:
         sides = self._circuit_index.get(simplex)
         if sides is None:
             sides = []
-            adj = None
+            cols = None
             for p in range(self.n):
                 if p in simplex:
                     continue
                 key = tuple(sorted(simplex + (p,)))
                 full = self._circuit_cache.get(key)
                 if full is None:
-                    if adj is None:
+                    if cols is None:
                         det, adj = exact.adjugate([self.hom[i] for i in simplex])
                         self._minors[simplex] = det
-                        adj = tuple(zip(*adj))
+                        cols = tuple(zip(*adj))
                     # Cramer: hom(p)·adj on the simplex, -det on p.
-                    lam = [sum(map(mul, self.hom[p], col)) for col in adj]
+                    lam = [sum(map(mul, self.hom[p], col)) for col in cols]
                     lam.insert(key.index(p), -det)
                     full = self._circuit_cache[key] = self._dependence(key, lam)
                 if full is False:
