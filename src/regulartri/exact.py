@@ -190,10 +190,9 @@ def kernel_vector(m) -> tuple:
     Raises NoDependenceError when the kernel is trivial and
     NotCorankOneError when it has dimension two or more.
 
-    This is the routine for general matrices.  Flip finding no longer calls
-    it: `PointConfiguration` gets each circuit by Cramer's rule, from its
-    cached signed minors or from a simplex's adjugate, and the tests use
-    this function as the independent reference for those circuits.
+    This is the routine for general matrices.  `PointConfiguration` gets
+    each circuit by Cramer's rule from an adjugate, and the tests use this
+    function as the independent reference for those circuits.
     """
     rows = _as_rows(m)
     nc = len(rows[0])

@@ -3,9 +3,10 @@ rational answers out.
 
 Only two questions are ever asked: is a target vector a nonnegative
 combination of given generators, and does a strict homogeneous system
-row·h > 0 admit a solution.  Both reduce to phase-1 of the simplex method
-with Bland's anti-cycling rule, so answers are deterministic and never
-approximate.  The data must be `int`s (anything else raises
+row·h > 0 admit a solution.  The second is asked as an instance of the
+first (see `strict_homogeneous`), and the first is phase-1 of the simplex
+method with Bland's anti-cycling rule, so answers are deterministic and
+never approximate.  The data must be `int`s (anything else raises
 InvalidInputError), and the simplex pivots integers over one common
 denominator, as lrs does (Avis 2000): `Fraction`s appear only in the
 returned answer.  Every answer carries either a witness or a Farkas
@@ -167,9 +168,12 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
     """Does some h satisfy row·h > 0 for every row?
 
     Valid only for homogeneous systems: feasibility is equivalent to
-    row·h >= 1 by rescaling, which is what gets solved.  An infeasible
-    system yields a nonnegative nonzero combination of the rows equal to
-    zero (re-verified exactly).  Rows are ints (InvalidInputError otherwise).
+    row·h >= 1 by rescaling, asked as the combination R·p - R·q - s = 1
+    with p, q, s >= 0 and h = p - q.  `nonneg_combination` rechecks both
+    answers: its witness gives R·h = 1 + s >= 1, and its separating
+    functional (y·col <= 0 on R, -R and -I, and y·1 > 0) is exactly a
+    nonnegative nonzero y with yᵀR = 0, the certificate of infeasibility.
+    Rows are ints (InvalidInputError otherwise).
     """
     rows = int_rows(rows, "row")
     if not rows:
@@ -182,7 +186,6 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
     if dim is not None and dim != n:
         raise DimensionError("dim does not match row length")
     m = len(rows)
-    # variables: h = p - q with p, q >= 0, slack s >= 0: Rp - Rq - s = 1
     columns = []
     for j in range(n):
         columns.append(tuple(rows[i][j] for i in range(m)))
@@ -192,21 +195,9 @@ def strict_homogeneous(rows, dim=None) -> Feasibility:
         col = [0] * m
         col[i] = -1
         columns.append(tuple(col))
-    target = (1,) * m
 
-    feasible, x, y = _phase_one(columns, target)
-    # The rechecks use s·h and s·y for one s > 0 that makes them integer.
-    if feasible:
-        h = tuple(x[j] - x[n + j] for j in range(n))
-        sh, (s,) = _integer_multiple((h, (1,)))
-        if any(_dot(r, sh) < s for r in rows):
-            raise RegulartriError("witness failed exact recheck")
-        return Feasibility(True, witness=h)
-    (sy,) = _integer_multiple((y,))
-    if (
-        any(v < 0 for v in sy)
-        or not any(v > 0 for v in sy)
-        or any(sum(sy[i] * rows[i][j] for i in range(m)) != 0 for j in range(n))
-    ):
-        raise RegulartriError("certificate failed exact recheck")
-    return Feasibility(False, certificate=tuple(y))
+    res = nonneg_combination(columns, (1,) * m)
+    if res.feasible:
+        x = res.witness
+        return Feasibility(True, witness=tuple(x[j] - x[n + j] for j in range(n)))
+    return res

@@ -11,13 +11,13 @@ the configuration is full-dimensional in its own ambient space.  For
 lower-dimensional configurations all quantities are scaled by one global
 positive constant, which no sign test or comparison in the library can see.
 
-The signed maximal minors (the chirotope, up to that constant) give both
-volumes and circuits.  A simplex's normalized volume is
-|minor|, and the dependence of a sorted (d+2)-subset Z is, by Cramer's rule,
-lambda_i = (-1)^i * minor(Z without its i-th point): the d+2 minors of Z,
-each shared with every other subset and simplex that contains it.  The
-circuit index takes the same dependences for all Z = S ∪ {p} of a simplex S
-at once from the adjugate of S's rows: hom(p)·adj on S and -det(S) on p.
+A simplex's normalized volume is the absolute determinant of its
+homogenized rows (a signed maximal minor: the chirotope, up to that
+constant).  Circuits come from adjugates by Cramer's rule: for d+1 points B
+with rows M and a further point p, hom(p)·adj(M) on B and -det(M) on p is
+a dependence of B ∪ {p}, zero exactly when those d+2 points do not span.
+The circuit index takes every set S ∪ {p} of a simplex S from one adjugate
+of S's rows.
 """
 
 from __future__ import annotations
@@ -165,10 +165,12 @@ class PointConfiguration:
     (construction computes none of them):
 
     - signed minors: the determinant of the homogenized rows of a sorted
-      (d+1)-tuple.  A normalized volume is |minor|, and `corank_one` gets
-      the dependence of a (d+2)-subset from its d+2 minors by Cramer's
-      rule, so volumes, circuits and `total_volume` share each determinant;
-    - the dependence of each (d+2)-subset that was asked for;
+      (d+1)-tuple.  A normalized volume is |minor|.  Each adjugate taken
+      for a circuit leaves its determinant here too, so volumes and
+      `total_volume` reuse the determinants of the simplices that flip
+      finding met;
+    - the dependence of each (d+2)-subset that was asked for, from the
+      adjugate of its first d+1 points (`circuit_or_none`);
     - the circuit index (`simplex_sides`): for a simplex S, the reduced
       circuit of each set S ∪ {p}, oriented with p on its plus side.  The
       dependences come from one `exact.adjugate` of S's rows, which leaves
@@ -282,11 +284,18 @@ class PointConfiguration:
         """corank_one for presorted tuples, returning None when degenerate.
 
         Internal fast path shared by flip search; `key` must be sorted.
+        The dependence comes from the adjugate of key[:-1]'s rows (see the
+        module docstring).  A flat key[:-1] has its cofactors as adjugate,
+        each row a multiple of its own dependence, so the rule still holds.
         """
         cached = self._circuit_cache.get(key)
         if cached is None:
-            cached = self._circuit(key)
-            self._circuit_cache[key] = cached
+            base = key[:-1]
+            det, adj = exact.adjugate([self.hom[i] for i in base])
+            self._minors[base] = det
+            lam = [sum(map(mul, self.hom[key[-1]], col)) for col in zip(*adj)]
+            lam.append(-det)
+            cached = self._circuit_cache[key] = self._dependence(key, lam)
         return None if cached is False else cached
 
     def simplex_sides(self, simplex) -> tuple:
@@ -332,15 +341,6 @@ class PointConfiguration:
             sides = tuple(sides)
             self._circuit_index[simplex] = sides
         return sides
-
-    def _circuit(self, key):
-        # Cramer's rule: lambda_i = (-1)^i * minor(key without key[i]) spans
-        # the kernel of the (d+1) x (d+2) matrix of homogenized columns
-        # whenever some minor is nonzero; when all are zero the rank is
-        # below d+1 and the kernel is not one-dimensional.
-        minor = self._minor
-        lam = [minor(key[:i] + key[i + 1:]) for i in range(len(key))]
-        return self._dependence(key, [-x if i % 2 else x for i, x in enumerate(lam)])
 
     def _dependence(self, key, lam):
         """The CorankOneConfig of the sorted (d+2)-tuple `key` from a

@@ -282,6 +282,8 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     if group is not None:
         # The trie refuses an empty group before the root walk starts.
         search, order, trie = "orbit search", len(group), group_trie(group)
+    # So does the budget: a zero budget builds no list.
+    visited = _count_visit(0, max_nodes, search)
     root, root_gkz = find_root(provider, provider.oracle.seed())
     zero = (0,) * len(root_gkz)
     if group is not None:
@@ -290,7 +292,6 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
         if key != root_gkz:
             raise RegulartriError("the lex-max root is not its orbit's representative")
         total = order // stabiliser
-    visited = _count_visit(0, max_nodes, search)
     stats.nodes += 1
     if visitor is not None:
         visitor(root, root_gkz, 0)

@@ -21,6 +21,8 @@ image; it is slower but holds for non-regular triangulations too, and
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import exact
 from .errors import DimensionError, InvalidInputError, ResourceLimitError
 from .points import PointConfiguration, as_count, as_integer
@@ -42,20 +44,18 @@ def _symmetry_test(config: PointConfiguration):
     """`is_symmetry` on the configuration, as a function of the permutation.
 
     By Cramer's rule, the affine coordinates of a point in a basis B of the
-    points are integer numerators over D = det(B); they are computed once
-    here.  The map a_i -> a_perm(i) is affine exactly when every image
-    point has the same coordinates in the image basis perm(B), which the
-    test checks multiplied through by D, in integers.
+    points are integer numerators over D = det(B): the point's homogenized
+    row times the adjugate of B's rows, computed once here.  The map
+    a_i -> a_perm(i) is affine exactly when every image point has the same
+    coordinates in the image basis perm(B), which the test checks
+    multiplied through by D, in integers.
     """
     hom = config.hom
     basis = exact.greedy_basis(hom)
     frame = [hom[b] for b in basis]
-    denom = exact.determinant(frame)
-    numerators = [
-        [exact.determinant(frame[:k] + [target] + frame[k + 1:])
-         for k in range(len(frame))]
-        for target in hom
-    ]
+    denom, adj = exact.adjugate(frame)
+    columns = tuple(zip(*adj))
+    numerators = [[sum(map(mul, target, col)) for col in columns] for target in hom]
 
     def test(perm):
         perm = tuple(as_integer(x, "permutation entry") for x in perm)

@@ -224,7 +224,8 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
     Checks, in order: simplex shape (vertex count, index range, positive
     volume), total volume against the hull volume, and facet pairing (every
     interior facet shared by exactly two simplices lying on opposite sides;
-    every once-used facet supported by the hull boundary).
+    every once-used facet inside a hull facet, as its d independent points
+    span a supporting hyperplane exactly when they lie in one).
     """
     d = config.dim
     for s in t.simplices:
@@ -246,6 +247,7 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
             f"simplices cover volume {total}, hull has volume {hull}",
         )
 
+    hull_facets = _hull_facets(config)
     for facet, owners in facet_incidence(t.simplices).items():
         if len(owners) > 2:
             return ValidationResult(
@@ -261,26 +263,13 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
                     "facet-pairing",
                     f"simplices {s0} and {s1} overlap across facet {facet}",
                 )
-        else:
-            if not _on_boundary(config, facet, owners[0][1]):
-                return ValidationResult(
-                    False,
-                    "facet-pairing",
-                    f"interior facet {facet} belongs to only one simplex",
-                )
+        elif not any(h.issuperset(facet) for h in hull_facets):
+            return ValidationResult(
+                False,
+                "facet-pairing",
+                f"interior facet {facet} belongs to only one simplex",
+            )
     return ValidationResult(True)
-
-
-def _on_boundary(config: PointConfiguration, facet, apex) -> bool:
-    """True when the facet's hyperplane supports the whole configuration."""
-    side = config.facet_sign(facet, apex)
-    for i in range(config.n):
-        if i in facet:
-            continue
-        s = config.facet_sign(facet, i)
-        if s != 0 and s != side:
-            return False
-    return True
 
 
 def ensure_valid(config: PointConfiguration, t: Triangulation) -> None:
@@ -290,6 +279,18 @@ def ensure_valid(config: PointConfiguration, t: Triangulation) -> None:
 
 
 # -- placing and pulling constructions ---------------------------------
+
+
+def _hull_facets(config: PointConfiguration) -> list:
+    """The facets of the convex hull, each as the frozenset of the points
+    on its hyperplane: the hyperplanes of the placing triangulation's
+    boundary facets, one per hull facet."""
+    hyperplanes = []
+    for facet, owners in facet_incidence(placing_triangulation(config).simplices).items():
+        if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
+            hyperplanes.append(frozenset(
+                i for i in range(config.n) if config.facet_sign(facet, i) == 0))
+    return hyperplanes
 
 
 def placing_triangulation(config: PointConfiguration) -> Triangulation:
@@ -326,17 +327,12 @@ def pulling_triangulation(config: PointConfiguration) -> Triangulation:
 
     Each face of the hull, from the hull itself down, is coned from its
     first point over the pulled facets of the face that miss that point.
-    The facets of the hull are the hyperplanes of the placing
-    triangulation's boundary facets, and the facets of a face are its
-    inclusion-maximal proper intersections with them.  Pulling
+    The facets of the hull are `_hull_facets`, and the facets of a face
+    are its inclusion-maximal proper intersections with them.  Pulling
     triangulations are regular, and this one has the lex-largest
     GKZ-vector (De Loera, Rambau and Santos, Triangulations, 2010).
     """
-    hyperplanes = []
-    for facet, owners in facet_incidence(placing_triangulation(config).simplices).items():
-        if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
-            hyperplanes.append(frozenset(
-                i for i in range(config.n) if config.facet_sign(facet, i) == 0))
+    hyperplanes = _hull_facets(config)
     memo = {}
 
     def pull(face):

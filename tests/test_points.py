@@ -23,6 +23,7 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
+from regulartri import exact
 
 from test_search import optimized_output
 
@@ -238,16 +239,32 @@ def _agrees(got, want):
     return got is None if want is None else got.dependence == want
 
 
+def minor_circuit(cfg, key):
+    """The circuit of the sorted (d+2)-tuple `key` by Cramer's rule on its
+    maximal minors, lambda_i = (-1)^i * minor(key without key[i]), or None
+    when every minor is zero.  It reads and fills none of cfg's caches: it
+    is the reference that the adjugate paths are compared against."""
+    lam = [(-1) ** i * determinant([cfg.hom[p] for p in key[:i] + key[i + 1:]])
+           for i in range(len(key))]
+    circuit = cfg._dependence(key, lam)
+    return None if circuit is False else circuit
+
+
 @pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
 def test_circuits_match_kernel_vector(name):
-    # One configuration answers every subset, sharing its minors; fresh
+    # One configuration answers every subset, sharing its caches; fresh
     # ones answer each subset cold, through both entry points.
     make = CRAMER_FIXTURES[name]
     shared = make()
     degenerate = set()
+    flat_base = set()
     for key in combinations(range(shared.n), shared.dim + 2):
         want = _reference_dependence(shared, key)
         degenerate.add(want is None)
+        if determinant([shared.hom[i] for i in key[:-1]]) == 0:
+            # circuit_or_none takes the cofactor adjugate of key[:-1].
+            flat_base.add(want is None)
+        assert _agrees(minor_circuit(shared, key), want), key
         assert _agrees(shared.circuit_or_none(key), want), key
         assert _agrees(make().circuit_or_none(key), want), key
         if want is None:
@@ -257,6 +274,9 @@ def test_circuits_match_kernel_vector(name):
             assert make().corank_one(key).dependence == want, key
     if name in ("collinear", "coplanar"):
         assert degenerate == {True, False}
+        # Flat first d+1 points occur both in degenerate keys and in keys
+        # whose last point spans.
+        assert flat_base == {True, False}
 
 
 def test_circuits_match_kernel_vector_on_d2d4_sample():
@@ -276,22 +296,37 @@ def test_normalized_volume_is_abs_determinant(name):
         assert vol == abs(determinant([cfg.hom[i] for i in simplex])), simplex
 
 
-def test_minors_fill_lazily_and_are_shared():
+def test_minors_fill_lazily_and_are_shared(monkeypatch):
     cfg = square()
     assert cfg._minors == {}
     c = cfg.corank_one((0, 1, 2, 3))
-    assert set(cfg._minors) == {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
-    assert [cfg.normalized_volume(s) for s in sorted(cfg._minors)] == [
-        abs(x) for x in c.dependence[::-1]
-    ]
+    # The circuit came from the adjugate of its base (0, 1, 2), which left
+    # the base's determinant and no other minor.
+    assert cfg._minors == {(0, 1, 2): determinant([cfg.hom[i] for i in (0, 1, 2)])}
+    computed = []
+    real = exact.determinant
+    monkeypatch.setattr(exact, "determinant", lambda m: computed.append(m) or real(m))
+    volumes = [cfg.normalized_volume(s) for s in combinations(range(4), 3)]
+    assert volumes == [abs(x) for x in c.dependence[::-1]]
     assert len(cfg._minors) == 4
+    # The base's volume read the adjugate's determinant.
+    assert len(computed) == 3
 
 
 def forged_minor_circuit():
-    """The square's circuit with one cached minor replaced by a wrong value."""
-    cfg = square()
-    cfg._minors[(0, 1, 2)] = 2 * cfg._minor((0, 1, 2))
-    return cfg.circuit_or_none((0, 1, 2, 3))
+    """The square's circuit from an adjugate with one entry off by one."""
+    real = exact.adjugate
+
+    def forged(m):
+        det, adj = real(m)
+        adj[0][0] += 1
+        return det, adj
+
+    exact.adjugate = forged
+    try:
+        return square().circuit_or_none((0, 1, 2, 3))
+    finally:
+        exact.adjugate = real
 
 
 def test_forged_minor_raises():
@@ -316,8 +351,8 @@ def test_forged_minor_check_survives_optimize_flag():
 
 def _check_sides(make, simplices):
     """simplex_sides of each simplex, all on one configuration, against
-    circuit_or_none (Cramer's rule on minors) on a fresh one."""
-    cfg, ref = make(), make()
+    `minor_circuit`."""
+    cfg = make()
     checked = 0
     for simplex in simplices:
         sides = iter(cfg.simplex_sides(simplex))
@@ -325,7 +360,7 @@ def _check_sides(make, simplices):
             if p in simplex:
                 continue
             key = tuple(sorted(simplex + (p,)))
-            want = ref.circuit_or_none(key)
+            want = minor_circuit(cfg, key)
             assert cfg._circuit_cache[key] == (False if want is None else want), key
             if want is not None:
                 # p is on the plus side of the circuit listed for it, or
@@ -337,7 +372,7 @@ def _check_sides(make, simplices):
         assert next(sides, None) is None
     # Only the adjugates ran: each left its simplex's determinant, no other minor.
     assert set(cfg._minors) <= set(simplices)
-    assert all(cfg._minors[s] == ref._minor(s) for s in cfg._minors)
+    assert all(cfg._minors[s] == determinant([cfg.hom[i] for i in s]) for s in cfg._minors)
     return checked
 
 
@@ -375,8 +410,6 @@ def test_simplex_sides_match_minor_path_on_d2d4_prefix():
 
 
 def test_forged_adjugate_raises(monkeypatch):
-    from regulartri import exact
-
     real = exact.adjugate
 
     def forged(m):

@@ -926,6 +926,18 @@ def test_search_node_budgets():
             _orbit_search(config, generators, max_nodes=budget)
 
 
+def test_zero_budget_builds_no_list():
+    # Refused before the root walk, as an empty group is.
+    config = simplex_product(2, 3)
+    group = expand_group(config, simplex_product_symmetry_generators(2, 3))
+    for search_call, kwargs in ((reverse_search, {}), (reverse_search, {"group": group}),
+                                (baseline_dfs, {})):
+        provider, stats = _provider(config)
+        with pytest.raises(ResourceLimitError, match="budget of 0 nodes"):
+            search_call(provider, max_nodes=0, **kwargs)
+        assert (stats.nodes, stats.cache_misses, stats.flips_evaluated) == (0, 0, 0)
+
+
 def test_negative_budgets_are_invalid_input():
     # Both are library errors raised before the search does any work.
     config = simplex_product(2, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import mul
 
 import pytest
 
@@ -11,8 +12,10 @@ from regulartri import (
     InvalidInputError,
     Triangulation,
     TriangulationError,
+    apply_flip,
     cube,
     ensure_valid,
+    find_flips,
     format_triangulation,
     gkz,
     nested_triangles,
@@ -20,10 +23,12 @@ from regulartri import (
     new_configuration,
     parse_triangulation,
     placing_triangulation,
+    pulling_triangulation,
     square,
     triangle_with_interior,
     validate,
 )
+from regulartri.triangulation import _hull_facets, facet_incidence
 
 
 def test_canonical_order_and_equality():
@@ -117,11 +122,13 @@ def test_validate_reports_total_volume_gap():
     res = validate(square(), parse_triangulation("{{0,1,2}}"))
     assert not res
     assert res.kind == "total-volume"
+    assert res.detail == "simplices cover volume 1, hull has volume 2"
     res = validate(
         triangle_with_interior(), parse_triangulation("{{0,1,3},{0,2,3},{0,1,2}}")
     )
     assert not res
     assert res.kind == "total-volume"
+    assert res.detail == "simplices cover volume 15, hull has volume 9"
 
 
 def test_validate_reports_facet_pairing_failures():
@@ -130,17 +137,25 @@ def test_validate_reports_facet_pairing_failures():
     res = validate(square(), parse_triangulation("{{0,1,2},{1,2,3}}"))
     assert not res
     assert res.kind == "facet-pairing"
+    assert res.detail == "simplices (0, 1, 2) and (1, 2, 3) overlap across facet (1, 2)"
 
     grid = new_configuration([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)])
     # A hole next to a double cover: volumes balance, pairing does not.
     res = validate(grid, parse_triangulation("{{0,1,3},{1,3,4},{1,2,4},{1,2,5}}"))
     assert not res
     assert res.kind == "facet-pairing"
-    assert "only one simplex" in res.detail
-    # Three simplices around one facet.
+    assert res.detail == "interior facet (2, 4) belongs to only one simplex"
+    # Three simplices around the facet (1, 4), but the once-used facet
+    # (2, 4) comes first.
     res = validate(grid, parse_triangulation("{{0,1,3},{1,3,4},{1,2,4},{1,4,5}}"))
     assert not res
     assert res.kind == "facet-pairing"
+    assert res.detail == "interior facet (2, 4) belongs to only one simplex"
+    # Three simplices around the facet (1, 3), which comes first.
+    res = validate(grid, parse_triangulation("{{0,1,3},{1,3,4},{1,3,5}}"))
+    assert not res
+    assert res.kind == "facet-pairing"
+    assert res.detail == "facet (1, 3) belongs to 3 simplices"
 
 
 def test_validate_reports_degenerate_simplex():
@@ -148,6 +163,7 @@ def test_validate_reports_degenerate_simplex():
     res = validate(line, parse_triangulation("{{0,1,2},{0,2,3}}"))
     assert not res
     assert res.kind == "degenerate-simplex"
+    assert res.detail == "simplex (0, 1, 2) is flat"
 
 
 def test_validate_checks_vertex_counts():
@@ -191,3 +207,59 @@ def test_placing_skips_interior_points_of_processed_hull():
     # triangulation: the interior point sees no hull facet.
     t = placing_triangulation(triangle_with_interior())
     assert t == parse_triangulation("{{0,1,2}}")
+
+
+# -- hull facets against the point-by-point boundary test ------------------
+
+
+def on_boundary(config, facet, apex) -> bool:
+    """True when the facet's hyperplane supports the whole configuration:
+    no point lies strictly on the side away from the apex.  The reference
+    for membership in `_hull_facets`."""
+    side = config.facet_sign(facet, apex)
+    for i in range(config.n):
+        if i in facet:
+            continue
+        s = config.facet_sign(facet, i)
+        if s != 0 and s != side:
+            return False
+    return True
+
+
+def _hull_cases(count, seed):
+    """Seeded random configurations of dimensions 1 to 3, some embedded in
+    one more coordinate.  Their points lie in a small box, so many fall on
+    facets of the hull."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        d = rng.choice((1, 2, 3))
+        top = 4 if d == 1 else 2
+        pts = {tuple(rng.randint(0, top) for _ in range(d)) for _ in range(rng.randint(4, 8))}
+        if rng.random() < 0.3:
+            weights = [rng.randint(-2, 2) for _ in range(d)]
+            pts = {p + (sum(map(mul, weights, p)) + 1,) for p in pts}
+        if len(pts) >= 2:
+            cases.append(new_configuration(sorted(pts)))
+    return cases
+
+
+def test_hull_facets_match_the_boundary_test():
+    # Every facet of every simplex, so interior facets (not on the hull)
+    # are checked as well as the once-used ones.
+    answers = {True: 0, False: 0}
+    embedded = crowded = 0
+    for cfg in _hull_cases(200, seed=20261019):
+        hull = _hull_facets(cfg)
+        embedded += cfg.ambient_dim > cfg.dim
+        crowded += any(len(h) > cfg.dim for h in hull)
+        seeds = (placing_triangulation(cfg), pulling_triangulation(cfg))
+        targets = [apply_flip(cfg, t, f) for t in seeds for f in find_flips(cfg, t)]
+        for t in seeds + tuple(targets):
+            assert validate(cfg, t).ok, (cfg.points, t)
+            for facet, owners in facet_incidence(t.simplices).items():
+                want = on_boundary(cfg, facet, owners[0][1])
+                assert any(h.issuperset(facet) for h in hull) == want, (cfg.points, facet)
+                assert want == (len(owners) == 1), (cfg.points, t, facet)
+                answers[want] += 1
+    assert embedded >= 40 and crowded >= 60 and min(answers.values()) >= 2000
