@@ -153,8 +153,9 @@ def nonneg_combination(generators, target) -> Feasibility:
         sx, (s,) = _integer_multiple((x, (1,)))
         combo = [0] * len(tgt)
         for c, g in zip(sx, gens):
-            for i, v in enumerate(g):
-                combo[i] += c * v
+            if c:
+                for i, v in enumerate(g):
+                    combo[i] += c * v
         if any(c < 0 for c in sx) or combo != [s * v for v in tgt]:
             raise RegulartriError("witness failed exact recheck")
         return Feasibility(True, witness=x)

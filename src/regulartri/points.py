@@ -166,11 +166,11 @@ class PointConfiguration:
 
     - signed minors: the determinant of the homogenized rows of a sorted
       (d+1)-tuple.  A normalized volume is |minor|.  Each adjugate taken
-      for a circuit leaves its determinant here too, so volumes and
-      `total_volume` reuse the determinants of the simplices that flip
-      finding met;
+      for a circuit leaves its determinant here too, and `circuit_or_none`
+      tests its bases here, so volumes, circuits and `total_volume` share
+      each determinant;
     - the dependence of each (d+2)-subset that was asked for, from the
-      adjugate of its first d+1 points (`circuit_or_none`);
+      adjugate of d+1 of its points that span (`circuit_or_none`);
     - the circuit index (`simplex_sides`): for a simplex S, the reduced
       circuit of each set S ∪ {p}, oriented with p on its plus side.  The
       dependences come from one `exact.adjugate` of S's rows, which leaves
@@ -224,7 +224,8 @@ class PointConfiguration:
         self.flip_memo = {}
         #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
         self.simplex_table = {}
-        self._total_volume = None
+        #: (normalized volume, facets) of the hull; see `triangulation._hull`
+        self._hull = None
 
     # -- basic queries ------------------------------------------------
 
@@ -284,18 +285,21 @@ class PointConfiguration:
         """corank_one for presorted tuples, returning None when degenerate.
 
         Internal fast path shared by flip search; `key` must be sorted.
-        The dependence comes from the adjugate of key[:-1]'s rows (see the
-        module docstring).  A flat key[:-1] has its cofactors as adjugate,
-        each row a multiple of its own dependence, so the rule still holds.
+        The dependence comes from the adjugate of a base that spans: key
+        without one point, the last one first, each tested by its memoised
+        minor, so a flat base costs one shared determinant and no cofactors.
+        A key that no base spans is degenerate.
         """
         cached = self._circuit_cache.get(key)
         if cached is None:
-            base = key[:-1]
-            det, adj = exact.adjugate([self.hom[i] for i in base])
-            self._minors[base] = det
-            lam = [sum(map(mul, self.hom[key[-1]], col)) for col in zip(*adj)]
-            lam.append(-det)
-            cached = self._circuit_cache[key] = self._dependence(key, lam)
+            cached = False
+            for i in reversed(range(len(key))):
+                base = key[:i] + key[i + 1:]
+                if self._minor(base):
+                    det, adj = exact.adjugate([self.hom[v] for v in base])
+                    cached = self._cramer(key, key[i], det, tuple(zip(*adj)))
+                    break
+            self._circuit_cache[key] = cached
         return None if cached is False else cached
 
     def simplex_sides(self, simplex) -> tuple:
@@ -326,10 +330,7 @@ class PointConfiguration:
                         det, adj = exact.adjugate([self.hom[i] for i in simplex])
                         self._minors[simplex] = det
                         cols = tuple(zip(*adj))
-                    # Cramer: hom(p)·adj on the simplex, -det on p.
-                    lam = [sum(map(mul, self.hom[p], col)) for col in cols]
-                    lam.insert(key.index(p), -det)
-                    full = self._circuit_cache[key] = self._dependence(key, lam)
+                    full = self._circuit_cache[key] = self._cramer(key, p, det, cols)
                 if full is False:
                     continue
                 circuit = full.reduced()
@@ -342,6 +343,14 @@ class PointConfiguration:
             self._circuit_index[simplex] = sides
         return sides
 
+    def _cramer(self, key, p, det, cols):
+        """The dependence of the sorted tuple `key` by Cramer's rule, from
+        the adjugate columns `cols` and determinant `det` of the rows of
+        key without p: hom(p)·adj on those points and -det on p."""
+        lam = [sum(map(mul, self.hom[p], col)) for col in cols]
+        lam.insert(key.index(p), -det)
+        return self._dependence(key, lam)
+
     def _dependence(self, key, lam):
         """The CorankOneConfig of the sorted (d+2)-tuple `key` from a
         dependence `lam` of its rows, or False when `lam` is zero."""
@@ -352,7 +361,7 @@ class PointConfiguration:
         for coords in zip(*rows):
             if sum(map(mul, lam, coords)):
                 raise RegulartriError(
-                    f"minors of {key} give no affine dependence"
+                    f"Cramer's rule gives no affine dependence of {key}"
                 )
         plus = tuple(p for p, c in zip(key, lam) if c > 0)
         zero = tuple(p for p, c in zip(key, lam) if c == 0)
@@ -361,12 +370,9 @@ class PointConfiguration:
 
     def total_volume(self) -> int:
         """Normalized volume of the convex hull (computed once, by placing)."""
-        if self._total_volume is None:
-            from .triangulation import placing_triangulation
+        from .triangulation import _hull
 
-            t = placing_triangulation(self)
-            self._total_volume = sum(self.normalized_volume(s) for s in t.simplices)
-        return self._total_volume
+        return _hull(self)[0]
 
     # -- orientation helpers ------------------------------------------
 

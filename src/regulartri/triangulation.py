@@ -239,7 +239,7 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
             return ValidationResult(False, "degenerate-simplex", f"simplex {s} is flat")
 
     total = sum(config.normalized_volume(s) for s in t.simplices)
-    hull = config.total_volume()
+    hull, hull_facets = _hull(config)
     if total != hull:
         return ValidationResult(
             False,
@@ -247,7 +247,6 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
             f"simplices cover volume {total}, hull has volume {hull}",
         )
 
-    hull_facets = _hull_facets(config)
     for facet, owners in facet_incidence(t.simplices).items():
         if len(owners) > 2:
             return ValidationResult(
@@ -281,16 +280,21 @@ def ensure_valid(config: PointConfiguration, t: Triangulation) -> None:
 # -- placing and pulling constructions ---------------------------------
 
 
-def _hull_facets(config: PointConfiguration) -> list:
-    """The facets of the convex hull, each as the frozenset of the points
-    on its hyperplane: the hyperplanes of the placing triangulation's
-    boundary facets, one per hull facet."""
-    hyperplanes = []
-    for facet, owners in facet_incidence(placing_triangulation(config).simplices).items():
-        if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
-            hyperplanes.append(frozenset(
-                i for i in range(config.n) if config.facet_sign(facet, i) == 0))
-    return hyperplanes
+def _hull(config: PointConfiguration) -> tuple:
+    """(normalized volume, facets) of the convex hull, both from one placing
+    triangulation and kept on the configuration.  Each facet is the
+    frozenset of the points on its hyperplane: the hyperplanes of the
+    placing triangulation's boundary facets, one per hull facet."""
+    if config._hull is None:
+        t = placing_triangulation(config)
+        hyperplanes = []
+        for facet, owners in facet_incidence(t.simplices).items():
+            if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
+                hyperplanes.append(frozenset(
+                    i for i in range(config.n) if config.facet_sign(facet, i) == 0))
+        volume = sum(config.normalized_volume(s) for s in t.simplices)
+        config._hull = (volume, tuple(hyperplanes))
+    return config._hull
 
 
 def placing_triangulation(config: PointConfiguration) -> Triangulation:
@@ -327,12 +331,12 @@ def pulling_triangulation(config: PointConfiguration) -> Triangulation:
 
     Each face of the hull, from the hull itself down, is coned from its
     first point over the pulled facets of the face that miss that point.
-    The facets of the hull are `_hull_facets`, and the facets of a face
+    The facets of the hull are those of `_hull`, and the facets of a face
     are its inclusion-maximal proper intersections with them.  Pulling
     triangulations are regular, and this one has the lex-largest
     GKZ-vector (De Loera, Rambau and Santos, Triangulations, 2010).
     """
-    hyperplanes = _hull_facets(config)
+    hyperplanes = _hull(config)[1]
     memo = {}
 
     def pull(face):

@@ -251,9 +251,11 @@ def minor_circuit(cfg, key):
 
 
 @pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
-def test_circuits_match_kernel_vector(name):
+def test_circuits_match_kernel_vector(name, monkeypatch):
     # One configuration answers every subset, sharing its caches; fresh
-    # ones answer each subset cold, through both entry points.
+    # ones answer each subset cold, through both entry points.  None of
+    # them takes an adjugate by cofactors: flat bases are passed over.
+    monkeypatch.setattr(exact, "_cofactors", None)
     make = CRAMER_FIXTURES[name]
     shared = make()
     degenerate = set()
@@ -262,7 +264,7 @@ def test_circuits_match_kernel_vector(name):
         want = _reference_dependence(shared, key)
         degenerate.add(want is None)
         if determinant([shared.hom[i] for i in key[:-1]]) == 0:
-            # circuit_or_none takes the cofactor adjugate of key[:-1].
+            # circuit_or_none passes over key[:-1] to the next base.
             flat_base.add(want is None)
         assert _agrees(minor_circuit(shared, key), want), key
         assert _agrees(shared.circuit_or_none(key), want), key
@@ -330,7 +332,7 @@ def forged_minor_circuit():
 
 
 def test_forged_minor_raises():
-    with pytest.raises(RegulartriError, match="give no affine dependence"):
+    with pytest.raises(RegulartriError, match="gives no affine dependence"):
         forged_minor_circuit()
 
 
@@ -343,7 +345,7 @@ def test_forged_minor_check_survives_optimize_flag():
         "except RegulartriError as e:\n"
         "    print(e)\n"
     )
-    assert lines == ["minors of (0, 1, 2, 3) give no affine dependence"]
+    assert lines == ["Cramer's rule gives no affine dependence of (0, 1, 2, 3)"]
 
 
 # -- the circuit index from one adjugate against the minor path --------------
@@ -418,5 +420,5 @@ def test_forged_adjugate_raises(monkeypatch):
         return det, adj
 
     monkeypatch.setattr(exact, "adjugate", forged)
-    with pytest.raises(RegulartriError, match="give no affine dependence"):
+    with pytest.raises(RegulartriError, match="gives no affine dependence"):
         square().simplex_sides((0, 1, 2))

@@ -28,7 +28,7 @@ from regulartri import (
     triangle_with_interior,
     validate,
 )
-from regulartri.triangulation import _hull_facets, facet_incidence
+from regulartri.triangulation import _hull, facet_incidence
 
 
 def test_canonical_order_and_equality():
@@ -116,6 +116,22 @@ def test_validate_accepts_good_triangulations():
     tri = triangle_with_interior()
     assert validate(tri, parse_triangulation("{{0,1,2}}")).ok
     assert validate(nested_triangles(), nested_triangles_pinwheel()).ok
+
+
+def test_hull_is_built_once_per_configuration(monkeypatch):
+    # The hull volume, validate's hull facets and the pulling seed all come
+    # from one placing triangulation per configuration.
+    import regulartri.triangulation as module
+
+    built = []
+    monkeypatch.setattr(module, "placing_triangulation",
+                        lambda cfg: built.append(cfg) or placing_triangulation(cfg))
+    cfg = cube(3)
+    t = pulling_triangulation(cfg)
+    for _ in range(3):
+        assert validate(cfg, t).ok
+    assert cfg.total_volume() == 6
+    assert built == [cfg]
 
 
 def test_validate_reports_total_volume_gap():
@@ -215,7 +231,7 @@ def test_placing_skips_interior_points_of_processed_hull():
 def on_boundary(config, facet, apex) -> bool:
     """True when the facet's hyperplane supports the whole configuration:
     no point lies strictly on the side away from the apex.  The reference
-    for membership in `_hull_facets`."""
+    for membership in the facets of `_hull`."""
     side = config.facet_sign(facet, apex)
     for i in range(config.n):
         if i in facet:
@@ -250,7 +266,7 @@ def test_hull_facets_match_the_boundary_test():
     answers = {True: 0, False: 0}
     embedded = crowded = 0
     for cfg in _hull_cases(200, seed=20261019):
-        hull = _hull_facets(cfg)
+        hull = _hull(cfg)[1]
         embedded += cfg.ambient_dim > cfg.dim
         crowded += any(len(h) > cfg.dim for h in hull)
         seeds = (placing_triangulation(cfg), pulling_triangulation(cfg))
