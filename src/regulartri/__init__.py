@@ -32,7 +32,7 @@ from .catalog import (
     square,
     triangle_with_interior,
 )
-from .exact import adjugate, determinant, kernel_vector, rank
+from .exact import adjugate, determinant, kernel_basis, kernel_vector, rank
 from .flips import Flip, apply_flip, find_flips
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
 from .points import CorankOneConfig, PointConfiguration, new_configuration
@@ -122,6 +122,7 @@ __all__ = [
     "inverse_permutations",
     "is_regular",
     "is_symmetry",
+    "kernel_basis",
     "kernel_vector",
     "naive_extremal_rays",
     "nested_triangles",

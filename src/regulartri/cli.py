@@ -172,8 +172,11 @@ def cmd_enumerate(args, out) -> int:
         out.write(f"reductions_r2: {stats.rays.r2}\n")
         out.write(f"reductions_r3: {stats.rays.r3}\n")
         out.write(f"reductions_r4: {stats.rays.r4}\n")
+        out.write(f"kernel_decided: {stats.rays.kernel}\n")
         out.write(f"scalar_tests: {stats.rays.scalar_tests}\n")
         out.write(f"lps_solved: {stats.rays.lps_solved}\n")
+        out.write(f"lp_generators: {stats.rays.lp_generators}\n")
+        out.write(f"lp_generators_max: {stats.rays.lp_generators_max}\n")
         out.write(f"cache_hits: {stats.cache_hits}\n")
         out.write(f"cache_misses: {stats.cache_misses}\n")
     return EXIT_OK

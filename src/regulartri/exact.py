@@ -3,15 +3,16 @@
 Everything in this module is combinatorial bookkeeping for geometry that must
 never see floating point.  Every matrix is integer data in: an entry whose
 type is not `int` raises InvalidInputError.  Determinants, adjugates and
-ranks are computed by fraction-free Bareiss elimination, and
-one-dimensional kernels are returned as primitive integer vectors with a
-fixed sign convention so they can be compared and hashed exactly.
+ranks are computed by fraction-free Bareiss elimination, kernels by
+division-free Gauss-Jordan elimination, and kernel vectors are returned as
+primitive integer tuples with a fixed sign convention so they can be
+compared and hashed exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import (
     DimensionError,
@@ -182,6 +183,74 @@ def _primitive(vec):
     return tuple(vec)
 
 
+def kernel_basis(m) -> list:
+    """A basis of the right kernel of an integer matrix, as primitive
+    integer tuples: one per free column of its reduced echelon form, in
+    ascending order, each positive at its own free column and zero at the
+    others.  An empty list when the columns are independent.
+
+    Each vector is rechecked against every row of `m`, and one that fails
+    raises RegulartriError (not an assert, so `python -O` keeps it).
+    """
+    rows = _as_rows(m)
+    width = len(rows[0])
+    work, pivots = _gauss_jordan(rows)
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        # x_f = scale and x_p = -row[f] * scale / row[p] for each pivot
+        # row, with scale the least common multiple that keeps x integral.
+        scale = 1
+        for row, p in zip(work, pivots):
+            if row[f]:
+                d = abs(row[p])
+                scale = scale * d // gcd(scale, d)
+        vec = [0] * width
+        vec[f] = scale
+        for row, p in zip(work, pivots):
+            vec[p] = -row[f] * scale // row[p]
+        g = 0
+        for x in vec:
+            g = gcd(g, x)
+        vec = tuple(x // g for x in vec)
+        if any(sum(map(mul, row, vec)) for row in rows):
+            raise RegulartriError("kernel vector fails its recheck against the matrix")
+        basis.append(vec)
+    return basis
+
+
+def _gauss_jordan(rows):
+    """(work, pivots): Gauss-Jordan elimination of a copy of `rows` in
+    integers, with column pivoting.
+
+    `pivots` lists the pivot columns, and `work[i]` is zero at every pivot
+    column but its own, `pivots[i]`.  A row is eliminated only where it is
+    nonzero, by the smallest integer combination with the pivot row, so
+    no division is needed.
+    """
+    work = [r[:] for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        k = len(pivots)
+        swap = next((i for i in range(k, len(work)) if work[i][c]), None)
+        if swap is None:
+            continue
+        work[k], work[swap] = work[swap], work[k]
+        rk = work[k]
+        pivot = rk[c]
+        for i, ri in enumerate(work):
+            lead = ri[c]
+            if lead and i != k:
+                g = gcd(pivot, lead)
+                a, b = pivot // g, lead // g
+                work[i] = [a * x - b * y for x, y in zip(ri, rk)]
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return work, pivots
+
+
 def kernel_vector(m) -> tuple:
     """Spanning vector of the one-dimensional right kernel of an integer
     matrix, as a primitive integer tuple whose first nonzero entry is
@@ -190,52 +259,14 @@ def kernel_vector(m) -> tuple:
     Raises NoDependenceError when the kernel is trivial and
     NotCorankOneError when it has dimension two or more.
 
-    This is the routine for general matrices.  `PointConfiguration` gets
-    each circuit by Cramer's rule from an adjugate, and the tests use this
-    function as the independent reference for those circuits.
+    This is `kernel_basis` for a kernel of dimension one.
+    `PointConfiguration` gets each circuit by Cramer's rule from an
+    adjugate, and the tests use this function as the independent reference
+    for those circuits.
     """
-    rows = _as_rows(m)
-    nc = len(rows[0])
-    r = rank(rows)
-    nullity = nc - r
-    if nullity == 0:
+    basis = kernel_basis(m)
+    if not basis:
         raise NoDependenceError("matrix has full column rank: no dependence")
-    if nullity > 1:
-        raise NotCorankOneError(f"kernel has dimension {nullity}, expected 1")
-    # Fraction-based forward elimination to reduced row echelon form.
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []  # (row, col)
-    pr = 0
-    for c in range(nc):
-        pi = None
-        for i in range(pr, len(work)):
-            if work[i][c] != 0:
-                pi = i
-                break
-        if pi is None:
-            continue
-        work[pr], work[pi] = work[pi], work[pr]
-        pv = work[pr][c]
-        work[pr] = [x / pv for x in work[pr]]
-        for i in range(len(work)):
-            if i != pr and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[pr])]
-        pivots.append((pr, c))
-        pr += 1
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(nc) if c not in pivot_cols]
-    if len(free_cols) != 1:
-        raise RegulartriError(
-            f"elimination left {len(free_cols)} free columns for a kernel of "
-            "dimension one"
-        )
-    fc = free_cols[0]
-    sol = [Fraction(0)] * nc
-    sol[fc] = Fraction(1)
-    for i, c in pivots:
-        sol[c] = -work[i][fc]
-    lcm = 1
-    for x in sol:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return _primitive([int(x * lcm) for x in sol])
+    if len(basis) > 1:
+        raise NotCorankOneError(f"kernel has dimension {len(basis)}, expected 1")
+    return _primitive(basis[0])

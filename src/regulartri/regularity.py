@@ -37,7 +37,20 @@ with no system built: fold the live masks into the columns hit once and hit
 twice or more, peel every vector with a column hit only by itself, and
 repeat until nothing peels.  Only the residual, in input order, goes to
 `screen_rays`, whose remaining events, snapshots and counters are those of
-the full cascade; on Δ2×Δ3 four nodes in five never reach it.
+the full cascade; the peel alone decides four in five Δ2×Δ3 flip lists.
+
+`regular_flips` knows more: the displacements at a regular triangulation
+span the tangent space of the secondary polytope, of dimension n - d - 1,
+so a list of m flips has a kernel of dimension c = m - (n - d - 1), its
+corank.  A peeled vector takes part in no dependence, so when c <= 2 the
+flips the peel leaves are decided on one integer kernel basis of their
+displacements, their Gale dual: by Farkas' lemma v_i is extremal exactly
+when g_i, its entries of the basis, lies in the cone of the other g_j.
+For c = 0 every flip is extremal; for c = 1 a flip is not exactly when its
+coefficient is the only one of its sign; for c = 2 membership in the plane
+takes integer cross products.  A dependence of one sign (the cone is not
+pointed) raises, as does a kernel whose dimension is not c.  Lists with
+c >= 3, and `extremal_rays` and `screen_rays`, take the cascade.
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import RegulartriError
+from .exact import kernel_basis
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
 from .points import PointConfiguration, mask_bits, vertex_mask
 from .triangulation import Triangulation, facet_incidence
@@ -374,8 +388,11 @@ class RayStats:
     r2: int = 0
     r3: int = 0
     r4: int = 0
+    kernel: int = 0  # flips decided on the kernel of their displacements
     scalar_tests: int = 0
     lps_solved: int = 0
+    lp_generators: int = 0  # generators over all LPs, and the most in one
+    lp_generators_max: int = 0
 
     def confirmed_by_screening(self):
         return self.r1 + self.r2 + self.r3
@@ -489,6 +506,8 @@ def _deferred_extremal(item: DeferredCandidate, stats: RayStats,
         return not _positive_multiple(others[0].vec, vec)
     if bound is not None and len(others) >= bound:
         stats.lps_solved += 1
+        stats.lp_generators += len(others)
+        stats.lp_generators_max = max(stats.lp_generators_max, len(others))
         return not nonneg_combination([w.vec for w in others], vec).feasible
     vecs = [vec] + [w.vec for w in others]
     return ident in _extremal(vecs, [ident] + [None] * len(others),
@@ -536,10 +555,95 @@ def regular_flips(config: PointConfiguration, t: Triangulation, flips, stats=Non
     A flip qualifies exactly when its GKZ displacement spans an extremal ray
     of the cone generated by all displacements at t.  A displacement is
     nonzero exactly on its circuit's points (`flips._make_flip` checks
-    this), so its support mask is the circuit's.
+    this), so its support mask is the circuit's.  A list of corank at most
+    two is decided on its kernel (see the module docstring).
     """
     if not flips:
         return []
-    rays = _extremal([f.delta for f in flips], range(len(flips)),
-                     [f.circuit.support_mask for f in flips], stats)
+    vecs = [f.delta for f in flips]
+    masks = [f.circuit.support_mask for f in flips]
+    corank = len(flips) - (config.n - config.dim - 1)
+    if corank <= 2:
+        rays = _kernel_extremal(vecs, masks, corank, stats)
+    else:
+        rays = _extremal(vecs, range(len(flips)), masks, stats)
     return [f for k, f in enumerate(flips) if k in rays]
+
+
+def _kernel_extremal(vecs, masks, corank, stats=None) -> set:
+    """Indices of the vectors spanning extremal rays of a system whose
+    kernel has dimension `corank`, at most two: R1 peeled on the masks, the
+    rest decided by `_gale_extremal`.  RegulartriError when the kernel of
+    the rest has another dimension."""
+    if stats is None:
+        stats = RayStats()
+    _check_system(zip(vecs, masks), len(vecs[0]))
+    peeled, left = _peel(masks)
+    stats.r1 += len(peeled)
+    stats.kernel += len(left)
+    basis = []
+    if left:
+        columns = [vecs[k] for k in left]
+        basis = kernel_basis([row for row in zip(*columns) if any(row)])
+    extremal = set(peeled)
+    if len(basis) <= 2:
+        extremal.update(left[i] for i in _gale_extremal(basis, len(left)))
+    if len(basis) != corank:
+        raise RegulartriError(
+            f"flip displacements have a kernel of dimension {len(basis)}, "
+            f"not their corank {corank}")
+    return extremal
+
+
+def _gale_extremal(basis, size) -> list:
+    """Positions i < size of the extremal vectors v_i of a system, from a
+    basis of at most two vectors of its kernel.
+
+    With g_i the i-th entries of the basis vectors, v_i is in the cone of
+    the other v_j exactly when some w has g_i·w > 0 and g_j·w <= 0 for the
+    other j (Farkas), that is when g_i is not in the cone of the other
+    g_j.  A w with every g_j·w >= 0 gives a nonnegative dependence: the
+    cone is not pointed, RegulartriError.
+    """
+    if not basis:
+        return range(size)
+    if len(basis) == 1:
+        (lam,) = basis
+        pos = sum(x > 0 for x in lam)
+        neg = sum(x < 0 for x in lam)
+        if not (pos and neg):
+            raise RegulartriError("dependence of one sign: cone is not pointed")
+        return [i for i, x in enumerate(lam)
+                if not (x > 0 and pos == 1 or x < 0 and neg == 1)]
+    gs = list(zip(*basis))
+    for a, b in gs:
+        # The cone of the g_j is a half-plane or less exactly when a normal
+        # to one of them bounds it.
+        if not (a or b):
+            continue
+        for w in ((-b, a), (b, -a)):
+            if all(w[0] * x + w[1] * y >= 0 for x, y in gs):
+                raise RegulartriError("dependence of one sign: cone is not pointed")
+    return [i for i, g in enumerate(gs) if _in_plane_cone(g, gs[:i] + gs[i + 1:])]
+
+
+def _in_plane_cone(g, others) -> bool:
+    """True when g in Z^2 is a nonnegative combination of `others`.
+
+    By Carathéodory two generators suffice: g is zero, or a positive
+    multiple of one, or between one strictly to its right and one strictly
+    to its left less than a half-turn apart (integer cross products).
+    """
+    x, y = g
+    if not (x or y):
+        return True
+    left, right = [], []
+    for u, v in others:
+        cross = x * v - y * u
+        if cross > 0:
+            left.append((u, v))
+        elif cross < 0:
+            right.append((u, v))
+        elif x * u + y * v > 0:
+            return True
+    return any(a * d - b * c > 0 for a, b in right for c, d in left)

@@ -296,11 +296,12 @@ def test_enumerate_orbit_print_gkz_vectors(tmp_path):
         assert vector == cli._format_tuple(gkz(config, parse_triangulation(literal)))
 
 
-def _stats_lines(nodes, flips, r1, r3, hits, misses):
+def _stats_lines(nodes, flips, r1, kernel, hits, misses):
     return (
         f"nodes: {nodes}\nflips_evaluated: {flips}\nreductions_r1: {r1}\n"
-        f"reductions_r2: 0\nreductions_r3: {r3}\nreductions_r4: 0\n"
-        f"scalar_tests: 0\nlps_solved: 0\ncache_hits: {hits}\ncache_misses: {misses}\n"
+        f"reductions_r2: 0\nreductions_r3: 0\nreductions_r4: 0\nkernel_decided: {kernel}\n"
+        f"scalar_tests: 0\nlps_solved: 0\nlp_generators: 0\nlp_generators_max: 0\n"
+        f"cache_hits: {hits}\ncache_misses: {misses}\n"
     )
 
 

@@ -7,7 +7,9 @@ Gaussian elimination) and independent of the Bareiss code under test.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,6 +21,7 @@ from regulartri import (
     RegulartriError,
     adjugate,
     determinant,
+    kernel_basis,
     kernel_vector,
     rank,
 )
@@ -66,6 +69,8 @@ def test_matrix_shape_checks():
             determinant(bad)
         with pytest.raises(DimensionError):
             adjugate(bad)
+        with pytest.raises(DimensionError):
+            kernel_basis(bad)
     with pytest.raises(DimensionError, match="square"):
         adjugate([(1, 2, 3), (4, 5, 6)])
 
@@ -89,7 +94,7 @@ def test_determinant_of_integers_is_int():
         assert type(determinant(rows)) is int
 
 
-@pytest.mark.parametrize("function", (determinant, adjugate, rank, kernel_vector))
+@pytest.mark.parametrize("function", (determinant, adjugate, rank, kernel_basis, kernel_vector))
 def test_non_int_entries_are_refused(function):
     # Integer data in: even an integral Fraction or float is not an int.
     for bad in (Fraction(1, 2), Fraction(2), 2.0, "2", True):
@@ -197,8 +202,6 @@ def test_kernel_vector_is_primitive_and_exact():
         assert any(x != 0 for x in k)
         for row in rows:
             assert sum(a * b for a, b in zip(row, k)) == 0
-        from math import gcd
-
         g = 0
         for x in k:
             g = gcd(g, x)
@@ -214,30 +217,79 @@ def test_kernel_vector_error_cases():
         kernel_vector([(1, 0, 0, 0), (0, 1, 0, 0)])
 
 
-def kernel_with_understated_rank():
-    """kernel_vector on a matrix with a two-dimensional kernel while
-    `exact.rank` reports one rank too many, so elimination finds two free
-    columns where the rank promised one."""
-    original = exact.rank
-    exact.rank = lambda m: original(m) + 1
+def test_kernel_basis_pins():
+    assert kernel_basis([(1, 0), (0, 1)]) == []
+    assert kernel_basis([(0, 0, 0)]) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # Free columns 2 and 3; each vector is positive at its own.
+    assert kernel_basis([(2, 0, 1, 3), (0, 2, 1, -1)]) == [(-1, -1, 2, 0), (-3, 1, 0, 2)]
+    assert kernel_basis([(1, 1, 1)]) == [(-1, 1, 0), (-1, 0, 1)]
+
+
+def test_kernel_basis_matches_fraction_oracle():
+    # Its size is the nullity; its vectors are independent kernel vectors,
+    # primitive, positive at their own free column and zero at the others'.
+    rng = random.Random(20261019)
+    sizes = set()
+    for _ in range(600):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(nc)]
+                for _ in range(nr)]
+        basis = kernel_basis(rows)
+        assert len(basis) == nc - _gauss_rank(rows)
+        sizes.add(len(basis))
+        if not basis:
+            continue
+        assert _gauss_rank(basis) == len(basis)
+        # A free column is in the span of the columns before it.
+        ranks = [0] + [_gauss_rank([row[:c + 1] for row in rows]) for c in range(nc)]
+        free = [c for c in range(nc) if ranks[c + 1] == ranks[c]]
+        for vec, f in zip(basis, free):
+            assert vec[f] > 0
+            assert all(vec[c] == 0 for c in free if c != f)
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+            g = 0
+            for x in vec:
+                g = gcd(g, x)
+            assert g == 1
+    assert {0, 1, 2, 3} <= sizes
+
+
+@contextmanager
+def forged_elimination():
+    """`exact._gauss_jordan` drops its last pivot meanwhile, so that pivot's
+    column comes out free, with a vector that is not in the kernel."""
+    original = exact._gauss_jordan
+
+    def forged(rows):
+        work, pivots = original(rows)
+        return work[:-1], pivots[:-1]
+
+    exact._gauss_jordan = forged
     try:
-        return kernel_vector([(1, 0, 0)])
+        yield
     finally:
-        exact.rank = original
+        exact._gauss_jordan = original
 
 
-def test_kernel_vector_free_column_check_raises():
-    with pytest.raises(RegulartriError, match="2 free columns"):
-        kernel_with_understated_rank()
+def kernel_with_forged_elimination():
+    """kernel_vector on a matrix with a one-dimensional kernel under
+    `forged_elimination`."""
+    with forged_elimination():
+        return kernel_vector([(1, 0, 1), (0, 1, 1)])
 
 
-def test_kernel_vector_free_column_check_survives_optimize_flag():
+def test_kernel_vector_recheck_raises():
+    with pytest.raises(RegulartriError, match="fails its recheck"):
+        kernel_with_forged_elimination()
+
+
+def test_kernel_vector_recheck_survives_optimize_flag():
     lines = optimized_output(
         "from regulartri import RegulartriError\n"
-        "from test_exact import kernel_with_understated_rank\n"
+        "from test_exact import kernel_with_forged_elimination\n"
         "try:\n"
-        "    kernel_with_understated_rank()\n"
+        "    kernel_with_forged_elimination()\n"
         "except RegulartriError as e:\n"
         "    print(e)\n"
     )
-    assert len(lines) == 1 and "2 free columns" in lines[0]
+    assert lines == ["kernel vector fails its recheck against the matrix"]

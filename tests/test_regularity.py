@@ -8,6 +8,7 @@ shortcuts) or against is_regular on actual flip targets.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from regulartri import (
     nested_triangles_pinwheel,
     parse_triangulation,
     placing_triangulation,
+    rank,
     regular_flips,
     regularity_rows,
     screen_rays,
@@ -52,6 +54,9 @@ from regulartri.search import (
     SearchStats,
     reverse_search,
 )
+
+from test_exact import forged_elimination
+from test_search import _discarded_flip, optimized_output
 
 # A sparse 12x18 displacement system whose screening cascade exercises
 # every reduction rule; ids are the one-based row numbers.
@@ -528,11 +533,16 @@ def test_screening_matches_rescanning_reference_on_d2d4_prefix(monkeypatch):
 
 def d2d4_prefix():
     """The stats of the first 300 reverse-search nodes on Δ2×Δ4."""
+    return search_prefix(simplex_product(2, 4), 300)
+
+
+def search_prefix(config, nodes):
+    """The stats of the first `nodes` reverse-search nodes on `config`."""
     stats = SearchStats()
     provider = NeighborProvider(GeometricFlipOracle(
-        simplex_product(2, 4), SearchMode.REGULAR_ONLY, stats), stats)
+        config, SearchMode.REGULAR_ONLY, stats), stats)
     with pytest.raises(ResourceLimitError):
-        reverse_search(provider, max_nodes=300)
+        reverse_search(provider, max_nodes=nodes)
     return stats
 
 
@@ -571,6 +581,8 @@ def _cascade_deferred(item, stats, subsystems):
         (again,) = outcome.deferred
         if len(again.others) >= len(others):
             stats.lps_solved += 1
+            stats.lp_generators += len(again.others)
+            stats.lp_generators_max = max(stats.lp_generators_max, len(again.others))
             return not regularity.nonneg_combination(
                 [w.vec for w in again.others], vec).feasible
         others = again.others
@@ -652,7 +664,8 @@ def test_deferred_candidate_needs_its_own_private_column():
     assert _cascade_deferred(item, want_stats, []) is False
     stats = RayStats()
     assert regularity._deferred_extremal(item, stats) is False
-    assert stats == want_stats == RayStats(r4=2, lps_solved=1)
+    assert stats == want_stats == RayStats(r4=2, lps_solved=1, lp_generators=2,
+                                           lp_generators_max=2)
 
 
 @pytest.mark.parametrize("ident", ("z", None))
@@ -667,3 +680,122 @@ def test_input_checks_run_before_the_peel(vec, ident, message):
     for k in range(len(system) + 1):
         with pytest.raises(RegulartriError, match=message):
             extremal_rays(system[:k] + [(vec, ident)] + system[k:])
+
+
+# -- the kernel stage against the cascade and the naive oracle ----------------
+
+
+def checked_kernel_stage(monkeypatch):
+    """Check every `regular_flips` call the search makes against the
+    cascade, `extremal_rays` on the same displacements.  Returns a Counter
+    of the `_gale_extremal` calls by (kernel dimension, whether a flip was
+    rejected)."""
+    branches = Counter()
+    gale = regularity._gale_extremal
+
+    def recording(basis, size):
+        extremal = gale(basis, size)
+        branches[len(basis), len(extremal) < size] += 1
+        return extremal
+
+    original = search.regular_flips
+
+    def checking(config, t, flips, stats=None):
+        got = original(config, t, flips, stats)
+        cascade = extremal_rays([(f.delta, k) for k, f in enumerate(flips)])
+        assert got == [f for k, f in enumerate(flips) if k in cascade]
+        return got
+
+    monkeypatch.setattr(regularity, "_gale_extremal", recording)
+    monkeypatch.setattr(search, "regular_flips", checking)
+    return branches
+
+
+def test_kernel_stage_matches_cascade_on_d2d3(monkeypatch):
+    branches = checked_kernel_stage(monkeypatch)
+    count, _ = enumerate_triangulations(simplex_product(2, 3))
+    assert count == 4488
+    # Every list has corank at most two, and every flip the peel leaves is
+    # extremal.
+    assert branches == {(0, False): 3624, (1, False): 288, (2, False): 576}
+
+
+def test_kernel_stage_matches_cascade_on_prefixes(monkeypatch):
+    branches = checked_kernel_stage(monkeypatch)
+    for config in (simplex_product(2, 4), simplex_product(3, 3)):
+        stats = search_prefix(config, 300)
+        assert stats.rays.kernel > 0 and stats.rays.r2 + stats.rays.r3 > 0
+    assert {dim for dim, _ in branches} == {0, 1, 2}
+
+
+def test_kernel_stage_rejects_flips_on_cube4_prefix(monkeypatch):
+    # cube(4) is the input whose lists of corank one and two have flips
+    # that are not extremal; its prefix runs the cascade's LPs and scalar
+    # tests as well.
+    branches = checked_kernel_stage(monkeypatch)
+    stats = search_prefix(cube(4), 300)
+    assert branches[1, True] > 0 and branches[2, True] > 0
+    assert stats.rays.lps_solved > 0 and stats.rays.scalar_tests > 0
+
+
+def test_kernel_stage_matches_naive_oracle_on_random_systems():
+    checked = set()
+    for tagged in random_pointed_systems():
+        vecs = [v for v, _ in tagged]
+        corank = len(vecs) - rank(vecs)
+        if corank > 2:
+            continue
+        stats = RayStats()
+        got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs],
+                                          corank, stats)
+        assert got == naive_extremal_rays(tagged)
+        assert stats.r1 + stats.kernel == len(vecs)
+        checked.add((corank, len(got) < len(vecs)))
+    assert checked == {(c, rejected) for c in (0, 1, 2) for rejected in (False, True)} - {
+        (0, True)}
+
+
+def test_kernel_stage_checks_the_corank():
+    # One flip cannot span the tangent space of the secondary polytope, so
+    # its kernel, of dimension zero, is not its corank, 1 - 3.
+    config, t, _ = _discarded_flip()
+    flips = find_flips(config, t)
+    with pytest.raises(RegulartriError, match="kernel of dimension 0, not their corank -2"):
+        regular_flips(config, t, flips[:1])
+
+
+def forged_kernel_verdict():
+    """`regular_flips` under `forged_elimination` on a nested-triangles list
+    that discards a flip, so the peel leaves the kernel stage a residual."""
+    config, t, _ = _discarded_flip()
+    flips = find_flips(config, t)
+    with forged_elimination():
+        return regular_flips(config, t, flips)
+
+
+def test_forged_kernel_trips_the_recheck():
+    with pytest.raises(RegulartriError, match="fails its recheck"):
+        forged_kernel_verdict()
+
+
+def test_forged_kernel_trips_the_recheck_under_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_regularity import forged_kernel_verdict\n"
+        "try:\n"
+        "    forged_kernel_verdict()\n"
+        "except RegulartriError as e:\n"
+        "    print(e)\n"
+    )
+    assert lines == ["kernel vector fails its recheck against the matrix"]
+
+
+@pytest.mark.parametrize("vecs", (
+    pytest.param([(1, 0), (-1, 0), (0, 1)], id="corank-1"),
+    pytest.param([(1, 0), (-1, 0), (0, 1), (0, -1)], id="corank-2"),
+))
+def test_kernel_stage_refuses_non_pointed_cones(vecs):
+    # A dependence with nonnegative coefficients, here v0 + v1 = 0.
+    corank = len(vecs) - 2
+    with pytest.raises(RegulartriError, match="not pointed"):
+        regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], corank)

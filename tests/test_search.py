@@ -603,11 +603,11 @@ def test_flips_and_nodes_share_one_tuple_per_simplex():
 
 
 @pytest.mark.parametrize("options, hits, misses, flips, rays", (
-    pytest.param({}, 14185, 4488, 28368, RayStats(r1=23328, r2=2016, r3=3024), id="default"),
+    pytest.param({}, 14185, 4488, 28368, RayStats(r1=23328, kernel=5040), id="default"),
     pytest.param({"cache_capacity": 0}, 0, 18673, 119094,
-                 RayStats(r1=94470, r2=9504, r3=15120), id="uncached"),
+                 RayStats(r1=94470, kernel=24624), id="uncached"),
     pytest.param({"verify_increments": True}, 14185, 4488, 28368,
-                 RayStats(r1=23328, r2=2016, r3=3024), id="verified"),
+                 RayStats(r1=23328, kernel=5040), id="verified"),
 ))
 def test_search_counters_on_triangle_times_tetrahedron(options, hits, misses, flips, rays):
     count, stats = enumerate_triangulations(simplex_product(2, 3), **options)
@@ -720,6 +720,7 @@ def test_stats_conservation():
         stats.rays.r1
         + stats.rays.r2
         + stats.rays.r3
+        + stats.rays.kernel
         + stats.rays.scalar_tests
         + stats.rays.lps_solved
     )
@@ -897,7 +898,7 @@ def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     total, stats = enumerate_triangulations(config, group=group)
     assert total == 4488
     assert stats == SearchStats(nodes=35, flips_evaluated=222, cache_hits=95, cache_misses=35,
-                                rays=RayStats(r1=180, r2=16, r3=26))
+                                rays=RayStats(r1=180, kernel=42))
     # 317 calls when every neighbour and predecessor was keyed, 250 when
     # every predecessor was.
     assert len(keyed) == 197
@@ -994,12 +995,14 @@ def test_orbit_search_product_of_triangle_and_4_simplex():
         simplex_product(2, 4), simplex_product_symmetry_generators(2, 4)
     )
     assert (orbits, total) == (530, 376200)
-    assert stats.rays == RayStats(r1=3212, r2=769, r3=580, r4=5, lps_solved=27)
+    assert stats.rays == RayStats(r1=3173, r2=24, r3=73, r4=3, kernel=1292, lps_solved=26,
+                                  lp_generators=197, lp_generators_max=11)
 
 
 def test_orbit_search_product_of_two_tetrahedra_prefix():
-    # The first 1 000 orbits of Δ3×Δ3 reach every exit of the deferred
-    # stage: scalar tests, LPs and re-screened snapshots.
+    # The first 1 000 orbits of Δ3×Δ3 reach the deferred stage's LPs and
+    # re-screened snapshots; their scalar tests all fell on lists of corank
+    # at most two, which are decided on their kernel.
     config = simplex_product(3, 3)
     group = expand_group(config, simplex_product_symmetry_generators(3, 3))
     stats = SearchStats()
@@ -1008,7 +1011,8 @@ def test_orbit_search_product_of_two_tetrahedra_prefix():
         reverse_search(provider, max_nodes=1000, group=group)
     assert stats == SearchStats(
         nodes=1000, flips_evaluated=24725, cache_hits=3416, cache_misses=2489,
-        rays=RayStats(r1=14968, r2=5911, r3=3382, r4=85, scalar_tests=4, lps_solved=460),
+        rays=RayStats(r1=14232, r2=603, r3=987, r4=53, kernel=8535, lps_solved=368,
+                      lp_generators=2853, lp_generators_max=14),
     )
 
 
@@ -1035,8 +1039,9 @@ def test_orbit_search_product_of_two_tetrahedra():
         assert elapsed < 600.0
         results.append((orbits, total))
         if config is base:
-            assert stats.rays == RayStats(r1=46691, r2=18669, r3=12229, r4=371,
-                                          scalar_tests=56, lps_solved=1624)
+            assert stats.rays == RayStats(r1=44204, r2=2171, r3=4119, r4=203, kernel=26991,
+                                          lps_solved=1343, lp_generators=10691,
+                                          lp_generators_max=16)
     assert results == [(7869, 4494288)] * 2
 
 
