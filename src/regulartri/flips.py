@@ -12,25 +12,36 @@ reduces to one side's simplices all being present.
 The GKZ displacement of a flip is gkz(T′) − gkz(T): positive exactly on the
 removed side of the circuit, negative exactly on the inserted side, zero
 elsewhere.  It is never the zero vector, and no two distinct flips of the
-same triangulation have positively proportional displacements.
+same triangulation have positively proportional displacements.  It comes
+from the circuit's dependence λ by Cramer's rule: for a link simplex τ the
+signed maximal minors of Z ∪ τ form a dependence of those d+2 points, so
+they are a multiple c_τ·λ of the primitive one, and vol((Z∖{j}) ∪ τ) =
+|λ_j|·c_τ.  Summing the volumes of the simplices at each point gives
+δ = (Σ_τ c_τ)·λ, so `_make_flip` reads one memoised minor per link simplex
+and rechecks that each c_τ is a positive integer.
 
 No exact arithmetic runs per triangulation.  A flip that removes a
 simplex S removes the side of the circuit of S ∪ {p} that has p on it, for
 some p ∉ S.  So `find_flips` reads, for each maximal simplex S, the
 configuration's circuit index (for each p that one side with its faces,
 computed once per simplex and shared per circuit support), and tests each
-side it meets once, on integer bitmasks: the simplices containing a face
-are the AND of the triangulation's vertex-to-simplex masks, and the link of
-the face in a coface is the coface's vertex mask minus the face's.  So a
-link is a set of ints and no vertex tuple is built per coface.  A flip
-depends only on its circuit side and link, so the `Flip` for each (side,
-link) pair is built once per configuration and memoised in
+side it meets once.  First the exchange test: S is a coface of Z∖{p}, so a
+flip on the side would remove S = (Z∖{p}) ∪ τ and with it each exchange
+simplex S − q + p = (Z∖{q}) ∪ τ, for q ≠ p on the plus side; if one of them
+is not in the triangulation the side has no flip, exactly.  The circuit
+index keeps the exchange simplices next to each side.  A side that passes
+gets the link test, on integer bitmasks: the cofaces of a face are the
+simplices whose vertex mask contains the face's, and the link of the face
+in a coface is the coface's vertex mask minus the face's.  So a link is a
+set of ints and no vertex tuple is built per coface.  A flip depends only
+on its circuit side and link, so the `Flip` for each (side, link) pair is
+built once per configuration and memoised in
 `PointConfiguration.flip_memo`, keyed by the side and the sorted tuple of
 the link's masks; the link's vertex tuples are decoded on a memo miss only,
-and `_make_flip`'s volume and sign checks run on every `Flip` object that
-exists.  The memo grows with the number of distinct flips of the
-triangulations visited (1 584 for all of Δ2×Δ3's 4 488), not with the
-number of times they are found (28 368).
+and `_make_flip`'s rechecks run on every `Flip` object that exists.  The
+memo grows with the number of distinct flips of the triangulations visited
+(1 584 for all of Δ2×Δ3's 4 488), not with the number of times they are
+found (28 368).
 
 A flip's removed and inserted simplices are sorted tuples of the tuples in
 `PointConfiguration.simplex_table`, so all flips share one tuple per
@@ -39,10 +50,12 @@ simplex (432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips).
 A flip changes the flips of a triangulation only near the flipped region,
 so `find_flips` derives the list of T′ = apply_flip(P, flip) from P's when
 it is given P's: it keeps P's flips whose removed simplices avoid
-`flip.removed` and tests only the sides of the inserted simplices (see
-`find_flips` for why that is exact).  On the regular search of Δ2×Δ3 the
-side-link tests fall from 187 224 (every circuit of every simplex, both
-sides) to 51 037.
+`flip.removed`, takes the flip back to P, on the opposite side of the
+same circuit with the same link, from the memo, and tests only the other
+sides of the inserted simplices (see `find_flips` for why that is exact).
+On the regular search of Δ2×Δ3 the derivation meets 51 030 sides; the
+exchange test rejects 36 818 of them and the flip back takes 4 487 more,
+so 9 725 link tests remain, and 7 698 of them find a flip.
 
 `apply_flip` keeps the source simplices that the flip does not remove, adds
 the inserted ones and sorts the result, sharing the simplex tuples of the
@@ -52,12 +65,10 @@ table tuples has table tuples too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-from operator import and_
+from dataclasses import dataclass, field
 
 from .errors import RegulartriError, StaleFlipError
-from .points import CorankOneConfig, PointConfiguration, mask_bits
+from .points import CircuitSide, CorankOneConfig, PointConfiguration, mask_bits
 from .triangulation import GkzVector, Triangulation
 
 
@@ -68,13 +79,18 @@ class Flip:
     The circuit is reduced (no zero coefficients) and oriented so that
     `circuit.plus` indexes the side whose joined simplices are currently
     present (and will be removed).  `removed` and `inserted` are sorted
-    tuples of simplices, each a `PointConfiguration.simplex` tuple.
+    tuples of simplices, each a `PointConfiguration.simplex` tuple.  A
+    memoised flip also keeps its `CircuitSide` and its link as the sorted
+    tuple of the link simplices' vertex masks, its key in `flip_memo`;
+    equality ignores both.
     """
 
     circuit: CorankOneConfig
     removed: tuple
     inserted: tuple
     delta: GkzVector
+    side: CircuitSide = field(default=None, compare=False)
+    link: tuple = field(default=None, compare=False)
 
     def __repr__(self):
         return f"Flip(Z={self.circuit.support}, delta={self.delta})"
@@ -84,8 +100,10 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
     """All flips supported on the triangulation, in deterministic order.
 
     From scratch it tests the circuit sides of every simplex (see
-    `PointConfiguration.simplex_sides`), each side once; a circuit
-    contributes at most one flip.
+    `PointConfiguration.circuit_entry`), each side once; a circuit
+    contributes at most one flip.  A side whose exchange simplices are not
+    all in the triangulation has no flip in it (see the module docstring)
+    and gets no link test.
 
     `parent`, when given, is a pair (parent_flips, flip): `parent_flips`
     holds the `find_flips` list of a triangulation P, in any order, and
@@ -94,7 +112,9 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
     order:
 
     - P's flips whose removed simplices avoid `flip.removed` are kept;
-    - only the sides of the simplices in `flip.inserted` are tested;
+    - the flip back to P, on the opposite side of `flip`'s circuit with the
+      same link, is taken from the memo without a test;
+    - only the other sides of the simplices in `flip.inserted` are tested;
     - the result is sorted by support, as from scratch.
 
     This is exact.  A face's cofaces change only if the face lies in a
@@ -109,78 +129,57 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
     of its removed simplices, all of which are P's.
     """
     simplices = t.simplices
-    # by_vertex[v] has bit k set when simplex k contains v; masks[k] has bit
-    # v set for each vertex v of simplex k.
-    by_vertex = [0] * config.n
-    masks = []
-    for k, s in enumerate(simplices):
-        bit = 1 << k
-        mask = 0
-        for v in s:
-            by_vertex[v] |= bit
-            mask |= 1 << v
-        masks.append(mask)
+    masks = list(map(config.simplex_masks.__getitem__, simplices))
     if parent is None:
-        out, scan = [], simplices
+        out, scan, tested = [], simplices, set()
     else:
         parent_flips, step = parent
         gone = frozenset(step.removed)
         out = [f for f in parent_flips if gone.isdisjoint(f.removed)]
-        scan = step.inserted
-    memo = config.flip_memo
-    tested = set()
+        back = step.side.opposite
+        out.append(_memo_flip(config, back, step.link))
+        scan, tested = step.inserted, {back}
+    present = set(simplices)
     for s in scan:
-        for side in config.simplex_sides(s):
+        for side, exchanges in zip(*config.circuit_entry(s)):
             if side in tested:
                 continue
             tested.add(side)
-            link = _side_link(side.faces, masks, by_vertex)
+            if not present.issuperset(exchanges):
+                continue
+            link = _side_link(side.faces, masks)
             if link is not None:
-                sorted_link = tuple(sorted(link))
-                flip = memo.get((side, sorted_link))
-                if flip is None:
-                    tuples = tuple(map(mask_bits, sorted_link))
-                    flip = _make_flip(config, side.circuit, tuples)
-                    memo[side, sorted_link] = flip
-                out.append(flip)
+                out.append(_memo_flip(config, side, tuple(sorted(link))))
     out.sort(key=lambda f: f.circuit.support)
     return out
 
 
-def _side_link(faces, masks, by_vertex):
+def _memo_flip(config, side, link):
+    """The memoised `Flip` on the side with the link (sorted link masks)."""
+    flip = config.flip_memo.get((side, link))
+    if flip is None:
+        flip = config.flip_memo[side, link] = _make_flip(config, side, link)
+    return flip
+
+
+def _side_link(faces, masks):
     """The common link of a circuit side's faces, or None.
 
-    `faces` holds (tuple, vertex mask) pairs for the faces Z∖{j}, `masks`
-    the vertex mask of each simplex and `by_vertex` the mask of the
-    simplices containing each vertex.  Returns the link as a frozenset of
-    vertex masks, one per coface, when every face is a face of the
-    triangulation and all their links agree; None otherwise.
+    `faces` holds (tuple, vertex mask) pairs for the faces Z∖{j} and `masks`
+    the vertex mask of each simplex.  Returns the link as a set of vertex
+    masks, one per coface, when every face is a face of the triangulation
+    and all their links agree; None otherwise.
     """
-    (face, face_mask), rest = faces[0], faces[1:]
-    cofaces = reduce(and_, map(by_vertex.__getitem__, face))
-    if not cofaces:
-        return None
-    keep = ~face_mask
-    link = []
-    while cofaces:
-        low = cofaces & -cofaces
-        link.append(masks[low.bit_length() - 1] & keep)
-        cofaces ^= low
-    link = frozenset(link)
-    # The links of distinct cofaces of one face are distinct, so another
-    # face has the same link when it has as many cofaces, each with a link
-    # in the first face's.
-    size = len(link)
-    for face, face_mask in rest:
-        cofaces = reduce(and_, map(by_vertex.__getitem__, face))
-        if cofaces.bit_count() != size:
-            return None
-        keep = ~face_mask
-        while cofaces:
-            low = cofaces & -cofaces
-            if masks[low.bit_length() - 1] & keep not in link:
+    link = None
+    for _, face in faces:
+        # A coface's mask minus the face's is its link simplex's mask.
+        cofaces = {m ^ face for m in masks if m & face == face}
+        if link is None:
+            if not cofaces:
                 return None
-            cofaces ^= low
+            link = cofaces
+        elif cofaces != link:
+            return None
     return link
 
 
@@ -189,47 +188,50 @@ def _without(support, q):
     return support[:i] + support[i + 1 :]
 
 
-def _make_flip(config: PointConfiguration, circuit: CorankOneConfig, link) -> Flip:
-    """The flip on the circuit side with the link, an iterable of vertex
-    tuples: its simplices are the configuration's table tuples."""
-    removed = []
-    inserted = []
-    delta = [0] * config.n
+def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Flip:
+    """The flip on the circuit side with the link, the sorted tuple of its
+    simplices' vertex masks: its simplices are the configuration's table
+    tuples and its displacement is (Σ_τ c_τ)·λ, where c_τ is the volume of
+    (Z∖{q}) ∪ τ over |λ_q| for the first q on the plus side."""
+    circuit = side.circuit
+    support = circuit.support
+    taus = tuple(map(mask_bits, link))
     simplex_of = config.simplex
-    for q in circuit.plus:
-        face = _without(circuit.support, q)
-        for tau in link:
-            simplex = simplex_of(tuple(sorted(face + tau)))
-            removed.append(simplex)
-            vol = config.normalized_volume(simplex)
-            for v in simplex:
-                delta[v] -= vol
-    for q in circuit.minus:
-        face = _without(circuit.support, q)
-        for tau in link:
-            simplex = simplex_of(tuple(sorted(face + tau)))
-            inserted.append(simplex)
-            vol = config.normalized_volume(simplex)
-            if vol <= 0:
-                raise RegulartriError("inserted flip simplex is degenerate")
-            for v in simplex:
-                delta[v] += vol
-    flip = Flip(
-        circuit=circuit,
-        removed=tuple(sorted(removed)),
-        inserted=tuple(sorted(inserted)),
-        delta=tuple(delta),
-    )
+
+    def joins(points):
+        return tuple(sorted(
+            simplex_of(tuple(sorted(_without(support, q) + tau)))
+            for q in points for tau in taus
+        ))
+
+    q = circuit.plus[0]
+    lam = circuit.coefficient(q)
+    face = _without(support, q)
+    scale = 0
+    for tau in taus:
+        simplex = tuple(sorted(face + tau))
+        vol = abs(config._minor(simplex))
+        c, rest = divmod(vol, lam)
+        if c <= 0 or rest:
+            raise RegulartriError(
+                f"flip simplex {simplex} has volume {vol}, not a positive "
+                f"multiple of its circuit coefficient {lam}"
+            )
+        scale += c
+    delta = [0] * config.n
+    for p, x in zip(support, circuit.dependence):
+        delta[p] = scale * x
     if not (
-        all(flip.delta[q] > 0 for q in circuit.plus)
-        and all(flip.delta[q] < 0 for q in circuit.minus)
-        and sum(1 for x in flip.delta if x != 0) == len(circuit.support)
+        all(delta[p] > 0 for p in circuit.plus)
+        and all(delta[p] < 0 for p in circuit.minus)
+        and sum(1 for x in delta if x != 0) == len(support)
     ):
         raise RegulartriError(
             "flip displacement must be positive on the removed side, negative on "
             "the inserted side, zero elsewhere"
         )
-    return flip
+    return Flip(circuit, joins(circuit.plus), joins(circuit.minus), tuple(delta),
+                side, link)
 
 
 def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Triangulation:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from operator import mul
 
 from . import exact
@@ -125,11 +124,12 @@ class CircuitSide:
     `circuit.plus` is the side whose joins a flip on this orientation
     removes; `faces` holds, for each j in that side, the face Z∖{j} as a
     (sorted tuple, vertex mask) pair, the mask having bit v set for each
-    vertex v.  Sides compare by identity: the circuit index creates each one
-    once per configuration.
+    vertex v.  `opposite` is the other orientation of the same circuit.
+    Sides compare by identity: the circuit index creates each one once per
+    configuration.
     """
 
-    __slots__ = ("circuit", "faces")
+    __slots__ = ("circuit", "faces", "opposite")
 
     def __init__(self, circuit: CorankOneConfig):
         self.circuit = circuit
@@ -143,6 +143,14 @@ def vertex_mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+class _MaskTable(dict):
+    """A dict from vertex tuples to their `vertex_mask`, filled on lookup."""
+
+    def __missing__(self, vertices):
+        mask = self[vertices] = vertex_mask(vertices)
+        return mask
 
 
 def mask_bits(mask) -> tuple:
@@ -171,11 +179,15 @@ class PointConfiguration:
       each determinant;
     - the dependence of each (d+2)-subset that was asked for, from the
       adjugate of d+1 of its points that span (`circuit_or_none`);
-    - the circuit index (`simplex_sides`): for a simplex S, the reduced
-      circuit of each set S ∪ {p}, oriented with p on its plus side.  The
-      dependences come from one `exact.adjugate` of S's rows, which leaves
-      det(S) among the minors.  Each distinct circuit support gets both of
-      its `CircuitSide`s once, shared by every simplex that reaches either;
+    - the circuit index (`circuit_entry`): for a simplex S, the reduced
+      circuit of each set S ∪ {p}, oriented with p on its plus side, and
+      next to each such side its exchange simplices S − q + p for the other
+      points q of the plus side.  A flip on that side that removed S would
+      remove every exchange simplex too, so a triangulation that lacks one
+      has no flip on the side.  The dependences come from one
+      `exact.adjugate` of S's rows, which leaves det(S) among the minors.
+      Each distinct circuit support gets both of its `CircuitSide`s once,
+      shared by every simplex that reaches either;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
       filled by `flips.find_flips`; the link is the sorted tuple of its
       simplices' vertex masks (see `vertex_mask`).  A flip's circuit,
@@ -183,11 +195,14 @@ class PointConfiguration:
       and its displacement, so the memo holds one entry per distinct flip
       met: its size is the number of distinct flips of the triangulations
       visited, not the number of times they were found;
-    - `simplex_table`: each maximal simplex that flips and search nodes
-      hold, as a sorted tuple mapped to itself (see `simplex`).  So one
-      tuple stands for a simplex wherever it is kept, and the table grows
-      with the number of distinct simplices met, not with the number of
-      flips and triangulations that hold them.
+    - `simplex_table`: each maximal simplex that flips, search nodes and
+      the circuit index's exchanges hold, as a sorted tuple mapped to
+      itself (see `simplex`).  So one tuple stands for a simplex wherever
+      it is kept, and the table grows with the number of distinct simplices
+      met, not with the number of flips, triangulations and sides that
+      hold them;
+    - `simplex_masks`: the `vertex_mask` of each simplex looked up, which
+      `flips.find_flips` reads for the simplices of a triangulation.
     """
 
     def __init__(self, points):
@@ -224,6 +239,8 @@ class PointConfiguration:
         self.flip_memo = {}
         #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
         self.simplex_table = {}
+        #: sorted simplex tuple -> its `vertex_mask`, filled on first lookup
+        self.simplex_masks = _MaskTable()
         #: (normalized volume, facets) of the hull; see `triangulation._hull`
         self._hull = None
 
@@ -314,11 +331,21 @@ class PointConfiguration:
         sides.  `simplex` must be a sorted tuple of point indices.
         Degenerate sets contribute nothing.  The two sides of a support are
         created once and shared by every simplex that reaches them; the
-        tuple is memoised per simplex.
+        tuple is memoised per simplex, in its `circuit_entry`.
         """
-        sides = self._circuit_index.get(simplex)
-        if sides is None:
+        return self.circuit_entry(simplex)[0]
+
+    def circuit_entry(self, simplex) -> tuple:
+        """The pair (sides, exchanges) of the simplex's circuit index entry.
+
+        `sides` is `simplex_sides(simplex)`; `exchanges[k]` holds, for the
+        side listed for p, the table tuples of simplex − q + p for each q ≠ p
+        on its plus side (none when p is its only plus point).
+        """
+        entry = self._circuit_index.get(simplex)
+        if entry is None:
             sides = []
+            exchanges = []
             cols = None
             for p in range(self.n):
                 if p in simplex:
@@ -337,11 +364,16 @@ class PointConfiguration:
                 pair = self._circuit_sides.get(circuit.support)
                 if pair is None:
                     pair = (CircuitSide(circuit), CircuitSide(circuit.negated()))
+                    pair[0].opposite, pair[1].opposite = pair[1], pair[0]
                     self._circuit_sides[circuit.support] = pair
-                sides.append(pair[0] if p in circuit.plus else pair[1])
-            sides = tuple(sides)
-            self._circuit_index[simplex] = sides
-        return sides
+                side = pair[0] if p in circuit.plus else pair[1]
+                sides.append(side)
+                exchanges.append(tuple(
+                    self.simplex(tuple(sorted([v for v in simplex if v != q] + [p])))
+                    for q in side.circuit.plus if q != p
+                ))
+            entry = self._circuit_index[simplex] = (tuple(sides), tuple(exchanges))
+        return entry
 
     def _cramer(self, key, p, det, cols):
         """The dependence of the sorted tuple `key` by Cramer's rule, from
@@ -386,22 +418,6 @@ class PointConfiguration:
         rows = [self.hom[i] for i in facet] + [self.hom[point]]
         det = exact.determinant(rows)
         return (det > 0) - (det < 0)
-
-    def affine_coordinates(self, point_index: int, basis) -> tuple:
-        """Exact affine coordinates of a point in a (d+1)-point basis."""
-        basis = tuple(basis)
-        if len(basis) != self.dim + 1:
-            raise DimensionError("basis needs d+1 points")
-        denom = exact.determinant([self.hom[i] for i in basis])
-        if denom == 0:
-            raise DegenerateConfigError("basis points are affinely dependent")
-        coords = []
-        target = self.hom[point_index]
-        for k in range(len(basis)):
-            rows = [self.hom[i] for i in basis]
-            rows[k] = target
-            coords.append(Fraction(exact.determinant(rows), denom))
-        return tuple(coords)
 
     def _check_range(self, indices):
         for i in indices:

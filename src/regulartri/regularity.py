@@ -77,6 +77,10 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
     carries a positive coefficient: the point must be lifted strictly above
     the simplex's hyperplane).
     """
+    # Every set asked for below is a simplex plus a point, so the circuit
+    # index takes all of a simplex's sets from one adjugate.
+    for s in t.simplices:
+        config.simplex_sides(s)
     rows = []
     for facet, owners in sorted(facet_incidence(t.simplices).items()):
         if len(owners) != 2:

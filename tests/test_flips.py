@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
 from itertools import combinations
 from operator import is_
@@ -39,6 +40,7 @@ from regulartri import (
     triangle_with_interior,
     validate,
 )
+from regulartri import flips as flips_module
 from regulartri import search
 from regulartri.flips import Flip, _make_flip
 from regulartri.points import mask_bits
@@ -246,45 +248,48 @@ def test_upflip_downflip_partition():
         assert target_gkz != base
 
 
-#: Volume functions that break a recheck in `_make_flip`, and its message.
-FORGED_VOLUMES = (
-    (lambda self, s: 0, "inserted flip simplex is degenerate"),
-    # The removed simplex {0,1,2} weighs 5, every other simplex 1.
-    (lambda self, s: 5 if 3 not in s else 1, "flip displacement must be positive"),
+#: Minors that break the recheck in `_make_flip`, and its message: the
+#: insertion flip of the triangle with an interior point takes its
+#: displacement from the minor of {0,1,2} over |λ_3| = 3, so a zero minor
+#: and a minor of 10 are both refused.
+FORGED_MINORS = tuple(
+    (lambda self, key, minor=minor: minor,
+     f"flip simplex (0, 1, 2) has volume {minor}, not a positive multiple of "
+     "its circuit coefficient 3")
+    for minor in (0, 10)
 )
 
 
-def forged_square_flip(volume):
-    """Rebuild the square's flip with `normalized_volume` replaced by `volume`."""
-    sq = square()
-    circuit = find_flips(sq, parse_triangulation("{{0,1,2},{0,2,3}}"))[0].circuit
-    original = PointConfiguration.normalized_volume
-    PointConfiguration.normalized_volume = volume
+def forged_insertion_flip(minor):
+    """Rebuild the insertion flip with `PointConfiguration._minor` replaced
+    by `minor`."""
+    tri = triangle_with_interior()
+    (flip,) = find_flips(tri, parse_triangulation("{{0,1,2}}"))
+    original = PointConfiguration._minor
+    PointConfiguration._minor = minor
     try:
-        return _make_flip(sq, circuit, ((),))
+        return _make_flip(tri, flip.side, flip.link)
     finally:
-        PointConfiguration.normalized_volume = original
+        PointConfiguration._minor = original
 
 
-@pytest.mark.parametrize("volume, message", FORGED_VOLUMES)
-def test_make_flip_rechecks_raise(volume, message):
-    with pytest.raises(RegulartriError, match=message):
-        forged_square_flip(volume)
+@pytest.mark.parametrize("minor, message", FORGED_MINORS, ids=["zero", "indivisible"])
+def test_make_flip_rechecks_raise(minor, message):
+    with pytest.raises(RegulartriError, match=re.escape(message)):
+        forged_insertion_flip(minor)
 
 
 def test_make_flip_rechecks_survive_optimize_flag():
     lines = optimized_output(
         "from regulartri import RegulartriError\n"
-        "from test_flips import FORGED_VOLUMES, forged_square_flip\n"
-        "for volume, _ in FORGED_VOLUMES:\n"
+        "from test_flips import FORGED_MINORS, forged_insertion_flip\n"
+        "for minor, _ in FORGED_MINORS:\n"
         "    try:\n"
-        "        forged_square_flip(volume)\n"
+        "        forged_insertion_flip(minor)\n"
         "    except RegulartriError as e:\n"
         "        print(e)\n"
     )
-    assert len(lines) == len(FORGED_VOLUMES)
-    for line, (_, message) in zip(lines, FORGED_VOLUMES):
-        assert line.startswith(message)
+    assert lines == [message for _, message in FORGED_MINORS]
 
 
 # -- cross-check of the circuit index and the flip memo --------------------
@@ -529,3 +534,133 @@ def test_flip_targets_share_simplices():
         assert target == Triangulation(target.simplices)
         kept = {id(s) for s in t.simplices} | {id(s) for s in f.inserted}
         assert all(id(s) in kept for s in target.simplices)
+
+
+# -- the exchange test, the flip back to the parent, Cramer displacements ----
+
+
+def searched_lists(config, monkeypatch, nodes=None):
+    """Every (node, hint, list) that `find_flips` returns to the regular
+    search, or to its first `nodes` nodes, candidate children included."""
+    calls = []
+    original = search.find_flips
+
+    def recording(config, t, parent=None):
+        flips = original(config, t, parent)
+        calls.append((t, parent, flips))
+        return flips
+
+    monkeypatch.setattr(search, "find_flips", recording)
+    if nodes is None:
+        enumerate_triangulations(config)
+    else:
+        search_prefix(config, nodes)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("make, nodes, lists", [
+    (lambda: simplex_product(2, 4), 300, 429),
+    (lambda: cube(4), 40, 41),
+    (lambda: _relabelled(simplex_product(2, 3).points, (), 2024)[0], 500, 501),
+], ids=["d2d4", "cube4", "d2d3-relabelled"])
+def test_searched_lists_match_reference(make, nodes, lists, monkeypatch):
+    # Derived lists and lists from scratch, each against the reference, and
+    # each derived list against a from-scratch call on the same
+    # configuration: the same memoised objects.
+    config = make()
+    reference = ReferenceFlips(config.points)
+    calls = searched_lists(config, monkeypatch, nodes)
+    assert len(calls) == lists
+    assert [parent is None for _, parent, _ in calls].count(True) == 1
+    for t, parent, flips in calls:
+        assert flips == reference(t)
+        if parent is not None:
+            scratch = find_flips(config, t)
+            assert len(flips) == len(scratch) and all(map(is_, flips, scratch))
+
+
+def test_derived_flips_on_cube4_prefix():
+    nodes = search_prefix(cube(4), 30)
+    check_derivations(cube(4), nodes)
+
+
+def test_derived_lists_hold_the_flip_back(monkeypatch):
+    # Every derived list of the Δ2×Δ3 search holds the flip back to its
+    # parent: the opposite side of the step's circuit with the same link,
+    # the very object a from-scratch call returns.
+    config = simplex_product(2, 3)
+    calls = searched_lists(config, monkeypatch)
+    derived = [(t, parent[1], flips) for t, parent, flips in calls if parent]
+    assert len(derived) == 4487
+    for t, step, flips in derived:
+        (back,) = [f for f in flips if f.circuit.support == step.circuit.support]
+        assert (back.removed, back.inserted) == (step.inserted, step.removed)
+        assert back.delta == tuple(-x for x in step.delta)
+        assert back.side is step.side.opposite and back.link == step.link
+        assert config.flip_memo[back.side, back.link] is back
+        assert any(f is back for f in find_flips(config, t))
+
+
+def test_link_tests_on_d2d3(monkeypatch):
+    # Side-link tests of the regular search of Δ2×Δ3: 187 224 sides met
+    # over all circuits of all simplices, 51 030 tested by the derivation
+    # from the parent's list, 9 725 once the exchange test runs first and
+    # the flip back to the parent comes without one.
+    tests, found = [], []
+    original = flips_module._side_link
+
+    def counting(faces, masks):
+        link = original(faces, masks)
+        tests.append(1)
+        found.append(link is not None)
+        return link
+
+    monkeypatch.setattr(flips_module, "_side_link", counting)
+    count, stats = enumerate_triangulations(simplex_product(2, 3))
+    assert count == 4488 and stats.flips_evaluated == 28368
+    assert len(tests) == 9725 and sum(found) == 7698
+
+
+def regular_triangulations(config):
+    found = []
+    enumerate_triangulations(config, visitor=lambda t, g, d: found.append(t))
+    return found
+
+
+@pytest.mark.parametrize("make, nodes_of, count", [
+    (lambda: simplex_product(2, 3), regular_triangulations, 4488),
+    (lambda: cube(4), lambda config: search_prefix(config, 60), 60),
+    (nested_triangles, all_triangulations, 18),
+], ids=["d2d3", "cube4", "nested"])
+def test_exchange_test_rejects_no_flip(make, nodes_of, count):
+    # A side whose exchange simplices are not all present has no link in
+    # the triangulation, for every side of every simplex of every node.
+    config = make()
+    triangulations = nodes_of(config)
+    assert len(triangulations) == count
+    rejected = 0
+    for t in triangulations:
+        present = set(t.simplices)
+        masks = [config.simplex_masks[s] for s in t.simplices]
+        for s in t.simplices:
+            for side, exchanges in zip(*config.circuit_entry(s)):
+                if not present.issuperset(exchanges):
+                    assert flips_module._side_link(side.faces, masks) is None
+                    rejected += 1
+    assert rejected > count
+
+
+def test_exchange_simplices_are_table_tuples():
+    config = simplex_product(2, 3)
+    t = placing_triangulation(config)
+    for s in t.simplices:
+        sides, exchanges = config.circuit_entry(s)
+        assert sides is config.simplex_sides(s)
+        outside = [p for p in range(config.n) if p not in s]
+        for p, side, swaps in zip(outside, sides, exchanges):
+            assert side.opposite.opposite is side
+            assert side.opposite.circuit == side.circuit.negated()
+            assert swaps == tuple(
+                tuple(sorted(set(s) - {q} | {p})) for q in side.circuit.plus if q != p)
+            assert all(config.simplex_table[e] is e for e in swaps)

@@ -26,6 +26,7 @@ from regulartri import (
 from regulartri import exact
 
 from test_search import optimized_output
+from test_symmetry import affine_coordinates
 
 
 def test_construction_errors():
@@ -194,15 +195,13 @@ def test_facet_sign():
 
 def test_affine_coordinates_exact():
     cfg = triangle_with_interior()
-    coords = cfg.affine_coordinates(3, (0, 1, 2))
+    coords = affine_coordinates(cfg, 3, (0, 1, 2))
     assert sum(coords) == 1
     assert coords == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     # Basis points map to unit vectors.
-    assert cfg.affine_coordinates(1, (0, 1, 2)) == (0, 1, 0)
+    assert affine_coordinates(cfg, 1, (0, 1, 2)) == (0, 1, 0)
     with pytest.raises(DegenerateConfigError):
-        new_configuration([(0, 0), (1, 0), (2, 0), (0, 1)]).affine_coordinates(
-            3, (0, 1, 2)
-        )
+        affine_coordinates(new_configuration([(0, 0), (1, 0), (2, 0), (0, 1)]), 3, (0, 1, 2))
 
 
 # -- circuits by Cramer's rule against kernel_vector -------------------------

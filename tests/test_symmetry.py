@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from regulartri import (
+    DegenerateConfigError,
     DimensionError,
     InvalidInputError,
     ResourceLimitError,
@@ -34,7 +35,7 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
-from regulartri.exact import greedy_basis
+from regulartri.exact import determinant, greedy_basis
 
 SQUARE_ROTATION = (1, 2, 3, 0)
 NESTED_ROTATION = (1, 2, 0, 4, 5, 3)
@@ -67,13 +68,30 @@ def test_is_symmetry_reads_entries_as_integers():
             is_symmetry(sq, bad)
 
 
+def affine_coordinates(config, point_index, basis) -> tuple:
+    """Exact affine coordinates of a point in a (d+1)-point basis, by
+    Cramer's rule on the configuration's homogenized rows."""
+    basis = tuple(basis)
+    if len(basis) != config.dim + 1:
+        raise DimensionError("basis needs d+1 points")
+    denom = determinant([config.hom[i] for i in basis])
+    if denom == 0:
+        raise DegenerateConfigError("basis points are affinely dependent")
+    coords = []
+    for k in range(len(basis)):
+        rows = [config.hom[i] for i in basis]
+        rows[k] = config.hom[point_index]
+        coords.append(Fraction(determinant(rows), denom))
+    return tuple(coords)
+
+
 def fraction_is_symmetry(config, perm):
     """is_symmetry as it was computed with `Fraction` affine coordinates,
     for a permutation tuple: the reference for the integer test."""
     basis = greedy_basis(config.hom)
     image_rows = [config.hom[perm[b]] for b in basis]
     for i in range(config.n):
-        coords = config.affine_coordinates(i, basis)
+        coords = affine_coordinates(config, i, basis)
         expected = [sum(Fraction(c) * row[k] for c, row in zip(coords, image_rows))
                     for k in range(config.dim + 1)]
         if any(Fraction(x) != e for x, e in zip(config.hom[perm[i]], expected)):
