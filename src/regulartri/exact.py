@@ -2,8 +2,8 @@
 
 Everything in this module is combinatorial bookkeeping for geometry that must
 never see floating point.  Every matrix is integer data in: an entry whose
-type is not `int` raises InvalidInputError.  Determinants, adjugates and
-ranks are computed by fraction-free Bareiss elimination, kernels by
+type is not `int` raises InvalidInputError.  Determinants and adjugates
+are computed by fraction-free Bareiss elimination, ranks and kernels by
 division-free Gauss-Jordan elimination, and kernel vectors are returned as
 primitive integer tuples with a fixed sign convention so they can be
 compared and hashed exactly.
@@ -125,46 +125,18 @@ def _cofactors(rows):
 
 
 def rank(m) -> int:
-    """Rank of an integer matrix (Bareiss-style integer elimination)."""
-    rows = _as_rows(m)
-    nr, nc = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            lead = ri[c]
-            for j in range(c, nc):
-                ri[j] = (pivot * ri[j] - lead * rows[r][j]) // prev
-        prev = pivot
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank of an integer matrix: its number of Gauss-Jordan pivots."""
+    return len(_gauss_jordan(_as_rows(m))[1])
 
 
 def greedy_basis(vectors) -> list:
     """Indices of a maximal independent subset, chosen greedily in order.
 
-    Each vector is kept when it raises the rank of those kept before it;
-    the scan stops once the kept vectors span their whole space.
+    Each vector is kept when it is independent of those before it: the
+    kept vectors are the pivot columns of one Gauss-Jordan elimination
+    with the vectors as columns, which stops once they span their space.
     """
-    chosen = []
-    for i, v in enumerate(vectors):
-        if rank([vectors[j] for j in chosen] + [v]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == len(v):
-                break
-    return chosen
+    return _gauss_jordan(list(zip(*_as_rows(vectors))))[1]
 
 
 def _primitive(vec):

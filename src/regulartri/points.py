@@ -17,7 +17,8 @@ constant).  Circuits come from adjugates by Cramer's rule: for d+1 points B
 with rows M and a further point p, hom(p)·adj(M) on B and -det(M) on p is
 a dependence of B ∪ {p}, zero exactly when those d+2 points do not span.
 The circuit index takes every set S ∪ {p} of a simplex S from one adjugate
-of S's rows.
+of S's rows, and it alone fills the one table of circuits: each such set
+and each circuit support map to the support's pair of `CircuitSide`s.
 """
 
 from __future__ import annotations
@@ -118,6 +119,18 @@ class CorankOneConfig:
         return CorankOneConfig(support, dependence, self.plus, (), self.minus)
 
 
+def _circuit(support, dependence) -> CorankOneConfig:
+    """The CorankOneConfig of a dependence on the points of `support`."""
+    pairs = list(zip(support, dependence))
+    return CorankOneConfig(
+        support,
+        dependence,
+        tuple(v for v, c in pairs if c > 0),
+        tuple(v for v, c in pairs if c == 0),
+        tuple(v for v, c in pairs if c < 0),
+    )
+
+
 class CircuitSide:
     """One orientation of a reduced circuit, with the faces of its plus side.
 
@@ -177,17 +190,17 @@ class PointConfiguration:
       for a circuit leaves its determinant here too, and `circuit_or_none`
       tests its bases here, so volumes, circuits and `total_volume` share
       each determinant;
-    - the dependence of each (d+2)-subset that was asked for, from the
-      adjugate of d+1 of its points that span (`circuit_or_none`);
     - the circuit index (`circuit_entry`): for a simplex S, the reduced
       circuit of each set S ∪ {p}, oriented with p on its plus side, and
       next to each such side its exchange simplices S − q + p for the other
       points q of the plus side.  A flip on that side that removed S would
       remove every exchange simplex too, so a triangulation that lacks one
       has no flip on the side.  The dependences come from one
-      `exact.adjugate` of S's rows, which leaves det(S) among the minors.
-      Each distinct circuit support gets both of its `CircuitSide`s once,
-      shared by every simplex that reaches either;
+      `exact.adjugate` of S's rows, which leaves det(S) among the minors;
+    - the circuit table, filled only by the circuit index: each (d+2)-set
+      met maps to the `CircuitSide` pair of its reduced circuit (the first
+      side with its first coefficient positive), or to False when its
+      points do not span, and each support maps to its one pair;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
       filled by `flips.find_flips`; the link is the sorted tuple of its
       simplices' vertex masks (see `vertex_mask`).  A flip's circuit,
@@ -232,9 +245,9 @@ class PointConfiguration:
 
         #: sorted (d+1)-tuple -> signed determinant of its homogenized rows
         self._minors = {}
-        self._circuit_cache = {}
+        #: (d+2)-set or support -> its pair of sides, or False; see above
+        self._circuits = {}
         self._circuit_index = {}
-        self._circuit_sides = {}
         #: (CircuitSide, sorted link masks) -> Flip; see the class docstring
         self.flip_memo = {}
         #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
@@ -301,23 +314,23 @@ class PointConfiguration:
     def circuit_or_none(self, key):
         """corank_one for presorted tuples, returning None when degenerate.
 
-        Internal fast path shared by flip search; `key` must be sorted.
-        The dependence comes from the adjugate of a base that spans: key
-        without one point, the last one first, each tested by its memoised
-        minor, so a flat base costs one shared determinant and no cofactors.
-        A key that no base spans is degenerate.
+        `key` must be sorted.  Its pair of sides comes from the circuit
+        index of a base that spans: key without one point, the last one
+        first, each tested by its memoised minor.  A key that no base spans
+        is degenerate.
         """
-        cached = self._circuit_cache.get(key)
-        if cached is None:
-            cached = False
+        pair = self._circuits.get(key)
+        if pair is None:
             for i in reversed(range(len(key))):
                 base = key[:i] + key[i + 1:]
                 if self._minor(base):
-                    det, adj = exact.adjugate([self.hom[v] for v in base])
-                    cached = self._cramer(key, key[i], det, tuple(zip(*adj)))
+                    self.circuit_entry(base)
+                    pair = self._circuits[key]
                     break
-            self._circuit_cache[key] = cached
-        return None if cached is False else cached
+        if not pair:
+            return None
+        lam = dict(zip(pair[0].circuit.support, pair[0].circuit.dependence))
+        return _circuit(key, tuple(lam.get(v, 0) for v in key))
 
     def simplex_sides(self, simplex) -> tuple:
         """The circuit sides that a flip removing the simplex can remove.
@@ -351,22 +364,16 @@ class PointConfiguration:
                 if p in simplex:
                     continue
                 key = tuple(sorted(simplex + (p,)))
-                full = self._circuit_cache.get(key)
-                if full is None:
+                pair = self._circuits.get(key)
+                if pair is None:
                     if cols is None:
                         det, adj = exact.adjugate([self.hom[i] for i in simplex])
                         self._minors[simplex] = det
                         cols = tuple(zip(*adj))
-                    full = self._circuit_cache[key] = self._cramer(key, p, det, cols)
-                if full is False:
+                    pair = self._circuits[key] = self._cramer(key, p, det, cols)
+                if pair is False:
                     continue
-                circuit = full.reduced()
-                pair = self._circuit_sides.get(circuit.support)
-                if pair is None:
-                    pair = (CircuitSide(circuit), CircuitSide(circuit.negated()))
-                    pair[0].opposite, pair[1].opposite = pair[1], pair[0]
-                    self._circuit_sides[circuit.support] = pair
-                side = pair[0] if p in circuit.plus else pair[1]
+                side = pair[0] if p in pair[0].circuit.plus else pair[1]
                 sides.append(side)
                 exchanges.append(tuple(
                     self.simplex(tuple(sorted([v for v in simplex if v != q] + [p])))
@@ -376,29 +383,28 @@ class PointConfiguration:
         return entry
 
     def _cramer(self, key, p, det, cols):
-        """The dependence of the sorted tuple `key` by Cramer's rule, from
-        the adjugate columns `cols` and determinant `det` of the rows of
-        key without p: hom(p)·adj on those points and -det on p."""
+        """The pair of sides of the sorted tuple `key`, or False when its
+        points do not span, by Cramer's rule from the adjugate columns `cols`
+        and determinant `det` of the rows of key without p: hom(p)·adj on
+        those points and -det on p.  A new support gets its pair here."""
         lam = [sum(map(mul, self.hom[p], col)) for col in cols]
         lam.insert(key.index(p), -det)
-        return self._dependence(key, lam)
-
-    def _dependence(self, key, lam):
-        """The CorankOneConfig of the sorted (d+2)-tuple `key` from a
-        dependence `lam` of its rows, or False when `lam` is zero."""
         if not any(lam):
             return False
         lam = exact._primitive(lam)
-        rows = [self.hom[p] for p in key]
-        for coords in zip(*rows):
+        for coords in zip(*(self.hom[v] for v in key)):
             if sum(map(mul, lam, coords)):
                 raise RegulartriError(
                     f"Cramer's rule gives no affine dependence of {key}"
                 )
-        plus = tuple(p for p, c in zip(key, lam) if c > 0)
-        zero = tuple(p for p, c in zip(key, lam) if c == 0)
-        minus = tuple(p for p, c in zip(key, lam) if c < 0)
-        return CorankOneConfig(key, lam, plus, zero, minus)
+        support = tuple(v for v, c in zip(key, lam) if c)
+        pair = self._circuits.get(support)
+        if pair is None:
+            circuit = _circuit(support, tuple(c for c in lam if c))
+            pair = (CircuitSide(circuit), CircuitSide(circuit.negated()))
+            pair[0].opposite, pair[1].opposite = pair[1], pair[0]
+            self._circuits[support] = pair
+        return pair
 
     def total_volume(self) -> int:
         """Normalized volume of the convex hull (computed once, by placing)."""

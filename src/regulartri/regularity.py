@@ -55,10 +55,11 @@ c >= 3, and `extremal_rays` and `screen_rays`, take the cascade.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import RegulartriError
+from .errors import DegenerateConfigError, RegulartriError
 from .exact import kernel_basis
 from .lp import Feasibility, nonneg_combination, strict_homogeneous
 from .points import PointConfiguration, mask_bits, vertex_mask
@@ -75,29 +76,31 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
     signed so both apexes carry positive coefficients) and one row per
     (unused point, containing simplex) pair (signed so the unused point
     carries a positive coefficient: the point must be lifted strictly above
-    the simplex's hyperplane).
+    the simplex's hyperplane).  A simplex that does not span raises
+    DegenerateConfigError.
     """
-    # Every set asked for below is a simplex plus a point, so the circuit
-    # index takes all of a simplex's sets from one adjugate.
+    # Every row is the circuit of a simplex s plus a point p ∉ s: the side
+    # that simplex_sides(s) lists for p, at p less the vertices of s below
+    # p, as s spans and no set of it is degenerate.
     for s in t.simplices:
-        config.simplex_sides(s)
+        if not config.normalized_volume(s):
+            raise DegenerateConfigError(f"points {s} do not span the affine hull")
     rows = []
     for facet, owners in sorted(facet_incidence(t.simplices).items()):
         if len(owners) != 2:
             continue
-        (_, apex), (_, other) = owners
-        circuit = config.corank_one(facet + (apex, other)).oriented(apex)
-        rows.append(_scatter(config.n, circuit))
+        (s, apex), (_, other) = owners
+        side = config.simplex_sides(s)[other - bisect_left(s, other)]
+        if apex not in side.circuit.plus:
+            side = side.opposite
+        rows.append(_scatter(config.n, side.circuit))
     used = t.used_points()
     for u in range(config.n):
         if u in used:
             continue
         for s in t.simplices:
-            circuit = config.corank_one(tuple(sorted(s + (u,)))).oriented(u)
-            inside = all(
-                c <= 0 for p, c in zip(circuit.support, circuit.dependence) if p != u
-            )
-            if inside:
+            circuit = config.simplex_sides(s)[u - bisect_left(s, u)].circuit
+            if circuit.plus == (u,):
                 rows.append(_scatter(config.n, circuit))
     return rows
 

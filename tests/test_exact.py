@@ -23,7 +23,9 @@ from regulartri import (
     determinant,
     kernel_basis,
     kernel_vector,
+    cube,
     rank,
+    simplex_product,
 )
 from regulartri import exact
 
@@ -176,6 +178,66 @@ def test_rank_matches_gauss_oracle():
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         assert rank(rows) == _gauss_rank(rows)
+
+
+def bareiss_rank(rows) -> int:
+    """Rank by a Bareiss echelon loop: the reference for `rank`."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0])
+    r = 0
+    prev = 1
+    for c in range(nc):
+        pivot_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, nr):
+            ri = rows[i]
+            lead = ri[c]
+            for j in range(c, nc):
+                ri[j] = (pivot * ri[j] - lead * rows[r][j]) // prev
+        prev = pivot
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def rank_greedy_basis(vectors) -> list:
+    """`greedy_basis` by one rank per vector: the reference."""
+    chosen = []
+    for i, v in enumerate(vectors):
+        if bareiss_rank([vectors[j] for j in chosen] + [v]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == len(v):
+                break
+    return chosen
+
+
+def test_rank_and_greedy_basis_match_references():
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        count, width = rng.randint(1, 8), rng.randint(1, 6)
+        spread = rng.choice((1, 3, 100))
+        vectors = [tuple(rng.randint(-spread, spread) for _ in range(width))
+                   for _ in range(count)]
+        # Repeats and sums make dependent vectors common.
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(count), rng.randrange(count)
+            vectors.append(tuple(a + b for a, b in zip(vectors[i], vectors[j])))
+        assert rank(vectors) == bareiss_rank(vectors), vectors
+        assert exact.greedy_basis(vectors) == rank_greedy_basis(vectors), vectors
+    for config in (cube(3), simplex_product(2, 5)):
+        columns = list(zip(*((1,) + p for p in config.points)))
+        assert exact.greedy_basis(columns) == rank_greedy_basis(columns)
+        assert exact.greedy_basis(config.hom) == rank_greedy_basis(config.hom)
+
+
+def test_greedy_basis_refuses_non_int_entries():
+    for bad in (Fraction(2), 2.0, True):
+        with pytest.raises(InvalidInputError, match="is not an int"):
+            exact.greedy_basis([(1, 0), (0, bad)])
 
 
 def test_kernel_vector_pins():

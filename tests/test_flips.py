@@ -46,6 +46,7 @@ from regulartri.flips import Flip, _make_flip
 from regulartri.points import mask_bits
 from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
 
+from test_points import check_circuit_table, minor_circuit
 from test_search import _relabelled, optimized_output
 
 
@@ -503,7 +504,7 @@ def test_regular_search_derives_every_list_after_the_seed(monkeypatch):
 
 def test_circuit_index_is_lazy_and_shared():
     config = cube(3)
-    assert config._circuit_index == {} and config._circuit_sides == {}
+    assert config._circuit_index == {} and config._circuits == {}
     t = placing_triangulation(config)
     pairs = {}
     for s in t.simplices:
@@ -515,15 +516,19 @@ def test_circuit_index_is_lazy_and_shared():
             # its other points in s.
             assert p in side.circuit.plus
             assert set(side.circuit.support) - set(s) == {p}
-            pair = pairs.setdefault(side.circuit.support, config._circuit_sides[
-                side.circuit.support])
+            key = tuple(sorted(s + (p,)))
+            pair = pairs.setdefault(side.circuit.support, config._circuits[key])
+            assert config._circuits[key] is pair
+            assert config._circuits[side.circuit.support] is pair
             assert side in pair and pair[1].circuit == pair[0].circuit.negated()
+            assert config.circuit_or_none(key) == minor_circuit(config, key)
             assert [face for face, _ in side.faces] == [
                 tuple(v for v in side.circuit.support if v != q) for q in side.circuit.plus
             ]
             assert all(mask_bits(mask) == face for face, mask in side.faces)
     assert config.simplex_sides(t.simplices[0]) is config.simplex_sides(t.simplices[0])
     assert len(config._circuit_index) == len(t.simplices)
+    assert check_circuit_table(config) == pairs
 
 
 def test_flip_targets_share_simplices():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -24,6 +25,7 @@ from regulartri import (
     triangle_with_interior,
 )
 from regulartri import exact
+from regulartri.points import CircuitSide, CorankOneConfig
 
 from test_search import optimized_output
 from test_symmetry import affine_coordinates
@@ -245,8 +247,21 @@ def minor_circuit(cfg, key):
     is the reference that the adjugate paths are compared against."""
     lam = [(-1) ** i * determinant([cfg.hom[p] for p in key[:i] + key[i + 1:]])
            for i in range(len(key))]
-    circuit = cfg._dependence(key, lam)
-    return None if circuit is False else circuit
+    if not any(lam):
+        return None
+    g = 0
+    for c in lam:
+        g = gcd(g, c)
+    sign = 1 if next(c for c in lam if c) > 0 else -1
+    lam = tuple(sign * c // g for c in lam)
+    for coords in zip(*(cfg.hom[p] for p in key)):
+        assert sum(c * x for c, x in zip(lam, coords)) == 0, key
+    return CorankOneConfig(
+        key, lam,
+        tuple(p for p, c in zip(key, lam) if c > 0),
+        tuple(p for p, c in zip(key, lam) if c == 0),
+        tuple(p for p, c in zip(key, lam) if c < 0),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
@@ -350,9 +365,31 @@ def test_forged_minor_check_survives_optimize_flag():
 # -- the circuit index from one adjugate against the minor path --------------
 
 
+def check_circuit_table(cfg):
+    """Every value of cfg's circuit table is a pair of sides or False, every
+    support maps to the pair of its own circuit, and every support has one
+    pair, whichever keys reach it."""
+    pairs = {}
+    for key, pair in cfg._circuits.items():
+        if pair is False:
+            assert len(key) == cfg.dim + 2, key
+            continue
+        assert type(pair) is tuple and len(pair) == 2, key
+        assert all(type(side) is CircuitSide for side in pair), key
+        circuit = pair[0].circuit
+        assert circuit.zero == () and circuit.dependence[0] > 0, key
+        assert pair[1].circuit == circuit.negated(), key
+        assert pair[0].opposite is pair[1] and pair[1].opposite is pair[0], key
+        assert set(circuit.support) <= set(key), key
+        assert cfg._circuits[circuit.support] is pair, key
+        assert pairs.setdefault(circuit.support, pair) is pair, key
+    return pairs
+
+
 def _check_sides(make, simplices):
     """simplex_sides of each simplex, all on one configuration, against
-    `minor_circuit`."""
+    `minor_circuit`: each (d+2)-set maps to its support's pair of sides,
+    and circuit_or_none reads the set's circuit back from that pair."""
     cfg = make()
     checked = 0
     for simplex in simplices:
@@ -362,18 +399,25 @@ def _check_sides(make, simplices):
                 continue
             key = tuple(sorted(simplex + (p,)))
             want = minor_circuit(cfg, key)
-            assert cfg._circuit_cache[key] == (False if want is None else want), key
-            if want is not None:
+            if want is None:
+                assert cfg._circuits[key] is False, key
+            else:
                 # p is on the plus side of the circuit listed for it, or
                 # off the circuit (in a flat simplex), which is then negated.
                 circuit = want.reduced()
-                assert next(sides).circuit == (
-                    circuit if p in circuit.plus else circuit.negated()), key
+                pair = cfg._circuits[key]
+                assert pair[0].circuit == circuit, key
+                side = next(sides)
+                assert side is pair[0 if p in circuit.plus else 1], key
             checked += 1
         assert next(sides, None) is None
     # Only the adjugates ran: each left its simplex's determinant, no other minor.
     assert set(cfg._minors) <= set(simplices)
     assert all(cfg._minors[s] == determinant([cfg.hom[i] for i in s]) for s in cfg._minors)
+    check_circuit_table(cfg)
+    for key in list(cfg._circuits):
+        if len(key) == cfg.dim + 2:
+            assert cfg.circuit_or_none(key) == minor_circuit(cfg, key), key
     return checked
 
 

@@ -14,10 +14,13 @@ from fractions import Fraction
 import pytest
 
 from regulartri import (
+    DegenerateConfigError,
+    DimensionError,
     RayStats,
     RegulartriError,
     ResourceLimitError,
     TaggedVector,
+    Triangulation,
     apply_flip,
     cube,
     enumerate_triangulations,
@@ -26,6 +29,7 @@ from regulartri import (
     is_regular,
     naive_extremal_rays,
     nested_triangles,
+    new_configuration,
     nested_triangles_pinwheel,
     parse_triangulation,
     placing_triangulation,
@@ -39,6 +43,8 @@ from regulartri import (
 )
 from regulartri import regularity
 from regulartri import search
+from regulartri.lp import strict_homogeneous
+from regulartri.triangulation import facet_incidence
 from regulartri.regularity import (
     DeferredCandidate,
     ScreeningEvent,
@@ -56,6 +62,7 @@ from regulartri.search import (
 )
 
 from test_exact import forged_elimination
+from test_flips import all_triangulations
 from test_search import _discarded_flip, optimized_output
 
 # A sparse 12x18 displacement system whose screening cascade exercises
@@ -109,6 +116,20 @@ def test_regularity_rows_pins():
 
     simplex = new_configuration([(0, 0), (1, 0), (0, 1)])
     assert regularity_rows(simplex, parse_triangulation("{{0,1,2}}")) == []
+
+
+@pytest.mark.parametrize("simplices, error", (
+    # A fold and an unused point on a flat simplex; a flat simplex in no
+    # row; too few vertices.
+    ([(0, 1, 2), (0, 1, 3)], DegenerateConfigError),
+    ([(0, 1, 2), (1, 3, 4)], DegenerateConfigError),
+    ([(0, 1)], DimensionError),
+))
+def test_regularity_rows_refuse_flat_simplices(simplices, error):
+    # The rows of a simplex plus a point need the simplex to span.
+    config = new_configuration([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+    with pytest.raises(error):
+        regularity_rows(config, Triangulation(simplices))
 
 
 def test_is_regular_square():
@@ -300,6 +321,65 @@ def test_regular_flips_matches_target_regularity():
             f for f in flips if is_regular(cfg, apply_flip(cfg, t, f)).regular
         ]
         assert got == want
+
+
+def reference_rows(config, t):
+    """regularity_rows from `corank_one(...).oriented(...)` on each fold and
+    each (unused point, simplex) pair, kept when the unused point is the
+    only positive one."""
+
+    def scatter(circuit):
+        row = [0] * config.n
+        for p, c in zip(circuit.support, circuit.dependence):
+            row[p] = c
+        return tuple(row)
+
+    rows = []
+    for facet, owners in sorted(facet_incidence(t.simplices).items()):
+        if len(owners) == 2:
+            (_, apex), (_, other) = owners
+            rows.append(scatter(config.corank_one(facet + (apex, other)).oriented(apex)))
+    used = t.used_points()
+    for u in range(config.n):
+        if u not in used:
+            for s in t.simplices:
+                circuit = config.corank_one(tuple(sorted(s + (u,)))).oriented(u)
+                if all(c <= 0 for p, c in zip(circuit.support, circuit.dependence)
+                       if p != u):
+                    rows.append(scatter(circuit))
+    return rows
+
+
+def _d2d3_sample():
+    found = []
+    enumerate_triangulations(simplex_product(2, 3), visitor=lambda t, g, d: found.append(t))
+    return random.Random(20261019).sample(found, 300)
+
+
+@pytest.mark.parametrize("make, triangulations_of, count", [
+    (lambda: cube(3), all_triangulations, 74),
+    (lambda: simplex_product(2, 2), all_triangulations, 108),
+    (nested_triangles, all_triangulations, 18),
+    (lambda: simplex_product(2, 3), lambda config: _d2d3_sample(), 300),
+], ids=["cube3", "d2d2", "nested", "d2d3-sample"])
+def test_regularity_rows_match_reference(make, triangulations_of, count):
+    # Rows, in order, and the verdicts on them: heights and certificates.
+    config, reference = make(), make()
+    triangulations = triangulations_of(config)
+    assert len(triangulations) == count
+    outcomes = set()
+    for t in triangulations:
+        want = reference_rows(reference, t)
+        assert regularity_rows(config, t) == want, t
+        verdict = is_regular(config, t)
+        res = strict_homogeneous(want, dim=config.n)
+        assert verdict.rows == tuple(want)
+        assert (verdict.regular, verdict.heights, verdict.certificate) == (
+            res.feasible, res.witness if res.feasible else None,
+            None if res.feasible else res.certificate), t
+        outcomes.add(verdict.regular)
+    # The nested triangles have non-regular triangulations.
+    assert outcomes == ({True, False} if make is nested_triangles else {True})
 
 
 def _fraction_positive_multiple(u, v) -> bool:
