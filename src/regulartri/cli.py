@@ -31,13 +31,7 @@ from .flips import find_flips
 from .points import PointConfiguration, as_count
 from .regularity import is_regular, regular_flips
 from .search import DEFAULT_CACHE_CAPACITY, SearchMode, enumerate_triangulations
-from .symmetry import (
-    canonical_form,
-    expand_group,
-    group_trie,
-    orbit_key,
-    relabel,
-)
+from .symmetry import canonical_form, expand_group, relabel
 from .triangulation import Scanner, parse_triangulation, validate
 
 EXIT_OK = 0
@@ -121,15 +115,15 @@ def cmd_enumerate(args, out) -> int:
     # which also serves as the cross-check of the orbit walk.
     orbit_walk = group is not None and not args.all and not args.baseline
     if orbit_walk:
-        trie = group_trie(group) if args.print_triangulations else None
-
         def print_orbit(rep, gkz_vec, depth):
             # One permutation per distinct member; relabelling by perm moves
-            # GKZ entry i to position perm[i].
+            # GKZ entry i to position perm[i].  The stabiliser counts the
+            # perms that fix the GKZ vector, independently of the members.
             members = {}
+            stabiliser = 0
             for perm in group:
                 members.setdefault(relabel(rep, perm), perm)
-            stabiliser = orbit_key(gkz_vec, group, trie)[2]
+                stabiliser += all(gkz_vec[j] == x for j, x in zip(perm, gkz_vec))
             if len(members) * stabiliser != len(group):
                 raise RegulartriError(
                     f"orbit of {rep.canonical()} has {len(members)} members, "

@@ -23,19 +23,22 @@ and rechecks that each c_τ is a positive integer.
 No exact arithmetic runs per triangulation.  A flip that removes a
 simplex S removes the side of the circuit of S ∪ {p} that has p on it, for
 some p ∉ S.  So `find_flips` reads, for each maximal simplex S, the
-configuration's circuit index (for each p that one side with its faces,
-computed once per simplex and shared per circuit support), and tests each
-side it meets once.  First the exchange test: S is a coface of Z∖{p}, so a
-flip on the side would remove S = (Z∖{p}) ∪ τ and with it each exchange
-simplex S − q + p = (Z∖{q}) ∪ τ, for q ≠ p on the plus side; if one of them
-is not in the triangulation the side has no flip, exactly.  The circuit
-index keeps the exchange simplices next to each side.  A side that passes
-gets the link test, on integer bitmasks: the cofaces of a face are the
-simplices whose vertex mask contains the face's, and the link of the face
-in a coface is the coface's vertex mask minus the face's.  So a link is a
-set of ints and no vertex tuple is built per coface.  A flip depends only
-on its circuit side and link, so the `Flip` for each (side, link) pair is
-built once per configuration and memoised in
+configuration's circuit index: S's vertex mask and, for each p, that one
+side with its faces, computed once per simplex and shared per circuit
+support.  It tests each side it meets once, on integer bitmasks, in which
+bit v stands for vertex v.  First the exchange test: S is a coface of Z∖{p},
+so a flip on the side would remove S = (Z∖{p}) ∪ τ and with it each
+exchange simplex S − q + p = (Z∖{q}) ∪ τ, for q ≠ p on the plus side; if
+one of them is not in the triangulation the side has no flip, exactly.  The
+circuit lies in S ∪ {p}, so those q are the bits of the plus side's mask
+inside S's, and S − q + p is the mask of S ∪ {p} without bit q: the test is
+computed, not stored, and looks each up in the set of the triangulation's
+masks.  A side that passes gets the link test: the cofaces of a face are
+the simplices whose vertex mask contains the face's, and the link of the
+face in a coface is the coface's vertex mask minus the face's.  So a link
+is a set of ints and no vertex tuple is built per coface.  A flip depends
+only on its circuit side and link, so the `Flip` for each (side, link)
+pair is built once per configuration and memoised in
 `PointConfiguration.flip_memo`, keyed by the side and the sorted tuple of
 the link's masks; the link's vertex tuples are decoded on a memo miss only,
 and `_make_flip`'s rechecks run on every `Flip` object that exists.  The
@@ -101,9 +104,9 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
 
     From scratch it tests the circuit sides of every simplex (see
     `PointConfiguration.circuit_entry`), each side once; a circuit
-    contributes at most one flip.  A side whose exchange simplices are not
-    all in the triangulation has no flip in it (see the module docstring)
-    and gets no link test.
+    contributes at most one flip.  A side whose exchange simplices (see
+    `_exchanges`) are not all in the triangulation has no flip in it (see
+    the module docstring) and gets no link test.
 
     `parent`, when given, is a pair (parent_flips, flip): `parent_flips`
     holds the `find_flips` list of a triangulation P, in any order, and
@@ -128,10 +131,10 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
     flip is found twice: had a side of i been a kept flip's, i would be one
     of its removed simplices, all of which are P's.
     """
-    simplices = t.simplices
-    masks = list(map(config.simplex_masks.__getitem__, simplices))
+    entry = config.circuit_entry
+    masks = [entry(s)[0] for s in t.simplices]
     if parent is None:
-        out, scan, tested = [], simplices, set()
+        out, scan, tested = [], t.simplices, set()
     else:
         parent_flips, step = parent
         gone = frozenset(step.removed)
@@ -139,18 +142,33 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
         back = step.side.opposite
         out.append(_memo_flip(config, back, step.link))
         scan, tested = step.inserted, {back}
-    present = set(simplices)
+    present = set(masks)
     for s in scan:
-        for side, exchanges in zip(*config.circuit_entry(s)):
+        smask, sides = entry(s)
+        for side in sides:
             if side in tested:
                 continue
             tested.add(side)
-            if not present.issuperset(exchanges):
+            if not present.issuperset(_exchanges(smask, side.plus_mask)):
                 continue
             link = _side_link(side.faces, masks)
             if link is not None:
                 out.append(_memo_flip(config, side, tuple(sorted(link))))
     out.sort(key=lambda f: f.circuit.support)
+    return out
+
+
+def _exchanges(smask, plus_mask):
+    """The vertex masks of the exchange simplices S − q + p of the side with
+    mask `plus_mask` listed for p in the circuit index entry of the simplex
+    S with mask `smask`: one for each q of the plus side in S."""
+    joined = smask | plus_mask
+    out = []
+    rest = smask & plus_mask
+    while rest:
+        q = rest & -rest
+        out.append(joined ^ q)
+        rest ^= q
     return out
 
 
@@ -165,13 +183,13 @@ def _memo_flip(config, side, link):
 def _side_link(faces, masks):
     """The common link of a circuit side's faces, or None.
 
-    `faces` holds (tuple, vertex mask) pairs for the faces Z∖{j} and `masks`
-    the vertex mask of each simplex.  Returns the link as a set of vertex
-    masks, one per coface, when every face is a face of the triangulation
-    and all their links agree; None otherwise.
+    `faces` holds the vertex masks of the faces Z∖{j} and `masks` the vertex
+    mask of each simplex.  Returns the link as a set of vertex masks, one
+    per coface, when every face is a face of the triangulation and all
+    their links agree; None otherwise.
     """
     link = None
-    for _, face in faces:
+    for face in faces:
         # A coface's mask minus the face's is its link simplex's mask.
         cofaces = {m ^ face for m in masks if m & face == face}
         if link is None:

@@ -135,19 +135,19 @@ class CircuitSide:
     """One orientation of a reduced circuit, with the faces of its plus side.
 
     `circuit.plus` is the side whose joins a flip on this orientation
-    removes; `faces` holds, for each j in that side, the face Z∖{j} as a
-    (sorted tuple, vertex mask) pair, the mask having bit v set for each
-    vertex v.  `opposite` is the other orientation of the same circuit.
-    Sides compare by identity: the circuit index creates each one once per
+    removes, and `plus_mask` its vertex mask, with bit v set for each vertex
+    v; `faces` holds, for each j in that side, the vertex mask of the face
+    Z∖{j}.  `opposite` is the other orientation of the same circuit.  Sides
+    compare by identity: the circuit index creates each one once per
     configuration.
     """
 
-    __slots__ = ("circuit", "faces", "opposite")
+    __slots__ = ("circuit", "plus_mask", "faces", "opposite")
 
     def __init__(self, circuit: CorankOneConfig):
         self.circuit = circuit
-        faces = (tuple(v for v in circuit.support if v != q) for q in circuit.plus)
-        self.faces = tuple((face, vertex_mask(face)) for face in faces)
+        self.plus_mask = vertex_mask(circuit.plus)
+        self.faces = tuple(circuit.support_mask ^ (1 << q) for q in circuit.plus)
 
 
 def vertex_mask(vertices) -> int:
@@ -156,14 +156,6 @@ def vertex_mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
-
-
-class _MaskTable(dict):
-    """A dict from vertex tuples to their `vertex_mask`, filled on lookup."""
-
-    def __missing__(self, vertices):
-        mask = self[vertices] = vertex_mask(vertices)
-        return mask
 
 
 def mask_bits(mask) -> tuple:
@@ -190,13 +182,11 @@ class PointConfiguration:
       for a circuit leaves its determinant here too, and `circuit_or_none`
       tests its bases here, so volumes, circuits and `total_volume` share
       each determinant;
-    - the circuit index (`circuit_entry`): for a simplex S, the reduced
-      circuit of each set S ∪ {p}, oriented with p on its plus side, and
-      next to each such side its exchange simplices S − q + p for the other
-      points q of the plus side.  A flip on that side that removed S would
-      remove every exchange simplex too, so a triangulation that lacks one
-      has no flip on the side.  The dependences come from one
-      `exact.adjugate` of S's rows, which leaves det(S) among the minors;
+    - the circuit index (`circuit_entry`): for a simplex S, its vertex mask
+      and the reduced circuit of each set S ∪ {p}, oriented with p on its
+      plus side (`flips.find_flips` computes its exchange simplices from
+      the two masks).  The dependences come from one `exact.adjugate` of
+      S's rows, which leaves det(S) among the minors;
     - the circuit table, filled only by the circuit index: each (d+2)-set
       met maps to the `CircuitSide` pair of its reduced circuit (the first
       side with its first coefficient positive), or to False when its
@@ -208,14 +198,11 @@ class PointConfiguration:
       and its displacement, so the memo holds one entry per distinct flip
       met: its size is the number of distinct flips of the triangulations
       visited, not the number of times they were found;
-    - `simplex_table`: each maximal simplex that flips, search nodes and
-      the circuit index's exchanges hold, as a sorted tuple mapped to
-      itself (see `simplex`).  So one tuple stands for a simplex wherever
-      it is kept, and the table grows with the number of distinct simplices
-      met, not with the number of flips, triangulations and sides that
-      hold them;
-    - `simplex_masks`: the `vertex_mask` of each simplex looked up, which
-      `flips.find_flips` reads for the simplices of a triangulation.
+    - `simplex_table`: each maximal simplex that flips and search nodes
+      hold, as a sorted tuple mapped to itself (see `simplex`).  So one
+      tuple stands for a simplex wherever it is kept, and the table grows
+      with the number of distinct simplices met, not with the number of
+      flips and triangulations that hold them.
     """
 
     def __init__(self, points):
@@ -252,8 +239,6 @@ class PointConfiguration:
         self.flip_memo = {}
         #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
         self.simplex_table = {}
-        #: sorted simplex tuple -> its `vertex_mask`, filled on first lookup
-        self.simplex_masks = _MaskTable()
         #: (normalized volume, facets) of the hull; see `triangulation._hull`
         self._hull = None
 
@@ -332,33 +317,24 @@ class PointConfiguration:
         lam = dict(zip(pair[0].circuit.support, pair[0].circuit.dependence))
         return _circuit(key, tuple(lam.get(v, 0) for v in key))
 
-    def simplex_sides(self, simplex) -> tuple:
-        """The circuit sides that a flip removing the simplex can remove.
-
-        For each p ∉ simplex, in increasing order, the reduced circuit Z of
-        simplex ∪ {p}, as the `CircuitSide` with p on its plus side.  A flip
-        that removes the simplex removes it as a join (Z∖{q}) ∪ τ with q on
-        the removed side of its circuit Z; then q ∉ simplex, Z is the circuit
-        of simplex ∪ {q}, and the flip removes the side listed for p = q.
-        So a flip removes the simplex only if it removes one of these
-        sides.  `simplex` must be a sorted tuple of point indices.
-        Degenerate sets contribute nothing.  The two sides of a support are
-        created once and shared by every simplex that reaches them; the
-        tuple is memoised per simplex, in its `circuit_entry`.
-        """
-        return self.circuit_entry(simplex)[0]
-
     def circuit_entry(self, simplex) -> tuple:
-        """The pair (sides, exchanges) of the simplex's circuit index entry.
+        """The simplex's circuit index entry: its vertex mask and its sides.
 
-        `sides` is `simplex_sides(simplex)`; `exchanges[k]` holds, for the
-        side listed for p, the table tuples of simplex − q + p for each q ≠ p
-        on its plus side (none when p is its only plus point).
+        The sides are the circuit sides that a flip removing the simplex can
+        remove: for each p ∉ simplex, in increasing order, the reduced
+        circuit Z of simplex ∪ {p}, as the `CircuitSide` with p on its plus
+        side.  A flip that removes the simplex removes it as a join
+        (Z∖{q}) ∪ τ with q on the removed side of its circuit Z; then
+        q ∉ simplex, Z is the circuit of simplex ∪ {q}, and the flip removes
+        the side listed for p = q.  So a flip removes the simplex only if it
+        removes one of these sides.  `simplex` must be a sorted tuple of
+        point indices.  Degenerate sets contribute nothing.  The two sides
+        of a support are created once and shared by every simplex that
+        reaches them; the entry is memoised per simplex.
         """
         entry = self._circuit_index.get(simplex)
         if entry is None:
             sides = []
-            exchanges = []
             cols = None
             for p in range(self.n):
                 if p in simplex:
@@ -371,15 +347,9 @@ class PointConfiguration:
                         self._minors[simplex] = det
                         cols = tuple(zip(*adj))
                     pair = self._circuits[key] = self._cramer(key, p, det, cols)
-                if pair is False:
-                    continue
-                side = pair[0] if p in pair[0].circuit.plus else pair[1]
-                sides.append(side)
-                exchanges.append(tuple(
-                    self.simplex(tuple(sorted([v for v in simplex if v != q] + [p])))
-                    for q in side.circuit.plus if q != p
-                ))
-            entry = self._circuit_index[simplex] = (tuple(sides), tuple(exchanges))
+                if pair is not False:
+                    sides.append(pair[0] if p in pair[0].circuit.plus else pair[1])
+            entry = self._circuit_index[simplex] = (vertex_mask(simplex), tuple(sides))
         return entry
 
     def _cramer(self, key, p, det, cols):

@@ -80,7 +80,7 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
     DegenerateConfigError.
     """
     # Every row is the circuit of a simplex s plus a point p ∉ s: the side
-    # that simplex_sides(s) lists for p, at p less the vertices of s below
+    # that circuit_entry(s) lists for p, at p less the vertices of s below
     # p, as s spans and no set of it is degenerate.
     for s in t.simplices:
         if not config.normalized_volume(s):
@@ -90,7 +90,7 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
         if len(owners) != 2:
             continue
         (s, apex), (_, other) = owners
-        side = config.simplex_sides(s)[other - bisect_left(s, other)]
+        side = config.circuit_entry(s)[1][other - bisect_left(s, other)]
         if apex not in side.circuit.plus:
             side = side.opposite
         rows.append(_scatter(config.n, side.circuit))
@@ -99,7 +99,7 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
         if u in used:
             continue
         for s in t.simplices:
-            circuit = config.simplex_sides(s)[u - bisect_left(s, u)].circuit
+            circuit = config.circuit_entry(s)[1][u - bisect_left(s, u)].circuit
             if circuit.plus == (u,):
                 rows.append(_scatter(config.n, circuit))
     return rows

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from regulartri import cli
+from regulartri import cli, search
 from regulartri import (
     canonical_form,
     cube,
@@ -25,6 +25,7 @@ from regulartri import (
     validate,
 )
 from regulartri.search import DEFAULT_CACHE_CAPACITY
+from regulartri.symmetry import group_trie
 
 SQUARE_INPUT = "points: [[0,0],[1,0],[1,1],[0,1]]\nsymmetry: [[1,2,3,0]]\n"
 TRIANGLE_INPUT = "points: [[0,0],[3,0],[0,3],[1,1]]\n"
@@ -323,12 +324,31 @@ def test_enumerate_stats_lines(tmp_path, text, count, orbits, walk, plain):
 
 
 def test_enumerate_orbit_search_checks_orbit_sizes(tmp_path, monkeypatch):
+    # A relabelling that loses members makes the orbit disagree with the
+    # stabiliser of its GKZ vector; only --print runs the check.
     path = _write(tmp_path, "nested.txt", NESTED_INPUT)
-    monkeypatch.setattr(cli, "orbit_key", lambda gkz_vec, group, inverses: (gkz_vec, None, 5))
+    monkeypatch.setattr(cli, "relabel", lambda t, perm: t)
     code, _ = _run(["enumerate", "--input", path, "--orbits"])
     assert code == 0
     code, _ = _run(["enumerate", "--input", path, "--orbits", "--print"])
     assert code == cli.EXIT_SEMANTIC
+
+
+def test_enumerate_orbit_print_builds_one_group_trie(tmp_path, monkeypatch):
+    # --orbits --print takes its orbit-size check from the group loop it
+    # already runs: the orbit search's trie is the only one built.
+    built = []
+
+    def counting(group):
+        built.append(len(group))
+        return group_trie(group)
+
+    monkeypatch.setattr(search, "group_trie", counting)
+    monkeypatch.setattr(cli, "group_trie", counting, raising=False)
+    path = _write(tmp_path, "d2d2.txt", D2D2_INPUT)
+    code, text = _run(["enumerate", "--input", path, "--orbits", "--print"])
+    assert code == 0 and text.endswith("triangulations: 108\norbits: 5\n")
+    assert built == [36]
 
 
 # -- regular --------------------------------------------------------------

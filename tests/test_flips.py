@@ -43,7 +43,7 @@ from regulartri import (
 from regulartri import flips as flips_module
 from regulartri import search
 from regulartri.flips import Flip, _make_flip
-from regulartri.points import mask_bits
+from regulartri.points import CircuitSide, mask_bits, vertex_mask
 from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
 
 from test_points import check_circuit_table, minor_circuit
@@ -509,7 +509,8 @@ def test_circuit_index_is_lazy_and_shared():
     pairs = {}
     for s in t.simplices:
         outside = [p for p in range(config.n) if p not in s]
-        sides = config.simplex_sides(s)
+        smask, sides = config.circuit_entry(s)
+        assert mask_bits(smask) == s
         assert len(sides) == len(outside)
         for p, side in zip(outside, sides):
             # The side that a flip removing s removes: p on its plus side,
@@ -522,11 +523,12 @@ def test_circuit_index_is_lazy_and_shared():
             assert config._circuits[side.circuit.support] is pair
             assert side in pair and pair[1].circuit == pair[0].circuit.negated()
             assert config.circuit_or_none(key) == minor_circuit(config, key)
-            assert [face for face, _ in side.faces] == [
+            assert [mask_bits(face) for face in side.faces] == [
                 tuple(v for v in side.circuit.support if v != q) for q in side.circuit.plus
             ]
-            assert all(mask_bits(mask) == face for face, mask in side.faces)
-    assert config.simplex_sides(t.simplices[0]) is config.simplex_sides(t.simplices[0])
+            assert all(isinstance(face, int) for face in side.faces)
+            assert mask_bits(side.plus_mask) == side.circuit.plus
+    assert config.circuit_entry(t.simplices[0]) is config.circuit_entry(t.simplices[0])
     assert len(config._circuit_index) == len(t.simplices)
     assert check_circuit_table(config) == pairs
 
@@ -646,26 +648,59 @@ def test_exchange_test_rejects_no_flip(make, nodes_of, count):
     assert len(triangulations) == count
     rejected = 0
     for t in triangulations:
-        present = set(t.simplices)
-        masks = [config.simplex_masks[s] for s in t.simplices]
+        masks = [config.circuit_entry(s)[0] for s in t.simplices]
+        present = set(masks)
         for s in t.simplices:
-            for side, exchanges in zip(*config.circuit_entry(s)):
-                if not present.issuperset(exchanges):
+            smask, sides = config.circuit_entry(s)
+            for side in sides:
+                if not present.issuperset(flips_module._exchanges(smask, side.plus_mask)):
                     assert flips_module._side_link(side.faces, masks) is None
                     rejected += 1
     assert rejected > count
 
 
-def test_exchange_simplices_are_table_tuples():
+def tuple_exchanges(simplex, p, side):
+    """The exchange simplices S − q + p of the side listed for p in the
+    circuit index entry of S, for q ≠ p on its plus side, as sorted tuples."""
+    return [tuple(sorted(set(simplex) - {q} | {p})) for q in side.circuit.plus if q != p]
+
+
+def test_exchange_simplices_are_masks():
+    # The circuit index holds each simplex's mask and sides, no simplex
+    # tuple, and the mask rule gives the exchange simplices S − q + p.
     config = simplex_product(2, 3)
     t = placing_triangulation(config)
     for s in t.simplices:
-        sides, exchanges = config.circuit_entry(s)
-        assert sides is config.simplex_sides(s)
+        entry = config.circuit_entry(s)
+        assert config.circuit_entry(s) is entry
+        smask, sides = entry
         outside = [p for p in range(config.n) if p not in s]
-        for p, side, swaps in zip(outside, sides, exchanges):
+        for p, side in zip(outside, sides):
             assert side.opposite.opposite is side
             assert side.opposite.circuit == side.circuit.negated()
-            assert swaps == tuple(
-                tuple(sorted(set(s) - {q} | {p})) for q in side.circuit.plus if q != p)
-            assert all(config.simplex_table[e] is e for e in swaps)
+            swaps = flips_module._exchanges(smask, side.plus_mask)
+            assert all(isinstance(e, int) for e in swaps)
+            assert list(map(mask_bits, swaps)) == tuple_exchanges(s, p, side)
+    for smask, sides in config._circuit_index.values():
+        assert isinstance(smask, int)
+        assert all(isinstance(side, CircuitSide) for side in sides)
+    assert config.simplex_table == {}
+
+
+def test_exchange_masks_match_tuples_on_d2d3():
+    # On every simplex of every regular triangulation of Δ2×Δ3, the mask
+    # rule's exchange set equals {S − q + p} built from tuples.
+    config = simplex_product(2, 3)
+    simplices = {s for t in regular_triangulations(config) for s in t.simplices}
+    assert len(simplices) == 432
+    checked = 0
+    for s in sorted(simplices):
+        smask, sides = config.circuit_entry(s)
+        outside = [p for p in range(config.n) if p not in s]
+        assert len(sides) == len(outside)
+        for p, side in zip(outside, sides):
+            want = {vertex_mask(e) for e in tuple_exchanges(s, p, side)}
+            assert set(flips_module._exchanges(smask, side.plus_mask)) == want
+            checked += len(want)
+    # 2 160 sides with one exchange and 432 with two.
+    assert checked == 3024

@@ -25,7 +25,7 @@ from regulartri import (
     triangle_with_interior,
 )
 from regulartri import exact
-from regulartri.points import CircuitSide, CorankOneConfig
+from regulartri.points import CircuitSide, CorankOneConfig, vertex_mask
 
 from test_search import optimized_output
 from test_symmetry import affine_coordinates
@@ -380,6 +380,11 @@ def check_circuit_table(cfg):
         assert circuit.zero == () and circuit.dependence[0] > 0, key
         assert pair[1].circuit == circuit.negated(), key
         assert pair[0].opposite is pair[1] and pair[1].opposite is pair[0], key
+        for side in pair:
+            plus, support = side.circuit.plus, side.circuit.support
+            assert side.plus_mask == vertex_mask(plus), key
+            assert side.faces == tuple(
+                vertex_mask(v for v in support if v != q) for q in plus), key
         assert set(circuit.support) <= set(key), key
         assert cfg._circuits[circuit.support] is pair, key
         assert pairs.setdefault(circuit.support, pair) is pair, key
@@ -387,13 +392,15 @@ def check_circuit_table(cfg):
 
 
 def _check_sides(make, simplices):
-    """simplex_sides of each simplex, all on one configuration, against
-    `minor_circuit`: each (d+2)-set maps to its support's pair of sides,
-    and circuit_or_none reads the set's circuit back from that pair."""
+    """The circuit index entry of each simplex, all on one configuration,
+    against `minor_circuit`: each (d+2)-set maps to its support's pair of
+    sides, and circuit_or_none reads the set's circuit back from that pair."""
     cfg = make()
     checked = 0
     for simplex in simplices:
-        sides = iter(cfg.simplex_sides(simplex))
+        smask, sides = cfg.circuit_entry(simplex)
+        assert smask == vertex_mask(simplex)
+        sides = iter(sides)
         for p in range(cfg.n):
             if p in simplex:
                 continue
@@ -464,4 +471,18 @@ def test_forged_adjugate_raises(monkeypatch):
 
     monkeypatch.setattr(exact, "adjugate", forged)
     with pytest.raises(RegulartriError, match="gives no affine dependence"):
-        square().simplex_sides((0, 1, 2))
+        square().circuit_entry((0, 1, 2))
+
+
+def test_circuit_or_none_leaves_no_simplex_tuples():
+    # Cold circuit_or_none calls fill circuit index entries for simplices
+    # that no flip or node holds: those entries keep masks, and no simplex
+    # tuple reaches the simplex table.
+    rng = random.Random(20261019)
+    cfg = simplex_product(2, 4)
+    found = 0
+    for _ in range(3000):
+        key = tuple(sorted(rng.sample(range(cfg.n), cfg.dim + 2)))
+        found += cfg.circuit_or_none(key) is not None
+    assert 0 < found < 3000
+    assert cfg._circuit_index and cfg.simplex_table == {}
