@@ -17,14 +17,16 @@ constant).  Circuits come from adjugates by Cramer's rule: for d+1 points B
 with rows M and a further point p, hom(p)·adj(M) on B and -det(M) on p is
 a dependence of B ∪ {p}, zero exactly when those d+2 points do not span.
 The circuit index takes every set S ∪ {p} of a simplex S from one adjugate
-of S's rows, and it alone fills the one table of circuits: each such set
-and each circuit support map to the support's pair of `CircuitSide`s.
+of S's rows, and `circuit_or_none` takes its one set the same way; they
+fill the one table of circuits: each such set and each circuit support map
+to the support's pair of `CircuitSide`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import mul
 
 from . import exact
@@ -179,18 +181,19 @@ class PointConfiguration:
 
     - signed minors: the determinant of the homogenized rows of a sorted
       (d+1)-tuple.  A normalized volume is |minor|.  Each adjugate taken
-      for a circuit leaves its determinant here too, and `circuit_or_none`
-      tests its bases here, so volumes, circuits and `total_volume` share
-      each determinant;
+      for a circuit leaves its determinant here too, `circuit_or_none`
+      tests its bases here and `facet_sign` reads its orientations here, so
+      volumes, circuits, hulls and placings share each determinant;
     - the circuit index (`circuit_entry`): for a simplex S, its vertex mask
       and the reduced circuit of each set S ∪ {p}, oriented with p on its
       plus side (`flips.find_flips` computes its exchange simplices from
       the two masks).  The dependences come from one `exact.adjugate` of
       S's rows, which leaves det(S) among the minors;
-    - the circuit table, filled only by the circuit index: each (d+2)-set
-      met maps to the `CircuitSide` pair of its reduced circuit (the first
-      side with its first coefficient positive), or to False when its
-      points do not span, and each support maps to its one pair;
+    - the circuit table, filled by the circuit index and `circuit_or_none`:
+      each (d+2)-set met maps to the `CircuitSide` pair of its reduced
+      circuit (the first side with its first coefficient positive), or to
+      False when its points do not span, and each support maps to its one
+      pair;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
       filled by `flips.find_flips`; the link is the sorted tuple of its
       simplices' vertex masks (see `vertex_mask`).  A flip's circuit,
@@ -299,18 +302,19 @@ class PointConfiguration:
     def circuit_or_none(self, key):
         """corank_one for presorted tuples, returning None when degenerate.
 
-        `key` must be sorted.  Its pair of sides comes from the circuit
-        index of a base that spans: key without one point, the last one
-        first, each tested by its memoised minor.  A key that no base spans
-        is degenerate.
+        `key` must be sorted.  Its pair of sides comes by Cramer's rule from
+        the adjugate of a base that spans: key without one point, the last
+        one first, each tested by its memoised minor.  No circuit index
+        entry is filled.  A key that no base spans is degenerate.
         """
         pair = self._circuits.get(key)
         if pair is None:
             for i in reversed(range(len(key))):
                 base = key[:i] + key[i + 1:]
                 if self._minor(base):
-                    self.circuit_entry(base)
-                    pair = self._circuits[key]
+                    det, adj = exact.adjugate([self.hom[v] for v in base])
+                    pair = self._circuits[key] = self._cramer(
+                        key, key[i], det, tuple(zip(*adj)))
                     break
         if not pair:
             return None
@@ -389,10 +393,16 @@ class PointConfiguration:
 
         The facet is a tuple of d point indices in a fixed order; two points
         get the same sign exactly when they lie on the same side of the
-        facet's affine hull.
+        facet's affine hull.  The determinant is the memoised minor of the
+        sorted indices, times the parity of the sort; a repeated point
+        gives 0.
         """
-        rows = [self.hom[i] for i in facet] + [self.hom[point]]
-        det = exact.determinant(rows)
+        key = (*facet, point)
+        if len(set(key)) < len(key):
+            return 0
+        det = self._minor(tuple(sorted(key)))
+        if sum(a > b for a, b in combinations(key, 2)) % 2:
+            det = -det
         return (det > 0) - (det < 0)
 
     def _check_range(self, indices):

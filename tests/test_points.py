@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -193,6 +193,22 @@ def test_facet_sign():
     # A point on the facet's affine hull gets sign zero.
     line = new_configuration([(0, 0), (2, 2), (1, 1), (0, 1)])
     assert line.facet_sign((0, 1), 2) == 0
+
+
+def test_facet_sign_matches_determinant_in_every_order():
+    # facet_sign reads the memoised minor of the sorted indices; it must
+    # equal the sign of the determinant of the rows in the order given.
+    rng = random.Random(20261019)
+    for cfg in (square(), cube(3), simplex_product(2, 3)):
+        d = cfg.dim
+        for _ in range(40):
+            chosen = rng.sample(range(cfg.n), d + 1)
+            if rng.random() < 0.25:
+                chosen[-1] = rng.choice(chosen[:-1])  # a repeated point
+            for order in permutations(chosen):
+                facet, point = order[:-1], order[-1]
+                det = determinant([cfg.hom[i] for i in order])
+                assert cfg.facet_sign(facet, point) == (det > 0) - (det < 0)
 
 
 def test_affine_coordinates_exact():
@@ -475,9 +491,9 @@ def test_forged_adjugate_raises(monkeypatch):
 
 
 def test_circuit_or_none_leaves_no_simplex_tuples():
-    # Cold circuit_or_none calls fill circuit index entries for simplices
-    # that no flip or node holds: those entries keep masks, and no simplex
-    # tuple reaches the simplex table.
+    # Cold circuit_or_none calls take each set's sides from the adjugate of
+    # one base: they fill no circuit index entry, and no simplex tuple
+    # reaches the simplex table.
     rng = random.Random(20261019)
     cfg = simplex_product(2, 4)
     found = 0
@@ -485,4 +501,4 @@ def test_circuit_or_none_leaves_no_simplex_tuples():
         key = tuple(sorted(rng.sample(range(cfg.n), cfg.dim + 2)))
         found += cfg.circuit_or_none(key) is not None
     assert 0 < found < 3000
-    assert cfg._circuit_index and cfg.simplex_table == {}
+    assert cfg._circuit_index == {} and cfg.simplex_table == {}

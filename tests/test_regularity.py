@@ -418,14 +418,15 @@ def test_positive_multiple_matches_fraction_ratios():
     assert {(0, True), (0, False), (1, False), (2, False)} <= outcomes
 
 
-# -- the rescanning screen as the reference for the mask-based one -----------
+# -- the rescanning screen as the reference for `screen_rays` ---------------
 
 
 def rescanning_screen_rays(vectors) -> ScreeningOutcome:
-    """`screen_rays` over a plain vector list: the column signs are found
-    by scanning the whole list for every active column after every
-    reduction.  The same rules in the same order, so every field of the
-    outcome must agree with the mask-based screen."""
+    """`screen_rays` written independently: the positive and negative
+    entries of each active column are found by comparing every vector's
+    entry with zero after every reduction, where `screen_rays` counts the
+    columns of its sign lists.  The same rules in the same order, so every
+    field of the outcome must agree with `screen_rays`."""
     system = [v if isinstance(v, TaggedVector) else TaggedVector(tuple(v[0]), v[1])
               for v in vectors]
     if not system:
@@ -826,8 +827,8 @@ def test_kernel_stage_matches_naive_oracle_on_random_systems():
         if corank > 2:
             continue
         stats = RayStats()
-        got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs],
-                                          corank, stats)
+        got = regularity._extremal(vecs, range(len(vecs)),
+                                   [_support_mask(v) for v in vecs], stats, corank=corank)
         assert got == naive_extremal_rays(tagged)
         assert stats.r1 + stats.kernel == len(vecs)
         checked.add((corank, len(got) < len(vecs)))
@@ -878,4 +879,5 @@ def test_kernel_stage_refuses_non_pointed_cones(vecs):
     # A dependence with nonnegative coefficients, here v0 + v1 = 0.
     corank = len(vecs) - 2
     with pytest.raises(RegulartriError, match="not pointed"):
-        regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], corank)
+        regularity._extremal(vecs, range(len(vecs)), [_support_mask(v) for v in vecs],
+                             None, corank=corank)
