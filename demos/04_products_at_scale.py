@@ -33,6 +33,7 @@ for m, n in ((2, 2), (2, 3), (2, 4)):
         f"flip lists built={stats.cache_misses} lps={stats.rays.lps_solved}"
     )
 
-# 2x5 (4320 symmetries, 13 621 orbits, 13 621 flip lists, 2 506 LPs) runs the
-# same loop in about 15 s and 42 MB max RSS on a shared 2-core machine with
-# Python 3.11; it is stretch criterion 5 of tests/test_acceptance.py
+# 2x5 (4320 symmetries, 13 621 orbits, 13 621 flip lists, 4 260 LPs of 3 to
+# 8 rows each) runs the same loop in about 5 s and 40 MB max RSS on a shared
+# 2-core machine with Python 3.11; it is stretch criterion 5 of
+# tests/test_acceptance.py

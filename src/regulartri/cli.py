@@ -167,6 +167,7 @@ def cmd_enumerate(args, out) -> int:
         out.write(f"reductions_r3: {stats.rays.r3}\n")
         out.write(f"reductions_r4: {stats.rays.r4}\n")
         out.write(f"kernel_decided: {stats.rays.kernel}\n")
+        out.write(f"signed_confirmed: {stats.rays.signed}\n")
         out.write(f"scalar_tests: {stats.rays.scalar_tests}\n")
         out.write(f"lps_solved: {stats.rays.lps_solved}\n")
         out.write(f"lp_generators: {stats.rays.lp_generators}\n")

@@ -39,33 +39,37 @@ repeat until nothing peels.  Only the residual, in input order, goes to
 `screen_rays`, whose remaining events, snapshots and counters are those of
 the full cascade; the peel alone decides four in five Δ2×Δ3 flip lists.
 `screen_rays` keeps its system as a plain list, in the order the rules are
-defined on, and reads each column's counts off one list of signs per vector:
-it sees few lists (none on Δ2×Δ3, 326 in the first 3 000 nodes of Δ2×Δ4).
+defined on, and reads each column's counts off one list of signs per vector.
+The search never reaches it: `regular_flips` decides its lists as below.
 
 `regular_flips` knows more: the displacements at a regular triangulation
 span the tangent space of the secondary polytope, of dimension n - d - 1,
 so a list of m flips has a kernel of dimension c = m - (n - d - 1), its
-corank.  A peeled vector takes part in no dependence, so when c <= 2 the
-flips the peel leaves are decided on one integer kernel basis of their
-displacements, their Gale dual: by Farkas' lemma v_i is extremal exactly
-when g_i, its entries of the basis, lies in the cone of the other g_j.
-For c = 0 every flip is extremal; for c = 1 a flip is not exactly when its
-coefficient is the only one of its sign; for c = 2 membership in the plane
-takes integer cross products.  A dependence of one sign (the cone is not
-pointed) raises, as does a kernel whose dimension is not c.  Lists with
-c >= 3, and `extremal_rays` and `screen_rays`, take the cascade.  Both
-stages run behind `_extremal`, which checks the input and peels once.
+corank.  A peeled vector takes part in no dependence, so the flips the
+peel leaves are decided on one integer kernel basis of their
+displacements, their Gale dual, whatever c is: by Farkas' lemma v_i is
+extremal exactly when g_i, its entries of the basis, lies in the cone of
+the other g_j.  For c = 0 every flip is extremal; for c = 1 a flip is not
+exactly when its coefficient is the only one of its sign; for c = 2
+membership in the plane takes integer cross products.  For c >= 3 a flip
+alone on one side of some column is extremal with no LP (the confirming
+half of R2 and R3), as is one whose g_i is zero or a positive multiple of
+another g_j; each other flip takes one LP with c rows instead of n, and a
+rejection is rechecked on the displacements.  A dependence of one sign
+(the cone is not pointed) raises, as does a kernel whose dimension is not
+c.  `extremal_rays` and `screen_rays` keep the cascade.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DegenerateConfigError, RegulartriError
 from .exact import kernel_basis
-from .lp import nonneg_combination, strict_homogeneous
+from .lp import _integer_multiple, nonneg_combination, strict_homogeneous
 from .points import PointConfiguration, vertex_mask
 from .triangulation import Triangulation, facet_incidence
 
@@ -335,6 +339,7 @@ class RayStats:
     r3: int = 0
     r4: int = 0
     kernel: int = 0  # flips decided on the kernel of their displacements
+    signed: int = 0  # flips confirmed as alone on one side of a column
     scalar_tests: int = 0
     lps_solved: int = 0
     lp_generators: int = 0  # generators over all LPs, and the most in one
@@ -356,15 +361,12 @@ def extremal_rays(vectors, stats: RayStats = None) -> set:
                      [_support_mask(v.vec) for v in tagged], stats)
 
 
-def _extremal(vecs, idents, masks, stats, bound=None, corank=None):
+def _extremal(vecs, idents, masks, stats, bound=None):
     """extremal_rays on three parallel sequences: the vectors, their idents
-    and their support masks.  R1 is peeled on the masks.  With a `corank`
-    of at most two, the dimension of the system's kernel, the rest is
-    decided by `_gale_extremal` (RegulartriError when the kernel of the
-    rest has another dimension); otherwise TaggedVectors are built for the
-    rest, which goes to `screen_rays`, and its deferred candidates to
-    _deferred_extremal with `bound`, the size of the snapshot this system
-    was built from (None for a top-level system)."""
+    and their support masks.  R1 is peeled on the masks; TaggedVectors are
+    built for the rest, which goes to `screen_rays`, and its deferred
+    candidates to _deferred_extremal with `bound`, the size of the snapshot
+    this system was built from (None for a top-level system)."""
     if stats is None:
         stats = RayStats()
     if vecs:
@@ -373,19 +375,6 @@ def _extremal(vecs, idents, masks, stats, bound=None, corank=None):
     peeled = [idents[k] for k in peeled if idents[k] is not None]
     stats.r1 += len(peeled)
     extremal = set(peeled)
-    if corank is not None and corank <= 2:
-        stats.kernel += len(left)
-        basis = []
-        if left:
-            columns = [vecs[k] for k in left]
-            basis = kernel_basis([row for row in zip(*columns) if any(row)])
-        if len(basis) <= 2:
-            extremal.update(idents[left[i]] for i in _gale_extremal(basis, len(left)))
-        if len(basis) != corank:
-            raise RegulartriError(
-                f"flip displacements have a kernel of dimension {len(basis)}, "
-                f"not their corank {corank}")
-        return extremal
     residual = [TaggedVector(vecs[k], idents[k]) for k in left]
     if any(v.ident is not None for v in residual):
         outcome = screen_rays(residual)
@@ -518,27 +507,56 @@ def regular_flips(config: PointConfiguration, t: Triangulation, flips, stats=Non
     A flip qualifies exactly when its GKZ displacement spans an extremal ray
     of the cone generated by all displacements at t.  A displacement is
     nonzero exactly on its circuit's points (`flips._make_flip` checks
-    this), so its support mask is the circuit's.  A list of corank at most
-    two is decided on its kernel (see the module docstring).
+    this), so its support mask is the circuit's.  Every list is decided by
+    _kernel_extremal, whatever its corank (see the module docstring).
     """
     if not flips:
         return []
-    rays = _extremal([f.delta for f in flips], range(len(flips)),
-                     [f.circuit.support_mask for f in flips], stats,
-                     corank=len(flips) - (config.n - config.dim - 1))
-    return [f for k, f in enumerate(flips) if k in rays]
+    keep = _kernel_extremal([f.delta for f in flips],
+                            [f.circuit.support_mask for f in flips],
+                            len(flips) - (config.n - config.dim - 1), stats)
+    return [f for k, f in enumerate(flips) if k in keep]
 
 
-def _gale_extremal(basis, size) -> list:
-    """Positions i < size of the extremal vectors v_i of a system, from a
-    basis of at most two vectors of its kernel.
+def _kernel_extremal(vecs, masks, corank, stats=None) -> set:
+    """Positions of the extremal vectors of a nonempty system, from their
+    support masks and the system's corank, the dimension of its kernel.
+
+    R1 is peeled on the masks and the vectors left are decided on one
+    kernel basis, by _gale_extremal; RegulartriError when that kernel does
+    not have the dimension `corank`.
+    """
+    if stats is None:
+        stats = RayStats()
+    _check_system(zip(vecs, masks), len(vecs[0]))
+    peeled, left = _peel(masks)
+    stats.r1 += len(peeled)
+    columns = [vecs[k] for k in left]
+    basis = kernel_basis([row for row in zip(*columns) if any(row)]) if left else []
+    keep = set(peeled)
+    keep.update(left[i] for i in _gale_extremal(basis, columns, stats))
+    if len(basis) != corank:
+        raise RegulartriError(
+            f"flip displacements have a kernel of dimension {len(basis)}, "
+            f"not their corank {corank}")
+    return keep
+
+
+def _gale_extremal(basis, vecs, stats) -> list:
+    """Positions i of the extremal vectors v_i among `vecs`, from a basis
+    of their kernel, their Gale dual.
 
     With g_i the i-th entries of the basis vectors, v_i is in the cone of
     the other v_j exactly when some w has g_i·w > 0 and g_j·w <= 0 for the
     other j (Farkas), that is when g_i is not in the cone of the other
     g_j.  A w with every g_j·w >= 0 gives a nonnegative dependence: the
-    cone is not pointed, RegulartriError.
+    cone is not pointed, RegulartriError.  Kernels of dimension three or
+    more go to _cone_extremal.
     """
+    size = len(vecs)
+    if len(basis) > 2:
+        return _cone_extremal(basis, vecs, stats)
+    stats.kernel += size
     if not basis:
         return range(size)
     if len(basis) == 1:
@@ -559,6 +577,69 @@ def _gale_extremal(basis, size) -> list:
             if all(w[0] * x + w[1] * y >= 0 for x, y in gs):
                 raise RegulartriError("dependence of one sign: cone is not pointed")
     return [i for i, g in enumerate(gs) if _in_plane_cone(g, gs[:i] + gs[i + 1:])]
+
+
+def _cone_extremal(basis, vecs, stats) -> list:
+    """_gale_extremal for a kernel of dimension c >= 3.
+
+    A basis vector of one sign raises.  A vector alone on one side of some
+    column is extremal (_signed_singletons).  For each other v_i, g_i lies
+    in the cone of the other g_j when it is zero or a positive multiple of
+    one of them; otherwise one exact LP in Z^c decides.  An LP's Farkas
+    certificate y gives the kernel vector lam_j = g_j·y, positive at i and
+    at most zero elsewhere; it is checked on the vectors themselves
+    (_check_rejection) before v_i is rejected.
+    """
+    for lam in basis:
+        if min(lam) >= 0 or max(lam) <= 0:
+            raise RegulartriError("dependence of one sign: cone is not pointed")
+    sure = _signed_singletons(vecs)
+    stats.signed += len(sure)
+    stats.kernel += len(vecs) - len(sure)
+    gs = list(zip(*basis))
+    extremal = []
+    for i, g in enumerate(gs):
+        if i in sure or not any(g):
+            extremal.append(i)
+            continue
+        others = [h for j, h in enumerate(gs) if j != i and any(h)]
+        if any(_positive_multiple(h, g) for h in others):
+            extremal.append(i)
+            continue
+        stats.lps_solved += 1
+        stats.lp_generators += len(others)
+        stats.lp_generators_max = max(stats.lp_generators_max, len(others))
+        res = nonneg_combination(others, g)
+        if res.feasible:
+            extremal.append(i)
+        else:
+            _check_rejection(res.certificate, gs, vecs, i)
+    return extremal
+
+
+def _signed_singletons(vecs) -> set:
+    """Positions of the vectors alone on one side of some column: the only
+    one positive there, or the only one negative.  ±e_col is then positive
+    on that vector and at most zero on every other, so it is extremal."""
+    sure = set()
+    for column in zip(*vecs):
+        for side in ([i for i, x in enumerate(column) if x > 0],
+                     [i for i, x in enumerate(column) if x < 0]):
+            if len(side) == 1:
+                sure.update(side)
+    return sure
+
+
+def _check_rejection(certificate, gs, vecs, i):
+    """RegulartriError unless `certificate`, scaled to integers y, gives a
+    kernel vector lam_j = g_j·y with lam_i > 0, lam_j <= 0 for j != i and
+    sum_j lam_j v_j = 0, computed on the vectors in integers: then v_i is a
+    nonnegative combination of the other v_j, so not extremal."""
+    (y,) = _integer_multiple((certificate,))
+    lam = [sum(map(mul, y, g)) for g in gs]
+    total = [sum(map(mul, lam, column)) for column in zip(*vecs)]
+    if lam[i] <= 0 or any(x > 0 for j, x in enumerate(lam) if j != i) or any(total):
+        raise RegulartriError("Gale rejection fails its recheck on the vectors")
 
 
 def _in_plane_cone(g, others) -> bool:

@@ -301,7 +301,8 @@ def _stats_lines(nodes, flips, r1, kernel, hits, misses):
     return (
         f"nodes: {nodes}\nflips_evaluated: {flips}\nreductions_r1: {r1}\n"
         f"reductions_r2: 0\nreductions_r3: 0\nreductions_r4: 0\nkernel_decided: {kernel}\n"
-        f"scalar_tests: 0\nlps_solved: 0\nlp_generators: 0\nlp_generators_max: 0\n"
+        f"signed_confirmed: 0\nscalar_tests: 0\nlps_solved: 0\nlp_generators: 0\n"
+        f"lp_generators_max: 0\n"
         f"cache_hits: {hits}\ncache_misses: {misses}\n"
     )
 

@@ -43,7 +43,7 @@ from regulartri import (
 )
 from regulartri import regularity
 from regulartri import search
-from regulartri.lp import strict_homogeneous
+from regulartri.lp import Feasibility, strict_homogeneous
 from regulartri.triangulation import facet_incidence
 from regulartri.regularity import (
     DeferredCandidate,
@@ -63,7 +63,7 @@ from regulartri.search import (
 
 from test_exact import forged_elimination
 from test_flips import all_triangulations
-from test_search import _discarded_flip, optimized_output
+from test_search import _discarded_flip, cascade_on_searched_lists, optimized_output
 
 # A sparse 12x18 displacement system whose screening cascade exercises
 # every reduction rule; ids are the one-based row numbers.
@@ -600,15 +600,18 @@ def test_screening_matches_rescanning_reference_on_d2d2(monkeypatch):
 
 
 def test_screening_matches_rescanning_reference_on_d2d4_prefix(monkeypatch):
-    # The first LP of this search comes at node 259 and the first R4 at
-    # node 273, so 300 nodes reach both.
+    # The search decides its lists on their kernel, so the cascade runs
+    # here on the lists it built: whole, and through `extremal_rays`, whose
+    # first LP and first R4 come within these 300 nodes.
     calls = recorded_screens(monkeypatch)
     systems = recorded_systems(monkeypatch)
     stats = d2d4_prefix()
-    assert stats.nodes == 300
-    assert stats.rays.lps_solved > 0 and stats.rays.r4 > 0
+    assert stats.nodes == 300 and calls == []
+    cascade = RayStats()
     for system in systems:
         regularity.screen_rays(system)
+        extremal_rays(system, cascade)
+    assert cascade.lps_solved > 0 and cascade.r4 > 0
     assert_same_as_rescanning(calls)
 
 
@@ -691,10 +694,11 @@ def assert_peel_is_the_cascade_prefix(system):
     assert full.events[lead:] == rest.events
 
 
-def assert_peel_keeps_results(systems):
+def assert_peel_keeps_results(systems, total=None):
     """Over `systems` and their sole-candidate subsystems: the peel is the
     cascade's R1 prefix, and `extremal_rays` gives the set and counters of
-    the cascade without it.  Returns the number of systems checked."""
+    the cascade without it.  The counters are added to `total`, if given.
+    Returns the number of systems checked."""
     checked = 0
     for system in systems:
         subsystems = []
@@ -703,6 +707,8 @@ def assert_peel_keeps_results(systems):
         got_stats = RayStats()
         assert extremal_rays(system, got_stats) == want
         assert got_stats == want_stats
+        if total is not None:
+            extremal_rays(system, total)
         for sub in [system] + subsystems:
             assert_peel_is_the_cascade_prefix(sub)
             checked += 1
@@ -719,9 +725,10 @@ def test_peel_matches_cascade_on_d2d2_and_d2d4_prefix(monkeypatch):
     count, stats = enumerate_triangulations(simplex_product(2, 2))
     assert count == 108 and len(systems) == stats.cache_misses
     d2d2 = len(systems)
-    stats = d2d4_prefix()
-    assert stats.rays.lps_solved > 0 and stats.rays.r4 > 0
-    assert assert_peel_keeps_results(systems) > len(systems) > d2d2
+    d2d4_prefix()
+    cascade = RayStats()
+    assert assert_peel_keeps_results(systems, cascade) > len(systems) > d2d2
+    assert cascade.lps_solved > 0 and cascade.r4 > 0
 
 
 def test_peel_decides_r1_systems_without_a_screen(monkeypatch):
@@ -770,30 +777,21 @@ def checked_kernel_stage(monkeypatch):
     """Check every `regular_flips` call the search makes against the
     cascade, `extremal_rays` on the same displacements.  Returns a Counter
     of the `_gale_extremal` calls by (kernel dimension, whether a flip was
-    rejected)."""
+    rejected), and the RayStats of the cascade over every list."""
     branches = Counter()
     gale = regularity._gale_extremal
 
-    def recording(basis, size):
-        extremal = gale(basis, size)
-        branches[len(basis), len(extremal) < size] += 1
+    def recording(basis, vecs, stats):
+        extremal = gale(basis, vecs, stats)
+        branches[len(basis), len(extremal) < len(vecs)] += 1
         return extremal
 
-    original = search.regular_flips
-
-    def checking(config, t, flips, stats=None):
-        got = original(config, t, flips, stats)
-        cascade = extremal_rays([(f.delta, k) for k, f in enumerate(flips)])
-        assert got == [f for k, f in enumerate(flips) if k in cascade]
-        return got
-
     monkeypatch.setattr(regularity, "_gale_extremal", recording)
-    monkeypatch.setattr(search, "regular_flips", checking)
-    return branches
+    return branches, cascade_on_searched_lists(monkeypatch)
 
 
 def test_kernel_stage_matches_cascade_on_d2d3(monkeypatch):
-    branches = checked_kernel_stage(monkeypatch)
+    branches, _ = checked_kernel_stage(monkeypatch)
     count, _ = enumerate_triangulations(simplex_product(2, 3))
     assert count == 4488
     # Every list has corank at most two, and every flip the peel leaves is
@@ -802,21 +800,23 @@ def test_kernel_stage_matches_cascade_on_d2d3(monkeypatch):
 
 
 def test_kernel_stage_matches_cascade_on_prefixes(monkeypatch):
-    branches = checked_kernel_stage(monkeypatch)
+    branches, cascade = checked_kernel_stage(monkeypatch)
     for config in (simplex_product(2, 4), simplex_product(3, 3)):
         stats = search_prefix(config, 300)
-        assert stats.rays.kernel > 0 and stats.rays.r2 + stats.rays.r3 > 0
-    assert {dim for dim, _ in branches} == {0, 1, 2}
+        assert stats.rays.kernel > 0 and stats.rays.signed > 0
+    assert cascade.r2 + cascade.r3 > 0
+    assert {dim for dim, _ in branches} == set(range(5))
 
 
 def test_kernel_stage_rejects_flips_on_cube4_prefix(monkeypatch):
-    # cube(4) is the input whose lists of corank one and two have flips
-    # that are not extremal; its prefix runs the cascade's LPs and scalar
-    # tests as well.
-    branches = checked_kernel_stage(monkeypatch)
+    # cube(4) is the input whose lists of corank one, two and three or more
+    # have flips that are not extremal; on its lists the cascade runs LPs
+    # and scalar tests as well.
+    branches, cascade = checked_kernel_stage(monkeypatch)
     stats = search_prefix(cube(4), 300)
     assert branches[1, True] > 0 and branches[2, True] > 0
-    assert stats.rays.lps_solved > 0 and stats.rays.scalar_tests > 0
+    assert sum(n for (dim, rejected), n in branches.items() if dim >= 3 and rejected) > 0
+    assert stats.rays.lps_solved > 0 and cascade.lps_solved > 0 and cascade.scalar_tests > 0
 
 
 def test_kernel_stage_matches_naive_oracle_on_random_systems():
@@ -824,15 +824,13 @@ def test_kernel_stage_matches_naive_oracle_on_random_systems():
     for tagged in random_pointed_systems():
         vecs = [v for v, _ in tagged]
         corank = len(vecs) - rank(vecs)
-        if corank > 2:
-            continue
         stats = RayStats()
-        got = regularity._extremal(vecs, range(len(vecs)),
-                                   [_support_mask(v) for v in vecs], stats, corank=corank)
+        got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], corank,
+                                          stats)
         assert got == naive_extremal_rays(tagged)
-        assert stats.r1 + stats.kernel == len(vecs)
-        checked.add((corank, len(got) < len(vecs)))
-    assert checked == {(c, rejected) for c in (0, 1, 2) for rejected in (False, True)} - {
+        assert stats.r1 + stats.kernel + stats.signed == len(vecs)
+        checked.add((min(corank, 3), len(got) < len(vecs)))
+    assert checked == {(c, rejected) for c in (0, 1, 2, 3) for rejected in (False, True)} - {
         (0, True)}
 
 
@@ -874,10 +872,100 @@ def test_forged_kernel_trips_the_recheck_under_optimize_flag():
 @pytest.mark.parametrize("vecs", (
     pytest.param([(1, 0), (-1, 0), (0, 1)], id="corank-1"),
     pytest.param([(1, 0), (-1, 0), (0, 1), (0, -1)], id="corank-2"),
+    pytest.param([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], id="corank-3"),
 ))
 def test_kernel_stage_refuses_non_pointed_cones(vecs):
     # A dependence with nonnegative coefficients, here v0 + v1 = 0.
     corank = len(vecs) - 2
     with pytest.raises(RegulartriError, match="not pointed"):
-        regularity._extremal(vecs, range(len(vecs)), [_support_mask(v) for v in vecs],
-                             None, corank=corank)
+        regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], corank)
+
+
+def test_lp_calls_match_lps_solved_on_prefixes(monkeypatch):
+    # `lps_solved` counts the calls through the name
+    # `regularity.nonneg_combination`, the one the benchmark's tracer
+    # wraps.  Every LP is asked in the Gale dual of a list of corank three
+    # or more: a target with c >= 3 entries, fewer than the n of a
+    # displacement.
+    targets = []
+    solve = regularity.nonneg_combination
+
+    def counting(generators, target):
+        targets.append(len(target))
+        return solve(generators, target)
+
+    monkeypatch.setattr(regularity, "nonneg_combination", counting)
+    for config in (simplex_product(2, 4), cube(4)):
+        targets.clear()
+        stats = search_prefix(config, 300)
+        assert len(targets) == stats.rays.lps_solved > 0
+        assert all(3 <= c < config.n for c in targets)
+
+
+# Five vectors in the plane, corank three, with no column where one of them
+# is alone on its side: every one is decided by an LP, and (3, 1) and
+# (1, 3) are the extremal ones.
+GALE_LP_SYSTEM = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3))
+
+
+def test_gale_lps_decide_a_system_without_signed_singletons():
+    stats = RayStats()
+    vecs = list(GALE_LP_SYSTEM)
+    got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], 3, stats)
+    assert got == {3, 4} == naive_extremal_rays([(v, k) for k, v in enumerate(vecs)])
+    assert stats == RayStats(kernel=5, lps_solved=5, lp_generators=20, lp_generators_max=4)
+
+
+def forged_gale_rejection(forge):
+    """`_kernel_extremal` on GALE_LP_SYSTEM with one input forged.
+
+    "certificate": every LP is answered infeasible, with a certificate that
+    separates nothing.  "basis": the first kernel basis vector becomes
+    (1, -1, 0, 0, 0), which is not in the kernel; an LP certificate then
+    separates the forged Gale vectors, but its combination of the vectors
+    does not vanish.
+    """
+    name, forged = {
+        "certificate": ("nonneg_combination", lambda generators, target: Feasibility(
+            False, certificate=(Fraction(1),) * len(target))),
+        "basis": ("kernel_basis", lambda rows: [
+            (1, -1, 0, 0, 0), (1, -2, 0, 1, 0), (-5, 2, 0, 0, 1)]),
+    }[forge]
+    original = getattr(regularity, name)
+    setattr(regularity, name, forged)
+    vecs = list(GALE_LP_SYSTEM)
+    try:
+        return regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], 3)
+    finally:
+        setattr(regularity, name, original)
+
+
+@pytest.mark.parametrize("forge", ("certificate", "basis"))
+def test_forged_gale_rejection_trips_the_recheck(forge):
+    with pytest.raises(RegulartriError, match="fails its recheck on the vectors"):
+        forged_gale_rejection(forge)
+
+
+def test_forged_gale_rejection_trips_the_recheck_under_optimize_flag():
+    lines = optimized_output(
+        "from regulartri import RegulartriError\n"
+        "from test_regularity import forged_gale_rejection\n"
+        "for forge in ('certificate', 'basis'):\n"
+        "    try:\n"
+        "        forged_gale_rejection(forge)\n"
+        "    except RegulartriError as e:\n"
+        "        print(e)\n"
+    )
+    assert lines == ["Gale rejection fails its recheck on the vectors"] * 2
+
+
+def test_signed_singletons_confirm_without_lps():
+    # Column 0: (1, 0, 1) is the only positive entry; column 2: (0, 1, -1)
+    # the only negative one.  The other four are decided in the Gale dual.
+    vecs = [(1, 0, 1), (-1, 1, 0), (0, 1, -1), (-1, 2, 1), (-2, 2, 1), (-1, 3, 2)]
+    stats = RayStats()
+    got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs],
+                                      len(vecs) - rank(vecs), stats)
+    assert got == naive_extremal_rays([(v, k) for k, v in enumerate(vecs)])
+    assert regularity._signed_singletons(vecs) == {0, 2}
+    assert stats.signed == 2 and stats.kernel == len(vecs) - 2

@@ -32,6 +32,7 @@ from regulartri import (
     cube_symmetry_generators,
     enumerate_triangulations,
     expand_group,
+    extremal_rays,
     find_flips,
     gkz,
     group_trie,
@@ -990,19 +991,41 @@ def test_orbit_search_product_of_triangle_and_tetrahedron(seed):
     assert stats.cache_misses < 100
 
 
-def test_orbit_search_product_of_triangle_and_4_simplex():
+def cascade_on_searched_lists(monkeypatch):
+    """Run the search's lists through the cascade as well.  Returns the
+    cascade's RayStats, filled in as the search builds each list; each
+    cascade verdict is checked against the search's."""
+    cascade = RayStats()
+    original = search.regular_flips
+
+    def both(config, t, flips, stats=None):
+        kept = original(config, t, flips, stats)
+        rays = extremal_rays([(f.delta, k) for k, f in enumerate(flips)], cascade)
+        assert kept == [f for k, f in enumerate(flips) if k in rays]
+        return kept
+
+    monkeypatch.setattr(search, "regular_flips", both)
+    return cascade
+
+
+def test_orbit_search_product_of_triangle_and_4_simplex(monkeypatch):
+    # The search decides every list on its kernel; the cascade, driven on
+    # the same lists, runs R2-R4 and LPs of its own.
+    cascade = cascade_on_searched_lists(monkeypatch)
     orbits, total, stats = _orbit_search(
         simplex_product(2, 4), simplex_product_symmetry_generators(2, 4)
     )
     assert (orbits, total) == (530, 376200)
-    assert stats.rays == RayStats(r1=3173, r2=24, r3=73, r4=3, kernel=1292, lps_solved=26,
-                                  lp_generators=197, lp_generators_max=11)
+    assert stats.rays == RayStats(r1=3165, kernel=1337, signed=86, lps_solved=45,
+                                  lp_generators=442, lp_generators_max=11)
+    assert cascade == RayStats(r1=3212, r2=769, r3=580, r4=5, lps_solved=27,
+                               lp_generators=200, lp_generators_max=11)
 
 
-def test_orbit_search_product_of_two_tetrahedra_prefix():
-    # The first 1 000 orbits of Δ3×Δ3 reach the deferred stage's LPs and
-    # re-screened snapshots; their scalar tests all fell on lists of corank
-    # at most two, which are decided on their kernel.
+def test_orbit_search_product_of_two_tetrahedra_prefix(monkeypatch):
+    # On the lists of the first 1 000 orbits of Δ3×Δ3 the cascade reaches
+    # the deferred stage's LPs, re-screened snapshots and scalar tests.
+    cascade = cascade_on_searched_lists(monkeypatch)
     config = simplex_product(3, 3)
     group = expand_group(config, simplex_product_symmetry_generators(3, 3))
     stats = SearchStats()
@@ -1011,9 +1034,11 @@ def test_orbit_search_product_of_two_tetrahedra_prefix():
         reverse_search(provider, max_nodes=1000, group=group)
     assert stats == SearchStats(
         nodes=1000, flips_evaluated=24725, cache_hits=3416, cache_misses=2489,
-        rays=RayStats(r1=14232, r2=603, r3=987, r4=53, kernel=8535, lps_solved=368,
-                      lp_generators=2853, lp_generators_max=14),
+        rays=RayStats(r1=14186, kernel=9121, signed=1418, lps_solved=558,
+                      lp_generators=5824, lp_generators_max=14),
     )
+    assert cascade == RayStats(r1=14968, r2=5911, r3=3382, r4=85, scalar_tests=4,
+                               lps_solved=460, lp_generators=3226, lp_generators_max=14)
 
 
 @pytest.mark.skipif(not STRETCH, reason="long-running stretch case; set RUN_STRETCH=1 to include")
@@ -1038,10 +1063,9 @@ def test_orbit_search_product_of_two_tetrahedra():
               f"lps={stats.rays.lps_solved} ({elapsed:.1f}s)")
         assert elapsed < 600.0
         results.append((orbits, total))
-        if config is base:
-            assert stats.rays == RayStats(r1=44204, r2=2171, r3=4119, r4=203, kernel=26991,
-                                          lps_solved=1343, lp_generators=10691,
-                                          lp_generators_max=16)
+        # The kernel stage's verdicts and counters do not depend on the labels.
+        assert stats.rays == RayStats(r1=44016, kernel=29312, signed=5500, lps_solved=2253,
+                                      lp_generators=23630, lp_generators_max=16)
     assert results == [(7869, 4494288)] * 2
 
 
