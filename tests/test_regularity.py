@@ -694,11 +694,11 @@ def assert_peel_is_the_cascade_prefix(system):
     assert full.events[lead:] == rest.events
 
 
-def assert_peel_keeps_results(systems, total=None):
+def assert_peel_keeps_results(systems, counters=None):
     """Over `systems` and their sole-candidate subsystems: the peel is the
     cascade's R1 prefix, and `extremal_rays` gives the set and counters of
-    the cascade without it.  The counters are added to `total`, if given.
-    Returns the number of systems checked."""
+    the cascade without it.  Each system's RayStats is appended to
+    `counters`, if given.  Returns the number of systems checked."""
     checked = 0
     for system in systems:
         subsystems = []
@@ -707,8 +707,8 @@ def assert_peel_keeps_results(systems, total=None):
         got_stats = RayStats()
         assert extremal_rays(system, got_stats) == want
         assert got_stats == want_stats
-        if total is not None:
-            extremal_rays(system, total)
+        if counters is not None:
+            counters.append(got_stats)
         for sub in [system] + subsystems:
             assert_peel_is_the_cascade_prefix(sub)
             checked += 1
@@ -726,9 +726,9 @@ def test_peel_matches_cascade_on_d2d2_and_d2d4_prefix(monkeypatch):
     assert count == 108 and len(systems) == stats.cache_misses
     d2d2 = len(systems)
     d2d4_prefix()
-    cascade = RayStats()
-    assert assert_peel_keeps_results(systems, cascade) > len(systems) > d2d2
-    assert cascade.lps_solved > 0 and cascade.r4 > 0
+    counters = []
+    assert assert_peel_keeps_results(systems, counters) > len(systems) > d2d2
+    assert any(c.lps_solved for c in counters) and any(c.r4 for c in counters)
 
 
 def test_peel_decides_r1_systems_without_a_screen(monkeypatch):
