@@ -25,15 +25,19 @@ nor any entry's target or GKZ-vector.  Entry k has GKZ-vector node_gkz +
 flips[k].delta, so entries compare with each other and with the node as
 their deltas do with each other and with zero (lex order is invariant
 under translation).  Its target, `target(node, flips[k])`, is built only
-when a traversal takes the entry: a root-walk step, a candidate child, a
-baseline step.
+when a traversal needs it: a root-walk step, a baseline step, and in
+reverse search a candidate child whose list is not cached or that turns
+out to be a child.
 
 Nodes are hashable values (`Triangulation` objects for the geometry) and are
-the search's identity: a node's list is memoized in an LRU cache keyed by
-the node itself, and visitors receive the node.  Each list is a verdict
-about the node's flips, never about their targets' regularity.  Any cache
-capacity (including zero) yields the same enumeration; only the hit
-counters move.
+the search's identity: visitors receive the node.  A node's list is
+memoized in an LRU cache keyed, in regular mode, by the node's GKZ-vector,
+which no other triangulation shares with a regular one, so a candidate
+child is looked up before it is built; in all-flips mode, and for an
+oracle without a mode, the key is the node itself.  Each list is a
+verdict about the node's flips, never about their targets' regularity.
+Any cache capacity (including zero) yields the same enumeration; only the
+hit counters move.
 
 `parent` is None or a hint (entries, k): a list that `neighbors` returned
 for another node, whose k-th target is this node.  The traversals pass it
@@ -170,7 +174,8 @@ def _shifted(t_gkz, flip):
 
 
 class NeighborProvider:
-    """An oracle's neighbour lists, memoized in an LRU keyed by the node.
+    """An oracle's neighbour lists, memoized in an LRU keyed by the node's
+    GKZ-vector in regular mode and by the node otherwise.
 
     capacity 0 stores nothing; the least recently used entry is evicted
     first, and a negative or non-integer capacity raises InvalidInputError.
@@ -185,15 +190,24 @@ class NeighborProvider:
         self.stats = stats
         self.capacity = as_count(cache_capacity, "cache capacity")
         self.cache = OrderedDict()
+        self.gkz_keys = getattr(oracle, "mode", None) is SearchMode.REGULAR_ONLY
 
-    def neighbors(self, node, node_gkz, parent=None):
-        """The node's `NeighborList`, with `up` set."""
-        entries = self.cache.get(node)
+    def neighbors(self, node, node_gkz, parent=None, build=None):
+        """The node's `NeighborList`, with `up` set.
+
+        `node` may be None when `build()` makes it; it is called only when
+        the key needs the node or the list is not cached."""
+        if not self.gkz_keys and node is None:
+            node = build()
+        key = node_gkz if self.gkz_keys else node
+        entries = self.cache.get(key)
         if entries is not None:
-            self.cache.move_to_end(node)
+            self.cache.move_to_end(key)
             self.stats.cache_hits += 1
             return entries
         self.stats.cache_misses += 1
+        if node is None:
+            node = build()
         entries = self.oracle.neighbors(node, node_gkz, parent)
         # Entries compare as their deltas do (see the module docstring).
         deltas = [f.delta for f in entries.flips[:entries.kept]]
@@ -203,18 +217,18 @@ class NeighborProvider:
         if top > (0,) * len(top):
             entries.up = deltas.index(top)
         if self.capacity:
-            self.cache[node] = entries
+            self.cache[key] = entries
             if len(self.cache) > self.capacity:
                 self.cache.popitem(last=False)
         return entries
 
 
-def predecessor(provider: NeighborProvider, node, node_gkz, parent=None):
+def predecessor(provider: NeighborProvider, node, node_gkz, parent=None, build=None):
     """The node's lex-largest valid neighbour as an entry (entries, k) of
     its list, if it improves on the node; else None.  It is unique: a
     list's GKZ-vectors differ.  `parent` is the node's hint (see the module
-    docstring)."""
-    entries = provider.neighbors(node, node_gkz, parent)
+    docstring) and `build` as for `NeighborProvider.neighbors`."""
+    entries = provider.neighbors(node, node_gkz, parent, build)
     return None if entries.up is None else (entries, entries.up)
 
 
@@ -260,15 +274,16 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     C, so R's children are found among its neighbors' representatives.
 
     The visitor, when given, receives (node, gkz, depth) once per node and
-    must not mutate search state.  No visited set exists: memory is the
-    stack (at most the tree depth times the degree; an entry that is a
-    target of its parent's list holds that list as its hint), the trie and the
-    provider's cache of up to `cache_capacity` neighbour lists, which
-    dominates on large inputs.  `stats.nodes`
-    and `max_nodes` count nodes (orbits, under a group); crossing the
-    budget raises ResourceLimitError.  Returns the number of triangulations
-    this call enumerated (the sum of |G|/|Stab| under a group).  A negative
-    or non-integer `max_nodes` raises InvalidInputError.
+    must not mutate search state.  A candidate child is built (and
+    relabelled) only when its list, looked up by its GKZ-vector or orbit
+    key, is not cached or it is a child.  No visited set exists: memory is
+    the stack (at most the tree depth times the degree; each entry holds
+    its node's list), the trie and the provider's cache of up to
+    `cache_capacity` neighbour lists, which dominates on large inputs.
+    `stats.nodes` and `max_nodes` count nodes (orbits, under a group);
+    crossing the budget raises ResourceLimitError.  Returns the number of
+    triangulations this call enumerated (the sum of |G|/|Stab| under a
+    group).  A negative or non-integer `max_nodes` raises InvalidInputError.
     """
     if max_nodes is not None:
         max_nodes = as_count(max_nodes, "node budget")
@@ -295,51 +310,67 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     stats.nodes += 1
     if visitor is not None:
         visitor(root, root_gkz, 0)
-    stack = [(root, root_gkz, 0, None)]
+
+    def build():
+        # The candidate: the entry's target, relabelled to its representative.
+        nonlocal child
+        child = target(node, flip)
+        if perm is not None:
+            child = provider.oracle.relabel(child, perm)
+        return child
+
+    stack = [(root, root_gkz, 0, provider.neighbors(root, root_gkz))]
     while stack:
-        node, node_gkz, depth, parent = stack.pop()
+        node, node_gkz, depth, entries = stack.pop()
         seen = set()
-        entries = provider.neighbors(node, node_gkz, parent)
         flips = entries.flips
         for k in range(entries.kept):
             flip = flips[k]
             if flip.delta >= zero:
                 # Not below the node, nor is its orbit key: never a child.
                 continue
-            hint = (entries, k)
+            child = perm = None
             if group is None:
-                child, cgkz, size = target(node, flip), _shifted(node_gkz, flip), 1
+                cgkz, size = _shifted(node_gkz, flip), 1
             else:
                 cgkz, perm, stabiliser = orbit_key(_shifted(node_gkz, flip), group, trie)
                 if cgkz >= node_gkz or cgkz in seen:
                     continue
                 seen.add(cgkz)
                 size = order // stabiliser
-                # A target that is its own representative is the child; a
-                # relabelled one has no list to derive its flips from.
-                child = target(node, flip)
-                if perm != identity:
-                    child, hint = provider.oracle.relabel(child, perm), None
+                if perm == identity:
+                    perm = None
+            # A target that is its own representative derives its flips from
+            # the node's list; a relabelled one has no list to derive from.
+            hint = (entries, k) if perm is None else None
+            pred = predecessor(provider, None, cgkz, hint, build)
+            if pred is None:
+                continue
+            centries, up = pred
             # The node is the parent when the predecessor's key (without a
             # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
             # even where GKZ does not identify triangulations: the node is a
             # valid neighbour of the child, and one list's GKZ-vectors are
-            # distinct, so no other neighbour has the node's.
-            pred = predecessor(provider, child, cgkz, hint)
-            if pred is None:
-                continue
-            pred_gkz = _shifted(cgkz, pred[0].flips[pred[1]])
-            # A key is never below its vector: a predecessor above the node fails unkeyed.
-            if group is not None and pred_gkz <= node_gkz:
-                pred_gkz = orbit_key(pred_gkz, group, trie)[0]
-            if pred_gkz != node_gkz:
-                continue
+            # distinct, so no other neighbour has the node's.  Without a
+            # group the predecessor is the node when its flip undoes `flip`.
+            if group is None:
+                if any(map(add, flip.delta, centries.flips[up].delta)):
+                    continue
+            else:
+                pred_gkz = _shifted(cgkz, centries.flips[up])
+                # A key is never below its vector: a predecessor above the node fails unkeyed.
+                if pred_gkz <= node_gkz:
+                    pred_gkz = orbit_key(pred_gkz, group, trie)[0]
+                if pred_gkz != node_gkz:
+                    continue
+            if child is None:
+                child = build()
             visited = _count_visit(visited, max_nodes, search)
             total += size
             stats.nodes += 1
             if visitor is not None:
                 visitor(child, cgkz, depth + 1)
-            stack.append((child, cgkz, depth + 1, hint))
+            stack.append((child, cgkz, depth + 1, centries))
     return total
 
 

@@ -584,14 +584,15 @@ def test_cache_bytes_per_list():
 
 def test_flips_and_nodes_share_one_tuple_per_simplex():
     # After a search of Δ2×Δ3, every simplex that a memoised flip or a
-    # cached node holds is the configuration's table tuple for it: at most
+    # visited node holds is the configuration's table tuple for it: at most
     # 432 tuples (every simplex of Δ2×Δ3) for the 13 536 simplices of the
     # 1 584 flips.
     config = simplex_product(2, 3)
     stats = SearchStats()
     provider = NeighborProvider(
         GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
-    assert reverse_search(provider) == 4488
+    nodes = []
+    assert reverse_search(provider, lambda t, g, d: nodes.append(t)) == 4488
     table = config.simplex_table
     flips = config.flip_memo.values()
     assert len(flips) == 1584 and len(table) <= 432
@@ -599,15 +600,15 @@ def test_flips_and_nodes_share_one_tuple_per_simplex():
     for flip in flips:
         assert all(table[s] is s for s in flip.removed + flip.inserted)
     assert len(provider.cache) == 4488
-    for node in provider.cache:
+    for node in nodes:
         assert all(table[s] is s for s in node.simplices)
 
 
 @pytest.mark.parametrize("options, hits, misses, flips, rays", (
-    pytest.param({}, 14185, 4488, 28368, RayStats(r1=23328, kernel=5040), id="default"),
-    pytest.param({"cache_capacity": 0}, 0, 18673, 119094,
-                 RayStats(r1=94470, kernel=24624), id="uncached"),
-    pytest.param({"verify_increments": True}, 14185, 4488, 28368,
+    pytest.param({}, 9698, 4488, 28368, RayStats(r1=23328, kernel=5040), id="default"),
+    pytest.param({"cache_capacity": 0}, 0, 14186, 90732,
+                 RayStats(r1=71148, kernel=19584), id="uncached"),
+    pytest.param({"verify_increments": True}, 9698, 4488, 28368,
                  RayStats(r1=23328, kernel=5040), id="verified"),
 ))
 def test_search_counters_on_triangle_times_tetrahedron(options, hits, misses, flips, rays):
@@ -629,8 +630,9 @@ def test_reverse_search_matches_baseline_on_triangle_times_tetrahedron():
 def test_targets_are_built_for_taken_entries_only(monkeypatch):
     # A target is built only when a traversal takes its entry: reverse
     # search takes the root walk's upflips (none from the pulling seed),
-    # then each lower neighbour of each node, so each edge of the flip
-    # graph once, from its upper end.
+    # then looks each lower neighbour of each node up by its GKZ-vector,
+    # and builds it only when its list is not cached or it is a child: at
+    # most once per edge of the flip graph, from its upper end.
     calls = []
     original = search.apply_flip
 
@@ -641,16 +643,17 @@ def test_targets_are_built_for_taken_entries_only(monkeypatch):
     monkeypatch.setattr(search, "apply_flip", counting)
     count, stats = enumerate_triangulations(nested_triangles())
     # 16 flip lists of 54 flips, six of which screening discards: 48 kept
-    # entries, two per edge.
+    # entries, two per edge, so 24 edges.  Targets are built for the 15
+    # candidates whose list is missing and for 3 children found on a hit.
     assert (count, stats.cache_misses, stats.flips_evaluated) == (16, 16, 54)
-    assert len(calls) == 24
+    assert len(calls) == 18
     assert all(flip.delta < (0,) * 6 for flip in calls)
     calls.clear()
-    # cube(3): 304 flips, all regular, so 152 edges; the root walk takes
-    # no step from the pulling seed.
+    # cube(3): 304 flips, all regular, so 152 edges, of which 83 are
+    # built; the root walk takes no step from the pulling seed.
     count, stats = enumerate_triangulations(cube(3))
     assert (count, stats.flips_evaluated, stats.cache_misses) == (74, 304, 74)
-    assert len(calls) == 152
+    assert len(calls) == 83
     assert all(flip.delta < (0,) * 8 for flip in calls)
     calls.clear()
     # The baseline takes every entry of every node it pops.
@@ -705,9 +708,9 @@ def test_stats_conservation():
     class CountingProvider(NeighborProvider):
         requests = 0
 
-        def neighbors(self, node, node_gkz, parent=None):
+        def neighbors(self, *args):
             CountingProvider.requests += 1
-            return super().neighbors(node, node_gkz, parent)
+            return super().neighbors(*args)
 
     CountingProvider.requests = 0
     stats = SearchStats()
@@ -749,6 +752,74 @@ def test_all_flips_baseline_on_nested_triangles():
     regular_count, _ = enumerate_triangulations(nested_triangles())
     assert all_count == 18
     assert regular_count == 16
+
+
+def test_cache_keys_are_gkz_vectors_in_regular_mode_only():
+    # The two non-regular triangulations of the nested triangles share a
+    # GKZ-vector, so in all-flips mode a list keyed by it would serve both
+    # (a search so keyed counts 16), and so would a list keyed by a node
+    # not yet built.  In regular mode the GKZ-vector is the key.
+    config = nested_triangles()
+    members = []
+    enumerate_triangulations(config, SearchMode.ALL_FLIPS, baseline=True,
+                             visitor=lambda t, g, d: members.append(t))
+    shared = [t for t in members if gkz(config, t) == (9, 9, 9, 7, 7, 7)]
+    assert len(shared) == 2 and not any(is_regular(config, t).regular for t in shared)
+    for options in ({}, {"baseline": True}, {"cache_capacity": 0}):
+        assert enumerate_triangulations(config, SearchMode.ALL_FLIPS, **options)[0] == 18
+    assert enumerate_triangulations(config)[0] == 16
+    for mode, key_type in ((SearchMode.REGULAR_ONLY, tuple),
+                           (SearchMode.ALL_FLIPS, Triangulation)):
+        provider, _ = _provider(config, mode)
+        visited = []
+        reverse_search(provider, lambda t, g, d: visited.append((t, g)))
+        assert all(type(key) is key_type for key in provider.cache)
+        keys = {g for _, g in visited} if key_type is tuple else {t for t, _ in visited}
+        assert set(provider.cache) == keys
+
+
+class HitCheckingProvider(NeighborProvider):
+    """A provider that rebuilds every candidate child whose list a lookup
+    found in the cache, and checks that list against the candidate's own:
+    `find_flips` from scratch, in the same order, the same verdicts and the
+    same GKZ-vector."""
+
+    checked = 0
+
+    def neighbors(self, node, node_gkz, parent=None, build=None):
+        hits = self.stats.cache_hits
+        entries = super().neighbors(node, node_gkz, parent, build)
+        if build is not None and self.stats.cache_hits > hits:
+            config = self.oracle.config
+            candidate = build()
+            assert gkz(config, candidate) == node_gkz
+            fresh = GeometricFlipOracle(config, self.oracle.mode, SearchStats())
+            own = fresh.neighbors(candidate, node_gkz)
+            assert (own.flips, own.kept) == (entries.flips, entries.kept)
+            flips = find_flips(config, candidate)
+            assert sorted(entries.flips, key=lambda f: f.circuit.support) == flips
+            self.checked += 1
+        return entries
+
+
+@pytest.mark.parametrize("d, generators, budget, count", (
+    pytest.param(3, None, None, 4488, id="d2d3"),
+    pytest.param(4, None, 3000, None, id="d2d4-prefix"),
+    pytest.param(4, simplex_product_symmetry_generators(2, 4), None, 376200, id="d2d4-orbits"),
+))
+def test_keyed_hits_hold_the_candidates_own_list(d, generators, budget, count):
+    config = simplex_product(2, d)
+    group = None if generators is None else expand_group(config, generators)
+    stats = SearchStats()
+    provider = HitCheckingProvider(
+        GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
+    if budget is None:
+        assert reverse_search(provider, group=group) == count
+    else:
+        with pytest.raises(ResourceLimitError):
+            reverse_search(provider, max_nodes=budget, group=group)
+    # Every hit but the root's, after the root walk, was a candidate's.
+    assert provider.checked == stats.cache_hits - 1 > 0
 
 
 # -- orbit-level reverse search ---------------------------------------------
@@ -833,13 +904,15 @@ def test_orbit_search_keys_match_the_list_key(make, generators, count, orbits, m
 
 
 @pytest.mark.parametrize("d, orbits, relabels, derived, lists", [
-    (3, 35, 42, 20, 35), (4, 530, 972, 279, 530),
+    (3, 35, 14, 20, 35), (4, 530, 298, 279, 530),
 ], ids=["d2d3", "d2d4"])
 def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived, lists,
                                                    monkeypatch):
     # A candidate child that is its own representative is the target
     # itself, so its flips are derived from the node's list; only the
-    # others are relabelled (94 and 2 247 relabellings when every child was).
+    # others are relabelled, and only when their list is not cached or they
+    # are children (94 and 2 247 relabellings when every candidate was,
+    # 42 and 972 when every moved one was).
     perms, hinted = [], []
     original_relabel, original_find = search.relabel, search.find_flips
 
@@ -862,7 +935,7 @@ def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived,
 
 
 def test_relabelled_children_hold_table_tuples(monkeypatch):
-    # The orbit search of Δ2×Δ4 relabels 972 children; each is the
+    # The orbit search of Δ2×Δ4 relabels 298 candidates; each is the
     # relabelled target, on the configuration's simplex tuples.
     children = []
     original = GeometricFlipOracle.relabel
@@ -877,7 +950,7 @@ def test_relabelled_children_hold_table_tuples(monkeypatch):
     config = simplex_product(2, 4)
     group = expand_group(config, simplex_product_symmetry_generators(2, 4))
     _, stats = enumerate_triangulations(config, group=group)
-    assert (stats.nodes, len(children)) == (530, 972)
+    assert (stats.nodes, len(children)) == (530, 298)
     table = config.simplex_table
     for child in children:
         assert all(table[s] is s for s in child.simplices)
@@ -898,7 +971,7 @@ def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     group = expand_group(config, simplex_product_symmetry_generators(2, 3))
     total, stats = enumerate_triangulations(config, group=group)
     assert total == 4488
-    assert stats == SearchStats(nodes=35, flips_evaluated=222, cache_hits=95, cache_misses=35,
+    assert stats == SearchStats(nodes=35, flips_evaluated=222, cache_hits=61, cache_misses=35,
                                 rays=RayStats(r1=180, kernel=42))
     # 317 calls when every neighbour and predecessor was keyed, 250 when
     # every predecessor was.
@@ -1033,7 +1106,7 @@ def test_orbit_search_product_of_two_tetrahedra_prefix(monkeypatch):
     with pytest.raises(ResourceLimitError, match="budget of 1000 nodes"):
         reverse_search(provider, max_nodes=1000, group=group)
     assert stats == SearchStats(
-        nodes=1000, flips_evaluated=24725, cache_hits=3416, cache_misses=2489,
+        nodes=1000, flips_evaluated=24725, cache_hits=2432, cache_misses=2489,
         rays=RayStats(r1=14186, kernel=9121, signed=1418, lps_solved=558,
                       lp_generators=5824, lp_generators_max=14),
     )
