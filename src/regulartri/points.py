@@ -174,7 +174,9 @@ class PointConfiguration:
     """A labelled configuration of distinct integer points.
 
     Points keep their input order; every triangulation, flip and GKZ-vector
-    refers to them by index.
+    refers to them by index.  `cobasis` holds, ascending, the n - d - 1
+    points outside the affine basis `exact.greedy_basis` picks from the
+    homogenized rows: an affine dependence zero on the co-basis is zero.
 
     Exact results are memoised per configuration, each filled on first use
     (construction computes none of them):
@@ -232,6 +234,8 @@ class PointConfiguration:
         self.dim = len(cols) - 1
         #: homogenized points in basis coordinates, one integer row per point
         self.hom = tuple(tuple(row[c] for c in cols) for row in full)
+        basis = exact.greedy_basis(self.hom)
+        self.cobasis = tuple(i for i in range(self.n) if i not in basis)
 
         #: sorted (d+1)-tuple -> signed determinant of its homogenized rows
         self._minors = {}

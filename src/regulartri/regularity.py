@@ -57,7 +57,11 @@ half of R2 and R3), as is one whose g_i is zero or a positive multiple of
 another g_j; each other flip takes one LP with c rows instead of n, and a
 rejection is rechecked on the displacements.  A dependence of one sign
 (the cone is not pointed) raises, as does a kernel whose dimension is not
-c.  `extremal_rays` and `screen_rays` keep the cascade.
+c.  Displacements are affine dependences of the points, which are fixed by
+their n - d - 1 entries outside an affine basis (`PointConfiguration.
+cobasis`); the kernel is taken on those rows alone.  It is the kernel of all
+n rows, and so is its reduced-echelon basis, so every verdict is the same.
+`extremal_rays` and `screen_rays` keep the cascade.
 """
 
 from __future__ import annotations
@@ -508,23 +512,29 @@ def regular_flips(config: PointConfiguration, t: Triangulation, flips, stats=Non
     of the cone generated by all displacements at t.  A displacement is
     nonzero exactly on its circuit's points (`flips._make_flip` checks
     this), so its support mask is the circuit's.  Every list is decided by
-    _kernel_extremal, whatever its corank (see the module docstring).
+    _kernel_extremal, whatever its corank, with its kernel taken at the
+    co-basis points (see the module docstring).  A list whose flips are all
+    kept is returned as it is.
     """
     if not flips:
         return []
     keep = _kernel_extremal([f.delta for f in flips],
                             [f.circuit.support_mask for f in flips],
-                            len(flips) - (config.n - config.dim - 1), stats)
+                            len(flips) - len(config.cobasis), stats, config.cobasis)
+    if len(keep) == len(flips):
+        return flips
     return [f for k, f in enumerate(flips) if k in keep]
 
 
-def _kernel_extremal(vecs, masks, corank, stats=None) -> set:
+def _kernel_extremal(vecs, masks, corank, stats=None, coords=None) -> set:
     """Positions of the extremal vectors of a nonempty system, from their
     support masks and the system's corank, the dimension of its kernel.
 
     R1 is peeled on the masks and the vectors left are decided on one
     kernel basis, by _gale_extremal; RegulartriError when that kernel does
-    not have the dimension `corank`.
+    not have the dimension `corank`.  The basis is taken on the nonzero
+    rows at `coords` (every coordinate by default), where a combination of
+    the vectors may vanish only if it is zero, so it is that of all rows.
     """
     if stats is None:
         stats = RayStats()
@@ -532,7 +542,10 @@ def _kernel_extremal(vecs, masks, corank, stats=None) -> set:
     peeled, left = _peel(masks)
     stats.r1 += len(peeled)
     columns = [vecs[k] for k in left]
-    basis = kernel_basis([row for row in zip(*columns) if any(row)]) if left else []
+    rows = list(zip(*columns))
+    if coords is None:
+        coords = range(len(vecs[0]))
+    basis = kernel_basis([rows[c] for c in coords if any(rows[c])]) if left else []
     keep = set(peeled)
     keep.update(left[i] for i in _gale_extremal(basis, columns, stats))
     if len(basis) != corank:

@@ -236,12 +236,13 @@ def find_root(provider: NeighborProvider, seed):
     """Walk lex-largest upflips from the seed until a sink is reached; each
     step's list is derived from the one before.  From the pulling seed the
     walk builds one list: no triangulation, regular or not, has a larger
-    GKZ-vector, so the seed is the sink in either mode."""
+    GKZ-vector, so the seed is the sink in either mode.  Returns the sink,
+    its GKZ-vector and its list."""
     node, node_gkz, parent = seed, provider.oracle.gkz(seed), None
     while True:
         entries = provider.neighbors(node, node_gkz, parent)
         if entries.up is None:
-            return node, node_gkz
+            return node, node_gkz, entries
         flip = entries.flips[entries.up]
         parent = (entries, entries.up)
         node, node_gkz = provider.oracle.target(node, flip), _shifted(node_gkz, flip)
@@ -299,7 +300,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
         search, order, trie = "orbit search", len(group), group_trie(group)
     # So does the budget: a zero budget builds no list.
     visited = _count_visit(0, max_nodes, search)
-    root, root_gkz = find_root(provider, provider.oracle.seed())
+    root, root_gkz, root_entries = find_root(provider, provider.oracle.seed())
     zero = (0,) * len(root_gkz)
     if group is not None:
         identity = tuple(range(len(root_gkz)))
@@ -319,7 +320,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
             child = provider.oracle.relabel(child, perm)
         return child
 
-    stack = [(root, root_gkz, 0, provider.neighbors(root, root_gkz))]
+    stack = [(root, root_gkz, 0, root_entries)]
     while stack:
         node, node_gkz, depth, entries = stack.pop()
         seen = set()

@@ -63,6 +63,34 @@ def test_dimension_detection():
     assert new_configuration(plane).dim == 2
 
 
+#: Every catalog configuration, and cube(3) in a 3-space of R^5.
+COBASIS_FIXTURES = {
+    "square": square,
+    "triangle_with_interior": triangle_with_interior,
+    "nested_triangles": nested_triangles,
+    "cube3": lambda: cube(3),
+    "cube4": lambda: cube(4),
+    **{f"d2d{k}": (lambda k=k: simplex_product(2, k)) for k in (2, 3, 4, 5)},
+    "d3d3": lambda: simplex_product(3, 3),
+    "cube3_in_r5": lambda: new_configuration(
+        [(x, y, z, x + y, 2 * z - y + 1) for x, y, z in cube(3).points]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COBASIS_FIXTURES))
+def test_cobasis_complements_an_affine_basis(name):
+    # The points off the co-basis are affinely independent, read on the
+    # input coordinates: an affine dependence zero on the co-basis is zero.
+    cfg = COBASIS_FIXTURES[name]()
+    cobasis = cfg.cobasis
+    assert len(cobasis) == cfg.n - cfg.dim - 1
+    assert list(cobasis) == sorted(set(cobasis)) and set(cobasis) <= set(range(cfg.n))
+    basis = [(1,) + p for i, p in enumerate(cfg.points) if i not in cobasis]
+    assert exact.rank(basis) == cfg.dim + 1
+    if name == "cube3_in_r5":
+        assert (cfg.dim, cfg.ambient_dim) == (3, 5)
+
+
 def test_normalized_volume_pins():
     sq = square()
     assert sq.normalized_volume((0, 1, 2)) == 1

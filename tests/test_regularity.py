@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -41,8 +42,10 @@ from regulartri import (
     square,
     triangle_with_interior,
 )
-from regulartri import regularity
+from regulartri import expand_group, regularity
 from regulartri import search
+from regulartri.catalog import cube_symmetry_generators
+from regulartri.exact import kernel_basis
 from regulartri.lp import Feasibility, strict_homogeneous
 from regulartri.triangulation import facet_incidence
 from regulartri.regularity import (
@@ -620,13 +623,14 @@ def d2d4_prefix():
     return search_prefix(simplex_product(2, 4), 300)
 
 
-def search_prefix(config, nodes):
-    """The stats of the first `nodes` reverse-search nodes on `config`."""
+def search_prefix(config, nodes, group=None):
+    """The stats of the first `nodes` reverse-search nodes on `config`
+    (orbits, under a symmetry `group`)."""
     stats = SearchStats()
     provider = NeighborProvider(GeometricFlipOracle(
         config, SearchMode.REGULAR_ONLY, stats), stats)
     with pytest.raises(ResourceLimitError):
-        reverse_search(provider, max_nodes=nodes)
+        reverse_search(provider, max_nodes=nodes, group=group)
     return stats
 
 
@@ -817,6 +821,41 @@ def test_kernel_stage_rejects_flips_on_cube4_prefix(monkeypatch):
     assert branches[1, True] > 0 and branches[2, True] > 0
     assert sum(n for (dim, rejected), n in branches.items() if dim >= 3 and rejected) > 0
     assert stats.rays.lps_solved > 0 and cascade.lps_solved > 0 and cascade.scalar_tests > 0
+
+
+def test_cobasis_kernel_equals_full_rows(monkeypatch):
+    # Displacements are affine dependences, fixed by their entries at the
+    # co-basis points, so the kernel basis the search takes on those rows
+    # is the one all nonzero rows give, and it annihilates the whole
+    # displacements.
+    residuals = []
+    gale = regularity._gale_extremal
+
+    def recording(basis, vecs, stats):
+        if vecs:
+            residuals.append((basis, vecs))
+        return gale(basis, vecs, stats)
+
+    monkeypatch.setattr(regularity, "_gale_extremal", recording)
+    cube4 = cube(4)
+    sizes = []
+    for search_lists in (
+        lambda: enumerate_triangulations(simplex_product(2, 3)),
+        lambda: search_prefix(simplex_product(2, 4), 3000),
+        lambda: search_prefix(cube4, 300, expand_group(cube4, cube_symmetry_generators(4))),
+    ):
+        search_lists()
+        sizes.append(len(residuals))
+    # Residual lists, running total: 864 on Δ2×Δ3, 1 116 on the Δ2×Δ4
+    # prefix and 926 on the cube(4) orbits.
+    assert sizes == [864, 1980, 2906]
+    dims = set()
+    for basis, vecs in residuals:
+        assert basis == kernel_basis([row for row in zip(*vecs) if any(row)])
+        for lam in basis:
+            assert not any(sum(map(mul, lam, column)) for column in zip(*vecs))
+        dims.add(len(basis))
+    assert dims == {*range(10), 13}
 
 
 def test_kernel_stage_matches_naive_oracle_on_random_systems():
