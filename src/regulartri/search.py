@@ -59,11 +59,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
 
-from .errors import RegulartriError, ResourceLimitError
+from .errors import InvalidInputError, RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
 from .points import PointConfiguration, as_count
 from .regularity import RayStats, regular_flips
-from .symmetry import group_trie, orbit_key, relabel
+from .symmetry import group_trie, orbit_key
 from .triangulation import Triangulation, gkz, pulling_triangulation
 
 
@@ -136,8 +136,11 @@ class GeometricFlipOracle:
         return apply_flip(self.config, t, flip)
 
     def relabel(self, t: Triangulation, perm) -> Triangulation:
-        """`symmetry.relabel(t, perm)` on the configuration's simplex tuples."""
-        return self._on_table(relabel(t, perm))
+        """`symmetry.relabel(t, perm)`, built once on the configuration's simplex tuples."""
+        child = self._on_table(tuple(sorted([perm[i] for i in s])) for s in t)
+        if len(set(child.simplices)) < len(child):
+            raise InvalidInputError("repeated simplex")
+        return child
 
     def _check(self, t, t_gkz, flip):
         target = apply_flip(self.config, t, flip)
@@ -149,12 +152,12 @@ class GeometricFlipOracle:
     def seed(self) -> Triangulation:
         return self._on_table(pulling_triangulation(self.config))
 
-    def _on_table(self, t: Triangulation) -> Triangulation:
-        """`t` with each simplex replaced by its `PointConfiguration.simplex`
-        tuple.  Flip targets share the simplices of their source and flip,
-        so with the seed and relabelled children on the table every node
-        of a search holds table tuples only."""
-        return Triangulation._from_canonical(map(self.config.simplex, t.simplices))
+    def _on_table(self, simplices) -> Triangulation:
+        """The triangulation of these sorted simplices, each replaced by its
+        `PointConfiguration.simplex` tuple.  Flip targets share the
+        simplices of their source and flip, so with the seed and relabelled
+        children on the table every node of a search holds table tuples."""
+        return Triangulation._from_canonical(map(self.config.simplex, simplices))
 
 
 class NeighborList:
@@ -269,7 +272,8 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     A symmetry `group` (regular mode only: GKZ does not identify
     non-regular triangulations) makes each node stand for its orbit, as its
     lex-max-GKZ member given by `symmetry.orbit_key` over a trie of the
-    group built once per call.  The parent of a representative C is the
+    group's inverse permutations, built once per call, whose branches end
+    at their group element.  The parent of a representative C is the
     representative of C's predecessor, whose GKZ-vector is larger; if that
     predecessor is g·R, then g⁻¹·C is a neighbor of R with representative
     C, so R's children are found among its neighbors' representatives.

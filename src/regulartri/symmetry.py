@@ -11,7 +11,8 @@ triangulations, so this key is exact, and the number of group elements
 reaching it is the stabiliser order.  It walks a trie of the inverse
 permutations (`group_trie`) position by position and follows only the
 branches that can still reach the maximum, the lex-max-image step of
-symmetric reverse search in mptopcom (Jordan, Joswig and Kastner, 2018).
+symmetric reverse search in mptopcom (Jordan, Joswig and Kastner, 2018);
+a branch ends where one element owns its prefix.
 Reverse search with a group (`search.reverse_search(..., group=G)`) visits
 one representative per orbit by this key.
 `canonical_form` relabels the simplices themselves and keeps the lex-least
@@ -121,23 +122,29 @@ def inverse_permutations(group):
 
 
 def group_trie(group):
-    """The inverse permutations of the group as a trie, for `orbit_key`.
+    """The group's inverse permutations as a trie, for `orbit_key`.
 
-    Level j of the trie branches on g⁻¹[j]: a node maps each value to the
-    node below it, and the last level maps to the group index of g.  The
-    trie holds one node per distinct prefix of the inverses, so its size
-    is at most |G| times the degree; build it once per search.  An empty
-    group raises InvalidInputError.
+    Returns (root, `inverse_permutations(group)`).  Level j branches on
+    g⁻¹[j]: a node maps each value to the node below it, or to the group
+    index of g where g alone has that prefix, so each branch ends at its
+    element.  Build it once per search.  An empty group, or one that
+    repeats an element, raises InvalidInputError.
     """
     if not group:
         raise InvalidInputError(_EMPTY_GROUP)
-    root = {}
-    for index, inverse in enumerate(inverse_permutations(group)):
-        node = root
-        for point in inverse[:-1]:
-            node = node.setdefault(point, {})
-        node[inverse[-1]] = index
-    return root
+    inverses = inverse_permutations(group)
+
+    def branch(members, depth):
+        if depth == len(inverses[0]):
+            # Only equal elements share a whole inverse.
+            raise InvalidInputError("the group repeats an element")
+        parts = {}
+        for index in members:
+            parts.setdefault(inverses[index][depth], []).append(index)
+        return {point: part[0] if len(part) == 1 else branch(part, depth + 1)
+                for point, part in parts.items()}
+
+    return branch(range(len(group)), 0), inverses
 
 
 def orbit_key(node_gkz, group, trie):
@@ -145,10 +152,10 @@ def orbit_key(node_gkz, group, trie):
 
     Relabelling by g moves GKZ entry i to position g[i], so the image is
     w[j] = node_gkz[g⁻¹[j]].  The walk goes down `trie` (see `group_trie`)
-    one position at a time and keeps only the branches whose entry equals
-    the largest one among them, so it builds the best image alone and
-    never the |G| images.  Returns (image, g, stabiliser order): `g` is the
-    reached element with the lowest index in the group, so
+    one pass per position, keeping the largest entry and the branches that
+    reach it, and reads the rest off the inverse once one element is left,
+    so it never builds the |G| images.  Returns (image, g, stabiliser
+    order): `g` is the reached element with the lowest group index, so
     `relabel(t, g)` is the orbit representative, and the number of
     elements reached is |Stab(t)| because GKZ is injective on regular
     triangulations.  An empty group raises InvalidInputError, and a vector
@@ -161,14 +168,25 @@ def orbit_key(node_gkz, group, trie):
             f"GKZ-vector has length {len(node_gkz)}, "
             f"the group acts on {len(group[0])} points"
         )
+    root, inverses = trie
     pick = node_gkz.__getitem__
-    level = [trie]
-    image = []
-    for _ in node_gkz:
-        best = max(pick(point) for node in level for point in node)
-        level = [child for node in level for point, child in node.items()
-                 if pick(point) == best]
+    level, image = [root], []
+    for j in range(len(node_gkz)):
+        best = None
+        for node in level:
+            # An element whose branch has ended reads its entry off its inverse.
+            items = node.items() if node.__class__ is dict else ((inverses[node][j], node),)
+            for point, child in items:
+                value = pick(point)
+                if best is None or value > best:
+                    best, keep = value, [child]
+                elif value == best:
+                    keep.append(child)
         image.append(best)
+        if len(keep) == 1 and keep[0].__class__ is int:
+            image.extend(map(pick, inverses[keep[0]][j + 1:]))
+            return tuple(image), group[keep[0]], 1
+        level = keep
     return tuple(image), group[min(level)], len(level)
 
 

@@ -36,6 +36,7 @@ from regulartri import (
     find_flips,
     gkz,
     group_trie,
+    inverse_permutations,
     is_regular,
     nested_triangles,
     new_configuration,
@@ -905,6 +906,29 @@ def test_orbit_search_keys_match_the_list_key(make, generators, count, orbits, m
         assert len(keys) > orbits
 
 
+def test_d2d4_orbit_search_keys_match_the_list_key(monkeypatch):
+    # Every vector keyed in the Δ2×Δ4 orbit search gets the list key's
+    # (image, perm, stabiliser) triple, ties among ended trie branches
+    # included.  A vector keyed again is checked once.
+    config = simplex_product(2, 4)
+    group = expand_group(config, simplex_product_symmetry_generators(2, 4))
+    inverses = inverse_permutations(group)
+    keys = {}
+
+    def checked_key(node_gkz, key_group, trie):
+        key = orbit_key(node_gkz, key_group, trie)
+        if node_gkz not in keys:
+            assert key == list_orbit_key(node_gkz, key_group, inverses)
+            keys[node_gkz] = key
+        return key
+
+    monkeypatch.setattr(search, "orbit_key", checked_key)
+    total, stats = enumerate_triangulations(config, group=group)
+    assert (stats.nodes, total) == (530, 376200)
+    assert len(keys) > stats.nodes
+    assert max(stabiliser for _, _, stabiliser in keys.values()) > 1
+
+
 @pytest.mark.parametrize("d, orbits, relabels, derived, lists", [
     (3, 35, 14, 20, 35), (4, 530, 298, 279, 530),
 ], ids=["d2d3", "d2d4"])
@@ -916,17 +940,17 @@ def test_orbit_search_relabels_moved_children_only(d, orbits, relabels, derived,
     # are children (94 and 2 247 relabellings when every candidate was,
     # 42 and 972 when every moved one was).
     perms, hinted = [], []
-    original_relabel, original_find = search.relabel, search.find_flips
+    original_relabel, original_find = GeometricFlipOracle.relabel, search.find_flips
 
-    def counting_relabel(t, perm):
+    def counting_relabel(oracle, t, perm):
         perms.append(perm)
-        return original_relabel(t, perm)
+        return original_relabel(oracle, t, perm)
 
     def recording(config, t, parent=None):
         hinted.append(parent is not None)
         return original_find(config, t, parent)
 
-    monkeypatch.setattr(search, "relabel", counting_relabel)
+    monkeypatch.setattr(GeometricFlipOracle, "relabel", counting_relabel)
     monkeypatch.setattr(search, "find_flips", recording)
     config = simplex_product(2, d)
     group = expand_group(config, simplex_product_symmetry_generators(2, d))
@@ -956,6 +980,16 @@ def test_relabelled_children_hold_table_tuples(monkeypatch):
     table = config.simplex_table
     for child in children:
         assert all(table[s] is s for s in child.simplices)
+
+
+def test_oracle_relabel_refuses_a_repeated_simplex():
+    # A map that is not a permutation can send two simplices to one.
+    sq = square()
+    oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats())
+    t = parse_triangulation("{{0,1,2},{0,2,3}}")
+    assert oracle.relabel(t, (1, 2, 3, 0)) == relabel(t, (1, 2, 3, 0))
+    with pytest.raises(InvalidInputError, match="repeated simplex"):
+        oracle.relabel(t, (0, 1, 2, 1))
 
 
 def test_orbit_search_keys_lower_neighbours_only(monkeypatch):

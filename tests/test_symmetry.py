@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -309,14 +310,18 @@ def test_orbit_key_against_relabelling():
         assert len(set(images)) * stabiliser == len(group)
 
 
-def list_orbit_key(node_gkz, group):
+def list_orbit_key(node_gkz, group, inverses=None):
     """Reference for `orbit_key`: all |G| images of the vector in one pass.
 
     Returns the lex-max image, the first group element reaching it and the
-    number of elements reaching it.
+    number of elements reaching it.  `inverses`, when given, are the
+    group's `inverse_permutations`, computed once by a caller that keys
+    many vectors.
     """
     pick = node_gkz.__getitem__
-    images = [tuple(map(pick, inv)) for inv in inverse_permutations(group)]
+    if inverses is None:
+        inverses = inverse_permutations(group)
+    images = [tuple(map(pick, inv)) for inv in inverses]
     best = max(images)
     return best, group[images.index(best)], images.count(best)
 
@@ -325,24 +330,67 @@ def _product_group(m, n):
     return expand_group(simplex_product(m, n), simplex_product_symmetry_generators(m, n))
 
 
-@pytest.mark.parametrize("make_group", (
-    pytest.param(lambda: expand_group(cube(3), cube_symmetry_generators(3)), id="cube3-48"),
-    pytest.param(lambda: _product_group(2, 2), id="d2d2-36"),
-    pytest.param(lambda: _product_group(2, 3), id="d2d3-144"),
-    pytest.param(lambda: _product_group(2, 4), id="d2d4-720"),
+@pytest.mark.parametrize("make_group, samples", (
+    pytest.param(lambda: expand_group(cube(3), cube_symmetry_generators(3)), 2000,
+                 id="cube3-48"),
+    pytest.param(lambda: _product_group(2, 2), 2000, id="d2d2-36"),
+    pytest.param(lambda: _product_group(2, 3), 2000, id="d2d3-144"),
+    pytest.param(lambda: _product_group(2, 4), 2000, id="d2d4-720"),
+    pytest.param(lambda: _product_group(2, 5), 300, id="d2d5-4320"),
 ))
-def test_orbit_key_matches_list_key_on_random_vectors(make_group):
+def test_orbit_key_matches_list_key_on_random_vectors(make_group, samples):
     group = make_group()
     trie = group_trie(group)
+    inverses = inverse_permutations(group)
+    degree = len(group[0])
     rng = random.Random(len(group))
     stabilisers = set()
-    for _ in range(2000):
-        # Entries in 0..3 make ties, and so branching walks, common.
-        vec = tuple(rng.randrange(4) for _ in range(len(group[0])))
+    for k in range(samples):
+        # Four values make ties, and so branching walks, common; every
+        # other vector has negative entries.
+        low = -2 if k % 2 else 0
+        vec = tuple(rng.randrange(low, low + 4) for _ in range(degree))
         key = orbit_key(vec, group, trie)
-        assert key == list_orbit_key(vec, group)
+        assert key == list_orbit_key(vec, group, inverses)
         stabilisers.add(key[2])
     assert len(stabilisers) > 1
+    # A constant vector is fixed by all of G: every element finishes the
+    # walk tied, and the lowest index wins.
+    for value in (-3, 0, 7):
+        vec = (value,) * degree
+        assert orbit_key(vec, group, trie) == list_orbit_key(vec, group, inverses) == (
+            vec, group[0], len(group))
+
+
+@pytest.mark.parametrize("group", (
+    pytest.param(((0, 1, 2),), id="trivial"),
+    pytest.param(((0, 1, 2), (1, 0, 2)), id="swap"),
+    pytest.param(expand_group(cube(3), cube_symmetry_generators(3)), id="cube3-48"),
+    pytest.param(_product_group(2, 3), id="d2d3-144"),
+))
+def test_group_trie_ends_each_branch_at_its_element(group):
+    root, inverses = group_trie(group)
+    assert inverses == inverse_permutations(group)
+    shared = Counter(inverse[:depth] for inverse in inverses
+                     for depth in range(len(inverse) + 1))
+    reached = []
+
+    def walk(node, prefix):
+        for point, child in node.items():
+            path = prefix + (point,)
+            if isinstance(child, dict):
+                # A node below the root stands for a prefix two or more elements share.
+                assert shared[path] > 1
+                walk(child, path)
+            else:
+                # The parent's prefix is shared, so this is the first depth
+                # where the element's prefix is its own.
+                assert inverses[child][:len(path)] == path
+                assert shared[path] == 1
+                reached.append(child)
+
+    walk(root, ())
+    assert sorted(reached) == list(range(len(group)))
 
 
 def test_orbit_key_on_trivial_and_swap_groups():
@@ -368,6 +416,12 @@ def test_empty_group_is_invalid_input():
         canonical_form(t, ())
     with pytest.raises(InvalidInputError, match="group is empty"):
         orbit_count([t], [])
+
+
+def test_group_trie_refuses_a_repeated_element():
+    # A repeated element would count twice toward every stabiliser.
+    with pytest.raises(InvalidInputError, match="repeats an element"):
+        group_trie(((0, 1, 2), (1, 0, 2), (0, 1, 2)))
 
 
 def test_orbit_key_rejects_vectors_of_the_wrong_length():
