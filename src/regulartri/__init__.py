@@ -20,7 +20,6 @@ from .errors import (
     RegulartriError,
     ResourceLimitError,
     StaleFlipError,
-    TriangulationError,
 )
 from .catalog import (
     cube,
@@ -70,7 +69,6 @@ from .symmetry import (
 from .triangulation import (
     Triangulation,
     ValidationResult,
-    ensure_valid,
     format_triangulation,
     gkz,
     parse_triangulation,
@@ -101,7 +99,6 @@ __all__ = [
     "StaleFlipError",
     "TaggedVector",
     "Triangulation",
-    "TriangulationError",
     "ValidationResult",
     "adjugate",
     "apply_flip",
@@ -110,7 +107,6 @@ __all__ = [
     "cube",
     "cube_symmetry_generators",
     "determinant",
-    "ensure_valid",
     "enumerate_triangulations",
     "expand_group",
     "extremal_rays",

@@ -13,9 +13,6 @@ def square() -> PointConfiguration:
     return PointConfiguration([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
-SQUARE_ROTATION = (1, 2, 3, 0)  # generates the cyclic symmetry of order 4
-
-
 def triangle_with_interior() -> PointConfiguration:
     """A big triangle with one interior lattice point (listed last)."""
     return PointConfiguration([(0, 0), (3, 0), (0, 3), (1, 1)])

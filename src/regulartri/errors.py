@@ -29,10 +29,6 @@ class StaleFlipError(RegulartriError):
     """A flip was applied to a triangulation that no longer supports it."""
 
 
-class TriangulationError(RegulartriError):
-    """A simplicial complex failed triangulation validation."""
-
-
 class ResourceLimitError(RegulartriError):
     """An explicit resource budget (memory cap, group-order cap) was exceeded."""
 

@@ -34,7 +34,6 @@ from .errors import (
     DegenerateConfigError,
     DimensionError,
     InvalidInputError,
-    NotCorankOneError,
     RegulartriError,
 )
 
@@ -83,18 +82,6 @@ class CorankOneConfig:
     def support_mask(self) -> int:
         """`vertex_mask` of the support."""
         return vertex_mask(self.support)
-
-    def oriented(self, positive_point: int) -> "CorankOneConfig":
-        """Return the circuit with signs flipped, if needed, so that the
-        coefficient of `positive_point` is positive."""
-        c = self.coefficient(positive_point)
-        if c == 0:
-            raise NotCorankOneError(
-                f"point {positive_point} carries no sign in the circuit"
-            )
-        if c > 0:
-            return self
-        return self.negated()
 
     def negated(self) -> "CorankOneConfig":
         return CorankOneConfig(
@@ -174,9 +161,10 @@ class PointConfiguration:
     """A labelled configuration of distinct integer points.
 
     Points keep their input order; every triangulation, flip and GKZ-vector
-    refers to them by index.  `cobasis` holds, ascending, the n - d - 1
-    points outside the affine basis `exact.greedy_basis` picks from the
-    homogenized rows: an affine dependence zero on the co-basis is zero.
+    refers to them by index.  `basis` holds, ascending, the d + 1 points of
+    the affine basis `exact.greedy_basis` picks from the homogenized rows,
+    and `cobasis` the n - d - 1 others: an affine dependence zero on the
+    co-basis is zero.
 
     Exact results are memoised per configuration, each filled on first use
     (construction computes none of them):
@@ -230,12 +218,11 @@ class PointConfiguration:
 
         full = [(1,) + p for p in pts]
         cols = exact.greedy_basis(list(zip(*full)))
-        self.basis_columns = tuple(cols)
         self.dim = len(cols) - 1
         #: homogenized points in basis coordinates, one integer row per point
         self.hom = tuple(tuple(row[c] for c in cols) for row in full)
-        basis = exact.greedy_basis(self.hom)
-        self.cobasis = tuple(i for i in range(self.n) if i not in basis)
+        self.basis = tuple(exact.greedy_basis(self.hom))
+        self.cobasis = tuple(i for i in range(self.n) if i not in self.basis)
 
         #: sorted (d+1)-tuple -> signed determinant of its homogenized rows
         self._minors = {}

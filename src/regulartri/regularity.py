@@ -461,13 +461,18 @@ def _deferred_extremal(item: DeferredCandidate, stats: RayStats,
         stats.scalar_tests += 1
         return not _positive_multiple(others[0].vec, vec)
     if bound is not None and len(others) >= bound:
-        stats.lps_solved += 1
-        stats.lp_generators += len(others)
-        stats.lp_generators_max = max(stats.lp_generators_max, len(others))
-        return not nonneg_combination([w.vec for w in others], vec).feasible
+        return not _counted_lp([w.vec for w in others], vec, stats).feasible
     vecs = [vec] + [w.vec for w in others]
     return ident in _extremal(vecs, [ident] + [None] * len(others),
                               [_support_mask(v) for v in vecs], stats, bound=len(others))
+
+
+def _counted_lp(others, vec, stats):
+    """`nonneg_combination(others, vec)`, counted in `stats`: every LP of the screening."""
+    stats.lps_solved += 1
+    stats.lp_generators += len(others)
+    stats.lp_generators_max = max(stats.lp_generators_max, len(others))
+    return nonneg_combination(others, vec)
 
 
 def _positive_multiple(u, v) -> bool:
@@ -619,10 +624,7 @@ def _cone_extremal(basis, vecs, stats) -> list:
         if any(_positive_multiple(h, g) for h in others):
             extremal.append(i)
             continue
-        stats.lps_solved += 1
-        stats.lp_generators += len(others)
-        stats.lp_generators_max = max(stats.lp_generators_max, len(others))
-        res = nonneg_combination(others, g)
+        res = _counted_lp(others, g, stats)
         if res.feasible:
             extremal.append(i)
         else:

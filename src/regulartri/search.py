@@ -277,6 +277,9 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     representative of C's predecessor, whose GKZ-vector is larger; if that
     predecessor is g·R, then g⁻¹·C is a neighbor of R with representative
     C, so R's children are found among its neighbors' representatives.
+    `group_trie` refuses a group that is empty, repeats an element or lacks
+    the identity or an inverse; nothing checks that its elements are
+    symmetries or that it is closed: build it with `symmetry.expand_group`.
 
     The visitor, when given, receives (node, gkz, depth) once per node and
     must not mutate search state.  A candidate child is built (and
@@ -356,18 +359,13 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
             # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
             # even where GKZ does not identify triangulations: the node is a
             # valid neighbour of the child, and one list's GKZ-vectors are
-            # distinct, so no other neighbour has the node's.  Without a
-            # group the predecessor is the node when its flip undoes `flip`.
-            if group is None:
-                if any(map(add, flip.delta, centries.flips[up].delta)):
-                    continue
-            else:
-                pred_gkz = _shifted(cgkz, centries.flips[up])
-                # A key is never below its vector: a predecessor above the node fails unkeyed.
-                if pred_gkz <= node_gkz:
-                    pred_gkz = orbit_key(pred_gkz, group, trie)[0]
-                if pred_gkz != node_gkz:
-                    continue
+            # distinct, so no other neighbour has the node's.  Keys are never
+            # below their vectors and the node is its own key: key only below.
+            pred_gkz = _shifted(cgkz, centries.flips[up])
+            if group is not None and pred_gkz < node_gkz:
+                pred_gkz = orbit_key(pred_gkz, group, trie)[0]
+            if pred_gkz != node_gkz:
+                continue
             if child is None:
                 child = build()
             visited = _count_visit(visited, max_nodes, search)
@@ -432,7 +430,8 @@ def enumerate_triangulations(
     Returns (count, stats).  With `baseline=True` the memory-unbounded DFS
     replaces reverse search (for cross-checks).  `max_nodes` is the node
     budget of either traversal.  A symmetry `group` goes to reverse search,
-    so `stats.nodes` counts orbits; the baseline DFS takes none.
+    so `stats.nodes` counts orbits; the baseline DFS takes none.  Nothing
+    checks that the group holds symmetries or is closed: use `expand_group`.
     """
     if group is not None and baseline:
         raise RegulartriError("the baseline traversal takes no symmetry group")

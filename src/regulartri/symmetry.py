@@ -44,17 +44,15 @@ def is_symmetry(config: PointConfiguration, perm) -> bool:
 def _symmetry_test(config: PointConfiguration):
     """`is_symmetry` on the configuration, as a function of the permutation.
 
-    By Cramer's rule, the affine coordinates of a point in a basis B of the
-    points are integer numerators over D = det(B): the point's homogenized
-    row times the adjugate of B's rows, computed once here.  The map
-    a_i -> a_perm(i) is affine exactly when every image point has the same
-    coordinates in the image basis perm(B), which the test checks
+    By Cramer's rule, the affine coordinates of a point in the affine basis
+    B = `config.basis` are integer numerators over D = det(B): the point's
+    homogenized row times the adjugate of B's rows, computed once here.
+    The map a_i -> a_perm(i) is affine exactly when every image point has
+    the same coordinates in the image basis perm(B), which the test checks
     multiplied through by D, in integers.
     """
-    hom = config.hom
-    basis = exact.greedy_basis(hom)
-    frame = [hom[b] for b in basis]
-    denom, adj = exact.adjugate(frame)
+    hom, basis = config.hom, config.basis
+    denom, adj = exact.adjugate([hom[b] for b in basis])
     columns = tuple(zip(*adj))
     numerators = [[sum(map(mul, target, col)) for col in columns] for target in hom]
 
@@ -128,11 +126,18 @@ def group_trie(group):
     g⁻¹[j]: a node maps each value to the node below it, or to the group
     index of g where g alone has that prefix, so each branch ends at its
     element.  Build it once per search.  An empty group, or one that
-    repeats an element, raises InvalidInputError.
+    repeats an element or lacks the identity or an inverse, raises
+    InvalidInputError.
     """
     if not group:
         raise InvalidInputError(_EMPTY_GROUP)
     inverses = inverse_permutations(group)
+    present = set(inverses)  # g is here exactly when g⁻¹ is in the group
+    if tuple(range(len(inverses[0]))) not in present:
+        raise InvalidInputError("the group lacks the identity")
+    for g in map(tuple, group):
+        if g not in present:
+            raise InvalidInputError(f"the group lacks the inverse of {g}")
 
     def branch(members, depth):
         if depth == len(inverses[0]):

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionError,
-    InvalidInputError,
-    ParseError,
-    TriangulationError,
-)
-from . import exact
+from .errors import DimensionError, InvalidInputError, ParseError
 from .points import PointConfiguration
 
 #: A simplex is an ascending tuple of d+1 point indices.
@@ -271,12 +265,6 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
     return ValidationResult(True)
 
 
-def ensure_valid(config: PointConfiguration, t: Triangulation) -> None:
-    res = validate(config, t)
-    if not res:
-        raise TriangulationError(f"{res.kind}: {res.detail}")
-
-
 # -- placing and pulling constructions ---------------------------------
 
 
@@ -300,15 +288,15 @@ def _hull(config: PointConfiguration) -> tuple:
 def placing_triangulation(config: PointConfiguration) -> Triangulation:
     """Triangulation obtained by placing the points in input order.
 
-    The first d+1 affinely independent points span the seed simplex; every
-    later point that falls outside the current hull is joined to the facets
-    it sees (strictly positive side only — points on a facet hyperplane do
-    not see it).  Points inside the current hull are skipped, so the result
-    need not use every point.  Placing triangulations are regular.
+    The first d+1 affinely independent points (`config.basis`) span the
+    seed simplex; every later point that falls outside the current hull is
+    joined to the facets it sees (strictly positive side only — points on a
+    facet hyperplane do not see it).  Points inside the current hull are
+    skipped, so the result need not use every point.  Placing
+    triangulations are regular.
     """
-    seed = exact.greedy_basis(config.hom)
-    simplices = {tuple(sorted(seed))}
-    placed = set(seed)
+    simplices = {config.basis}
+    placed = set(config.basis)
     for p in range(config.n):
         if p in placed:
             continue

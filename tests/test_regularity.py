@@ -327,9 +327,12 @@ def test_regular_flips_matches_target_regularity():
 
 
 def reference_rows(config, t):
-    """regularity_rows from `corank_one(...).oriented(...)` on each fold and
-    each (unused point, simplex) pair, kept when the unused point is the
-    only positive one."""
+    """regularity_rows from `corank_one(...)`, oriented positive at the
+    apex or unused point, on each fold and each (unused point, simplex)
+    pair, kept when the unused point is the only positive one."""
+
+    def oriented(circuit, point):
+        return circuit if circuit.coefficient(point) > 0 else circuit.negated()
 
     def scatter(circuit):
         row = [0] * config.n
@@ -341,12 +344,12 @@ def reference_rows(config, t):
     for facet, owners in sorted(facet_incidence(t.simplices).items()):
         if len(owners) == 2:
             (_, apex), (_, other) = owners
-            rows.append(scatter(config.corank_one(facet + (apex, other)).oriented(apex)))
+            rows.append(scatter(oriented(config.corank_one(facet + (apex, other)), apex)))
     used = t.used_points()
     for u in range(config.n):
         if u not in used:
             for s in t.simplices:
-                circuit = config.corank_one(tuple(sorted(s + (u,)))).oriented(u)
+                circuit = oriented(config.corank_one(tuple(sorted(s + (u,)))), u)
                 if all(c <= 0 for p, c in zip(circuit.support, circuit.dependence)
                        if p != u):
                     rows.append(scatter(circuit))

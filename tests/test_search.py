@@ -995,7 +995,8 @@ def test_oracle_relabel_refuses_a_repeated_simplex():
 def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     # A neighbour at or above the node is never keyed: its key, at least
     # its own GKZ-vector, could not be below the node's.  For the same
-    # reason a child's predecessor above the node is not keyed either.
+    # reason a child's predecessor at or above the node is not keyed
+    # either: above, its key is above; equal, it is the node itself.
     keyed = []
 
     def counting(node_gkz, key_group, trie):
@@ -1010,8 +1011,48 @@ def test_orbit_search_keys_lower_neighbours_only(monkeypatch):
     assert stats == SearchStats(nodes=35, flips_evaluated=222, cache_hits=60, cache_misses=35,
                                 rays=RayStats(r1=180, kernel=42))
     # 317 calls when every neighbour and predecessor was keyed, 250 when
-    # every predecessor was.
-    assert len(keyed) == 197
+    # every predecessor was, 197 when a predecessor equal to the node was.
+    assert len(keyed) == 164
+
+
+def _refuse(*args):
+    raise AssertionError("a plain search keyed or relabelled")
+
+
+@pytest.mark.parametrize("make, mode, count", [
+    (lambda: simplex_product(2, 3), SearchMode.REGULAR_ONLY, 4488),
+    (lambda: cube(3), SearchMode.ALL_FLIPS, 74),
+], ids=["d2d3-regular", "cube3-all"])
+def test_plain_search_neither_keys_nor_relabels(make, mode, count, monkeypatch):
+    # Plain and orbit search share one parent test; without a group it
+    # compares the predecessor's GKZ-vector with the node's as it is.
+    monkeypatch.setattr(search, "orbit_key", _refuse)
+    monkeypatch.setattr(GeometricFlipOracle, "relabel", _refuse)
+    assert enumerate_triangulations(make(), mode)[0] == count
+
+
+class OneWayOracle(MockOracle):
+    """Four nodes, where T1 lists T3 but T3 does not list T1 (with
+    bad=("f31",)), so T3's predecessor, T2, lies below T1."""
+
+    GKZ = {"T0": (3, 0), "T1": (2, 0), "T2": (1, 0), "T3": (0, 0)}
+    EDGES = {
+        "T0": [("f01", "T1"), ("f02", "T2")],
+        "T1": [("f10", "T0"), ("f13", "T3")],
+        "T2": [("f20", "T0"), ("f23", "T3")],
+        "T3": [("f31", "T1"), ("f32", "T2")],
+    }
+
+
+def test_plain_search_compares_a_lower_predecessor_unkeyed(monkeypatch):
+    # On geometric lists the node is always among its child's neighbours,
+    # so a plain search never meets a predecessor below the node; a
+    # one-way edge makes one, and it is compared, not keyed.
+    monkeypatch.setattr(search, "orbit_key", _refuse)
+    provider = NeighborProvider(OneWayOracle(bad=("f31",)), SearchStats())
+    seen = []
+    assert reverse_search(provider, visitor=lambda c, g, d: seen.append((c, d))) == 4
+    assert sorted(seen) == [("T0", 0), ("T1", 1), ("T2", 1), ("T3", 2)]
 
 
 def test_search_node_budgets():
@@ -1197,6 +1238,18 @@ def test_orbit_search_refuses_an_empty_group():
     assert (stats.nodes, stats.cache_misses, stats.flips_evaluated) == (0, 0, 0)
     with pytest.raises(InvalidInputError, match="group is empty"):
         enumerate_triangulations(square(), group=())
+
+
+def test_orbit_search_refuses_a_group_without_an_inverse():
+    # (1, 2, 0, 3, 4, 5, 7, 6) is no symmetry of cube(3), and its inverse is
+    # not in the list: the trie refuses it before the root walk.
+    group = (tuple(range(8)), (1, 2, 0, 3, 4, 5, 7, 6))
+    provider, stats = _provider(cube(3))
+    with pytest.raises(InvalidInputError, match="lacks the inverse"):
+        reverse_search(provider, group=group)
+    assert (stats.nodes, stats.cache_misses, stats.flips_evaluated) == (0, 0, 0)
+    with pytest.raises(InvalidInputError, match="lacks the inverse"):
+        enumerate_triangulations(cube(3), group=group)
 
 
 class LoneNodeOracle(MockOracle):

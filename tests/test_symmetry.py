@@ -424,6 +424,17 @@ def test_group_trie_refuses_a_repeated_element():
         group_trie(((0, 1, 2), (1, 0, 2), (0, 1, 2)))
 
 
+def test_group_trie_refuses_a_group_without_identity_or_inverses():
+    # Every element's inverse is read off the trie's inverses: the identity
+    # and each g with g⁻¹ in the group are among them.
+    with pytest.raises(InvalidInputError, match="lacks the identity"):
+        group_trie(((1, 0, 2),))
+    with pytest.raises(InvalidInputError, match=r"lacks the inverse of \(1, 2, 0\)"):
+        group_trie(((0, 1, 2), (1, 2, 0)))
+    cycle = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert sorted(group_trie(cycle)[1]) == sorted(cycle)
+
+
 def test_orbit_key_rejects_vectors_of_the_wrong_length():
     cycle = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     trie = group_trie(cycle)

@@ -11,10 +11,8 @@ from regulartri import (
     DimensionError,
     InvalidInputError,
     Triangulation,
-    TriangulationError,
     apply_flip,
     cube,
-    ensure_valid,
     find_flips,
     format_triangulation,
     gkz,
@@ -187,12 +185,6 @@ def test_validate_checks_vertex_counts():
         validate(square(), Triangulation([(0, 1)]))
     with pytest.raises(InvalidInputError):
         validate(square(), Triangulation([(0, 1, 9)]))
-
-
-def test_ensure_valid_raises_with_kind():
-    with pytest.raises(TriangulationError) as err:
-        ensure_valid(square(), parse_triangulation("{{0,1,2}}"))
-    assert "total-volume" in str(err.value)
 
 
 def test_placing_square():
