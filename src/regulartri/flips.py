@@ -83,9 +83,12 @@ class Flip:
     `circuit.plus` indexes the side whose joined simplices are currently
     present (and will be removed).  `removed` and `inserted` are sorted
     tuples of simplices, each a `PointConfiguration.simplex` tuple.  A
-    memoised flip also keeps its `CircuitSide` and its link as the sorted
-    tuple of the link simplices' vertex masks, its key in `flip_memo`;
-    equality ignores both.
+    memoised flip also keeps its `CircuitSide`, its link as the sorted
+    tuple of the link simplices' vertex masks, its key in `flip_memo`, and
+    its `shift`, the signed positional sum of `delta` in the configuration's
+    GKZ code (see `PointConfiguration.pack`): the target's code is the
+    source's plus `shift`, and `shift` has the sign of `delta`'s first
+    nonzero entry.  Equality ignores all three.
     """
 
     circuit: CorankOneConfig
@@ -94,6 +97,7 @@ class Flip:
     delta: GkzVector
     side: CircuitSide = field(default=None, compare=False)
     link: tuple = field(default=None, compare=False)
+    shift: int = field(default=None, compare=False)
 
     def __repr__(self):
         return f"Flip(Z={self.circuit.support}, delta={self.delta})"
@@ -210,7 +214,8 @@ def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Fl
     """The flip on the circuit side with the link, the sorted tuple of its
     simplices' vertex masks: its simplices are the configuration's table
     tuples and its displacement is (Σ_τ c_τ)·λ, where c_τ is the volume of
-    (Z∖{q}) ∪ τ over |λ_q| for the first q on the plus side."""
+    (Z∖{q}) ∪ τ over |λ_q| for the first q on the plus side.  Its `shift`
+    is computed here, once per memoised flip."""
     circuit = side.circuit
     support = circuit.support
     taus = tuple(map(mask_bits, link))
@@ -248,8 +253,11 @@ def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Fl
             "flip displacement must be positive on the removed side, negative on "
             "the inserted side, zero elsewhere"
         )
+    shift = 0
+    for x in delta:
+        shift = (shift << config.code_width) + x
     return Flip(circuit, joins(circuit.plus), joins(circuit.minus), tuple(delta),
-                side, link)
+                side, link, shift)
 
 
 def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Triangulation:

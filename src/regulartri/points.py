@@ -196,6 +196,15 @@ class PointConfiguration:
       tuple stands for a simplex wherever it is kept, and the table grows
       with the number of distinct simplices met, not with the number of
       flips and triangulations that hold them.
+
+    The search handles GKZ-vectors as codes, one int each (`pack` and
+    `unpack`): the entries in fields of `code_width` bits, the first entry
+    most significant.  The width is 8·⌈bit_length(V)/8⌉ for the total
+    volume V, and every GKZ entry lies in [0, V], so codes order as their
+    vectors do lexicographically, and the code across a flip is the
+    source's plus the flip's `shift`, its displacement's signed positional
+    sum.  The width is fixed on first use, from the placing triangulation's
+    volume.
     """
 
     def __init__(self, points):
@@ -376,6 +385,36 @@ class PointConfiguration:
         from .triangulation import _hull
 
         return _hull(self)[0]
+
+    # -- GKZ codes (see the class docstring) ----------------------------
+
+    @cached_property
+    def code_width(self) -> int:
+        """Bits per field of a GKZ code: 8·⌈bit_length(V)/8⌉."""
+        return -(-self.total_volume().bit_length() // 8) * 8
+
+    def pack(self, vec) -> int:
+        """The code of a GKZ-vector.  RegulartriError unless it has n
+        entries, each in [0, 2^code_width)."""
+        size = self.code_width // 8
+        if len(vec) != self.n:
+            raise RegulartriError(f"GKZ-vector of length {len(vec)}, not {self.n}")
+        try:
+            data = bytes(vec) if size == 1 else b"".join([x.to_bytes(size, "big") for x in vec])
+        except (ValueError, OverflowError):
+            raise RegulartriError(
+                f"GKZ-vector {tuple(vec)} has an entry outside its "
+                f"{self.code_width}-bit field") from None
+        return int.from_bytes(data, "big")
+
+    def unpack(self, code) -> tuple:
+        """The GKZ-vector of a code: the inverse of `pack`."""
+        size = self.code_width // 8
+        data = code.to_bytes(self.n * size, "big")
+        if size == 1:
+            return tuple(data)
+        return tuple(int.from_bytes(data[i:i + size], "big")
+                     for i in range(0, len(data), size))
 
     # -- orientation helpers ------------------------------------------
 

@@ -349,9 +349,6 @@ class RayStats:
     lp_generators: int = 0  # generators over all LPs, and the most in one
     lp_generators_max: int = 0
 
-    def confirmed_by_screening(self):
-        return self.r1 + self.r2 + self.r3
-
 
 def extremal_rays(vectors, stats: RayStats = None) -> set:
     """Idents of the vectors spanning extremal rays of the generated cone.
@@ -540,19 +537,23 @@ def _kernel_extremal(vecs, masks, corank, stats=None, coords=None) -> set:
     not have the dimension `corank`.  The basis is taken on the nonzero
     rows at `coords` (every coordinate by default), where a combination of
     the vectors may vanish only if it is zero, so it is that of all rows.
+    A system the peel clears has kernel dimension 0 and is returned without
+    a kernel stage, after the same corank check.
     """
     if stats is None:
         stats = RayStats()
     _check_system(zip(vecs, masks), len(vecs[0]))
     peeled, left = _peel(masks)
     stats.r1 += len(peeled)
-    columns = [vecs[k] for k in left]
-    rows = list(zip(*columns))
-    if coords is None:
-        coords = range(len(vecs[0]))
-    basis = kernel_basis([rows[c] for c in coords if any(rows[c])]) if left else []
     keep = set(peeled)
-    keep.update(left[i] for i in _gale_extremal(basis, columns, stats))
+    basis = []
+    if left:
+        columns = [vecs[k] for k in left]
+        rows = list(zip(*columns))
+        if coords is None:
+            coords = range(len(vecs[0]))
+        basis = kernel_basis([rows[c] for c in coords if any(rows[c])])
+        keep.update(left[i] for i in _gale_extremal(basis, columns, stats))
     if len(basis) != corank:
         raise RegulartriError(
             f"flip displacements have a kernel of dimension {len(basis)}, "

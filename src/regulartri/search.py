@@ -8,30 +8,36 @@ the pulling seed, certified by a root walk that builds its list and finds
 no upflip.  Children of a node are exactly the lex-smaller neighbors whose
 predecessor is the node, so no visited set is ever needed.
 
-The engine is generic over a four-method oracle, so that the same traversal
-(and the same cache semantics) can be driven by the real geometry or by a
-hand-built graph in tests:
+The engine is generic over an oracle, so that the same traversal (and the
+same cache semantics) can be driven by the real geometry or by a hand-built
+graph in tests:
 
-    gkz(node)                          -> tuple
-    neighbors(node, node_gkz, parent)  -> NeighborList  (its node's flips)
-    target(node, flip)                 -> node
-    seed()                             -> node
+    gkz(node)                           -> tuple
+    pack(gkz) -> int, unpack(code)      -> tuple  (the GKZ codec)
+    neighbors(node, node_code, parent)  -> NeighborList  (its node's flips)
+    target(node, flip)                  -> node
+    seed()                              -> node
 
 and, for a search under a symmetry group, `relabel(node, perm) -> node`.
+The search handles every GKZ-vector as its code, one int that orders as
+the vector does lexicographically (see `PointConfiguration.pack`), and
+each flip carries `shift`, the change of code across it: the target's
+code is the source's plus `flip.shift`.  Only `find_root` and
+`baseline_dfs` call `gkz`, on their seed, and visitors still receive
+GKZ-vectors as tuples, unpacked only when a visitor is given.
 
 A `NeighborList` holds the node's flips with the `kept` mode-valid ones
-first, and `up`, the index of the upflip; not the node, nor its GKZ-vector,
-nor any entry's target or GKZ-vector.  Entry k has GKZ-vector node_gkz +
-flips[k].delta, so entries compare with each other and with the node as
-their deltas do with each other and with zero (lex order is invariant
-under translation).  Its target, `target(node, flips[k])`, is built only
-when a traversal needs it: a root-walk step, a baseline step, and in
-reverse search a candidate child whose list is not cached or that turns
-out to be a child.
+first, and `up`, the index of the upflip; not the node, nor its code, nor
+any entry's target or code.  Entry k has code node_code + flips[k].shift,
+so entries compare with each other and with the node as their shifts do
+with each other and with zero.  Its target, `target(node, flips[k])`, is
+built only when a traversal needs it: a root-walk step, a baseline step,
+and in reverse search a candidate child whose list is not cached or that
+turns out to be a child.
 
 Nodes are hashable values (`Triangulation` objects for the geometry) and are
 the search's identity: visitors receive the node.  A node's list is
-memoized in an LRU cache keyed, in regular mode, by the node's GKZ-vector,
+memoized in an LRU cache keyed, in regular mode, by the node's GKZ code,
 which no other triangulation shares with a regular one, so a candidate
 child is looked up before it is built; in all-flips mode, and for an
 oracle without a mode, the key is the node itself.  Each list is a
@@ -48,7 +54,8 @@ derives a child's flips from its parent's (see `flips.find_flips`).
 Given a symmetry group, `reverse_search` is symmetric reverse search (as in
 mptopcom): it walks one representative per orbit, the member with the
 lex-max GKZ-vector, and recovers the full count as the sum of the orbit
-sizes.  The provider, predecessor, root walk and cache semantics are the
+sizes.  `symmetry.orbit_key` runs on the unpacked vector and its key is
+packed.  The provider, predecessor, root walk and cache semantics are the
 same; the plain search is the case without a group.
 """
 
@@ -57,7 +64,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import add
 
 from .errors import InvalidInputError, RegulartriError, ResourceLimitError
 from .flips import apply_flip, find_flips
@@ -87,11 +93,12 @@ class SearchStats:
 class GeometricFlipOracle:
     """Oracle backed by an actual point configuration.
 
-    With `verify_increments=True` every incrementally updated GKZ-vector is
-    checked against a from-scratch recomputation, and every flip target
-    against the triangulation the public constructor builds from its
-    simplices (for tests; enumeration relies on the exact increment and on
-    `apply_flip`'s shared-simplex construction).
+    With `verify_increments=True` every derived GKZ code, the node's plus
+    a flip's shift, is checked against the packed from-scratch GKZ-vector
+    of the flip's target, and every flip target against the triangulation
+    the public constructor builds from its simplices (for tests;
+    enumeration relies on the exact increment and on `apply_flip`'s
+    shared-simplex construction).
     """
 
     def __init__(self, config: PointConfiguration, mode: SearchMode,
@@ -100,11 +107,12 @@ class GeometricFlipOracle:
         self.mode = mode
         self.stats = stats
         self.verify_increments = verify_increments
+        self.pack, self.unpack = config.pack, config.unpack
 
     def gkz(self, t: Triangulation):
         return gkz(self.config, t)
 
-    def neighbors(self, t: Triangulation, t_gkz, parent=None):
+    def neighbors(self, t: Triangulation, t_code, parent=None):
         """The node's flips in `find_flips` order, the mode-valid ones first.
 
         With a hint (entries, k) from an earlier list, the flips are derived
@@ -122,7 +130,7 @@ class GeometricFlipOracle:
             # Screening reads every flip's displacement, so every flip is
             # checked, kept or not.
             for flip in flips:
-                self._check(t, t_gkz, flip)
+                self._check(t, t_code, flip)
         kept = flips
         if self.mode is SearchMode.REGULAR_ONLY:
             kept = regular_flips(self.config, t, flips, self.stats.rays)
@@ -142,9 +150,9 @@ class GeometricFlipOracle:
             raise InvalidInputError("repeated simplex")
         return child
 
-    def _check(self, t, t_gkz, flip):
+    def _check(self, t, t_code, flip):
         target = apply_flip(self.config, t, flip)
-        if _shifted(t_gkz, flip) != gkz(self.config, target):
+        if t_code + flip.shift != self.pack(gkz(self.config, target)):
             raise RegulartriError("incremental GKZ update disagrees with recomputation")
         if target != Triangulation(target.simplices):
             raise RegulartriError("flip target differs from its canonical construction")
@@ -171,21 +179,17 @@ class NeighborList:
         self.flips, self.kept, self.up = flips, kept, None
 
 
-def _shifted(t_gkz, flip):
-    """The GKZ-vector across the flip: the source's plus the displacement."""
-    return tuple(map(add, t_gkz, flip.delta))
-
-
 class NeighborProvider:
     """An oracle's neighbour lists, memoized in an LRU keyed by the node's
-    GKZ-vector in regular mode and by the node otherwise.
+    GKZ code in regular mode and by the node otherwise.
 
     capacity 0 stores nothing; the least recently used entry is evicted
     first, and a negative or non-integer capacity raises InvalidInputError.
-    Each list is checked once, on a miss: distinct entries on one
-    GKZ-vector raise RegulartriError, so every list returned, cached or
-    not, has distinct ones, and its `up` is set then.  The `parent` hint
-    goes to the oracle on a miss only.
+    Each list is checked once, on a miss: distinct entries with one shift,
+    so on one GKZ-vector, raise RegulartriError, so every list returned,
+    cached or not, has distinct ones, and its `up`, the entry of the
+    largest positive shift, is set then.  The `parent` hint goes to the
+    oracle on a miss only.
     """
 
     def __init__(self, oracle, stats: SearchStats, cache_capacity: int = DEFAULT_CACHE_CAPACITY):
@@ -195,14 +199,15 @@ class NeighborProvider:
         self.cache = OrderedDict()
         self.gkz_keys = getattr(oracle, "mode", None) is SearchMode.REGULAR_ONLY
 
-    def neighbors(self, node, node_gkz, parent=None, build=None):
+    def neighbors(self, node, node_code, parent=None, build=None):
         """The node's `NeighborList`, with `up` set.
 
-        `node` may be None when `build()` makes it; it is called only when
-        the key needs the node or the list is not cached."""
+        `node_code` is the node's GKZ code.  `node` may be None when
+        `build()` makes it; it is called only when the key needs the node
+        or the list is not cached."""
         if not self.gkz_keys and node is None:
             node = build()
-        key = node_gkz if self.gkz_keys else node
+        key = node_code if self.gkz_keys else node
         entries = self.cache.get(key)
         if entries is not None:
             self.cache.move_to_end(key)
@@ -211,14 +216,14 @@ class NeighborProvider:
         self.stats.cache_misses += 1
         if node is None:
             node = build()
-        entries = self.oracle.neighbors(node, node_gkz, parent)
-        # Entries compare as their deltas do (see the module docstring).
-        deltas = [f.delta for f in entries.flips[:entries.kept]]
-        if len(set(deltas)) != len(deltas):
+        entries = self.oracle.neighbors(node, node_code, parent)
+        # Entries compare as their shifts do (see the module docstring).
+        shifts = [f.shift for f in entries.flips[:entries.kept]]
+        if len(set(shifts)) != len(shifts):
             raise RegulartriError("distinct neighbors share a GKZ-vector")
-        top = max(deltas, default=())
-        if top > (0,) * len(top):
-            entries.up = deltas.index(top)
+        top = max(shifts, default=0)
+        if top > 0:
+            entries.up = shifts.index(top)
         if self.capacity:
             self.cache[key] = entries
             if len(self.cache) > self.capacity:
@@ -226,12 +231,13 @@ class NeighborProvider:
         return entries
 
 
-def predecessor(provider: NeighborProvider, node, node_gkz, parent=None, build=None):
+def predecessor(provider: NeighborProvider, node, node_code, parent=None, build=None):
     """The node's lex-largest valid neighbour as an entry (entries, k) of
     its list, if it improves on the node; else None.  It is unique: a
-    list's GKZ-vectors differ.  `parent` is the node's hint (see the module
-    docstring) and `build` as for `NeighborProvider.neighbors`."""
-    entries = provider.neighbors(node, node_gkz, parent, build)
+    list's GKZ-vectors differ.  `node_code` is the node's GKZ code,
+    `parent` its hint (see the module docstring) and `build` as for
+    `NeighborProvider.neighbors`."""
+    entries = provider.neighbors(node, node_code, parent, build)
     return None if entries.up is None else (entries, entries.up)
 
 
@@ -240,15 +246,16 @@ def find_root(provider: NeighborProvider, seed):
     step's list is derived from the one before.  From the pulling seed the
     walk builds one list: no triangulation, regular or not, has a larger
     GKZ-vector, so the seed is the sink in either mode.  Returns the sink,
-    its GKZ-vector and its list."""
-    node, node_gkz, parent = seed, provider.oracle.gkz(seed), None
+    its GKZ code and its list."""
+    oracle = provider.oracle
+    node, code, parent = seed, oracle.pack(oracle.gkz(seed)), None
     while True:
-        entries = provider.neighbors(node, node_gkz, parent)
+        entries = provider.neighbors(node, code, parent)
         if entries.up is None:
-            return node, node_gkz, entries
+            return node, code, entries
         flip = entries.flips[entries.up]
         parent = (entries, entries.up)
-        node, node_gkz = provider.oracle.target(node, flip), _shifted(node_gkz, flip)
+        node, code = oracle.target(node, flip), code + flip.shift
 
 
 def _count_visit(visited, max_nodes, search):
@@ -281,12 +288,15 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     the identity or an inverse; nothing checks that its elements are
     symmetries or that it is closed: build it with `symmetry.expand_group`.
 
-    The visitor, when given, receives (node, gkz, depth) once per node and
-    must not mutate search state.  A candidate child is built (and
-    relabelled) only when its list, looked up by its GKZ-vector or orbit
-    key, is not cached or it is a child.  No visited set exists: memory is
-    the stack (at most the tree depth times the degree; each entry holds
-    its node's list), the trie and the provider's cache of up to
+    Nodes are keyed, compared and shifted as GKZ codes (see the module
+    docstring); under a group each candidate's code is unpacked for
+    `orbit_key` and its key packed.  The visitor, when given, receives
+    (node, gkz, depth) once per node, the GKZ-vector as a tuple, and must
+    not mutate search state.  A candidate child is built (and relabelled)
+    only when its list, looked up by its GKZ code or packed orbit key, is
+    not cached or it is a child.  No visited set exists: memory is the
+    stack (at most the tree depth times the degree; each entry holds its
+    node's list), the trie and the provider's cache of up to
     `cache_capacity` neighbour lists, which dominates on large inputs.
     `stats.nodes` and `max_nodes` count nodes (orbits, under a group);
     crossing the budget raises ResourceLimitError.  Returns the number of
@@ -295,21 +305,22 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     """
     if max_nodes is not None:
         max_nodes = as_count(max_nodes, "node budget")
-    mode = getattr(provider.oracle, "mode", None)
+    oracle = provider.oracle
+    mode = getattr(oracle, "mode", None)
     if group is not None and mode is SearchMode.ALL_FLIPS:
         raise RegulartriError("orbit search needs regular mode: GKZ-vectors "
                               "do not identify non-regular triangulations")
     stats = provider.stats
-    target = provider.oracle.target
+    target, pack, unpack = oracle.target, oracle.pack, oracle.unpack
     search, total = "reverse search", 1
     if group is not None:
         # The trie refuses an empty group before the root walk starts.
         search, order, trie = "orbit search", len(group), group_trie(group)
     # So does the budget: a zero budget builds no list.
     visited = _count_visit(0, max_nodes, search)
-    root, root_gkz, root_entries = find_root(provider, provider.oracle.seed())
-    zero = (0,) * len(root_gkz)
+    root, root_code, root_entries = find_root(provider, oracle.seed())
     if group is not None:
+        root_gkz = unpack(root_code)
         identity = tuple(range(len(root_gkz)))
         key, _, stabiliser = orbit_key(root_gkz, group, trie)
         if key != root_gkz:
@@ -317,54 +328,56 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
         total = order // stabiliser
     stats.nodes += 1
     if visitor is not None:
-        visitor(root, root_gkz, 0)
+        visitor(root, unpack(root_code), 0)
 
     def build():
         # The candidate: the entry's target, relabelled to its representative.
         nonlocal child
         child = target(node, flip)
         if perm is not None:
-            child = provider.oracle.relabel(child, perm)
+            child = oracle.relabel(child, perm)
         return child
 
-    stack = [(root, root_gkz, 0, root_entries)]
+    stack = [(root, root_code, 0, root_entries)]
     while stack:
-        node, node_gkz, depth, entries = stack.pop()
+        node, code, depth, entries = stack.pop()
         seen = set()
         flips = entries.flips
         for k in range(entries.kept):
             flip = flips[k]
-            if flip.delta >= zero:
+            if flip.shift >= 0:
                 # Not below the node, nor is its orbit key: never a child.
                 continue
             child = perm = None
+            ccode = code + flip.shift
             if group is None:
-                cgkz, size = _shifted(node_gkz, flip), 1
+                size = 1
             else:
-                cgkz, perm, stabiliser = orbit_key(_shifted(node_gkz, flip), group, trie)
-                if cgkz >= node_gkz or cgkz in seen:
+                key, perm, stabiliser = orbit_key(unpack(ccode), group, trie)
+                ccode = pack(key)
+                if ccode >= code or ccode in seen:
                     continue
-                seen.add(cgkz)
+                seen.add(ccode)
                 size = order // stabiliser
                 if perm == identity:
                     perm = None
             # A target that is its own representative derives its flips from
             # the node's list; a relabelled one has no list to derive from.
             hint = (entries, k) if perm is None else None
-            pred = predecessor(provider, None, cgkz, hint, build)
+            pred = predecessor(provider, None, ccode, hint, build)
             if pred is None:
                 continue
             centries, up = pred
             # The node is the parent when the predecessor's key (without a
-            # group, its GKZ-vector) is the node's GKZ-vector.  That is exact
-            # even where GKZ does not identify triangulations: the node is a
-            # valid neighbour of the child, and one list's GKZ-vectors are
+            # group, its code) is the node's code.  That is exact even where
+            # GKZ does not identify triangulations: the node is a valid
+            # neighbour of the child, and one list's GKZ-vectors are
             # distinct, so no other neighbour has the node's.  Keys are never
             # below their vectors and the node is its own key: key only below.
-            pred_gkz = _shifted(cgkz, centries.flips[up])
-            if group is not None and pred_gkz < node_gkz:
-                pred_gkz = orbit_key(pred_gkz, group, trie)[0]
-            if pred_gkz != node_gkz:
+            pred_code = ccode + centries.flips[up].shift
+            if group is not None and pred_code < code:
+                pred_code = pack(orbit_key(unpack(pred_code), group, trie)[0])
+            if pred_code != code:
                 continue
             if child is None:
                 child = build()
@@ -372,8 +385,8 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
             total += size
             stats.nodes += 1
             if visitor is not None:
-                visitor(child, cgkz, depth + 1)
-            stack.append((child, cgkz, depth + 1, centries))
+                visitor(child, unpack(ccode), depth + 1)
+            stack.append((child, ccode, depth + 1, centries))
     return total
 
 
@@ -389,29 +402,30 @@ def baseline_dfs(provider: NeighborProvider, visitor=None, max_nodes=None):
     if max_nodes is not None:
         max_nodes = as_count(max_nodes, "node budget")
     stats = provider.stats
-    seed = provider.oracle.seed()
-    seed_gkz = provider.oracle.gkz(seed)
+    oracle = provider.oracle
+    seed = oracle.seed()
+    seed_gkz = oracle.gkz(seed)
     _count_visit(0, max_nodes, "baseline traversal")
     visited = {seed}
     stats.nodes += 1
     if visitor is not None:
         visitor(seed, seed_gkz, 0)
-    stack = [(seed, seed_gkz, 0, None)]
+    stack = [(seed, oracle.pack(seed_gkz), 0, None)]
     while stack:
-        node, node_gkz, depth, parent = stack.pop()
-        entries = provider.neighbors(node, node_gkz, parent)
+        node, code, depth, parent = stack.pop()
+        entries = provider.neighbors(node, code, parent)
         for k in range(entries.kept):
             flip = entries.flips[k]
-            target = provider.oracle.target(node, flip)
+            target = oracle.target(node, flip)
             if target in visited:
                 continue
             _count_visit(len(visited), max_nodes, "baseline traversal")
             visited.add(target)
             stats.nodes += 1
-            tgkz = _shifted(node_gkz, flip)
+            tcode = code + flip.shift
             if visitor is not None:
-                visitor(target, tgkz, depth + 1)
-            stack.append((target, tgkz, depth + 1, (entries, k)))
+                visitor(target, oracle.unpack(tcode), depth + 1)
+            stack.append((target, tcode, depth + 1, (entries, k)))
     return visited
 
 

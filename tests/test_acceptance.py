@@ -144,7 +144,7 @@ def test_criterion_02_screening_cascade():
     stats = RayStats()
     assert extremal_rays(tagged, stats) == naive_extremal_rays(tagged)
     assert stats.lps_solved == 0
-    assert stats.confirmed_by_screening() >= 8
+    assert stats.r1 + stats.r2 + stats.r3 >= 8
 
 
 # -- criterion 3: oracle set-equality ---------------------------------------

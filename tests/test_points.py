@@ -210,6 +210,18 @@ def test_total_volume_pins():
     assert nested_triangles().total_volume() == 16
 
 
+def test_pack_refuses_vectors_outside_the_code():
+    sq = square()
+    assert sq.code_width == 8
+    assert sq.pack((2, 1, 2, 1)) == 0x02010201
+    assert sq.unpack(0x02010201) == (2, 1, 2, 1)
+    for vec, message in (((0, 0, 0, 256), "outside its 8-bit field"),
+                         ((0, -1, 0, 0), "outside its 8-bit field"),
+                         ((0, 0, 0), "length 3, not 4")):
+        with pytest.raises(RegulartriError, match=message):
+            sq.pack(vec)
+
+
 def test_facet_sign():
     cfg = square()
     # Diagonal 0-2 separates points 1 and 3.

@@ -799,11 +799,12 @@ def checked_kernel_stage(monkeypatch):
 
 def test_kernel_stage_matches_cascade_on_d2d3(monkeypatch):
     branches, _ = checked_kernel_stage(monkeypatch)
-    count, _ = enumerate_triangulations(simplex_product(2, 3))
-    assert count == 4488
+    count, stats = enumerate_triangulations(simplex_product(2, 3))
+    assert count == stats.cache_misses == 4488
     # Every list has corank at most two, and every flip the peel leaves is
-    # extremal.
-    assert branches == {(0, False): 3624, (1, False): 288, (2, False): 576}
+    # extremal.  The other 3 624 lists have corank 0: the peel clears them
+    # and they reach no Gale call.
+    assert branches == {(1, False): 288, (2, False): 576}
 
 
 def test_kernel_stage_matches_cascade_on_prefixes(monkeypatch):
@@ -812,7 +813,8 @@ def test_kernel_stage_matches_cascade_on_prefixes(monkeypatch):
         stats = search_prefix(config, 300)
         assert stats.rays.kernel > 0 and stats.rays.signed > 0
     assert cascade.r2 + cascade.r3 > 0
-    assert {dim for dim, _ in branches} == set(range(5))
+    # Lists of corank 0 are cleared by the peel before any Gale call.
+    assert {dim for dim, _ in branches} == set(range(1, 5))
 
 
 def test_kernel_stage_rejects_flips_on_cube4_prefix(monkeypatch):

@@ -9,13 +9,14 @@ the search tree.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import random
 import subprocess
 import sys
 import time
 import tracemalloc
-from operator import add, mul, sub
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,29 +78,43 @@ def _provider(config, mode=SearchMode.REGULAR_ONLY, capacity=40000):
 
 
 class PairFlip(NamedTuple):
-    """An edge of a hand-built graph: its GKZ displacement and its target."""
+    """An edge of a hand-built graph: its change of GKZ code and its target."""
 
-    delta: tuple
+    shift: int
     target: object
 
 
 class PairOracle:
     """Serves a hand-built graph, given as `pairs(t)`, a node's valid
     (target, target_gkz) pairs, through the oracle protocol: each pair is a
-    kept `PairFlip` of the node's list."""
+    kept `PairFlip` of the node's list.  Its codec packs GKZ-vectors of
+    LENGTH entries in 0..255 into one byte each, the first most significant."""
 
-    def neighbors(self, t, t_gkz, parent=None):
-        flips = tuple(PairFlip(tuple(map(sub, g, t_gkz)), tgt) for tgt, g in self.pairs(t))
+    LENGTH = 2
+
+    def pack(self, vec):
+        return int.from_bytes(bytes(vec), "big")
+
+    def unpack(self, code):
+        return tuple(code.to_bytes(self.LENGTH, "big"))
+
+    def neighbors(self, t, t_code, parent=None):
+        flips = tuple(PairFlip(self.pack(g) - t_code, tgt) for tgt, g in self.pairs(t))
         return NeighborList(flips, len(flips))
 
     def target(self, t, flip):
         return flip.target
 
 
-def entry(oracle, node, node_gkz, entries, k):
-    """Entry k of the node's neighbour list as (target, target_gkz)."""
+def entry(oracle, node, node_code, entries, k):
+    """Entry k of the node's neighbour list as (target, target_code)."""
     flip = entries.flips[k]
-    return oracle.target(node, flip), tuple(map(add, node_gkz, flip.delta))
+    return oracle.target(node, flip), node_code + flip.shift
+
+
+def gkz_code(config, t):
+    """The GKZ code of a triangulation of the configuration."""
+    return config.pack(gkz(config, t))
 
 
 class MockOracle(PairOracle):
@@ -197,7 +212,7 @@ def test_increment_check_raises():
     sq = square()
     oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
     with pytest.raises(RegulartriError, match="incremental GKZ"):
-        oracle.neighbors(placing_triangulation(sq), (0, 0, 0, 0))
+        oracle.neighbors(placing_triangulation(sq), sq.pack((0, 0, 0, 0)))
 
 
 def forged_target_neighbors():
@@ -216,7 +231,7 @@ def forged_target_neighbors():
     search.apply_flip = forged
     try:
         oracle = GeometricFlipOracle(sq, SearchMode.REGULAR_ONLY, SearchStats(), True)
-        return oracle.neighbors(t, gkz(sq, t))
+        return oracle.neighbors(t, gkz_code(sq, t))
     finally:
         search.apply_flip = original
 
@@ -253,11 +268,11 @@ def forged_derivation_neighbors():
     config = cube(3)
     oracle = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats(), True)
     t = placing_triangulation(config)
-    t_gkz = gkz(config, t)
-    entries = oracle.neighbors(t, t_gkz)
+    t_code = gkz_code(config, t)
+    entries = oracle.neighbors(t, t_code)
     search.find_flips = forged
     try:
-        return oracle.neighbors(*entry(oracle, t, t_gkz, entries, 0), (entries, 0))
+        return oracle.neighbors(*entry(oracle, t, t_code, entries, 0), (entries, 0))
     finally:
         search.find_flips = original
 
@@ -293,7 +308,7 @@ def test_exactness_checks_survive_optimize_flag():
     checks = (
         "reverse_search(NeighborProvider(SharedGkzOracle(bad=()), SearchStats()))",
         "GeometricFlipOracle(square(), SearchMode.REGULAR_ONLY, SearchStats(), True)"
-        ".neighbors(placing_triangulation(square()), (0, 0, 0, 0))",
+        ".neighbors(placing_triangulation(square()), square().pack((0, 0, 0, 0)))",
         "forged_derivation_neighbors()",
     )
     for check in checks:
@@ -310,10 +325,10 @@ def test_predecessor_square():
     provider, _ = _provider(sq)
     low = parse_triangulation("{{0,1,3},{1,2,3}}")
     high = parse_triangulation("{{0,1,2},{0,2,3}}")
-    pred = predecessor(provider, low, gkz(sq, low))
+    pred = predecessor(provider, low, gkz_code(sq, low))
     assert pred is not None
-    assert entry(provider.oracle, low, gkz(sq, low), *pred) == (high, (2, 1, 2, 1))
-    assert predecessor(provider, high, gkz(sq, high)) is None
+    assert entry(provider.oracle, low, gkz_code(sq, low), *pred) == (high, sq.pack((2, 1, 2, 1)))
+    assert predecessor(provider, high, gkz_code(sq, high)) is None
 
 
 def test_predecessor_isolated_simplex():
@@ -322,20 +337,21 @@ def test_predecessor_isolated_simplex():
     cfg = new_configuration([(0, 0), (1, 0), (0, 1)])
     provider, _ = _provider(cfg)
     t = parse_triangulation("{{0,1,2}}")
-    assert predecessor(provider, t, gkz(cfg, t)) is None
+    assert predecessor(provider, t, gkz_code(cfg, t)) is None
 
 
 def test_find_root_pins():
-    provider, _ = _provider(square())
-    root, root_gkz, entries = find_root(provider, placing_triangulation(square()))
-    assert root_gkz == (2, 1, 2, 1)
+    sq = square()
+    provider, _ = _provider(sq)
+    root, root_code, entries = find_root(provider, placing_triangulation(sq))
+    assert sq.unpack(root_code) == (2, 1, 2, 1)
     # The walk hands back the sink's own list, the one the cache holds.
-    assert entries.up is None and entries is provider.neighbors(root, root_gkz)
+    assert entries.up is None and entries is provider.neighbors(root, root_code)
     tri = triangle_with_interior()
     provider, _ = _provider(tri)
-    root, root_gkz, _ = find_root(provider, placing_triangulation(tri))
+    root, root_code, _ = find_root(provider, placing_triangulation(tri))
     assert root == parse_triangulation("{{0,1,2}}")
-    assert root_gkz == (9, 9, 9, 0)
+    assert tri.unpack(root_code) == (9, 9, 9, 0)
 
 
 def test_find_root_is_seed_independent():
@@ -438,6 +454,57 @@ def test_reverse_search_counts():
         assert stats.nodes == want
 
 
+# Two families whose counts are known in closed form, so the search is
+# checked against mathematics rather than another run of itself.  Every
+# triangulation in them is regular and every neighbour list has corank 0
+# (the flips of a node span the tangent space of a simple secondary
+# polytope), so the R1 peel decides each list alone.
+
+
+@pytest.mark.parametrize("n", (6, 8, 10))
+def test_convex_polygon_counts_are_catalan_numbers(n):
+    config = new_configuration([(i, i * i) for i in range(n)])
+    count, stats = enumerate_triangulations(config)
+    assert count == math.comb(2 * (n - 2), n - 2) // (n - 1)
+    assert stats.rays.r1 == stats.flips_evaluated
+    assert stats.rays.lps_solved == stats.rays.kernel == 0
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_prism_over_a_simplex_counts_are_factorials(n):
+    count, stats = enumerate_triangulations(simplex_product(1, n))
+    assert count == math.factorial(n + 1)
+    assert stats.rays.r1 == stats.flips_evaluated
+    assert stats.rays.lps_solved == stats.rays.kernel == 0
+
+
+def test_codes_round_trip_and_order_as_gkz_vectors():
+    config = simplex_product(2, 3)
+    vectors = []
+    enumerate_triangulations(config, visitor=lambda t, g, d: vectors.append(g))
+    assert config.code_width == 8
+    codes = [config.pack(g) for g in vectors]
+    assert [config.unpack(c) for c in codes] == vectors
+    assert [config.unpack(c) for c in sorted(codes)] == sorted(vectors)
+
+
+def test_wide_code_fields_on_a_scaled_cube():
+    # Scaling by 7 makes the total volume 6 * 7**3 = 2 058, past one byte.
+    config = new_configuration([tuple(7 * x for x in p) for p in cube(3).points])
+    assert (config.total_volume(), config.code_width) == (2058, 16)
+    assert enumerate_triangulations(config, verify_increments=True)[0] == 74
+    assert _orbit_search(config, cube_symmetry_generators(3))[:2] == (6, 74)
+
+
+def test_forged_shift_fails_the_increment_check():
+    config = cube(3)
+    enumerate_triangulations(config)
+    flip = next(iter(config.flip_memo.values()))
+    object.__setattr__(flip, "shift", flip.shift + 1)
+    with pytest.raises(RegulartriError, match="incremental GKZ"):
+        enumerate_triangulations(config, verify_increments=True)
+
+
 def test_reverse_search_matches_baseline():
     for cfg in (square(), triangle_with_interior(), nested_triangles()):
         seen = set()
@@ -475,21 +542,21 @@ def test_predecessor_chains_reach_root():
     members = []
     reverse_search(provider, visitor=lambda t, g, d: members.append(t))
     root = members[0]
-    root_gkz = gkz(cfg, root)
+    root_code = gkz_code(cfg, root)
     for node in members:
-        node_gkz = gkz(cfg, node)
+        node_code = gkz_code(cfg, node)
         hops = 0
         while True:
-            up = predecessor(provider, node, node_gkz)
+            up = predecessor(provider, node, node_code)
             if up is None:
                 break
-            up_node, up_gkz = entry(provider.oracle, node, node_gkz, *up)
-            assert up_gkz > node_gkz
-            node, node_gkz = up_node, up_gkz
+            up_node, up_code = entry(provider.oracle, node, node_code, *up)
+            assert up_code > node_code
+            node, node_code = up_node, up_code
             hops += 1
             assert hops <= len(members)
         assert node == root
-        assert node_gkz == root_gkz
+        assert node_code == root_code
 
 
 def test_cache_transparency():
@@ -516,6 +583,8 @@ class RecordingOracle(PairOracle):
     """Every node has one neighbour, except "a", which has none; the nodes
     whose neighbours were computed are recorded in order."""
 
+    LENGTH = 1
+
     def __init__(self):
         self.computed = []
 
@@ -528,18 +597,18 @@ def test_flip_cache_lru_eviction():
     stats = SearchStats()
     oracle = RecordingOracle()
     provider = NeighborProvider(oracle, stats, 2)
-    lists = [provider.neighbors(node, (1,)) for node in "abacacb"]
+    lists = [provider.neighbors(node, 1) for node in "abacacb"]
     # "c" evicts "b", the least recently used; "a"'s empty list is cached too.
     assert oracle.computed == ["a", "b", "c", "b"]
     assert (stats.cache_hits, stats.cache_misses) == (3, 4)
     assert lists[3] is lists[5]
-    assert (lists[3].kept, entry(oracle, "c", (1,), lists[3], 0)) == (1, ("c'", (0,)))
+    assert (lists[3].kept, entry(oracle, "c", 1, lists[3], 0)) == (1, ("c'", 0))
     assert list(provider.cache) == ["c", "b"]
     stats = SearchStats()
     oracle = RecordingOracle()
     disabled = NeighborProvider(oracle, stats, 0)
     for node in "aabb":
-        disabled.neighbors(node, (1,))
+        disabled.neighbors(node, 1)
     assert oracle.computed == ["a", "a", "b", "b"]
     assert (stats.cache_hits, stats.cache_misses, len(disabled.cache)) == (0, 4, 0)
     with pytest.raises(InvalidInputError, match="cache capacity must be nonnegative, got -1"):
@@ -701,10 +770,10 @@ def test_verify_increments_checks_discarded_flips(forgery, message, monkeypatch)
 
     monkeypatch.setattr(search, "apply_flip", forged)
     unchecked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats())
-    assert unchecked.neighbors(t, gkz(config, t)).kept < len(find_flips(config, t))
+    assert unchecked.neighbors(t, gkz_code(config, t)).kept < len(find_flips(config, t))
     checked = GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, SearchStats(), True)
     with pytest.raises(RegulartriError, match=message):
-        checked.neighbors(t, gkz(config, t))
+        checked.neighbors(t, gkz_code(config, t))
 
 
 def test_stats_conservation():
@@ -771,13 +840,13 @@ def test_cache_keys_are_gkz_vectors_in_regular_mode_only():
     for options in ({}, {"baseline": True}, {"cache_capacity": 0}):
         assert enumerate_triangulations(config, SearchMode.ALL_FLIPS, **options)[0] == 18
     assert enumerate_triangulations(config)[0] == 16
-    for mode, key_type in ((SearchMode.REGULAR_ONLY, tuple),
+    for mode, key_type in ((SearchMode.REGULAR_ONLY, int),
                            (SearchMode.ALL_FLIPS, Triangulation)):
         provider, _ = _provider(config, mode)
         visited = []
         reverse_search(provider, lambda t, g, d: visited.append((t, g)))
         assert all(type(key) is key_type for key in provider.cache)
-        keys = {g for _, g in visited} if key_type is tuple else {t for t, _ in visited}
+        keys = {config.pack(g) for _, g in visited} if key_type is int else {t for t, _ in visited}
         assert set(provider.cache) == keys
 
 
@@ -789,15 +858,15 @@ class HitCheckingProvider(NeighborProvider):
 
     checked = 0
 
-    def neighbors(self, node, node_gkz, parent=None, build=None):
+    def neighbors(self, node, node_code, parent=None, build=None):
         hits = self.stats.cache_hits
-        entries = super().neighbors(node, node_gkz, parent, build)
+        entries = super().neighbors(node, node_code, parent, build)
         if build is not None and self.stats.cache_hits > hits:
             config = self.oracle.config
             candidate = build()
-            assert gkz(config, candidate) == node_gkz
+            assert gkz_code(config, candidate) == node_code
             fresh = GeometricFlipOracle(config, self.oracle.mode, SearchStats())
-            own = fresh.neighbors(candidate, node_gkz)
+            own = fresh.neighbors(candidate, node_code)
             assert (own.flips, own.kept) == (entries.flips, entries.kept)
             flips = find_flips(config, candidate)
             assert sorted(entries.flips, key=lambda f: f.circuit.support) == flips
