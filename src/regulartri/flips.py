@@ -85,10 +85,9 @@ class Flip:
     tuples of simplices, each a `PointConfiguration.simplex` tuple.  A
     memoised flip also keeps its `CircuitSide`, its link as the sorted
     tuple of the link simplices' vertex masks, its key in `flip_memo`, and
-    its `shift`, the signed positional sum of `delta` in the configuration's
-    GKZ code (see `PointConfiguration.pack`): the target's code is the
-    source's plus `shift`, and `shift` has the sign of `delta`'s first
-    nonzero entry.  Equality ignores all three.
+    its `shift`, `PointConfiguration.code_shift(delta)`: the target's code
+    is the source's plus `shift`, and `shift` has the sign of `delta`'s
+    first nonzero entry.  Equality ignores all three.
     """
 
     circuit: CorankOneConfig
@@ -253,11 +252,8 @@ def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Fl
             "flip displacement must be positive on the removed side, negative on "
             "the inserted side, zero elsewhere"
         )
-    shift = 0
-    for x in delta:
-        shift = (shift << config.code_width) + x
     return Flip(circuit, joins(circuit.plus), joins(circuit.minus), tuple(delta),
-                side, link, shift)
+                side, link, config.code_shift(delta))
 
 
 def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Triangulation:

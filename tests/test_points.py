@@ -222,6 +222,13 @@ def test_pack_refuses_vectors_outside_the_code():
             sq.pack(vec)
 
 
+def test_code_shift_moves_codes_like_vectors():
+    sq = square()
+    assert sq.code_shift((-1, 1, -1, 1)) == -0x00FF00FF
+    assert sq.pack((2, 1, 2, 1)) + sq.code_shift((-1, 1, -1, 1)) == sq.pack((1, 2, 1, 2))
+    assert sq.pack((1, 2, 1, 2)) + sq.code_shift((1, -1, 1, -1)) == sq.pack((2, 1, 2, 1))
+
+
 def test_facet_sign():
     cfg = square()
     # Diagonal 0-2 separates points 1 and 3.
