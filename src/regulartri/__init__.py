@@ -4,8 +4,9 @@ The package walks the flip graph by reverse search: each triangulation's
 predecessor is its lexicographically largest GKZ upflip neighbor, which
 yields a spanning tree of the regular triangulations needing no visited set.
 Whether a flip leads to a regular triangulation is decided through the
-extremal-ray criterion on flip GKZ displacements — usually by sparse column
-reductions alone, falling back to one small exact LP per undecided flip.
+extremal-ray criterion on flip GKZ displacements: flips with a coordinate of
+their own are peeled off, and the rest are decided on their Gale dual, with
+one small exact LP in it per flip that signs and cross products leave open.
 All arithmetic is exact: integer data in, exact rational answers out.  Every
 LP answer carries a witness or certificate that is re-verified before being
 returned.

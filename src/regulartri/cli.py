@@ -110,6 +110,7 @@ def cmd_enumerate(args, out) -> int:
 
     mode = SearchMode.ALL_FLIPS if args.all else SearchMode.REGULAR_ONLY
     lines = []
+    forms = set()
     # Regular-mode --orbits walks one representative per orbit; --all and
     # --baseline enumerate every triangulation and canonicalise each one,
     # which also serves as the cross-check of the orbit walk.
@@ -136,14 +137,14 @@ def cmd_enumerate(args, out) -> int:
                 lines.append(f"{t.canonical()} {_format_tuple(image)}")
 
         visitor = print_orbit if args.print_triangulations else None
-    else:
-        forms = set()
-
+    elif args.print_triangulations or group is not None:
         def visitor(t, gkz_vec, depth):
             if args.print_triangulations:
                 lines.append(f"{t.canonical()} {_format_tuple(gkz_vec)}")
             if group is not None:
                 forms.add(canonical_form(t, group))
+    else:
+        visitor = None  # nothing to print or canonicalise
 
     count, stats = enumerate_triangulations(
         config,
@@ -153,12 +154,11 @@ def cmd_enumerate(args, out) -> int:
         baseline=args.baseline,
         group=group if orbit_walk else None,
     )
-    orbits = stats.nodes if orbit_walk else len(forms)
     for line in sorted(lines):
         out.write(line + "\n")
     out.write(f"triangulations: {count}\n")
     if group is not None:
-        out.write(f"orbits: {orbits}\n")
+        out.write(f"orbits: {stats.nodes if orbit_walk else len(forms)}\n")
     if args.stats:
         out.write(f"nodes: {stats.nodes}\n")
         out.write(f"flips_evaluated: {stats.flips_evaluated}\n")

@@ -30,38 +30,34 @@ against a single other vector extremality is a scalar-multiple test; and
 when the cascade defers it again without shrinking the snapshot, one small
 LP runs against the snapshot.
 
-R1 leads the cascade and removals only shrink columns, so the cascade opens
-with R1 run to its unique fixpoint.  `extremal_rays` and the deferred stage
-run that prefix on support masks alone (bit c set when entry c is nonzero),
-with no system built: fold the live masks into the columns hit once and hit
-twice or more, peel every vector with a column hit only by itself, and
-repeat until nothing peels.  Only the residual, in input order, goes to
-`screen_rays`, whose remaining events, snapshots and counters are those of
-the full cascade; the peel alone decides four in five Δ2×Δ3 flip lists.
 `screen_rays` keeps its system as a plain list, in the order the rules are
 defined on, and reads each column's counts off one list of signs per vector.
-The search never reaches it: `regular_flips` decides its lists as below.
+`extremal_rays` screens whole systems: the reference that the kernel stage
+below, which the search runs instead, is checked against.
 
 `regular_flips` knows more: the displacements at a regular triangulation
-span the tangent space of the secondary polytope, of dimension n - d - 1,
-so a list of m flips has a kernel of dimension c = m - (n - d - 1), its
-corank.  A peeled vector takes part in no dependence, so the flips the
-peel leaves are decided on one integer kernel basis of their
-displacements, their Gale dual, whatever c is: by Farkas' lemma v_i is
-extremal exactly when g_i, its entries of the basis, lies in the cone of
-the other g_j.  For c = 0 every flip is extremal; for c = 1 a flip is not
-exactly when its coefficient is the only one of its sign; for c = 2
-membership in the plane takes integer cross products.  For c >= 3 a flip
-alone on one side of some column is extremal with no LP (the confirming
-half of R2 and R3), as is one whose g_i is zero or a positive multiple of
-another g_j; each other flip takes one LP with c rows instead of n, and a
-rejection is rechecked on the displacements.  A dependence of one sign
-(the cone is not pointed) raises, as does a kernel whose dimension is not
-c.  Displacements are affine dependences of the points, which are fixed by
-their n - d - 1 entries outside an affine basis (`PointConfiguration.
-cobasis`); the kernel is taken on those rows alone.  It is the kernel of all
-n rows, and so is its reduced-echelon basis, so every verdict is the same.
-`extremal_rays` and `screen_rays` keep the cascade.
+span the tangent space of the secondary polytope, of dimension n - d - 1, so
+a list of m flips has a kernel of dimension c = m - (n - d - 1), its corank.
+It first runs R1 to its unique fixpoint on support masks alone (bit c set
+when entry c is nonzero): fold the live masks into the columns hit once and
+hit twice or more, peel every vector with a column hit only by itself, and
+repeat until nothing peels; that alone decides four in five Δ2×Δ3 flip
+lists.  A peeled vector takes part in no dependence, so the flips the peel
+leaves are decided on one integer kernel basis of their displacements, their
+Gale dual, whatever c is: by Farkas' lemma v_i is extremal exactly when g_i,
+its entries of the basis, lies in the cone of the other g_j.  For c = 0
+every flip is extremal; for c = 1 a flip is not exactly when its coefficient
+is the only one of its sign; for c = 2 membership in the plane takes integer
+cross products.  For c >= 3 a flip alone on one side of some column is
+extremal with no LP (the confirming half of R2 and R3), as is one whose g_i
+is zero or a positive multiple of another g_j; each other flip takes one LP
+with c rows instead of n, and a rejection is rechecked on the displacements.
+A dependence of one sign (the cone is not pointed) raises, as does a kernel
+whose dimension is not c.  Displacements are affine dependences of the
+points, which are fixed by their n - d - 1 entries outside an affine basis
+(`PointConfiguration.cobasis`); the kernel is taken on those rows alone.  It
+is the kernel of all n rows, and so is its reduced-echelon basis, so every
+verdict is the same.
 """
 
 from __future__ import annotations
@@ -74,7 +70,7 @@ from typing import NamedTuple
 from .errors import DegenerateConfigError, RegulartriError
 from .exact import kernel_basis
 from .lp import _integer_multiple, nonneg_combination, strict_homogeneous
-from .points import PointConfiguration, vertex_mask
+from .points import PointConfiguration
 from .triangulation import Triangulation, facet_incidence
 
 
@@ -353,37 +349,17 @@ class RayStats:
 def extremal_rays(vectors, stats: RayStats = None) -> set:
     """Idents of the vectors spanning extremal rays of the generated cone.
 
-    `vectors` as in screen_rays.  R1 is peeled on support masks first (see
-    the module docstring); deferred candidates are decided against their
-    snapshots by the same cascade, see _deferred_extremal.
+    `vectors` as in screen_rays, screened whole; each deferred candidate is
+    decided against its snapshot by _deferred_extremal.
     """
-    tagged = _tagged(vectors)
-    return _extremal([v.vec for v in tagged], [v.ident for v in tagged],
-                     [_support_mask(v.vec) for v in tagged], stats)
-
-
-def _extremal(vecs, idents, masks, stats, bound=None):
-    """extremal_rays on three parallel sequences: the vectors, their idents
-    and their support masks.  R1 is peeled on the masks; TaggedVectors are
-    built for the rest, which goes to `screen_rays`, and its deferred
-    candidates to _deferred_extremal with `bound`, the size of the snapshot
-    this system was built from (None for a top-level system)."""
     if stats is None:
         stats = RayStats()
-    if vecs:
-        _check_system(zip(vecs, masks), len(vecs[0]))
-    peeled, left = _peel(masks)
-    peeled = [idents[k] for k in peeled if idents[k] is not None]
-    stats.r1 += len(peeled)
-    extremal = set(peeled)
-    residual = [TaggedVector(vecs[k], idents[k]) for k in left]
-    if any(v.ident is not None for v in residual):
-        outcome = screen_rays(residual)
-        _accumulate(stats, outcome)
-        extremal.update(outcome.confirmed)
-        for item in outcome.deferred:
-            if _deferred_extremal(item, stats, bound):
-                extremal.add(item.ident)
+    outcome = screen_rays(vectors)
+    _accumulate(stats, outcome)
+    extremal = set(outcome.confirmed)
+    for item in outcome.deferred:
+        if _deferred_extremal(item, stats):
+            extremal.add(item.ident)
     return extremal
 
 
@@ -395,11 +371,6 @@ def _check_system(pairs, ncols):
             raise RegulartriError("ray system vectors of mixed lengths")
         if not nonzero:
             raise RegulartriError("zero vector in ray system")
-
-
-def _support_mask(vec) -> int:
-    """The bits of the nonzero entries of vec."""
-    return vertex_mask(col for col, x in enumerate(vec) if x)
 
 
 def _peel(masks):
@@ -435,33 +406,31 @@ def _accumulate(stats, outcome):
     stats.r4 += outcome.r4
 
 
-def _deferred_extremal(item: DeferredCandidate, stats: RayStats,
-                       bound=None) -> bool:
+def _deferred_extremal(item: DeferredCandidate, stats: RayStats) -> bool:
     """Decide one deferred candidate against its snapshot system.
 
-    Against a single generator extremality is the positive-scalar-multiple
-    test.  A snapshot that did not shrink below `bound`, the size of the
-    system the candidate was deferred from, gets one exact LP: is the
-    candidate in the cone of the snapshot?  Otherwise the candidate, alone
-    among untagged snapshot vectors, goes through the cascade again
-    (`_extremal`), with the snapshot's size as the bound; snapshots strictly
-    shrink, so the recursion ends.
-
-    A snapshot is never empty.  R3 defers the opposite side of a singleton,
-    at least two vectors, while the singleton stays live; R4 defers a
-    one-sided column of at least two vectors; and a fixpoint never holds a
-    lone vector, since a lone nonzero vector has an R1 column.  (Were a
-    snapshot empty, the lone candidate would peel and be confirmed.)
+    The candidate, alone among untagged snapshot vectors, is screened again
+    until it is confirmed, or its snapshot is a single vector, where
+    extremality is the positive-scalar-multiple test, or the snapshot stops
+    shrinking, where one exact LP decides: is the candidate in the cone of
+    the snapshot?  Each screen after the first runs on a strictly smaller
+    snapshot, so the loop ends.  (An empty snapshot leaves the candidate
+    alone, and R1 confirms it.)
     """
-    vec, ident, others = item.vec, item.ident, item.others
-    if len(others) == 1:
-        stats.scalar_tests += 1
-        return not _positive_multiple(others[0].vec, vec)
-    if bound is not None and len(others) >= bound:
-        return not _counted_lp([w.vec for w in others], vec, stats).feasible
-    vecs = [vec] + [w.vec for w in others]
-    return ident in _extremal(vecs, [ident] + [None] * len(others),
-                              [_support_mask(v) for v in vecs], stats, bound=len(others))
+    bound = None
+    while True:
+        vec, others = item.vec, item.others
+        if len(others) == 1:
+            stats.scalar_tests += 1
+            return not _positive_multiple(others[0].vec, vec)
+        if bound is not None and len(others) >= bound:
+            return not _counted_lp([w.vec for w in others], vec, stats).feasible
+        outcome = screen_rays([(vec, item.ident)] + [(w.vec, None) for w in others])
+        _accumulate(stats, outcome)
+        if outcome.confirmed:
+            return True
+        bound = len(others)
+        (item,) = outcome.deferred
 
 
 def _counted_lp(others, vec, stats):

@@ -352,6 +352,30 @@ def test_enumerate_orbit_print_builds_one_group_trie(tmp_path, monkeypatch):
     assert built == [36]
 
 
+@pytest.mark.parametrize("options, visits", (
+    pytest.param([], False, id="count"),
+    pytest.param(["--stats", "--all", "--baseline"], False, id="stats"),
+    pytest.param(["--orbits"], False, id="orbit-walk"),
+    pytest.param(["--print"], True, id="print"),
+    pytest.param(["--orbits", "--baseline"], True, id="canonicalise"),
+))
+def test_enumerate_passes_a_visitor_only_with_work_for_it(tmp_path, monkeypatch,
+                                                          options, visits):
+    # A run that neither prints nor canonicalises each node passes no
+    # visitor, so no node pays a call.
+    visitors = []
+
+    def recording(config, visitor=None, **kwargs):
+        visitors.append(visitor)
+        return enumerate_triangulations(config, visitor=visitor, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_triangulations", recording)
+    path = _write(tmp_path, "square.txt", SQUARE_INPUT)
+    code, text = _run(["enumerate", "--input", path] + options)
+    assert code == 0 and "triangulations: 2\n" in text
+    assert [visitor is not None for visitor in visitors] == [visits]
+
+
 # -- regular --------------------------------------------------------------
 
 

@@ -54,8 +54,8 @@ from regulartri.regularity import (
     ScreeningOutcome,
     _peel,
     _positive_multiple,
-    _support_mask,
 )
+from regulartri.points import vertex_mask
 from regulartri.search import (
     GeometricFlipOracle,
     NeighborProvider,
@@ -88,6 +88,11 @@ SPARSE_SYSTEM = (
 
 def _tagged_rows():
     return [TaggedVector(v, k + 1) for k, v in enumerate(SPARSE_SYSTEM)]
+
+
+def _mask(vec) -> int:
+    """The support mask of vec: bit c set when entry c is nonzero."""
+    return vertex_mask(c for c, x in enumerate(vec) if x)
 
 
 def _check_verdict(verdict):
@@ -199,6 +204,9 @@ def test_screen_rays_r1_cascade():
     assert sorted(out.confirmed) == ["a", "b"]
     assert out.r1 == 2
     assert out.deferred == []
+    stats = RayStats()
+    assert extremal_rays([((1, 0, 0), "a"), ((0, 1, 1), "b")], stats) == {"a", "b"}
+    assert stats == RayStats(r1=2)
 
 
 def test_screen_rays_input_checks():
@@ -258,8 +266,11 @@ def test_extremal_rays_sparse_fixture_no_lps():
 def test_extremal_rays_does_not_report_untagged_vectors():
     # Known non-rays never appear in the result even if they are extremal
     # directions of the residual system.
-    ext = extremal_rays([TaggedVector((1, 0), "a"), TaggedVector((0, 1), None)])
+    stats = RayStats()
+    ext = extremal_rays([TaggedVector((1, 0), "a"), TaggedVector((0, 1), None)], stats)
     assert ext == {"a"}
+    # R1 confirms "a"; the untagged vector is removed without counting.
+    assert stats == RayStats(r1=1)
 
 
 def random_pointed_systems():
@@ -557,7 +568,7 @@ def recorded_systems(monkeypatch):
 
     def recording(config, t, flips, stats=None):
         assert [f.circuit.support_mask for f in flips] == [
-            _support_mask(f.delta) for f in flips]
+            _mask(f.delta) for f in flips]
         systems.append([TaggedVector(f.delta, k) for k, f in enumerate(flips)])
         return original(config, t, flips, stats)
 
@@ -594,8 +605,8 @@ def test_screening_matches_rescanning_reference_on_random_systems(monkeypatch):
 
 
 def test_screening_matches_rescanning_reference_on_d2d2(monkeypatch):
-    # R1 is peeled before `screen_rays` runs, so most nodes never call it;
-    # every node's whole system is screened (and recorded) here as well.
+    # The search decides its lists on their kernel and never screens them,
+    # so every list is screened (and recorded) here.
     calls = recorded_screens(monkeypatch)
     systems = recorded_systems(monkeypatch)
     count, _ = enumerate_triangulations(simplex_product(2, 2))
@@ -637,53 +648,14 @@ def search_prefix(config, nodes, group=None):
     return stats
 
 
-# -- the R1 peel against the full cascade ------------------------------------
-
-
-def cascade_extremal_rays(vectors, stats, subsystems):
-    """`extremal_rays` without the peel: every system, the sole-candidate
-    ones of the deferred stage included, goes whole to `screen_rays`.
-    Each sole-candidate system is appended to `subsystems`."""
-    outcome = regularity.screen_rays(vectors)
-    regularity._accumulate(stats, outcome)
-    extremal = set(outcome.confirmed)
-    for item in outcome.deferred:
-        if _cascade_deferred(item, stats, subsystems):
-            extremal.add(item.ident)
-    return extremal
-
-
-def _cascade_deferred(item, stats, subsystems):
-    vec, ident = item.vec, item.ident
-    others = item.others
-    while True:
-        if not others:
-            return True
-        if len(others) == 1:
-            stats.scalar_tests += 1
-            return not _positive_multiple(others[0].vec, vec)
-        sub = [TaggedVector(vec, ident)]
-        sub.extend(TaggedVector(w.vec, None) for w in others)
-        subsystems.append(sub)
-        outcome = regularity.screen_rays(sub)
-        regularity._accumulate(stats, outcome)
-        if outcome.confirmed:
-            return True
-        (again,) = outcome.deferred
-        if len(again.others) >= len(others):
-            stats.lps_solved += 1
-            stats.lp_generators += len(again.others)
-            stats.lp_generators_max = max(stats.lp_generators_max, len(again.others))
-            return not regularity.nonneg_combination(
-                [w.vec for w in again.others], vec).feasible
-        others = again.others
+# -- the kernel stage's R1 peel against the cascade ---------------------------
 
 
 def assert_peel_is_the_cascade_prefix(system):
     """Peeling R1 and screening the residual is the full cascade."""
     system = [TaggedVector(tuple(vec), ident) for vec, ident in system]
     full = screen_rays(system)
-    peeled, left = _peel([_support_mask(v.vec) for v in system])
+    peeled, left = _peel([_mask(v.vec) for v in system])
     peeled = [system[k].ident for k in peeled if system[k].is_candidate]
     residual = [system[k] for k in left]
     rest = ScreeningOutcome()
@@ -701,30 +673,24 @@ def assert_peel_is_the_cascade_prefix(system):
     assert full.events[lead:] == rest.events
 
 
-def assert_peel_keeps_results(systems, counters=None):
-    """Over `systems` and their sole-candidate subsystems: the peel is the
-    cascade's R1 prefix, and `extremal_rays` gives the set and counters of
-    the cascade without it.  Each system's RayStats is appended to
-    `counters`, if given.  Returns the number of systems checked."""
-    checked = 0
+def assert_peel_is_the_prefix_of_every_screen(monkeypatch, systems):
+    """Run `extremal_rays` on `systems` and check the peel against the
+    cascade on every system it screens: each of `systems`, and each
+    sole-candidate snapshot of the deferred stage.  Returns the number of
+    screens checked and the RayStats of the cascade over `systems`."""
+    calls = recorded_screens(monkeypatch)
+    stats = RayStats()
     for system in systems:
-        subsystems = []
-        want_stats = RayStats()
-        want = cascade_extremal_rays(system, want_stats, subsystems)
-        got_stats = RayStats()
-        assert extremal_rays(system, got_stats) == want
-        assert got_stats == want_stats
-        if counters is not None:
-            counters.append(got_stats)
-        for sub in [system] + subsystems:
-            assert_peel_is_the_cascade_prefix(sub)
-            checked += 1
-    return checked
+        extremal_rays(system, stats)
+    for vectors, _ in calls:
+        assert_peel_is_the_cascade_prefix(vectors)
+    return len(calls), stats
 
 
-def test_peel_matches_cascade_on_random_systems():
+def test_peel_matches_cascade_on_random_systems(monkeypatch):
     systems = list(random_pointed_systems()) + [_tagged_rows()]
-    assert assert_peel_keeps_results(systems) > len(systems)
+    checked, _ = assert_peel_is_the_prefix_of_every_screen(monkeypatch, systems)
+    assert checked > len(systems)
 
 
 def test_peel_matches_cascade_on_d2d2_and_d2d4_prefix(monkeypatch):
@@ -733,34 +699,39 @@ def test_peel_matches_cascade_on_d2d2_and_d2d4_prefix(monkeypatch):
     assert count == 108 and len(systems) == stats.cache_misses
     d2d2 = len(systems)
     d2d4_prefix()
-    counters = []
-    assert assert_peel_keeps_results(systems, counters) > len(systems) > d2d2
-    assert any(c.lps_solved for c in counters) and any(c.r4 for c in counters)
+    checked, cascade = assert_peel_is_the_prefix_of_every_screen(monkeypatch, systems)
+    assert checked > len(systems) > d2d2
+    assert cascade.lps_solved and cascade.r4
 
 
-def test_peel_decides_r1_systems_without_a_screen(monkeypatch):
-    calls = recorded_screens(monkeypatch)
+def test_extremal_rays_neither_peels_nor_takes_a_kernel(monkeypatch):
+    # The cascade is the kernel stage's independent reference: it shares
+    # neither the peel nor the kernel with it.
+    def refuse(*args):
+        raise AssertionError("the cascade reached the kernel stage")
+
+    monkeypatch.setattr(regularity, "_peel", refuse)
+    monkeypatch.setattr(regularity, "kernel_basis", refuse)
     stats = RayStats()
-    assert extremal_rays([((1, 0, 0), "a"), ((0, 1, 1), "b")], stats) == {"a", "b"}
-    assert stats == RayStats(r1=2)
-    # Untagged vectors peel without counting.
-    stats = RayStats()
-    assert extremal_rays([((1, 0), "a"), ((0, 1), None)], stats) == {"a"}
-    assert stats == RayStats(r1=1)
-    assert calls == []
+    for tagged in [_tagged_rows()] + list(random_pointed_systems()):
+        assert extremal_rays(tagged, stats) == naive_extremal_rays(tagged)
+    assert stats.r4 and stats.scalar_tests and stats.lps_solved
+    assert stats.kernel == stats.signed == 0
 
 
 def test_deferred_candidate_needs_its_own_private_column():
-    # (1, 1, 0) is the sum of two snapshot vectors.  The third snapshot
-    # vector peels, the candidate does not, and one LP decides it.
+    # (1, 1, 0) is the sum of two snapshot vectors.  R1 removes the third
+    # snapshot vector, the candidate has no column of its own, and after
+    # two R4 deferrals, the second on an unshrunk snapshot, one LP decides.
     item = DeferredCandidate("v", (1, 1, 0), tuple(
         TaggedVector(vec) for vec in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    want_stats = RayStats()
-    assert _cascade_deferred(item, want_stats, []) is False
     stats = RayStats()
     assert regularity._deferred_extremal(item, stats) is False
-    assert stats == want_stats == RayStats(r4=2, lps_solved=1, lp_generators=2,
-                                           lp_generators_max=2)
+    assert stats == RayStats(r4=2, lps_solved=1, lp_generators=2, lp_generators_max=2)
+    # An empty snapshot leaves the candidate alone, and R1 confirms it.
+    stats = RayStats()
+    assert regularity._deferred_extremal(DeferredCandidate("v", (1, 1, 0), ()), stats)
+    assert stats == RayStats(r1=1)
 
 
 @pytest.mark.parametrize("ident", ("z", None))
@@ -769,8 +740,8 @@ def test_deferred_candidate_needs_its_own_private_column():
     pytest.param((0, 0, 0, 1), "mixed lengths", id="mixed"),
 ))
 def test_input_checks_run_before_the_peel(vec, ident, message):
-    # Every other vector has a private column and would peel at once; an
-    # untagged bad vector would leave no candidate to screen.
+    # Every other vector has a private column and R1 would confirm it at
+    # once; an untagged bad vector would leave no candidate to screen.
     system = [((1, 0, 0), "a"), ((0, 1, 0), "b"), ((0, 0, 1), "c")]
     for k in range(len(system) + 1):
         with pytest.raises(RegulartriError, match=message):
@@ -869,7 +840,7 @@ def test_kernel_stage_matches_naive_oracle_on_random_systems():
         vecs = [v for v, _ in tagged]
         corank = len(vecs) - rank(vecs)
         stats = RayStats()
-        got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], corank,
+        got = regularity._kernel_extremal(vecs, [_mask(v) for v in vecs], corank,
                                           stats)
         assert got == naive_extremal_rays(tagged)
         assert stats.r1 + stats.kernel + stats.signed == len(vecs)
@@ -922,7 +893,7 @@ def test_kernel_stage_refuses_non_pointed_cones(vecs):
     # A dependence with nonnegative coefficients, here v0 + v1 = 0.
     corank = len(vecs) - 2
     with pytest.raises(RegulartriError, match="not pointed"):
-        regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], corank)
+        regularity._kernel_extremal(vecs, [_mask(v) for v in vecs], corank)
 
 
 def test_lp_calls_match_lps_solved_on_prefixes(monkeypatch):
@@ -955,7 +926,7 @@ GALE_LP_SYSTEM = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3))
 def test_gale_lps_decide_a_system_without_signed_singletons():
     stats = RayStats()
     vecs = list(GALE_LP_SYSTEM)
-    got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], 3, stats)
+    got = regularity._kernel_extremal(vecs, [_mask(v) for v in vecs], 3, stats)
     assert got == {3, 4} == naive_extremal_rays([(v, k) for k, v in enumerate(vecs)])
     assert stats == RayStats(kernel=5, lps_solved=5, lp_generators=20, lp_generators_max=4)
 
@@ -979,7 +950,7 @@ def forged_gale_rejection(forge):
     setattr(regularity, name, forged)
     vecs = list(GALE_LP_SYSTEM)
     try:
-        return regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs], 3)
+        return regularity._kernel_extremal(vecs, [_mask(v) for v in vecs], 3)
     finally:
         setattr(regularity, name, original)
 
@@ -1008,7 +979,7 @@ def test_signed_singletons_confirm_without_lps():
     # the only negative one.  The other four are decided in the Gale dual.
     vecs = [(1, 0, 1), (-1, 1, 0), (0, 1, -1), (-1, 2, 1), (-2, 2, 1), (-1, 3, 2)]
     stats = RayStats()
-    got = regularity._kernel_extremal(vecs, [_support_mask(v) for v in vecs],
+    got = regularity._kernel_extremal(vecs, [_mask(v) for v in vecs],
                                       len(vecs) - rank(vecs), stats)
     assert got == naive_extremal_rays([(v, k) for k, v in enumerate(vecs)])
     assert regularity._signed_singletons(vecs) == {0, 2}

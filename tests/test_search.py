@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from operator import mul
 from pathlib import Path
 from typing import NamedTuple
@@ -29,6 +30,7 @@ from regulartri import (
     ResourceLimitError,
     SearchMode,
     Triangulation,
+    canonical_form,
     cube,
     cube_symmetry_generators,
     enumerate_triangulations,
@@ -456,26 +458,53 @@ def test_reverse_search_counts():
 
 # Two families whose counts are known in closed form, so the search is
 # checked against mathematics rather than another run of itself.  Every
-# triangulation in them is regular and every neighbour list has corank 0
-# (the flips of a node span the tangent space of a simple secondary
-# polytope), so the R1 peel decides each list alone.
+# triangulation in them is regular, so the all-flips DFS finds the same
+# count, and every neighbour list has corank 0 (the flips of a node span
+# the tangent space of a simple secondary polytope), so the R1 peel
+# decides each list alone.
+
+
+def assert_closed_form_count(config, want):
+    count, stats = enumerate_triangulations(config)
+    assert count == want
+    assert stats.rays.r1 == stats.flips_evaluated
+    assert stats.rays.lps_solved == stats.rays.kernel == 0
+    assert enumerate_triangulations(config, SearchMode.ALL_FLIPS, baseline=True)[0] == want
 
 
 @pytest.mark.parametrize("n", (6, 8, 10))
 def test_convex_polygon_counts_are_catalan_numbers(n):
     config = new_configuration([(i, i * i) for i in range(n)])
-    count, stats = enumerate_triangulations(config)
-    assert count == math.comb(2 * (n - 2), n - 2) // (n - 1)
-    assert stats.rays.r1 == stats.flips_evaluated
-    assert stats.rays.lps_solved == stats.rays.kernel == 0
+    assert_closed_form_count(config, math.comb(2 * (n - 2), n - 2) // (n - 1))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_prism_over_a_simplex_counts_are_factorials(n):
-    count, stats = enumerate_triangulations(simplex_product(1, n))
-    assert count == math.factorial(n + 1)
-    assert stats.rays.r1 == stats.flips_evaluated
-    assert stats.rays.lps_solved == stats.rays.kernel == 0
+    assert_closed_form_count(simplex_product(1, n), math.factorial(n + 1))
+
+
+def test_lattice_hexagon_orbits_under_its_dihedral_group():
+    # The lattice hexagon has a dihedral symmetry group of order 12: the
+    # rotation and a reflection of its six vertices.  Its 14 = Catalan(4)
+    # triangulations fall into 3 orbits: 6 zigzags, 6 fans and 2 triangles
+    # with three ears.
+    config = new_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    generators = [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]
+    group = expand_group(config, generators)
+    assert len(group) == 12
+    assert_closed_form_count(config, 14)
+    members = []
+    enumerate_triangulations(config, visitor=lambda t, g, d: members.append(t))
+    representatives = []
+    orbits, total, _ = _orbit_search(
+        config, generators, visitor=lambda t, g, d: representatives.append(g))
+    assert (orbits, total) == (3, 14) and orbit_count(members, group) == 3
+    # Orbit sizes |G|/|Stab| from the orbit keys, and from the members.
+    trie = group_trie(group)
+    sizes = [len(group) // orbit_key(g, group, trie)[2] for g in representatives]
+    assert sorted(sizes) == sorted(Counter(
+        canonical_form(t, group) for t in members).values()) == [2, 6, 6]
+    assert sum(sizes) == 14
 
 
 def test_codes_round_trip_and_order_as_gkz_vectors():
