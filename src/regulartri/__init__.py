@@ -23,6 +23,7 @@ from .errors import (
     StaleFlipError,
 )
 from .catalog import (
+    convex_polygon,
     cube,
     cube_symmetry_generators,
     nested_triangles,
@@ -105,6 +106,7 @@ __all__ = [
     "apply_flip",
     "baseline_dfs",
     "canonical_form",
+    "convex_polygon",
     "cube",
     "cube_symmetry_generators",
     "determinant",

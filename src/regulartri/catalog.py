@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .errors import InvalidInputError
 from .points import PointConfiguration
 from .triangulation import Triangulation
 
@@ -16,6 +17,13 @@ def square() -> PointConfiguration:
 def triangle_with_interior() -> PointConfiguration:
     """A big triangle with one interior lattice point (listed last)."""
     return PointConfiguration([(0, 0), (3, 0), (0, 3), (1, 1)])
+
+
+def convex_polygon(n: int) -> PointConfiguration:
+    """The convex n-gon (i, i²), 0 <= i < n, on a parabola; n >= 3."""
+    if n < 3:
+        raise InvalidInputError(f"a convex polygon needs at least 3 vertices, got {n}")
+    return PointConfiguration([(i, i * i) for i in range(n)])
 
 
 def cube(d: int = 3) -> PointConfiguration:

@@ -167,9 +167,10 @@ def kernel_basis(m) -> list:
     rows = _as_rows(m)
     width = len(rows[0])
     work, pivots = _gauss_jordan(rows)
+    pivoted = set(pivots)
     basis = []
     for f in range(width):
-        if f in pivots:
+        if f in pivoted:
             continue
         # x_f = scale and x_p = -row[f] * scale / row[p] for each pivot
         # row, with scale the least common multiple that keeps x integral.
@@ -179,11 +180,9 @@ def kernel_basis(m) -> list:
                 d = abs(row[p])
                 scale = scale * d // gcd(scale, d)
         vec = [0] * width
-        vec[f] = scale
+        vec[f] = g = scale
         for row, p in zip(work, pivots):
-            vec[p] = -row[f] * scale // row[p]
-        g = 0
-        for x in vec:
+            x = vec[p] = -row[f] * scale // row[p]
             g = gcd(g, x)
         vec = tuple(x // g for x in vec)
         if any(sum(map(mul, row, vec)) for row in rows):
@@ -193,20 +192,22 @@ def kernel_basis(m) -> list:
 
 
 def _gauss_jordan(rows):
-    """(work, pivots): Gauss-Jordan elimination of a copy of `rows` in
-    integers, with column pivoting.
+    """(work, pivots): Gauss-Jordan elimination of `rows` in integers, with
+    column pivoting; `rows` is left as it was.
 
     `pivots` lists the pivot columns, and `work[i]` is zero at every pivot
     column but its own, `pivots[i]`.  A row is eliminated only where it is
     nonzero, by the smallest integer combination with the pivot row, so
     no division is needed.
     """
-    work = [r[:] for r in rows]
+    work = list(rows)  # rows are replaced, never changed in place
     pivots = []
     for c in range(len(rows[0])):
         k = len(pivots)
-        swap = next((i for i in range(k, len(work)) if work[i][c]), None)
-        if swap is None:
+        for swap in range(k, len(work)):
+            if work[swap][c]:
+                break
+        else:
             continue
         work[k], work[swap] = work[swap], work[k]
         rk = work[k]

@@ -47,11 +47,15 @@ leaves are decided on one integer kernel basis of their displacements, their
 Gale dual, whatever c is: by Farkas' lemma v_i is extremal exactly when g_i,
 its entries of the basis, lies in the cone of the other g_j.  For c = 0
 every flip is extremal; for c = 1 a flip is not exactly when its coefficient
-is the only one of its sign; for c = 2 membership in the plane takes integer
-cross products.  For c >= 3 a flip alone on one side of some column is
-extremal with no LP (the confirming half of R2 and R3), as is one whose g_i
-is zero or a positive multiple of another g_j; each other flip takes one LP
-with c rows instead of n, and a rejection is rechecked on the displacements.
+is the only one of its sign; for c = 2 integer cross products decide, in
+one pass per g: the cone is not pointed when no g_j lies strictly on one
+side of the line through a nonzero g, and g_i is in the cone when it is
+zero, a positive multiple of a g_j, or between the nearest g_j on each
+side, less than a half-turn apart.  For c >= 3 a flip alone on one side
+of some column is extremal with no LP (the confirming half of R2 and R3),
+as is one whose g_i is zero or a positive multiple of another g_j; each
+other flip takes one LP with c rows instead of n, and a rejection is
+rechecked on the displacements.
 A dependence of one sign (the cone is not pointed) raises, as does a kernel
 whose dimension is not c.  Displacements are affine dependences of the
 points, which are fixed by their n - d - 1 entries outside an affine basis
@@ -378,25 +382,28 @@ def _peel(masks):
 
     A vector with a column that no other live vector touches is a ray; it
     is removed, which can only free more columns.  Each round peels every
-    such vector at once.  Whatever the order of removals, the peeled set is
-    the same, so `left`, in ascending order, indexes the system the cascade
-    reaches when R1 first stops applying.
+    such vector at once, until no column is private.  Whatever the order of
+    removals, the peeled set is the same, so `left`, in ascending order,
+    indexes the system the cascade reaches when R1 first stops applying.
     """
-    left = range(len(masks))
+    live = list(enumerate(masks))
     peeled = []
-    while left:
+    while live:
         once = twice = 0
-        for k in left:
-            mask = masks[k]
+        for _, mask in live:
             twice |= once & mask
             once |= mask
-        private = ~twice
-        keep = [k for k in left if not masks[k] & private]
-        if len(keep) == len(left):
+        private = once & ~twice
+        if not private:
             break
-        peeled.extend(k for k in left if masks[k] & private)
-        left = keep
-    return peeled, left
+        kept = []
+        for item in live:
+            if item[1] & private:
+                peeled.append(item[0])
+            else:
+                kept.append(item)
+        live = kept
+    return peeled, [k for k, _ in live]
 
 
 def _accumulate(stats, outcome):
@@ -518,10 +525,10 @@ def _kernel_extremal(vecs, masks, corank, stats=None, coords=None) -> set:
     basis = []
     if left:
         columns = [vecs[k] for k in left]
-        rows = list(zip(*columns))
         if coords is None:
             coords = range(len(vecs[0]))
-        basis = kernel_basis([rows[c] for c in coords if any(rows[c])])
+        rows = ([v[c] for v in columns] for c in coords)
+        basis = kernel_basis([row for row in rows if any(row)])
         keep.update(left[i] for i in _gale_extremal(basis, columns, stats))
     if len(basis) != corank:
         raise RegulartriError(
@@ -557,13 +564,19 @@ def _gale_extremal(basis, vecs, stats) -> list:
                 if not (x > 0 and pos == 1 or x < 0 and neg == 1)]
     gs = list(zip(*basis))
     for a, b in gs:
-        # The cone of the g_j is a half-plane or less exactly when a normal
-        # to one of them bounds it.
+        # The cone is a half-plane or less exactly when the line through a
+        # nonzero g bounds it; its pass ends once g_j lie on both sides.
         if not (a or b):
             continue
-        for w in ((-b, a), (b, -a)):
-            if all(w[0] * x + w[1] * y >= 0 for x, y in gs):
-                raise RegulartriError("dependence of one sign: cone is not pointed")
+        sides = 0
+        for x, y in gs:
+            cross = a * y - b * x
+            if cross:
+                sides |= 1 if cross > 0 else 2
+                if sides == 3:
+                    break
+        else:
+            raise RegulartriError("dependence of one sign: cone is not pointed")
     return [i for i, g in enumerate(gs) if _in_plane_cone(g, gs[:i] + gs[i + 1:])]
 
 
@@ -632,18 +645,23 @@ def _in_plane_cone(g, others) -> bool:
 
     By Carathéodory two generators suffice: g is zero, or a positive
     multiple of one, or between one strictly to its right and one strictly
-    to its left less than a half-turn apart (integer cross products).
+    to its left less than a half-turn apart.  The pair nearest to g on each
+    side spans the least angle, so it alone is tested: one pass of integer
+    cross products.
     """
     x, y = g
     if not (x or y):
         return True
-    left, right = [], []
+    left = right = None
     for u, v in others:
         cross = x * v - y * u
+        # Nearer to g: clockwise of `left`, counterclockwise of `right`.
         if cross > 0:
-            left.append((u, v))
+            if left is None or u * left[1] - v * left[0] > 0:
+                left = u, v
         elif cross < 0:
-            right.append((u, v))
+            if right is None or right[0] * v - right[1] * u > 0:
+                right = u, v
         elif x * u + y * v > 0:
             return True
-    return any(a * d - b * c > 0 for a, b in right for c, d in left)
+    return bool(left and right and right[0] * left[1] - right[1] * left[0] > 0)

@@ -265,6 +265,15 @@ def _count_visit(visited, max_nodes, search):
     return visited + 1
 
 
+def _orbit_size(order, stabiliser):
+    """|G|/|Stab|, which is whole in a group (Lagrange), else RegulartriError."""
+    size, rest = divmod(order, stabiliser)
+    if rest:
+        raise RegulartriError(f"a stabiliser of order {stabiliser} does not divide "
+                              f"{order}: the permutations are not a group")
+    return size
+
+
 def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
                    group=None):
     """Enumerate the predecessor tree rooted at the sink above the seed.
@@ -285,8 +294,9 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
     predecessor is g·R, then g⁻¹·C is a neighbor of R with representative
     C, so R's children are found among its neighbors' representatives.
     `group_trie` refuses a group that is empty, repeats an element or lacks
-    the identity or an inverse; nothing checks that its elements are
-    symmetries or that it is closed: build it with `symmetry.expand_group`.
+    the identity or an inverse, and an orbit size |G|/|Stab| that is not
+    whole raises; nothing else checks that its elements are symmetries or
+    that it is closed: build it with `symmetry.expand_group`.
 
     Nodes are keyed, compared and shifted as GKZ codes (see the module
     docstring); under a group each candidate's code is unpacked for
@@ -325,7 +335,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
         key, _, stabiliser = orbit_key(root_gkz, group, trie)
         if key != root_gkz:
             raise RegulartriError("the lex-max root is not its orbit's representative")
-        total = order // stabiliser
+        total = _orbit_size(order, stabiliser)
     stats.nodes += 1
     if visitor is not None:
         visitor(root, unpack(root_code), 0)
@@ -358,7 +368,7 @@ def reverse_search(provider: NeighborProvider, visitor=None, max_nodes=None,
                 if ccode >= code or ccode in seen:
                     continue
                 seen.add(ccode)
-                size = order // stabiliser
+                size = _orbit_size(order, stabiliser)
                 if perm == identity:
                     perm = None
             # A target that is its own representative derives its flips from

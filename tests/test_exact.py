@@ -316,6 +316,21 @@ def test_kernel_basis_matches_fraction_oracle():
     assert {0, 1, 2, 3} <= sizes
 
 
+def test_kernel_basis_leaves_its_rows_unchanged():
+    # The elimination shares the rows it does not replace, and the recheck
+    # reads them: neither may change a row in place.
+    rng = random.Random(20261023)
+    for _ in range(300):
+        rows = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(5)]
+                for _ in range(rng.randint(1, 4))]
+        before = [row[:] for row in rows]
+        kernel_basis(rows)
+        assert rows == before
+        ints = exact.int_rows(rows)
+        exact._gauss_jordan(ints)
+        assert ints == before
+
+
 @contextmanager
 def forged_elimination():
     """`exact._gauss_jordan` drops its last pivot meanwhile, so that pivot's

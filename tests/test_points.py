@@ -15,6 +15,7 @@ from regulartri import (
     InvalidInputError,
     NotCorankOneError,
     RegulartriError,
+    convex_polygon,
     cube,
     determinant,
     kernel_vector,
@@ -68,6 +69,7 @@ COBASIS_FIXTURES = {
     "square": square,
     "triangle_with_interior": triangle_with_interior,
     "nested_triangles": nested_triangles,
+    "polygon6": lambda: convex_polygon(6),
     "cube3": lambda: cube(3),
     "cube4": lambda: cube(4),
     **{f"d2d{k}": (lambda k=k: simplex_product(2, k)) for k in (2, 3, 4, 5)},

@@ -46,12 +46,14 @@ from regulartri import expand_group, regularity
 from regulartri import search
 from regulartri.catalog import cube_symmetry_generators
 from regulartri.exact import kernel_basis
-from regulartri.lp import Feasibility, strict_homogeneous
+from regulartri.lp import Feasibility, nonneg_combination, strict_homogeneous
 from regulartri.triangulation import facet_incidence
 from regulartri.regularity import (
     DeferredCandidate,
     ScreeningEvent,
     ScreeningOutcome,
+    _gale_extremal,
+    _in_plane_cone,
     _peel,
     _positive_multiple,
 )
@@ -894,6 +896,120 @@ def test_kernel_stage_refuses_non_pointed_cones(vecs):
     corank = len(vecs) - 2
     with pytest.raises(RegulartriError, match="not pointed"):
         regularity._kernel_extremal(vecs, [_mask(v) for v in vecs], corank)
+
+
+# -- the kernel stage's loops against their rescanning forms ------------------
+
+
+def rescanning_peel(masks):
+    """The R1 peel that rescans every live index each round and stops when
+    a round keeps them all: the reference for `_peel`."""
+    left = range(len(masks))
+    peeled = []
+    while left:
+        once = twice = 0
+        for k in left:
+            twice |= once & masks[k]
+            once |= masks[k]
+        keep = [k for k in left if not masks[k] & ~twice]
+        if len(keep) == len(left):
+            break
+        peeled.extend(k for k in left if masks[k] & ~twice)
+        left = keep
+    return peeled, list(left)
+
+
+def test_peel_matches_its_rescanning_form_on_random_masks():
+    rng = random.Random(20261020)
+    rounds = Counter()
+    for _ in range(3000):
+        width = rng.randint(1, 12)
+        masks = [rng.getrandbits(width) or 1 for _ in range(rng.randint(0, 9))]
+        peeled, left = _peel(masks)
+        assert (peeled, left) == rescanning_peel(masks)
+        rounds[bool(peeled), bool(left)] += 1
+    assert len(rounds) == 4
+
+
+def quadratic_plane_cone(g, others):
+    """`_in_plane_cone` testing every pair of generators on opposite sides
+    of g: its reference."""
+    x, y = g
+    if not (x or y):
+        return True
+    left, right = [], []
+    for u, v in others:
+        cross = x * v - y * u
+        if cross > 0:
+            left.append((u, v))
+        elif cross < 0:
+            right.append((u, v))
+        elif x * u + y * v > 0:
+            return True
+    return any(a * d - b * c > 0 for a, b in right for c, d in left)
+
+
+def quadratic_plane_extremal(basis):
+    """`_gale_extremal` on a 2-row basis, with a normal to each nonzero g
+    tested against every g for pointedness and `quadratic_plane_cone`: its
+    reference."""
+    gs = list(zip(*basis))
+    for a, b in gs:
+        if not (a or b):
+            continue
+        for w in ((-b, a), (b, -a)):
+            if all(w[0] * x + w[1] * y >= 0 for x, y in gs):
+                raise RegulartriError("dependence of one sign: cone is not pointed")
+    return [i for i, g in enumerate(gs) if quadratic_plane_cone(g, gs[:i] + gs[i + 1:])]
+
+
+def random_plane_vectors(rng, count):
+    """`count` small integer vectors in Z^2, with zero, parallel and
+    opposite ones among them."""
+    vectors = []
+    for _ in range(count):
+        pick = rng.random()
+        if vectors and pick < 0.3:
+            u, v = rng.choice(vectors)
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            vectors.append((k * u, k * v))
+        elif pick < 0.4:
+            vectors.append((0, 0))
+        else:
+            vectors.append((rng.randint(-4, 4), rng.randint(-4, 4)))
+    return vectors
+
+
+def test_in_plane_cone_matches_the_lp():
+    rng = random.Random(20261021)
+    verdicts = Counter()
+    for _ in range(1500):
+        g, *others = random_plane_vectors(rng, rng.randint(1, 7))
+        got = _in_plane_cone(g, others)
+        assert got is nonneg_combination(others, g).feasible
+        assert got is quadratic_plane_cone(g, others)
+        verdicts[got, any(g)] += 1
+    assert len(verdicts) == 3
+
+
+def test_plane_gale_stage_matches_its_quadratic_form():
+    rng = random.Random(20261022)
+    outcomes = Counter()
+    for _ in range(3000):
+        size = rng.randint(2, 9)
+        basis = list(zip(*random_plane_vectors(rng, size)))
+        try:
+            want = quadratic_plane_extremal(basis)
+        except RegulartriError as error:
+            with pytest.raises(RegulartriError, match=f"^{error}$"):
+                _gale_extremal(basis, range(size), RayStats())
+            outcomes["raised"] += 1
+            continue
+        stats = RayStats()
+        assert _gale_extremal(basis, range(size), stats) == want
+        assert stats == RayStats(kernel=size)
+        outcomes["rejects" if len(want) < size else "keeps"] += 1
+    assert set(outcomes) == {"raised", "rejects", "keeps"}
 
 
 def test_lp_calls_match_lps_solved_on_prefixes(monkeypatch):

@@ -31,6 +31,7 @@ from regulartri import (
     SearchMode,
     Triangulation,
     canonical_form,
+    convex_polygon,
     cube,
     cube_symmetry_generators,
     enumerate_triangulations,
@@ -474,8 +475,15 @@ def assert_closed_form_count(config, want):
 
 @pytest.mark.parametrize("n", (6, 8, 10))
 def test_convex_polygon_counts_are_catalan_numbers(n):
-    config = new_configuration([(i, i * i) for i in range(n)])
+    config = convex_polygon(n)
+    assert config.points == tuple((i, i * i) for i in range(n))
     assert_closed_form_count(config, math.comb(2 * (n - 2), n - 2) // (n - 1))
+
+
+@pytest.mark.parametrize("n", (-1, 0, 1, 2))
+def test_convex_polygon_needs_three_vertices(n):
+    with pytest.raises(InvalidInputError, match="at least 3 vertices"):
+        convex_polygon(n)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -1347,6 +1355,20 @@ def test_orbit_search_refuses_a_group_without_an_inverse():
         reverse_search(provider, group=group)
     assert (stats.nodes, stats.cache_misses, stats.flips_evaluated) == (0, 0, 0)
     with pytest.raises(InvalidInputError, match="lacks the inverse"):
+        enumerate_triangulations(cube(3), group=group)
+
+
+@pytest.mark.parametrize("size, stabiliser", ((3, 2), (5, 2), (7, 6)))
+def test_orbit_search_refuses_a_list_that_is_not_a_group(size, stabiliser):
+    # The first elements of cube(3)'s group hold the identity and their
+    # inverses, so the trie takes them, but they are not closed: some
+    # vector's stabiliser has an order that does not divide theirs, and
+    # |G|/|Stab| would be floored into a wrong count (46, 59 and 28
+    # triangulations in place of 74).
+    group = expand_group(cube(3), cube_symmetry_generators(3))[:size]
+    group_trie(group)
+    with pytest.raises(RegulartriError,
+                       match=f"order {stabiliser} does not divide {size}: .* not a group"):
         enumerate_triangulations(cube(3), group=group)
 
 
