@@ -164,7 +164,13 @@ def kernel_basis(m) -> list:
     Each vector is rechecked against every row of `m`, and one that fails
     raises RegulartriError (not an assert, so `python -O` keeps it).
     """
-    rows = _as_rows(m)
+    return _kernel_basis(_as_rows(m))
+
+
+def _kernel_basis(rows) -> list:
+    """`kernel_basis` of rows already known to be nonempty lists of ints of
+    one width, taken as they are: no copy, no check of their entries.
+    Each vector is still rechecked against every row."""
     width = len(rows[0])
     work, pivots = _gauss_jordan(rows)
     pivoted = set(pivots)

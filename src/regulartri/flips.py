@@ -20,31 +20,30 @@ they are a multiple c_τ·λ of the primitive one, and vol((Z∖{j}) ∪ τ) =
 δ = (Σ_τ c_τ)·λ, so `_make_flip` reads one memoised minor per link simplex
 and rechecks that each c_τ is a positive integer.
 
-No exact arithmetic runs per triangulation.  A flip that removes a
-simplex S removes the side of the circuit of S ∪ {p} that has p on it, for
-some p ∉ S.  So `find_flips` reads, for each maximal simplex S, the
-configuration's circuit index: S's vertex mask and, for each p, that one
-side with its faces, computed once per simplex and shared per circuit
-support.  It tests each side it meets once, on integer bitmasks, in which
-bit v stands for vertex v.  First the exchange test: S is a coface of Z∖{p},
-so a flip on the side would remove S = (Z∖{p}) ∪ τ and with it each
-exchange simplex S − q + p = (Z∖{q}) ∪ τ, for q ≠ p on the plus side; if
-one of them is not in the triangulation the side has no flip, exactly.  The
-circuit lies in S ∪ {p}, so those q are the bits of the plus side's mask
-inside S's, and S − q + p is the mask of S ∪ {p} without bit q: the test is
-computed, not stored, and looks each up in the set of the triangulation's
-masks.  A side that passes gets the link test: the cofaces of a face are
-the simplices whose vertex mask contains the face's, and the link of the
-face in a coface is the coface's vertex mask minus the face's.  So a link
-is a set of ints and no vertex tuple is built per coface.  A flip depends
-only on its circuit side and link, so the `Flip` for each (side, link)
-pair is built once per configuration and memoised in
+No exact arithmetic runs per triangulation.  A flip that removes a simplex S
+removes the side of the circuit of S ∪ {p} that has p on it, for some p ∉ S.
+So `find_flips` reads, for each maximal simplex S, the configuration's
+circuit index: S's vertex mask and, for each p, that one side with its
+faces, computed once per simplex and shared per circuit support.  It tests
+each side it meets once, on integer bitmasks, in which bit v stands for
+vertex v.  First the exchange test: S is a coface of Z∖{p}, so a flip on the
+side would remove S = (Z∖{p}) ∪ τ and with it each exchange simplex
+S − q + p = (Z∖{q}) ∪ τ, for q ≠ p on the plus side; if one of them is not
+in the triangulation the side has no flip, exactly.  The circuit lies in S ∪ {p},
+so those q are the bits of the plus side's mask inside S's, and S − q + p is
+the mask of S ∪ {p} without bit q, looked up in the set of the
+triangulation's masks.  A side that passes gets the link test: the cofaces
+of a face are the simplices whose vertex mask contains the face's, and the
+link of the face in a coface is the coface's vertex mask minus the face's.
+So a link is a set of ints and no vertex tuple is built per coface.  A flip
+depends only on its circuit side and link, so the `Flip` for each (side,
+link) pair is built once per configuration and memoised in
 `PointConfiguration.flip_memo`, keyed by the side and the sorted tuple of
-the link's masks; the link's vertex tuples are decoded on a memo miss only,
-and `_make_flip`'s rechecks run on every `Flip` object that exists.  The
-memo grows with the number of distinct flips of the triangulations visited
-(1 584 for all of Δ2×Δ3's 4 488), not with the number of times they are
-found (28 368).
+the link's masks; its simplices are decoded from their masks on a memo miss
+only, and `_make_flip`'s rechecks run on every `Flip` object that exists.
+The memo grows with the number of distinct flips of the triangulations
+visited (1 584 for all of Δ2×Δ3's 4 488), not with the number of times they
+are found (28 368).
 
 A flip's removed and inserted simplices are sorted tuples of the tuples in
 `PointConfiguration.simplex_table`, so all flips share one tuple per
@@ -53,12 +52,17 @@ simplex (432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips).
 A flip changes the flips of a triangulation only near the flipped region,
 so `find_flips` derives the list of T′ = apply_flip(P, flip) from P's when
 it is given P's: it keeps P's flips whose removed simplices avoid
-`flip.removed`, takes the flip back to P, on the opposite side of the
-same circuit with the same link, from the memo, and tests only the other
-sides of the inserted simplices (see `find_flips` for why that is exact).
-On the regular search of Δ2×Δ3 the derivation meets 51 030 sides; the
-exchange test rejects 36 818 of them and the flip back takes 4 487 more,
-so 9 725 link tests remain, and 7 698 of them find a flip.
+`flip.removed`, compared as vertex masks, takes the flip back to P, on the
+opposite side of the same circuit with the same link, from the memo, and
+tests only the other sides of the inserted simplices (see `find_flips` for
+why that is exact).  The flip back and those sides, each with its exchange
+masks, depend on the step alone, so they are found once, on the step's
+first use, and kept on the `Flip`; a side's (side, exchanges) pair is
+shared by every step that inserts its simplex.  On the regular search of
+Δ2×Δ3, 351 flips serve as steps, and their memos hold 4 643 sides of 422
+simplices.  The 4 487 derivations and the seed's list meet 46 543 sides,
+with no circuit index lookup in a derivation; the exchange test rejects
+36 818 of them, so 9 725 link tests remain, and 7 698 of them find a flip.
 
 `apply_flip` keeps the source simplices that the flip does not remove, adds
 the inserted ones and sorts the result, sharing the simplex tuples of the
@@ -69,9 +73,10 @@ table tuples has table tuples too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from .errors import RegulartriError, StaleFlipError
-from .points import CircuitSide, CorankOneConfig, PointConfiguration, mask_bits
+from .points import CircuitSide, CorankOneConfig, PointConfiguration
 from .triangulation import GkzVector, Triangulation
 
 
@@ -84,10 +89,12 @@ class Flip:
     present (and will be removed).  `removed` and `inserted` are sorted
     tuples of simplices, each a `PointConfiguration.simplex` tuple.  A
     memoised flip also keeps its `CircuitSide`, its link as the sorted
-    tuple of the link simplices' vertex masks, its key in `flip_memo`, and
-    its `shift`, `PointConfiguration.code_shift(delta)`: the target's code
-    is the source's plus `shift`, and `shift` has the sign of `delta`'s
-    first nonzero entry.  Equality ignores all three.
+    tuple of the link simplices' vertex masks, its key in `flip_memo`, its
+    `shift`, `PointConfiguration.code_shift(delta)`: the target's code is
+    the source's plus `shift`, and `shift` has the sign of `delta`'s first
+    nonzero entry; `removed_masks`, the vertex masks of `removed` in order;
+    and, once it has been a step of `find_flips`, its `step_memo`.
+    Equality ignores all five.
     """
 
     circuit: CorankOneConfig
@@ -97,9 +104,14 @@ class Flip:
     side: CircuitSide = field(default=None, compare=False)
     link: tuple = field(default=None, compare=False)
     shift: int = field(default=None, compare=False)
+    removed_masks: tuple = field(default=None, compare=False)
+    step_memo: tuple = field(default=None, compare=False)
 
     def __repr__(self):
         return f"Flip(Z={self.circuit.support}, delta={self.delta})"
+
+
+_support = attrgetter("circuit.support")
 
 
 def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> list:
@@ -123,6 +135,10 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
     - only the other sides of the simplices in `flip.inserted` are tested;
     - the result is sorted by support, as from scratch.
 
+    The flip back and the sides to test, each with its exchange simplices,
+    depend on `flip` alone: they are found on its first use as a step and
+    kept on it (`_step_memo`).
+
     This is exact.  A face's cofaces change only if the face lies in a
     removed or an inserted simplex.  Both sets triangulate the same region,
     the joins of conv Z with the link, and a triangulation is a complex, so
@@ -134,34 +150,47 @@ def find_flips(config: PointConfiguration, t: Triangulation, parent=None) -> lis
     flip is found twice: had a side of i been a kept flip's, i would be one
     of its removed simplices, all of which are P's.
     """
-    entry = config.circuit_entry
-    masks = [entry(s)[0] for s in t.simplices]
     if parent is None:
-        out, scan, tested = [], t.simplices, set()
+        out = []
+        scan = _scan(config, t.simplices, set())
     else:
         parent_flips, step = parent
-        gone = frozenset(step.removed)
-        out = [f for f in parent_flips if gone.isdisjoint(f.removed)]
-        back = step.side.opposite
-        out.append(_memo_flip(config, back, step.link))
-        scan, tested = step.inserted, {back}
+        back, scan = step.step_memo or _step_memo(config, step)
+        # Simplices are told apart by their vertex masks, ints.
+        gone = frozenset(step.removed_masks)
+        out = [f for f in parent_flips if gone.isdisjoint(f.removed_masks)]
+        out.append(back)
+    # Every simplex of t has its circuit index entry by now: the scan made
+    # it, or P's list and the step's scan did.
+    index = config._circuit_index
+    masks = [index[s][0] for s in t.simplices]
     present = set(masks)
-    for s in scan:
-        smask, sides = entry(s)
-        for side in sides:
-            if side in tested:
-                continue
-            tested.add(side)
-            if not present.issuperset(_exchanges(smask, side.plus_mask)):
-                continue
-            link = _side_link(side.faces, masks)
-            if link is not None:
-                out.append(_memo_flip(config, side, tuple(sorted(link))))
-    out.sort(key=lambda f: f.circuit.support)
+    for side, exchanges in scan:
+        if not present.issuperset(exchanges):
+            continue
+        link = _side_link(side.faces, masks)
+        if link is not None:
+            out.append(_memo_flip(config, side, tuple(sorted(link))))
+    out.sort(key=_support)
     return out
 
 
-def _exchanges(smask, plus_mask):
+def _scan(config, simplices, seen) -> list:
+    """The (side, exchanges) pairs of the circuit index sides of the
+    simplices, each side once and none in `seen`, which gains them all.
+    `exchanges` lists the `_exchanges` of the first simplex that lists the
+    side: the test is exact on either."""
+    out = []
+    for s in simplices:
+        smask, sides = config.circuit_entry(s)
+        for side in sides:
+            if side not in seen:
+                seen.add(side)
+                out.append((side, _exchanges(smask, side.plus_mask)))
+    return out
+
+
+def _exchanges(smask, plus_mask) -> list:
     """The vertex masks of the exchange simplices S − q + p of the side with
     mask `plus_mask` listed for p in the circuit index entry of the simplex
     S with mask `smask`: one for each q of the plus side in S."""
@@ -173,6 +202,33 @@ def _exchanges(smask, plus_mask):
         out.append(joined ^ q)
         rest ^= q
     return out
+
+
+def _step_memo(config, step) -> tuple:
+    """`step.step_memo`, computed and set on its first use: the flip back
+    and the `_scan` of the inserted simplices without the flip back's side.
+    Each simplex's pairs are memoised in `PointConfiguration.exchange_memo`,
+    so the steps that insert a simplex share them."""
+    back = _memo_flip(config, step.side.opposite, step.link)
+    memo = config.exchange_memo
+    keep = config.mask_simplex
+    scan, seen = [], {back.side}
+    for s in step.inserted:
+        pairs = memo.get(s)
+        if pairs is None:
+            # Each exchange simplex is a simplex, so its mask is interned
+            # as the one int `mask_simplex` keeps for it.
+            pairs = memo[s] = tuple(
+                (side, tuple(keep(m)[0] for m in exchanges))
+                for side, exchanges in _scan(config, (s,), set()))
+        for pair in pairs:
+            if pair[0] not in seen:
+                seen.add(pair[0])
+                scan.append(pair)
+    step_memo = (back, tuple(scan))
+    # A memo, not a value: Flip equality ignores the field.
+    object.__setattr__(step, "step_memo", step_memo)
+    return step_memo
 
 
 def _memo_flip(config, side, link):
@@ -204,34 +260,28 @@ def _side_link(faces, masks):
     return link
 
 
-def _without(support, q):
-    i = support.index(q)
-    return support[:i] + support[i + 1 :]
-
-
 def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Flip:
     """The flip on the circuit side with the link, the sorted tuple of its
-    simplices' vertex masks: its simplices are the configuration's table
-    tuples and its displacement is (Σ_τ c_τ)·λ, where c_τ is the volume of
-    (Z∖{q}) ∪ τ over |λ_q| for the first q on the plus side.  Its `shift`
-    is computed here, once per memoised flip."""
+    simplices' vertex masks.  Each removed or inserted simplex is the join
+    face | τ of a face of its side's and a link mask, decoded once per
+    simplex (`PointConfiguration.mask_simplex`).  The displacement is
+    (Σ_τ c_τ)·λ, where c_τ is the volume of (Z∖{q}) ∪ τ over |λ_q| for the
+    first q on the plus side.  It is built with n entries and checked
+    here, once per memoised flip, to have int entries, nonzero exactly on
+    the support, so the kernel stage of `regularity.regular_flips` takes it
+    with no check of its own.  Its `shift` is computed here too."""
     circuit = side.circuit
     support = circuit.support
-    taus = tuple(map(mask_bits, link))
-    simplex_of = config.simplex
+    decode = config.mask_simplex
 
-    def joins(points):
-        return tuple(sorted(
-            simplex_of(tuple(sorted(_without(support, q) + tau)))
-            for q in points for tau in taus
-        ))
+    def joins(faces):
+        return sorted([decode(face | tau) for face in faces for tau in link],
+                      key=itemgetter(1))
 
-    q = circuit.plus[0]
-    lam = circuit.coefficient(q)
-    face = _without(support, q)
+    lam = circuit.coefficient(circuit.plus[0])
     scale = 0
-    for tau in taus:
-        simplex = tuple(sorted(face + tau))
+    for tau in link:
+        simplex = decode(side.faces[0] | tau)[1]
         vol = abs(config._minor(simplex))
         c, rest = divmod(vol, lam)
         if c <= 0 or rest:
@@ -244,16 +294,19 @@ def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Fl
     for p, x in zip(support, circuit.dependence):
         delta[p] = scale * x
     if not (
-        all(delta[p] > 0 for p in circuit.plus)
+        all(type(x) is int for x in delta)
+        and all(delta[p] > 0 for p in circuit.plus)
         and all(delta[p] < 0 for p in circuit.minus)
         and sum(1 for x in delta if x != 0) == len(support)
     ):
         raise RegulartriError(
-            "flip displacement must be positive on the removed side, negative on "
-            "the inserted side, zero elsewhere"
+            "flip displacement must have int entries, positive on the removed "
+            "side, negative on the inserted side, zero elsewhere"
         )
-    return Flip(circuit, joins(circuit.plus), joins(circuit.minus), tuple(delta),
-                side, link, config.code_shift(delta))
+    removed = joins(side.faces)
+    return Flip(circuit, tuple(s for _, s in removed),
+                tuple(s for _, s in joins(side.opposite.faces)), tuple(delta),
+                side, link, config.code_shift(delta), tuple(m for m, _ in removed))
 
 
 def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Triangulation:

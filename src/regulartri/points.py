@@ -190,12 +190,19 @@ class PointConfiguration:
       removed side and link determine its removed and inserted simplices
       and its displacement, so the memo holds one entry per distinct flip
       met: its size is the number of distinct flips of the triangulations
-      visited, not the number of times they were found;
+      visited, not the number of times they were found.  A flip that
+      `find_flips` derives a list over keeps that step's data on itself
+      (`flips.Flip.step_memo`);
+    - `exchange_memo`: for each simplex such a step inserts, the pairs
+      (side, exchange simplex masks) of its circuit index sides, shared by
+      every step that inserts it;
     - `simplex_table`: each maximal simplex that flips and search nodes
       hold, as a sorted tuple mapped to itself (see `simplex`).  So one
       tuple stands for a simplex wherever it is kept, and the table grows
       with the number of distinct simplices met, not with the number of
-      flips and triangulations that hold them.
+      flips and triangulations that hold them.  `mask_table` maps the
+      vertex mask of each simplex a flip holds or an exchange test reads to
+      one int for the mask and its table tuple (see `mask_simplex`).
 
     The search handles GKZ-vectors as codes, one int each (`pack` and
     `unpack`): the entries in fields of `code_width` bits, the first entry
@@ -240,8 +247,12 @@ class PointConfiguration:
         self._circuit_index = {}
         #: (CircuitSide, sorted link masks) -> Flip; see the class docstring
         self.flip_memo = {}
+        #: simplex -> its (side, exchange masks) pairs; see the class docstring
+        self.exchange_memo = {}
         #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
         self.simplex_table = {}
+        #: vertex mask -> (that mask, its `simplex` tuple); see `mask_simplex`
+        self.mask_table = {}
         #: (normalized volume, facets) of the hull; see `triangulation._hull`
         self._hull = None
 
@@ -269,6 +280,14 @@ class PointConfiguration:
         nodes take their simplices from here, so equal simplices are one
         object (see the class docstring)."""
         return self.simplex_table.setdefault(key, key)
+
+    def mask_simplex(self, mask) -> tuple:
+        """(mask, simplex) for the simplex with this vertex mask: the mask
+        as the one int kept for it and the `simplex` tuple, decoded once."""
+        pair = self.mask_table.get(mask)
+        if pair is None:
+            pair = self.mask_table[mask] = (mask, self.simplex(mask_bits(mask)))
+        return pair
 
     def _minor(self, key) -> int:
         """Signed determinant of the homogenized rows of a sorted (d+1)-tuple."""

@@ -72,7 +72,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DegenerateConfigError, RegulartriError
-from .exact import kernel_basis
+from .exact import _kernel_basis, int_rows
 from .lp import _integer_multiple, nonneg_combination, strict_homogeneous
 from .points import PointConfiguration
 from .triangulation import Triangulation, facet_incidence
@@ -488,17 +488,19 @@ def regular_flips(config: PointConfiguration, t: Triangulation, flips, stats=Non
 
     A flip qualifies exactly when its GKZ displacement spans an extremal ray
     of the cone generated by all displacements at t.  A displacement is
-    nonzero exactly on its circuit's points (`flips._make_flip` checks
-    this), so its support mask is the circuit's.  Every list is decided by
-    _kernel_extremal, whatever its corank, with its kernel taken at the
-    co-basis points (see the module docstring).  A list whose flips are all
-    kept is returned as it is.
+    nonzero exactly on its circuit's points, so its support mask is the
+    circuit's.  `flips._make_flip` checks that, and that it has n int
+    entries, once per flip, so the list goes to the kernel stage
+    (_kernel_stage) with no check of its own; the kernel vectors are still
+    rechecked.  Every list is decided there, whatever its corank, with its
+    kernel taken at the co-basis points (see the module docstring).  A list
+    whose flips are all kept is returned as it is.
     """
     if not flips:
         return []
-    keep = _kernel_extremal([f.delta for f in flips],
-                            [f.circuit.support_mask for f in flips],
-                            len(flips) - len(config.cobasis), stats, config.cobasis)
+    keep = _kernel_stage([f.delta for f in flips],
+                         [f.circuit.support_mask for f in flips],
+                         len(flips) - len(config.cobasis), stats, config.cobasis)
     if len(keep) == len(flips):
         return flips
     return [f for k, f in enumerate(flips) if k in keep]
@@ -514,11 +516,20 @@ def _kernel_extremal(vecs, masks, corank, stats=None, coords=None) -> set:
     rows at `coords` (every coordinate by default), where a combination of
     the vectors may vanish only if it is zero, so it is that of all rows.
     A system the peel clears has kernel dimension 0 and is returned without
-    a kernel stage, after the same corank check.
+    a kernel stage, after the same corank check.  The system is checked
+    first: _check_system on the vectors and their masks, and int entries.
     """
+    _check_system(zip(vecs, masks), len(vecs[0]))
+    int_rows(vecs, "ray system")
+    return _kernel_stage(vecs, masks, corank, stats, coords)
+
+
+def _kernel_stage(vecs, masks, corank, stats=None, coords=None) -> set:
+    """_kernel_extremal on a system known to be valid, such as the
+    displacements that `flips._make_flip` checks: nonempty vectors of one
+    length with int entries, each nonzero, with its support mask."""
     if stats is None:
         stats = RayStats()
-    _check_system(zip(vecs, masks), len(vecs[0]))
     peeled, left = _peel(masks)
     stats.r1 += len(peeled)
     keep = set(peeled)
@@ -528,7 +539,7 @@ def _kernel_extremal(vecs, masks, corank, stats=None, coords=None) -> set:
         if coords is None:
             coords = range(len(vecs[0]))
         rows = ([v[c] for v in columns] for c in coords)
-        basis = kernel_basis([row for row in rows if any(row)])
+        basis = _kernel_basis([row for row in rows if any(row)])
         keep.update(left[i] for i in _gale_extremal(basis, columns, stats))
     if len(basis) != corank:
         raise RegulartriError(

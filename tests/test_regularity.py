@@ -713,7 +713,7 @@ def test_extremal_rays_neither_peels_nor_takes_a_kernel(monkeypatch):
         raise AssertionError("the cascade reached the kernel stage")
 
     monkeypatch.setattr(regularity, "_peel", refuse)
-    monkeypatch.setattr(regularity, "kernel_basis", refuse)
+    monkeypatch.setattr(regularity, "_kernel_basis", refuse)
     stats = RayStats()
     for tagged in [_tagged_rows()] + list(random_pointed_systems()):
         assert extremal_rays(tagged, stats) == naive_extremal_rays(tagged)
@@ -1059,7 +1059,7 @@ def forged_gale_rejection(forge):
     name, forged = {
         "certificate": ("nonneg_combination", lambda generators, target: Feasibility(
             False, certificate=(Fraction(1),) * len(target))),
-        "basis": ("kernel_basis", lambda rows: [
+        "basis": ("_kernel_basis", lambda rows: [
             (1, -1, 0, 0, 0), (1, -2, 0, 1, 0), (-5, 2, 0, 0, 1)]),
     }[forge]
     original = getattr(regularity, name)
