@@ -239,8 +239,9 @@ def kernel_vector(m) -> tuple:
     NotCorankOneError when it has dimension two or more.
 
     This is `kernel_basis` for a kernel of dimension one.
-    `PointConfiguration` gets each circuit by Cramer's rule from an
-    adjugate, and the tests use this function as the independent reference
+    `PointConfiguration` gets each circuit by Cramer's rule, from an
+    adjugate or by an exchange step from the circuits of an adjacent
+    simplex, and the tests use this function as the independent reference
     for those circuits.
     """
     basis = kernel_basis(m)

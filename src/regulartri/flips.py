@@ -17,8 +17,8 @@ from the circuit's dependence λ by Cramer's rule: for a link simplex τ the
 signed maximal minors of Z ∪ τ form a dependence of those d+2 points, so
 they are a multiple c_τ·λ of the primitive one, and vol((Z∖{j}) ∪ τ) =
 |λ_j|·c_τ.  Summing the volumes of the simplices at each point gives
-δ = (Σ_τ c_τ)·λ, so `_make_flip` reads one memoised minor per link simplex
-and rechecks that each c_τ is a positive integer.
+δ = (Σ_τ c_τ)·λ, so `_displacement` reads one memoised minor per link
+simplex and rechecks that each c_τ is a positive integer.
 
 No exact arithmetic runs per triangulation.  A flip that removes a simplex S
 removes the side of the circuit of S ∪ {p} that has p on it, for some p ∉ S.
@@ -39,15 +39,20 @@ So a link is a set of ints and no vertex tuple is built per coface.  A flip
 depends only on its circuit side and link, so the `Flip` for each (side,
 link) pair is built once per configuration and memoised in
 `PointConfiguration.flip_memo`, keyed by the side and the sorted tuple of
-the link's masks; its simplices are decoded from their masks on a memo miss
-only, and `_make_flip`'s rechecks run on every `Flip` object that exists.
-The memo grows with the number of distinct flips of the triangulations
-visited (1 584 for all of Δ2×Δ3's 4 488), not with the number of times they
-are found (28 368).
+the link's masks.  On a memo miss, a flip whose opposite, on the other side
+of its circuit with the same link, is memoised is built as its mirror: the
+two sets of simplices swapped and the displacement and shift negated
+(`_mirror_flip`).  Any other has its simplices decoded from their masks
+(`_make_flip`).  `_displacement`'s rechecks run on every `Flip` object that
+exists, a mirror's on its own side.  The memo grows with the number of
+distinct flips of the triangulations visited (1 584 for all of Δ2×Δ3's
+4 488, 792 of them mirrors), not with the number of times they are found
+(28 368).
 
 A flip's removed and inserted simplices are sorted tuples of the tuples in
 `PointConfiguration.simplex_table`, so all flips share one tuple per
-simplex (432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips).
+simplex (432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips),
+and a mirror shares its two tuples of simplices with its opposite.
 
 A flip changes the flips of a triangulation only near the flipped region,
 so `find_flips` derives the list of T′ = apply_flip(P, flip) from P's when
@@ -73,10 +78,10 @@ table tuples has table tuples too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from .errors import RegulartriError, StaleFlipError
-from .points import CircuitSide, CorankOneConfig, PointConfiguration
+from .points import CircuitSide, CorankOneConfig, PointConfiguration, vertex_mask
 from .triangulation import GkzVector, Triangulation
 
 
@@ -181,8 +186,7 @@ def _scan(config, simplices, seen) -> list:
     `exchanges` lists the `_exchanges` of the first simplex that lists the
     side: the test is exact on either."""
     out = []
-    for s in simplices:
-        smask, sides = config.circuit_entry(s)
+    for smask, sides in config.circuit_entries(simplices):
         for side in sides:
             if side not in seen:
                 seen.add(side)
@@ -209,10 +213,9 @@ def _step_memo(config, step) -> tuple:
     and the `_scan` of the inserted simplices without the flip back's side.
     Each simplex's pairs are memoised in `PointConfiguration.exchange_memo`,
     so the steps that insert a simplex share them."""
-    back = _memo_flip(config, step.side.opposite, step.link)
     memo = config.exchange_memo
     keep = config.mask_simplex
-    scan, seen = [], {back.side}
+    scan, seen = [], {step.side.opposite}
     for s in step.inserted:
         pairs = memo.get(s)
         if pairs is None:
@@ -225,6 +228,9 @@ def _step_memo(config, step) -> tuple:
             if pair[0] not in seen:
                 seen.add(pair[0])
                 scan.append(pair)
+    # The flip back removes the inserted simplices, whose entries have just
+    # left their minors: its displacement reads them, not a determinant.
+    back = _memo_flip(config, step.side.opposite, step.link)
     step_memo = (back, tuple(scan))
     # A memo, not a value: Flip equality ignores the field.
     object.__setattr__(step, "step_memo", step_memo)
@@ -232,10 +238,15 @@ def _step_memo(config, step) -> tuple:
 
 
 def _memo_flip(config, side, link):
-    """The memoised `Flip` on the side with the link (sorted link masks)."""
-    flip = config.flip_memo.get((side, link))
+    """The memoised `Flip` on the side with the link (sorted link masks):
+    the mirror of the memoised flip on the opposite side with the same link
+    when there is one, else a new one."""
+    memo = config.flip_memo
+    flip = memo.get((side, link))
     if flip is None:
-        flip = config.flip_memo[side, link] = _make_flip(config, side, link)
+        other = memo.get((side.opposite, link))
+        flip = memo[side, link] = (_make_flip(config, side, link) if other is None
+                                   else _mirror_flip(config, side, link, other))
     return flip
 
 
@@ -264,20 +275,48 @@ def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Fl
     """The flip on the circuit side with the link, the sorted tuple of its
     simplices' vertex masks.  Each removed or inserted simplex is the join
     face | τ of a face of its side's and a link mask, decoded once per
-    simplex (`PointConfiguration.mask_simplex`).  The displacement is
-    (Σ_τ c_τ)·λ, where c_τ is the volume of (Z∖{q}) ∪ τ over |λ_q| for the
-    first q on the plus side.  It is built with n entries and checked
-    here, once per memoised flip, to have int entries, nonzero exactly on
-    the support, so the kernel stage of `regularity.regular_flips` takes it
-    with no check of its own.  Its `shift` is computed here too."""
-    circuit = side.circuit
-    support = circuit.support
+    simplex (`PointConfiguration.mask_simplex`).  The displacement comes
+    from `_displacement`, and its `shift` is computed here too."""
     decode = config.mask_simplex
 
     def joins(faces):
         return sorted([decode(face | tau) for face in faces for tau in link],
                       key=itemgetter(1))
 
+    delta = _displacement(config, side, link)
+    removed = joins(side.faces)
+    return Flip(side.circuit, tuple(s for _, s in removed),
+                tuple(s for _, s in joins(side.opposite.faces)), delta,
+                side, link, config.code_shift(delta), tuple(m for m, _ in removed))
+
+
+def _mirror_flip(config, side, link, other) -> Flip:
+    """`_make_flip(config, side, link)` from `other`, the memoised flip on
+    the opposite side with the same link: the same two sets of simplices
+    swapped, and the negated displacement and shift.  The displacement is
+    still read and checked on this side's own minors by `_displacement`,
+    and it must be other's negated."""
+    delta = _displacement(config, side, link)
+    if any(map(add, delta, other.delta)):
+        raise RegulartriError(
+            f"the flips on the two sides of circuit {side.circuit.support} with "
+            f"one link have displacements {delta} and {other.delta}"
+        )
+    keep = config.mask_simplex
+    return Flip(side.circuit, other.inserted, other.removed, delta, side, link,
+                -other.shift, tuple(keep(vertex_mask(s))[0] for s in other.inserted))
+
+
+def _displacement(config, side, link) -> tuple:
+    """The displacement (Σ_τ c_τ)·λ of the flip on the side with the link,
+    where c_τ is the volume of (Z∖{q}) ∪ τ over |λ_q| for the first q on
+    the plus side, read from the memoised minors.  Each c_τ must be a
+    positive integer.  The displacement is built with n entries and checked
+    here, once per memoised flip, to have int entries, nonzero exactly on
+    the support, so the kernel stage of `regularity.regular_flips` takes it
+    with no check of its own."""
+    circuit = side.circuit
+    decode = config.mask_simplex
     lam = circuit.coefficient(circuit.plus[0])
     scale = 0
     for tau in link:
@@ -291,22 +330,19 @@ def _make_flip(config: PointConfiguration, side: CircuitSide, link: tuple) -> Fl
             )
         scale += c
     delta = [0] * config.n
-    for p, x in zip(support, circuit.dependence):
+    for p, x in zip(circuit.support, circuit.dependence):
         delta[p] = scale * x
     if not (
         all(type(x) is int for x in delta)
         and all(delta[p] > 0 for p in circuit.plus)
         and all(delta[p] < 0 for p in circuit.minus)
-        and sum(1 for x in delta if x != 0) == len(support)
+        and sum(1 for x in delta if x != 0) == len(circuit.support)
     ):
         raise RegulartriError(
             "flip displacement must have int entries, positive on the removed "
             "side, negative on the inserted side, zero elsewhere"
         )
-    removed = joins(side.faces)
-    return Flip(circuit, tuple(s for _, s in removed),
-                tuple(s for _, s in joins(side.opposite.faces)), tuple(delta),
-                side, link, config.code_shift(delta), tuple(m for m, _ in removed))
+    return tuple(delta)
 
 
 def apply_flip(config: PointConfiguration, t: Triangulation, flip: Flip) -> Triangulation:

@@ -13,17 +13,24 @@ positive constant, which no sign test or comparison in the library can see.
 
 A simplex's normalized volume is the absolute determinant of its
 homogenized rows (a signed maximal minor: the chirotope, up to that
-constant).  Circuits come from adjugates by Cramer's rule: for d+1 points B
-with rows M and a further point p, hom(p)·adj(M) on B and -det(M) on p is
-a dependence of B ∪ {p}, zero exactly when those d+2 points do not span.
-The circuit index takes every set S ∪ {p} of a simplex S from one adjugate
-of S's rows, and `circuit_or_none` takes its one set the same way; they
-fill the one table of circuits: each such set and each circuit support map
-to the support's pair of `CircuitSide`s.
+constant).  Circuits come by Cramer's rule: for d+1 points B with rows M
+and a further point p, hom(p)·adj(M) on B and -det(M) on p is a dependence
+of B ∪ {p}, zero exactly when those d+2 points do not span.  The circuit
+index takes every set S ∪ {p} of a simplex S at once.  A full-dimensional
+S next to an indexed one, S = S₀ − j + i, reads them off S₀'s by one
+basis-exchange step, the pivot of the simplex method, whose divisions are
+exact as in Bareiss's fraction-free elimination; any other S takes one
+adjugate of its rows.  So a search takes one adjugate, for its first
+simplex: the regular search of Δ₂ × Δ₃ indexes 432 simplices, and the
+first 3 000 nodes of Δ₂ × Δ₄'s 457.  `circuit_or_none` takes its one set
+from an adjugate.  All of them fill the one table of circuits: each such set
+and each circuit support map to the support's pair of `CircuitSide`s, and
+each new circuit is made primitive and rechecked on the points there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -170,15 +177,17 @@ class PointConfiguration:
     (construction computes none of them):
 
     - signed minors: the determinant of the homogenized rows of a sorted
-      (d+1)-tuple.  A normalized volume is |minor|.  Each adjugate taken
-      for a circuit leaves its determinant here too, `circuit_or_none`
+      (d+1)-tuple.  A normalized volume is |minor|.  Each circuit index
+      entry leaves its simplex's determinant here too, `circuit_or_none`
       tests its bases here and `facet_sign` reads its orientations here, so
-      volumes, circuits, hulls and placings share each determinant;
+      volumes, circuits, flips, hulls and placings share each determinant;
     - the circuit index (`circuit_entry`): for a simplex S, its vertex mask
       and the reduced circuit of each set S ∪ {p}, oriented with p on its
       plus side (`flips.find_flips` computes its exchange simplices from
-      the two masks).  The dependences come from one `exact.adjugate` of
-      S's rows, which leaves det(S) among the minors;
+      the two masks).  The dependences come by one exchange step from an
+      indexed full-dimensional simplex whose mask differs from S's in two
+      bits, found through `_sources` (mask -> simplex), or, when none is
+      indexed or S is flat, from one `exact.adjugate` of S's rows;
     - the circuit table, filled by the circuit index and `circuit_or_none`:
       each (d+2)-set met maps to the `CircuitSide` pair of its reduced
       circuit (the first side with its first coefficient positive), or to
@@ -245,6 +254,9 @@ class PointConfiguration:
         #: (d+2)-set or support -> its pair of sides, or False; see above
         self._circuits = {}
         self._circuit_index = {}
+        #: vertex mask -> simplex, for each indexed simplex with a nonzero
+        #: minor: the sources of `_exchange`
+        self._sources = {}
         #: (CircuitSide, sorted link masks) -> Flip; see the class docstring
         self.flip_memo = {}
         #: simplex -> its (side, exchange masks) pairs; see the class docstring
@@ -331,9 +343,7 @@ class PointConfiguration:
             for i in reversed(range(len(key))):
                 base = key[:i] + key[i + 1:]
                 if self._minor(base):
-                    det, adj = exact.adjugate([self.hom[v] for v in base])
-                    pair = self._circuits[key] = self._cramer(
-                        key, key[i], det, tuple(zip(*adj)))
+                    pair = self._circuits[key] = self._cramer(base)(key[i], key)
                     break
         if not pair:
             return None
@@ -354,42 +364,149 @@ class PointConfiguration:
         point indices.  Degenerate sets contribute nothing.  The two sides
         of a support are created once and shared by every simplex that
         reaches them; the entry is memoised per simplex.
+
+        A full-dimensional simplex with an adjacent indexed one takes its
+        circuits, and its determinant, by one exchange step from that one
+        (`_exchange`); any other takes them from its adjugate.
         """
         entry = self._circuit_index.get(simplex)
         if entry is None:
+            mask = vertex_mask(simplex)
+            sides_of = self._exchange(simplex, mask)
             sides = []
-            cols = None
             for p in range(self.n):
                 if p in simplex:
                     continue
                 key = tuple(sorted(simplex + (p,)))
                 pair = self._circuits.get(key)
                 if pair is None:
-                    if cols is None:
-                        det, adj = exact.adjugate([self.hom[i] for i in simplex])
-                        self._minors[simplex] = det
-                        cols = tuple(zip(*adj))
-                    pair = self._circuits[key] = self._cramer(key, p, det, cols)
+                    if sides_of is None:
+                        sides_of = self._cramer(simplex)
+                    pair = self._circuits[key] = sides_of(p, key)
                 if pair is not False:
                     sides.append(pair[0] if p in pair[0].circuit.plus else pair[1])
-            entry = self._circuit_index[simplex] = (vertex_mask(simplex), tuple(sides))
+            entry = self._circuit_index[simplex] = (mask, tuple(sides))
+            if self._minors.get(simplex):
+                self._sources[mask] = simplex
         return entry
 
-    def _cramer(self, key, p, det, cols):
-        """The pair of sides of the sorted tuple `key`, or False when its
-        points do not span, by Cramer's rule from the adjugate columns `cols`
-        and determinant `det` of the rows of key without p: hom(p)·adj on
-        those points and -det on p.  A new support gets its pair here."""
-        lam = [sum(map(mul, self.hom[p], col)) for col in cols]
-        lam.insert(key.index(p), -det)
+    def circuit_entries(self, simplices) -> list:
+        """`circuit_entry` of each simplex, in order.  The missing entries
+        are built first, each after an indexed simplex next to it where
+        there is one: the simplices of a triangulation are linked through
+        their common facets, so they take one adjugate at most."""
+        index = self._circuit_index
+        pending = [s for s in simplices if s not in index]
+        while pending:
+            stuck = []
+            for s in pending:
+                if self._adjacent(s, vertex_mask(s)) is None:
+                    stuck.append(s)
+                else:
+                    self.circuit_entry(s)
+            if len(stuck) == len(pending):
+                self.circuit_entry(stuck.pop(0))
+            pending = stuck
+        return [index[s] for s in simplices]
+
+    def _cramer(self, base):
+        """Cramer's rule on the sorted tuple `base`: a function from (p,
+        key), for p ∉ base and key the sorted base ∪ {p}, to key's pair of
+        sides (see `_sides`).  The dependence is hom(p)·adj on base and
+        -det on p, from one `exact.adjugate` of base's rows, whose
+        determinant joins the minors."""
+        det, adj = exact.adjugate([self.hom[v] for v in base])
+        self._minors[base] = det
+        cols = tuple(zip(*adj))
+
+        def sides_of(p, key):
+            lam = [sum(map(mul, self.hom[p], col)) for col in cols]
+            lam.insert(key.index(p), -det)
+            return self._sides(key, lam, "Cramer's rule")
+
+        return sides_of
+
+    def _exchange(self, simplex, mask):
+        """`_cramer` for a simplex S′ = S − j + i next to an indexed
+        full-dimensional simplex S, by one basis-exchange step from S's
+        entry; None when no such S is indexed or S′ is flat.  Sets S′'s
+        minor.
+
+        For r ∉ S let a(r) = hom(r)·adj(S), on the vertices of S: S's side
+        for r reads (−det S / λ_r)·λ on them.  With D′ = a(i)_j, the
+        adjugate of S with i in j's row gives a′(r)_i = a(r)_j and
+        a′(r)_s = (D′·a(r)_s − a(i)_s·a(r)_j) / det S for s ≠ j, with -D′ on
+        r: the pivot step of the simplex method, whose divisions are exact
+        as in Bareiss's fraction-free elimination.  Each is checked, and
+        det S′ is D′ times the parity of the vertices of S strictly between
+        i and j."""
+        adjacent = self._adjacent(simplex, mask)
+        if adjacent is None:
+            return None
+        source, i, j = adjacent
+        det = self._minors[source]
+        entry = self._circuit_index[source][1]
+
+        def row(r):
+            # S spans, so it lists one side per point outside it.
+            circuit = entry[r - bisect_left(source, r)].circuit
+            lam = dict(zip(circuit.support, circuit.dependence))
+            f, rest = divmod(-det, lam[r])
+            if rest:
+                raise RegulartriError(
+                    f"the circuit of {source} and {r} does not divide det {det}")
+            return [f * lam.get(v, 0) for v in source]
+
+        k = source.index(j)
+        pivot = row(i)
+        new_det = pivot[k]
+        if not new_det:
+            return None
+        low, high = min(i, j), max(i, j)
+        between = sum(1 for v in source if low < v < high)
+        self._minors[simplex] = -new_det if between % 2 else new_det
+
+        def sides_of(r, key):
+            # r ≠ j: the set S′ ∪ {j} = S ∪ {i} is already in the table.
+            a = row(r)
+            aj = a[k]
+            lam = {i: aj, r: -new_det}
+            for v, x, y in zip(source, a, pivot):
+                if v != j:
+                    c, rest = divmod(new_det * x - y * aj, det)
+                    if rest:
+                        raise RegulartriError(
+                            f"the exchange step from {source} to {simplex} does "
+                            f"not divide exactly at {r}")
+                    lam[v] = c
+            return self._sides(key, [lam[v] for v in key], "the exchange step")
+
+        return sides_of
+
+    def _adjacent(self, simplex, mask):
+        """(S, i, j) for the first indexed simplex S = simplex − i + j with
+        a nonzero minor (`_sources`), found by its mask; None if none is."""
+        sources = self._sources
+        outside = [j for j in range(self.n) if not mask >> j & 1]
+        for i in simplex:
+            for j in outside:
+                source = sources.get(mask ^ (1 << i) ^ (1 << j))
+                if source is not None:
+                    return source, i, j
+        return None
+
+    def _sides(self, key, lam, rule):
+        """The pair of sides of the sorted tuple `key` from a dependence
+        `lam` of its points, in key order, found by `rule`; False when lam
+        is zero (the points do not span).  lam is made primitive and
+        rechecked on the homogenized points.  A new support gets its pair
+        here."""
         if not any(lam):
             return False
         lam = exact._primitive(lam)
         for coords in zip(*(self.hom[v] for v in key)):
             if sum(map(mul, lam, coords)):
-                raise RegulartriError(
-                    f"Cramer's rule gives no affine dependence of {key}"
-                )
+                raise RegulartriError(f"{rule} gives no affine dependence of {key}")
         support = tuple(v for v, c in zip(key, lam) if c)
         pair = self._circuits.get(support)
         if pair is None:

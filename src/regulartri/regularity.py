@@ -97,6 +97,8 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
     for s in t.simplices:
         if not config.normalized_volume(s):
             raise DegenerateConfigError(f"points {s} do not span the affine hull")
+    # The entries, built in an order that takes one adjugate at most.
+    config.circuit_entries(t.simplices)
     rows = []
     for facet, owners in sorted(facet_incidence(t.simplices).items()):
         if len(owners) != 2:

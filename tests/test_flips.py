@@ -8,6 +8,7 @@ simplices (ignoring their common link) produces broken targets on the
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import re
@@ -304,6 +305,53 @@ def test_make_flip_rechecks_survive_optimize_flag():
         "        print(e)\n"
     )
     assert lines == [message for _, message in FORGED_MINORS]
+
+
+def mirrors_built(make, nodes, monkeypatch):
+    """(mirror fields as built, `_make_flip` afresh) for each flip that the
+    regular search, or its first `nodes` nodes, builds by `_mirror_flip`,
+    and the number of flips it memoises."""
+    built = []
+    original = flips_module._mirror_flip
+
+    def recording(config, side, link, other):
+        flip = original(config, side, link, other)
+        fields = [getattr(flip, f.name) for f in dataclasses.fields(Flip)]
+        built.append((fields, _make_flip(config, side, link)))
+        return flip
+
+    monkeypatch.setattr(flips_module, "_mirror_flip", recording)
+    config = make()
+    if nodes is None:
+        enumerate_triangulations(config)
+    else:
+        search_prefix(config, nodes)
+    monkeypatch.undo()
+    return built, len(config.flip_memo)
+
+
+@pytest.mark.parametrize("make, nodes, flips, mirrors", [
+    (lambda: simplex_product(2, 3), None, 1584, 792),
+    (lambda: simplex_product(2, 4), 300, 334, 96),
+], ids=["d2d3", "d2d4"])
+def test_mirror_flips_equal_make_flip(make, nodes, flips, mirrors, monkeypatch):
+    # A flip whose opposite is memoised first is built as its mirror (on
+    # Δ2×Δ3 every flip is found on both sides), and equals the flip
+    # `_make_flip` builds, in every field, the ones equality ignores
+    # included.
+    built, memoised = mirrors_built(make, nodes, monkeypatch)
+    assert (memoised, len(built)) == (flips, mirrors)
+    for fields, fresh in built:
+        assert fields == [getattr(fresh, f.name) for f in dataclasses.fields(Flip)]
+        assert fresh.removed_masks == tuple(map(vertex_mask, fresh.removed))
+
+
+def test_mirror_flip_refuses_a_displacement_that_is_not_the_negated_one():
+    sq = square()
+    (flip,) = find_flips(sq, parse_triangulation("{{0,1,2},{0,2,3}}"))
+    forged = dataclasses.replace(flip, delta=tuple(2 * x for x in flip.delta))
+    with pytest.raises(RegulartriError, match="have displacements"):
+        flips_module._mirror_flip(sq, flip.side.opposite, flip.link, forged)
 
 
 # -- cross-check of the circuit index and the flip memo --------------------

@@ -549,3 +549,133 @@ def test_circuit_or_none_leaves_no_simplex_tuples():
         found += cfg.circuit_or_none(key) is not None
     assert 0 < found < 3000
     assert cfg._circuit_index == {} and cfg.simplex_table == {}
+
+
+# -- the circuit index by exchange steps against fresh adjugates -------------
+
+
+def searched(make, nodes=None, group=None):
+    """A configuration after its regular search, the first `nodes` nodes
+    of it when given, with `exact.adjugate` counted: (config, calls)."""
+    from regulartri import ResourceLimitError, enumerate_triangulations
+
+    config = make()
+    group = group and group(config)
+    calls = []
+    real = exact.adjugate
+    exact.adjugate = lambda m: calls.append(m) or real(m)
+    try:
+        enumerate_triangulations(config, group=group, max_nodes=nodes)
+    except ResourceLimitError:
+        pass
+    finally:
+        exact.adjugate = real
+    return config, len(calls)
+
+
+def check_entries_against_adjugates(cfg, make):
+    """Every circuit index entry of `cfg` equals the entry a fresh
+    configuration builds from an adjugate, with no indexed simplex to step
+    from, and every stored minor equals `exact.determinant`.  Returns the
+    number of entries."""
+    fresh = make()
+    for simplex, (smask, sides) in cfg._circuit_index.items():
+        fresh._sources.clear()
+        want_mask, want_sides = fresh.circuit_entry(simplex)
+        assert smask == want_mask, simplex
+        assert [s.circuit for s in sides] == [s.circuit for s in want_sides], simplex
+    for key, det in cfg._minors.items():
+        assert det == determinant([cfg.hom[i] for i in key]), key
+    return len(cfg._circuit_index)
+
+
+def _cube_group(config):
+    from regulartri import cube_symmetry_generators, expand_group
+
+    return expand_group(config, cube_symmetry_generators(4))
+
+
+@pytest.mark.parametrize("make, nodes, group, entries", [
+    (lambda: simplex_product(2, 3), None, None, 432),
+    (lambda: simplex_product(2, 4), 300, None, 200),
+    (lambda: cube(4), 300, _cube_group, 200),
+    (lambda: simplex_product(3, 3), 300, None, 200),
+], ids=["d2d3", "d2d4", "cube4-orbits", "d3d3"])
+def test_exchange_steps_match_fresh_adjugates(make, nodes, group, entries):
+    # One adjugate per search, for its first simplex; every other entry and
+    # its minor came by an exchange step, and equals the adjugate's.
+    cfg, adjugates = searched(make, nodes, group)
+    assert adjugates == 1
+    assert check_entries_against_adjugates(cfg, make) >= entries
+
+
+def test_exchange_steps_match_fresh_adjugates_on_random_configurations():
+    # Criterion 3's random configurations: each one's regular search, its
+    # all-flips search and the regularity rows of every triangulation that
+    # reaches take one adjugate, and some triangulations leave points out.
+    from regulartri import SearchMode, enumerate_triangulations, is_regular
+    from test_acceptance import _random_config
+
+    rng = random.Random(20260814)
+    unused = 0
+    for _ in range(22):
+        config = _random_config(rng)
+        pts = config.points
+        cfg, adjugates = searched(lambda: new_configuration(pts))
+        found = []
+        calls = []
+        real = exact.adjugate
+        exact.adjugate = lambda m: calls.append(m) or real(m)
+        try:
+            enumerate_triangulations(cfg, SearchMode.ALL_FLIPS, baseline=True,
+                                     visitor=lambda t, g, depth: found.append(t))
+            for t in found:
+                is_regular(cfg, t)
+        finally:
+            exact.adjugate = real
+        assert adjugates == 1 and calls == []
+        unused += sum(len(t.used_points()) < cfg.n for t in found)
+        check_entries_against_adjugates(cfg, lambda: new_configuration(pts))
+    assert unused > 0
+
+
+#: A configuration whose circuits are not unimodular: the triangle (0, 1, 2)
+#: of determinant 9, its interior point 3 with λ_3 = 3, and a fifth point.
+EXCHANGE_POINTS = [(0, 0), (3, 0), (0, 3), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("forged, message", [
+    # 10 is no multiple of λ_3 = 3: the row of point 3 does not divide.
+    (10, "the circuit of (0, 1, 2) and 3 does not divide det 10"),
+    # 3 is, but the step's quotient at point 4 is not an integer.
+    (3, "the exchange step from (0, 1, 2) to (0, 1, 3) does not divide exactly at 4"),
+], ids=["row", "step"])
+def test_exchange_step_refuses_a_forged_minor(forged, message):
+    cfg = new_configuration(EXCHANGE_POINTS)
+    cfg.circuit_entry((0, 1, 2))
+    cfg._minors[(0, 1, 2)] = forged
+    with pytest.raises(RegulartriError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        cfg.circuit_entry((0, 1, 3))
+
+
+def test_exchange_steps_cover_every_simplex_of_a_small_configuration():
+    # Every simplex of the configuration, after one that spans, by steps;
+    # the flat ones, where no step leads, by their cofactors.
+    cfg = new_configuration(EXCHANGE_POINTS + [(3, 3)])
+    simplices = list(combinations(range(cfg.n), 3))
+    flat = [s for s in simplices if not determinant([cfg.hom[i] for i in s])]
+    assert flat
+    calls = []
+    real = exact.adjugate
+    exact.adjugate = lambda m: calls.append(m) or real(m)
+    try:
+        for s in simplices:
+            cfg.circuit_entry(s)
+    finally:
+        exact.adjugate = real
+    # The first simplex and some flat ones: a flat simplex whose sets are
+    # all in the table already takes no adjugate.
+    rows = [[cfg.hom[i] for i in s] for s in simplices]
+    assert calls[0] == rows[0]
+    assert 1 < len(calls) and all(m in [rows[simplices.index(s)] for s in flat] for m in calls[1:])
+    check_entries_against_adjugates(cfg, lambda: new_configuration(EXCHANGE_POINTS + [(3, 3)]))
