@@ -25,7 +25,10 @@ simplex: the regular search of Δ₂ × Δ₃ indexes 432 simplices, and the
 first 3 000 nodes of Δ₂ × Δ₄'s 457.  `circuit_or_none` takes its one set
 from an adjugate.  All of them fill the one table of circuits: each such set
 and each circuit support map to the support's pair of `CircuitSide`s, and
-each new circuit is made primitive and rechecked on the points there.
+each new circuit is made primitive and rechecked on the points there.  An
+entry pairs each set's side with p on it with the vertex masks of the
+exchange simplices S − q + p, computed once, with the entry: flip finding
+reads both straight off it, and `entry_side` finds the side for a point.
 """
 
 from __future__ import annotations
@@ -182,12 +185,16 @@ class PointConfiguration:
       tests its bases here and `facet_sign` reads its orientations here, so
       volumes, circuits, flips, hulls and placings share each determinant;
     - the circuit index (`circuit_entry`): for a simplex S, its vertex mask
-      and the reduced circuit of each set S ∪ {p}, oriented with p on its
-      plus side (`flips.find_flips` computes its exchange simplices from
-      the two masks).  The dependences come by one exchange step from an
-      indexed full-dimensional simplex whose mask differs from S's in two
-      bits, found through `_sources` (mask -> simplex), or, when none is
-      indexed or S is flat, from one `exact.adjugate` of S's rows;
+      and one pair per set S ∪ {p}: its reduced circuit, oriented with p
+      on its plus side, and the masks of the exchange simplices S − q + p
+      that `flips.find_flips` tests it by.  The dependences come by one
+      exchange step from an indexed full-dimensional simplex whose mask
+      differs from S's in two bits, found through `_sources` (mask ->
+      simplex), or, when none is indexed or S is flat, from one
+      `exact.adjugate` of S's rows.  Each pair is built once, with its
+      entry, and is the pair that from-scratch scans and the step memos of
+      `flips.Flip` read: after the regular search of Δ₂ × Δ₃ the 2 592 pairs
+      of 432 simplices hold 0.30 MB under tracemalloc;
     - the circuit table, filled by the circuit index and `circuit_or_none`:
       each (d+2)-set met maps to the `CircuitSide` pair of its reduced
       circuit (the first side with its first coefficient positive), or to
@@ -202,16 +209,14 @@ class PointConfiguration:
       visited, not the number of times they were found.  A flip that
       `find_flips` derives a list over keeps that step's data on itself
       (`flips.Flip.step_memo`);
-    - `exchange_memo`: for each simplex such a step inserts, the pairs
-      (side, exchange simplex masks) of its circuit index sides, shared by
-      every step that inserts it;
     - `simplex_table`: each maximal simplex that flips and search nodes
       hold, as a sorted tuple mapped to itself (see `simplex`).  So one
       tuple stands for a simplex wherever it is kept, and the table grows
       with the number of distinct simplices met, not with the number of
       flips and triangulations that hold them.  `mask_table` maps the
-      vertex mask of each simplex a flip holds or an exchange test reads to
-      one int for the mask and its table tuple (see `mask_simplex`).
+      vertex mask of each simplex a flip holds or a circuit index entry
+      lists to one int for the mask and its table tuple (see
+      `mask_simplex`).
 
     The search handles GKZ-vectors as codes, one int each (`pack` and
     `unpack`): the entries in fields of `code_width` bits, the first entry
@@ -259,8 +264,6 @@ class PointConfiguration:
         self._sources = {}
         #: (CircuitSide, sorted link masks) -> Flip; see the class docstring
         self.flip_memo = {}
-        #: simplex -> its (side, exchange masks) pairs; see the class docstring
-        self.exchange_memo = {}
         #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
         self.simplex_table = {}
         #: vertex mask -> (that mask, its `simplex` tuple); see `mask_simplex`
@@ -351,15 +354,18 @@ class PointConfiguration:
         return _circuit(key, tuple(lam.get(v, 0) for v in key))
 
     def circuit_entry(self, simplex) -> tuple:
-        """The simplex's circuit index entry: its vertex mask and its sides.
+        """The simplex's circuit index entry: its vertex mask and its pairs.
 
-        The sides are the circuit sides that a flip removing the simplex can
-        remove: for each p ∉ simplex, in increasing order, the reduced
-        circuit Z of simplex ∪ {p}, as the `CircuitSide` with p on its plus
-        side.  A flip that removes the simplex removes it as a join
-        (Z∖{q}) ∪ τ with q on the removed side of its circuit Z; then
-        q ∉ simplex, Z is the circuit of simplex ∪ {q}, and the flip removes
-        the side listed for p = q.  So a flip removes the simplex only if it
+        Each pair is a circuit side that a flip removing the simplex can
+        remove, with that flip's exchange simplices: for each p ∉ simplex,
+        in increasing order, the reduced circuit Z of simplex ∪ {p}, as the
+        `CircuitSide` with p on its plus side, and the vertex masks of
+        simplex − q + p for the q of that side in the simplex, each the int
+        `mask_simplex` keeps for it.  A flip that removes the simplex
+        removes it as a join (Z∖{q}) ∪ τ with q on the removed side of its
+        circuit Z; then q ∉ simplex, Z is the circuit of simplex ∪ {q}, and
+        the flip removes the side listed for p = q, and with it each of its
+        exchange simplices.  So a flip removes the simplex only if it
         removes one of these sides.  `simplex` must be a sorted tuple of
         point indices.  Degenerate sets contribute nothing.  The two sides
         of a support are created once and shared by every simplex that
@@ -370,25 +376,7 @@ class PointConfiguration:
         (`_exchange`); any other takes them from its adjugate.
         """
         entry = self._circuit_index.get(simplex)
-        if entry is None:
-            mask = vertex_mask(simplex)
-            sides_of = self._exchange(simplex, mask)
-            sides = []
-            for p in range(self.n):
-                if p in simplex:
-                    continue
-                key = tuple(sorted(simplex + (p,)))
-                pair = self._circuits.get(key)
-                if pair is None:
-                    if sides_of is None:
-                        sides_of = self._cramer(simplex)
-                    pair = self._circuits[key] = sides_of(p, key)
-                if pair is not False:
-                    sides.append(pair[0] if p in pair[0].circuit.plus else pair[1])
-            entry = self._circuit_index[simplex] = (mask, tuple(sides))
-            if self._minors.get(simplex):
-                self._sources[mask] = simplex
-        return entry
+        return self.circuit_entries((simplex,))[0] if entry is None else entry
 
     def circuit_entries(self, simplices) -> list:
         """`circuit_entry` of each simplex, in order.  The missing entries
@@ -396,18 +384,55 @@ class PointConfiguration:
         there is one: the simplices of a triangulation are linked through
         their common facets, so they take one adjugate at most."""
         index = self._circuit_index
-        pending = [s for s in simplices if s not in index]
+        pending = [(s, vertex_mask(s)) for s in simplices if s not in index]
+        # With no source to step from, the first pending simplex takes an
+        # adjugate; so does the first of a pass that built nothing.
+        progress = bool(self._sources)
         while pending:
+            if not progress:
+                self._new_entry(*pending.pop(0), None)
             stuck = []
-            for s in pending:
-                if self._adjacent(s, vertex_mask(s)) is None:
-                    stuck.append(s)
+            for s, mask in pending:
+                adjacent = self._adjacent(s, mask)
+                if adjacent is None:
+                    stuck.append((s, mask))
                 else:
-                    self.circuit_entry(s)
-            if len(stuck) == len(pending):
-                self.circuit_entry(stuck.pop(0))
+                    self._new_entry(s, mask, adjacent)
+            progress = len(stuck) < len(pending)
             pending = stuck
         return [index[s] for s in simplices]
+
+    def entry_side(self, simplex, p) -> CircuitSide:
+        """The side listed for p ∉ simplex in the circuit index entry of a
+        full-dimensional simplex, which lists one side per point outside
+        it."""
+        return self.circuit_entry(simplex)[1][p - bisect_left(simplex, p)][0]
+
+    def _new_entry(self, simplex, mask, adjacent) -> tuple:
+        """Build, index and return the entry of `simplex`, whose vertex mask
+        is `mask`; `adjacent` is `_adjacent`'s answer for it."""
+        sides_of = adjacent and self._exchange(simplex, adjacent)
+        keep = self.mask_simplex
+        pairs = []
+        for p in range(self.n):
+            if mask >> p & 1:
+                continue
+            key = tuple(sorted(simplex + (p,)))
+            pair = self._circuits.get(key)
+            if pair is None:
+                if sides_of is None:
+                    sides_of = self._cramer(simplex)
+                pair = self._circuits[key] = sides_of(p, key)
+            if pair is not False:
+                side = pair[0] if p in pair[0].circuit.plus else pair[1]
+                # simplex − q + p for each q of the side in the simplex.
+                joined = mask | 1 << p
+                pairs.append((side, tuple(keep(joined ^ 1 << q)[0] for q in
+                                          mask_bits(side.plus_mask & mask))))
+        entry = self._circuit_index[simplex] = (mask, tuple(pairs))
+        if self._minors.get(simplex):
+            self._sources[mask] = simplex
+        return entry
 
     def _cramer(self, base):
         """Cramer's rule on the sorted tuple `base`: a function from (p,
@@ -426,11 +451,11 @@ class PointConfiguration:
 
         return sides_of
 
-    def _exchange(self, simplex, mask):
+    def _exchange(self, simplex, adjacent):
         """`_cramer` for a simplex S′ = S − j + i next to an indexed
-        full-dimensional simplex S, by one basis-exchange step from S's
-        entry; None when no such S is indexed or S′ is flat.  Sets S′'s
-        minor.
+        full-dimensional simplex S, `adjacent` = (S, i, j), by one
+        basis-exchange step from S's entry; None when S′ is flat.  Sets
+        S′'s minor.
 
         For r ∉ S let a(r) = hom(r)·adj(S), on the vertices of S: S's side
         for r reads (−det S / λ_r)·λ on them.  With D′ = a(i)_j, the
@@ -440,16 +465,11 @@ class PointConfiguration:
         as in Bareiss's fraction-free elimination.  Each is checked, and
         det S′ is D′ times the parity of the vertices of S strictly between
         i and j."""
-        adjacent = self._adjacent(simplex, mask)
-        if adjacent is None:
-            return None
         source, i, j = adjacent
         det = self._minors[source]
-        entry = self._circuit_index[source][1]
 
         def row(r):
-            # S spans, so it lists one side per point outside it.
-            circuit = entry[r - bisect_left(source, r)].circuit
+            circuit = self.entry_side(source, r).circuit
             lam = dict(zip(circuit.support, circuit.dependence))
             f, rest = divmod(-det, lam[r])
             if rest:

@@ -66,7 +66,6 @@ verdict is the same.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple
@@ -92,8 +91,7 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
     DegenerateConfigError.
     """
     # Every row is the circuit of a simplex s plus a point p ∉ s: the side
-    # that circuit_entry(s) lists for p, at p less the vertices of s below
-    # p, as s spans and no set of it is degenerate.
+    # that circuit_entry(s) lists for p, as s spans.
     for s in t.simplices:
         if not config.normalized_volume(s):
             raise DegenerateConfigError(f"points {s} do not span the affine hull")
@@ -104,7 +102,7 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
         if len(owners) != 2:
             continue
         (s, apex), (_, other) = owners
-        side = config.circuit_entry(s)[1][other - bisect_left(s, other)]
+        side = config.entry_side(s, other)
         if apex not in side.circuit.plus:
             side = side.opposite
         rows.append(_scatter(config.n, side.circuit))
@@ -113,7 +111,7 @@ def regularity_rows(config: PointConfiguration, t: Triangulation) -> list:
         if u in used:
             continue
         for s in t.simplices:
-            circuit = config.circuit_entry(s)[1][u - bisect_left(s, u)].circuit
+            circuit = config.entry_side(s, u).circuit
             if circuit.plus == (u,):
                 rows.append(_scatter(config.n, circuit))
     return rows

@@ -97,13 +97,15 @@ def expand_group(config: PointConfiguration, generators, cap=None):
     while frontier:
         new = []
         for e in frontier:
+            # Each element found is in a frontier, so this sees every size
+            # the closure reaches, the identity's alone too.
+            if len(elements) > cap:
+                raise ResourceLimitError(
+                    f"group closure exceeded cap of {cap} elements"
+                )
             for g in gens:
                 h = tuple(g[i] for i in e)
                 if h not in elements:
-                    if len(elements) >= cap:
-                        raise ResourceLimitError(
-                            f"group closure exceeded cap of {cap} elements"
-                        )
                     elements.add(h)
                     new.append(h)
         frontier = new

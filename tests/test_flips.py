@@ -47,7 +47,7 @@ from regulartri.flips import Flip, _make_flip
 from regulartri.points import CircuitSide, CorankOneConfig, mask_bits, vertex_mask
 from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
 
-from test_points import check_circuit_table, minor_circuit
+from test_points import _cube_group, check_circuit_table, minor_circuit
 from test_search import _relabelled, optimized_output
 
 
@@ -570,10 +570,10 @@ def test_circuit_index_is_lazy_and_shared():
     pairs = {}
     for s in t.simplices:
         outside = [p for p in range(config.n) if p not in s]
-        smask, sides = config.circuit_entry(s)
+        smask, listed = config.circuit_entry(s)
         assert mask_bits(smask) == s
-        assert len(sides) == len(outside)
-        for p, side in zip(outside, sides):
+        assert len(listed) == len(outside)
+        for p, (side, _) in zip(outside, listed):
             # The side that a flip removing s removes: p on its plus side,
             # its other points in s.
             assert p in side.circuit.plus
@@ -607,9 +607,10 @@ def test_flip_targets_share_simplices():
 # -- the exchange test, the flip back to the parent, Cramer displacements ----
 
 
-def searched_lists(config, monkeypatch, nodes=None):
+def searched_lists(config, monkeypatch, nodes=None, group=None):
     """Every (node, hint, list) that `find_flips` returns to the regular
-    search, or to its first `nodes` nodes, candidate children included."""
+    search, or to its first `nodes` nodes, candidate children included;
+    orbits of `group` when it is given."""
     calls = []
     original = search.find_flips
 
@@ -621,8 +622,11 @@ def searched_lists(config, monkeypatch, nodes=None):
     monkeypatch.setattr(search, "find_flips", recording)
     if nodes is None:
         enumerate_triangulations(config)
-    else:
+    elif group is None:
         search_prefix(config, nodes)
+    else:
+        with pytest.raises(ResourceLimitError):
+            enumerate_triangulations(config, group=group, max_nodes=nodes)
     monkeypatch.undo()
     return calls
 
@@ -690,44 +694,41 @@ def test_link_tests_on_d2d3(monkeypatch):
     assert len(tests) == 9725 and sum(found) == 7698
 
 
-def scan_on_the_fly(config, step):
-    """The flip back and the (side, exchanges) pairs that a derivation
-    over `step` tests, found afresh from the circuit index entries of its
-    inserted simplices and `_exchanges`: each side once, not the flip
-    back's."""
-    back = config.flip_memo[step.side.opposite, step.link]
-    scan, seen = [], {back.side}
-    for s in step.inserted:
-        smask, sides = config.circuit_entry(s)
-        for side in sides:
-            if side not in seen:
-                seen.add(side)
-                scan.append((side, tuple(flips_module._exchanges(smask, side.plus_mask))))
-    return back, scan
+def tuple_exchanges(simplex, p, side):
+    """The exchange simplices S − q + p of the side listed for p in the
+    circuit index entry of S, for q ≠ p on its plus side, as sorted tuples."""
+    return [tuple(sorted(set(simplex) - {q} | {p})) for q in side.circuit.plus if q != p]
 
 
-@pytest.mark.parametrize("make, nodes, steps", [
-    (lambda: simplex_product(2, 3), None, 351),
-    (lambda: simplex_product(2, 4), 300, 81),
-], ids=["d2d3", "d2d4"])
-def test_step_memos_match_the_scan_on_the_fly(make, nodes, steps, monkeypatch):
-    # Every flip the search derives a list over holds the flip back and the
-    # sides to test that a scan on the fly finds, and no other flip holds a
-    # step memo.  Each exchange mask is the int the mask table keeps.
+@pytest.mark.parametrize("make, nodes, group, steps", [
+    (lambda: simplex_product(2, 3), None, None, 351),
+    (lambda: simplex_product(2, 4), 300, None, 81),
+    (lambda: cube(4), 300, _cube_group, 49),
+], ids=["d2d3", "d2d4", "cube4-orbits"])
+def test_entries_and_step_memos_match_tuples(make, nodes, group, steps, monkeypatch):
+    # Every indexed simplex's pairs hold, for each p outside it, its side
+    # and the exchange simplices S − q + p built from tuples, each mask the
+    # int the mask table keeps.  Every flip the search derives a list over
+    # holds the flip back and the `_scan` of its inserted simplices without
+    # the flip back's side, and no other flip holds a step memo.
     config = make()
-    calls = searched_lists(config, monkeypatch, nodes)
+    calls = searched_lists(config, monkeypatch, nodes, group and group(config))
+    for s, (smask, pairs) in config._circuit_index.items():
+        assert smask == vertex_mask(s) and config._minors[s]
+        outside = [p for p in range(config.n) if p not in s]
+        assert len(pairs) == len(outside)
+        for p, (side, exchanges) in zip(outside, pairs):
+            assert p in side.circuit.plus
+            assert list(map(mask_bits, exchanges)) == tuple_exchanges(s, p, side)
+            assert all(config.mask_table[m][0] is m for m in exchanges)
     used = {id(parent[1]): parent[1] for _, parent, _ in calls if parent}
     held = [f for f in config.flip_memo.values() if f.step_memo is not None]
     assert len(used) == len(held) == steps
     assert {id(f) for f in held} == set(used)
     for step in held:
         back, scan = step.step_memo
-        want_back, want_scan = scan_on_the_fly(config, step)
-        assert back is want_back
-        assert len(scan) == len(want_scan)
-        for (side, exchanges), (want_side, want_exchanges) in zip(scan, want_scan):
-            assert side is want_side and exchanges == want_exchanges
-            assert all(config.mask_table[m][0] is m for m in exchanges)
+        assert back is config.flip_memo[step.side.opposite, step.link]
+        assert list(scan) == flips_module._scan(config, step.inserted, {back.side})
 
 
 def test_verify_increments_catches_a_step_memo_without_a_side(monkeypatch):
@@ -750,27 +751,29 @@ def test_verify_increments_catches_a_step_memo_without_a_side(monkeypatch):
         enumerate_triangulations(config, verify_increments=True)
 
 
-def test_step_memo_bytes_per_step():
-    # What the step memos and the exchange pairs they share free when they
-    # are dropped after a search of Δ2×Δ3, per flip that served as a step:
-    # 1 090 bytes under tracemalloc (Python 3.11).  The exchange masks are
-    # the mask table's ints, so they stay.
+def test_step_memo_and_entry_pair_bytes():
+    # What the step memos and the circuit index entries' pairs free when
+    # they are dropped after a search of Δ2×Δ3, per indexed simplex: 852
+    # bytes under tracemalloc (Python 3.11).  The exchange masks are the
+    # mask table's ints and the sides the circuit table's, so they stay.
     config = simplex_product(2, 3)
     tracemalloc.start()
     try:
         enumerate_triangulations(config)
         steps = [f for f in config.flip_memo.values() if f.step_memo is not None]
+        index = config._circuit_index
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         for step in steps:
             object.__setattr__(step, "step_memo", None)
-        config.exchange_memo.clear()
+        for simplex, (mask, _) in list(index.items()):
+            index[simplex] = (mask, ())
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(steps) == 351
-    assert 0 < freed / len(steps) < 1250
+    assert len(steps) == 351 and len(index) == 432
+    assert 0 < freed / len(index) < 1000
 
 
 def regular_triangulations(config):
@@ -795,18 +798,11 @@ def test_exchange_test_rejects_no_flip(make, nodes_of, count):
         masks = [config.circuit_entry(s)[0] for s in t.simplices]
         present = set(masks)
         for s in t.simplices:
-            smask, sides = config.circuit_entry(s)
-            for side in sides:
-                if not present.issuperset(flips_module._exchanges(smask, side.plus_mask)):
+            for side, exchanges in config.circuit_entry(s)[1]:
+                if not present.issuperset(exchanges):
                     assert flips_module._side_link(side.faces, masks) is None
                     rejected += 1
     assert rejected > count
-
-
-def tuple_exchanges(simplex, p, side):
-    """The exchange simplices S − q + p of the side listed for p in the
-    circuit index entry of S, for q ≠ p on its plus side, as sorted tuples."""
-    return [tuple(sorted(set(simplex) - {q} | {p})) for q in side.circuit.plus if q != p]
 
 
 def test_exchange_simplices_are_masks():
@@ -817,18 +813,20 @@ def test_exchange_simplices_are_masks():
     for s in t.simplices:
         entry = config.circuit_entry(s)
         assert config.circuit_entry(s) is entry
-        smask, sides = entry
         outside = [p for p in range(config.n) if p not in s]
-        for p, side in zip(outside, sides):
+        for p, (side, swaps) in zip(outside, entry[1]):
             assert side.opposite.opposite is side
             assert side.opposite.circuit == side.circuit.negated()
-            swaps = flips_module._exchanges(smask, side.plus_mask)
             assert all(isinstance(e, int) for e in swaps)
             assert list(map(mask_bits, swaps)) == tuple_exchanges(s, p, side)
-    for smask, sides in config._circuit_index.values():
+    swapped = set()
+    for smask, pairs in config._circuit_index.values():
         assert isinstance(smask, int)
-        assert all(isinstance(side, CircuitSide) for side in sides)
-    assert config.simplex_table == {}
+        assert all(isinstance(side, CircuitSide) for side, _ in pairs)
+        swapped.update(mask_bits(m) for _, swaps in pairs for m in swaps)
+    # The only simplex tuples are those `mask_simplex` decoded for the
+    # exchange masks it interned.
+    assert set(config.simplex_table) == swapped
 
 
 def test_exchange_masks_match_tuples_on_d2d3():
@@ -839,12 +837,12 @@ def test_exchange_masks_match_tuples_on_d2d3():
     assert len(simplices) == 432
     checked = 0
     for s in sorted(simplices):
-        smask, sides = config.circuit_entry(s)
+        pairs = config.circuit_entry(s)[1]
         outside = [p for p in range(config.n) if p not in s]
-        assert len(sides) == len(outside)
-        for p, side in zip(outside, sides):
+        assert len(pairs) == len(outside)
+        for p, (side, exchanges) in zip(outside, pairs):
             want = {vertex_mask(e) for e in tuple_exchanges(s, p, side)}
-            assert set(flips_module._exchanges(smask, side.plus_mask)) == want
+            assert set(exchanges) == want
             checked += len(want)
     # 2 160 sides with one exchange and 432 with two.
     assert checked == 3024

@@ -461,9 +461,9 @@ def _check_sides(make, simplices):
     cfg = make()
     checked = 0
     for simplex in simplices:
-        smask, sides = cfg.circuit_entry(simplex)
+        smask, pairs = cfg.circuit_entry(simplex)
         assert smask == vertex_mask(simplex)
-        sides = iter(sides)
+        sides = iter([side for side, _ in pairs])
         for p in range(cfg.n):
             if p in simplex:
                 continue
@@ -579,11 +579,11 @@ def check_entries_against_adjugates(cfg, make):
     from, and every stored minor equals `exact.determinant`.  Returns the
     number of entries."""
     fresh = make()
-    for simplex, (smask, sides) in cfg._circuit_index.items():
+    for simplex, (smask, pairs) in cfg._circuit_index.items():
         fresh._sources.clear()
-        want_mask, want_sides = fresh.circuit_entry(simplex)
+        want_mask, want_pairs = fresh.circuit_entry(simplex)
         assert smask == want_mask, simplex
-        assert [s.circuit for s in sides] == [s.circuit for s in want_sides], simplex
+        assert [s.circuit for s, _ in pairs] == [s.circuit for s, _ in want_pairs], simplex
     for key, det in cfg._minors.items():
         assert det == determinant([cfg.hom[i] for i in key]), key
     return len(cfg._circuit_index)

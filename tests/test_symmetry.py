@@ -178,6 +178,10 @@ def test_expand_group_input_checks():
             with pytest.raises(InvalidInputError, match="cap .* is not an integer"):
                 expand_group(sq, gens, cap=cap)
     assert len(expand_group(sq, [SQUARE_ROTATION], cap=4)) == 4
+    # The identity alone exceeds a cap of 0 and fits a cap of 1.
+    with pytest.raises(ResourceLimitError, match="exceeded cap of 0 elements"):
+        expand_group(sq, [], cap=0)
+    assert expand_group(sq, [], cap=1) == (tuple(range(sq.n)),)
 
 
 def test_orbit_count_input_checks():
