@@ -18,17 +18,24 @@ and a further point p, hom(p)·adj(M) on B and -det(M) on p is a dependence
 of B ∪ {p}, zero exactly when those d+2 points do not span.  The circuit
 index takes every set S ∪ {p} of a simplex S at once.  A full-dimensional
 S next to an indexed one, S = S₀ − j + i, reads them off S₀'s by one
-basis-exchange step, the pivot of the simplex method, whose divisions are
-exact as in Bareiss's fraction-free elimination; any other S takes one
-adjugate of its rows.  So a search takes one adjugate, for its first
-simplex: the regular search of Δ₂ × Δ₃ indexes 432 simplices, and the
-first 3 000 nodes of Δ₂ × Δ₄'s 457.  `circuit_or_none` takes its one set
-from an adjugate.  All of them fill the one table of circuits: each such set
-and each circuit support map to the support's pair of `CircuitSide`s, and
-each new circuit is made primitive and rechecked on the points there.  An
-entry pairs each set's side with p on it with the vertex masks of the
-exchange simplices S − q + p, computed once, with the entry: flip finding
-reads both straight off it, and `entry_side` finds the side for a point.
+basis-exchange step.  Where the circuit of S₀ ∪ {p} avoids j, it lies in
+S ∪ {p}, which has one circuit as S spans, so that circuit is reused;
+elsewhere the step pivots, as in the simplex method, with divisions exact
+as in Bareiss's fraction-free elimination.  A full-dimensional S next to
+no indexed simplex is reached by a path of such steps; a flat S, or the
+first simplex of a configuration, takes one adjugate of its rows.  So a
+search takes one adjugate, for its first simplex: the regular search of
+Δ₂ × Δ₃ indexes 432 simplices, pivoting 327 times and reusing 279
+circuits, and the first 3 000 nodes of Δ₂ × Δ₄ index 457, pivoting 844
+times and reusing 958.  `circuit_or_none` takes its one set from an
+adjugate.  All of them fill the one table of circuits: each such set and
+each circuit support map to the support's pair of `CircuitSide`s, and each
+new circuit is made primitive and rechecked on the points there.  An entry
+pairs each set's side with p on it with the vertex masks of the exchange
+simplices S − q + p, computed once, with the entry: flip finding reads both
+straight off it, `entry_side` finds the side for a point, and the placing
+triangulation and the hull read which side of a facet a point lies on,
+so the first 3 000 nodes of Δ₂ × Δ₄ compute one determinant.
 """
 
 from __future__ import annotations
@@ -183,18 +190,22 @@ class PointConfiguration:
       (d+1)-tuple.  A normalized volume is |minor|.  Each circuit index
       entry leaves its simplex's determinant here too, `circuit_or_none`
       tests its bases here and `facet_sign` reads its orientations here, so
-      volumes, circuits, flips, hulls and placings share each determinant;
+      volumes, circuits, hulls, flips and validation share each
+      determinant;
     - the circuit index (`circuit_entry`): for a simplex S, its vertex mask
       and one pair per set S ∪ {p}: its reduced circuit, oriented with p
       on its plus side, and the masks of the exchange simplices S − q + p
       that `flips.find_flips` tests it by.  The dependences come by one
       exchange step from an indexed full-dimensional simplex whose mask
       differs from S's in two bits, found through `_sources` (mask ->
-      simplex), or, when none is indexed or S is flat, from one
+      simplex), which reuses each of its circuits that misses the vertex
+      the step drops (`_exchange`); or by a path of such steps
+      (`_bridge`); or, when none is indexed or S is flat, from one
       `exact.adjugate` of S's rows.  Each pair is built once, with its
       entry, and is the pair that from-scratch scans and the step memos of
-      `flips.Flip` read: after the regular search of Δ₂ × Δ₃ the 2 592 pairs
-      of 432 simplices hold 0.30 MB under tracemalloc;
+      `flips.Flip` read: after the regular search of Δ₂ × Δ₃ the 2 592
+      pairs of 432 simplices hold 0.30 MB under tracemalloc.  The exchange
+      masks are interned as ints alone (`_exchange_masks`);
     - the circuit table, filled by the circuit index and `circuit_or_none`:
       each (d+2)-set met maps to the `CircuitSide` pair of its reduced
       circuit (the first side with its first coefficient positive), or to
@@ -214,9 +225,8 @@ class PointConfiguration:
       tuple stands for a simplex wherever it is kept, and the table grows
       with the number of distinct simplices met, not with the number of
       flips and triangulations that hold them.  `mask_table` maps the
-      vertex mask of each simplex a flip holds or a circuit index entry
-      lists to one int for the mask and its table tuple (see
-      `mask_simplex`).
+      vertex mask of each simplex a flip holds to one int for the mask and
+      its table tuple (see `mask_simplex`).
 
     The search handles GKZ-vectors as codes, one int each (`pack` and
     `unpack`): the entries in fields of `code_width` bits, the first entry
@@ -268,6 +278,9 @@ class PointConfiguration:
         self.simplex_table = {}
         #: vertex mask -> (that mask, its `simplex` tuple); see `mask_simplex`
         self.mask_table = {}
+        #: vertex mask -> the one int kept for it, for each exchange simplex
+        #: that a circuit index entry lists
+        self._exchange_masks = {}
         #: (normalized volume, facets) of the hull; see `triangulation._hull`
         self._hull = None
 
@@ -373,7 +386,8 @@ class PointConfiguration:
 
         A full-dimensional simplex with an adjacent indexed one takes its
         circuits, and its determinant, by one exchange step from that one
-        (`_exchange`); any other takes them from its adjugate.
+        (`_exchange`), and one with no adjacent indexed one by a path of
+        steps (`_bridge`); any other takes them from its adjugate.
         """
         entry = self._circuit_index.get(simplex)
         return self.circuit_entries((simplex,))[0] if entry is None else entry
@@ -382,17 +396,21 @@ class PointConfiguration:
         """`circuit_entry` of each simplex, in order.  The missing entries
         are built first, each after an indexed simplex next to it where
         there is one: the simplices of a triangulation are linked through
-        their common facets, so they take one adjugate at most."""
+        their common facets, so at most one of them is bridged to, or takes
+        an adjugate."""
         index = self._circuit_index
         pending = [(s, vertex_mask(s)) for s in simplices if s not in index]
         # With no source to step from, the first pending simplex takes an
-        # adjugate; so does the first of a pass that built nothing.
+        # adjugate; the first of a pass that built nothing is bridged to.
         progress = bool(self._sources)
         while pending:
             if not progress:
-                self._new_entry(*pending.pop(0), None)
+                s, mask = pending.pop(0)
+                self._new_entry(s, mask, self._bridge(s, mask))
             stuck = []
             for s, mask in pending:
+                if s in index:
+                    continue  # a bridge went through it
                 adjacent = self._adjacent(s, mask)
                 if adjacent is None:
                     stuck.append((s, mask))
@@ -405,30 +423,38 @@ class PointConfiguration:
     def entry_side(self, simplex, p) -> CircuitSide:
         """The side listed for p ∉ simplex in the circuit index entry of a
         full-dimensional simplex, which lists one side per point outside
-        it."""
-        return self.circuit_entry(simplex)[1][p - bisect_left(simplex, p)][0]
+        it, with p on its plus side.  RegulartriError when the entry lists
+        none such: p is in the simplex, or the simplex is flat."""
+        mask, pairs = self.circuit_entry(simplex)
+        k = p - bisect_left(simplex, p)
+        if not mask >> p & 1 and k < len(pairs) and pairs[k][0].plus_mask >> p & 1:
+            return pairs[k][0]
+        raise RegulartriError(
+            f"the circuit index entry of {simplex} lists no side with {p} on it")
 
     def _new_entry(self, simplex, mask, adjacent) -> tuple:
         """Build, index and return the entry of `simplex`, whose vertex mask
         is `mask`; `adjacent` is `_adjacent`'s answer for it."""
         sides_of = adjacent and self._exchange(simplex, adjacent)
-        keep = self.mask_simplex
+        keep = self._exchange_masks.setdefault
         pairs = []
+        at = 0  # the number of vertices below p
         for p in range(self.n):
             if mask >> p & 1:
+                at += 1
                 continue
-            key = tuple(sorted(simplex + (p,)))
+            key = simplex[:at] + (p,) + simplex[at:]
             pair = self._circuits.get(key)
             if pair is None:
                 if sides_of is None:
                     sides_of = self._cramer(simplex)
                 pair = self._circuits[key] = sides_of(p, key)
             if pair is not False:
-                side = pair[0] if p in pair[0].circuit.plus else pair[1]
+                side = pair[0] if pair[0].plus_mask >> p & 1 else pair[1]
                 # simplex − q + p for each q of the side in the simplex.
                 joined = mask | 1 << p
-                pairs.append((side, tuple(keep(joined ^ 1 << q)[0] for q in
-                                          mask_bits(side.plus_mask & mask))))
+                swaps = [joined ^ 1 << q for q in side.circuit.plus if q != p]
+                pairs.append((side, tuple(map(keep, swaps, swaps))))
         entry = self._circuit_index[simplex] = (mask, tuple(pairs))
         if self._minors.get(simplex):
             self._sources[mask] = simplex
@@ -457,6 +483,12 @@ class PointConfiguration:
         basis-exchange step from S's entry; None when S′ is flat.  Sets
         S′'s minor.
 
+        For r ∉ S′ ∪ {j}, the circuit S's entry lists for r lies in
+        S ∪ {r}; when it avoids j it lies in S′ ∪ {r}, whose one circuit it
+        is as S′ spans (basis exchange; De Loera, Rambau and Santos,
+        Triangulations, 2010), and its table pair is returned as it stands.
+        Only the other r pivot.
+
         For r ∉ S let a(r) = hom(r)·adj(S), on the vertices of S: S's side
         for r reads (−det S / λ_r)·λ on them.  With D′ = a(i)_j, the
         adjugate of S with i in j's row gives a′(r)_i = a(r)_j and
@@ -468,8 +500,7 @@ class PointConfiguration:
         source, i, j = adjacent
         det = self._minors[source]
 
-        def row(r):
-            circuit = self.entry_side(source, r).circuit
+        def row(r, circuit):
             lam = dict(zip(circuit.support, circuit.dependence))
             f, rest = divmod(-det, lam[r])
             if rest:
@@ -478,7 +509,7 @@ class PointConfiguration:
             return [f * lam.get(v, 0) for v in source]
 
         k = source.index(j)
-        pivot = row(i)
+        pivot = row(i, self.entry_side(source, i).circuit)
         new_det = pivot[k]
         if not new_det:
             return None
@@ -488,7 +519,11 @@ class PointConfiguration:
 
         def sides_of(r, key):
             # r ≠ j: the set S′ ∪ {j} = S ∪ {i} is already in the table.
-            a = row(r)
+            circuit = self.entry_side(source, r).circuit
+            if not circuit.support_mask >> j & 1:
+                # It avoids j: it is the one circuit of S′ ∪ {r}.
+                return self._circuits[circuit.support]
+            a = row(r, circuit)
             aj = a[k]
             lam = {i: aj, r: -new_det}
             for v, x, y in zip(source, a, pivot):
@@ -514,6 +549,30 @@ class PointConfiguration:
                 if source is not None:
                     return source, i, j
         return None
+
+    def _bridge(self, simplex, mask):
+        """`_adjacent`'s answer for a simplex next to no indexed one, after
+        indexing the steps of a path to it from the indexed simplex S that
+        shares most vertices with it; None when none is indexed or a step
+        shows the simplex flat.  Each step swaps into S a vertex i of the
+        simplex for the first vertex j ∉ simplex of the circuit of S ∪ {i},
+        so the step spans and is indexed as a source; no such j means that
+        circuit lies in the simplex, which is then flat."""
+        if not self._sources:
+            return None
+        near = min(self._sources, key=lambda m: (m ^ mask).bit_count())
+        source = self._sources[near]
+        while (near ^ mask).bit_count() > 2:
+            i = next(v for v in simplex if not near >> v & 1)
+            out = self.entry_side(source, i).circuit.support_mask & near & ~mask
+            if not out:
+                return None
+            j = (out & -out).bit_length() - 1
+            near ^= 1 << i | 1 << j
+            step = mask_bits(near)
+            self._new_entry(step, near, (source, i, j))
+            source = step
+        return self._adjacent(simplex, mask)
 
     def _sides(self, key, lam, rule):
         """The pair of sides of the sorted tuple `key` from a dependence

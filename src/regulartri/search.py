@@ -158,7 +158,12 @@ class GeometricFlipOracle:
             raise RegulartriError("flip target differs from its canonical construction")
 
     def seed(self) -> Triangulation:
-        return self._on_table(pulling_triangulation(self.config))
+        """The pulling triangulation, its simplices indexed (see
+        `PointConfiguration.circuit_entries`): its GKZ-vector reads the
+        minors their entries leave."""
+        seed = self._on_table(pulling_triangulation(self.config))
+        self.config.circuit_entries(seed.simplices)
+        return seed
 
     def _on_table(self, simplices) -> Triangulation:
         """The triangulation of these sorted simplices, each replaced by its

@@ -272,14 +272,19 @@ def _hull(config: PointConfiguration) -> tuple:
     """(normalized volume, facets) of the convex hull, both from one placing
     triangulation and kept on the configuration.  Each facet is the
     frozenset of the points on its hyperplane: the hyperplanes of the
-    placing triangulation's boundary facets, one per hull facet."""
+    placing triangulation's boundary facets, one per hull facet.  A point
+    p outside the simplex s that owns the boundary facet s − v lies on its
+    hyperplane exactly when the circuit of s ∪ {p}, read off s's circuit
+    index entry, misses v (see `placing_triangulation`)."""
     if config._hull is None:
         t = placing_triangulation(config)
         hyperplanes = []
         for facet, owners in facet_incidence(t.simplices).items():
             if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
-                hyperplanes.append(frozenset(
-                    i for i in range(config.n) if config.facet_sign(facet, i) == 0))
+                (s, v), = owners
+                hyperplanes.append(frozenset(facet).union(
+                    p for p in range(config.n) if p not in s
+                    and not config.entry_side(s, p).circuit.support_mask >> v & 1))
         volume = sum(config.normalized_volume(s) for s in t.simplices)
         config._hull = (volume, tuple(hyperplanes))
     return config._hull
@@ -294,6 +299,13 @@ def placing_triangulation(config: PointConfiguration) -> Triangulation:
     facet hyperplane do not see it).  Points inside the current hull are
     skipped, so the result need not use every point.  Placing
     triangulations are regular.
+
+    Sides are read off the circuit index (`PointConfiguration.entry_side`):
+    for the dependence λ of s ∪ {p} and an affine h zero on the facet
+    s − v, λ_p·h(p) = −λ_v·h(v), so p sees the facet exactly when v is on
+    p's side of the circuit listed for p, and lies on its hyperplane
+    exactly when λ_v = 0.  Each placed simplex is one exchange step from
+    the one it cones from, so the construction takes one adjugate at most.
     """
     simplices = {config.basis}
     placed = set(config.basis)
@@ -305,9 +317,8 @@ def placing_triangulation(config: PointConfiguration) -> Triangulation:
         for facet, owners in facet_incidence(simplices).items():
             if len(owners) != 1:
                 continue
-            inside = config.facet_sign(facet, owners[0][1])
-            s = config.facet_sign(facet, p)
-            if s != 0 and s != inside:
+            (s, v), = owners
+            if config.entry_side(s, p).plus_mask >> v & 1:
                 visible.append(facet)
         for facet in visible:
             simplices.add(tuple(sorted(facet + (p,))))

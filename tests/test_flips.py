@@ -708,9 +708,10 @@ def tuple_exchanges(simplex, p, side):
 def test_entries_and_step_memos_match_tuples(make, nodes, group, steps, monkeypatch):
     # Every indexed simplex's pairs hold, for each p outside it, its side
     # and the exchange simplices S − q + p built from tuples, each mask the
-    # int the mask table keeps.  Every flip the search derives a list over
-    # holds the flip back and the `_scan` of its inserted simplices without
-    # the flip back's side, and no other flip holds a step memo.
+    # one int the configuration keeps for it.  Every flip the search
+    # derives a list over holds the flip back and the `_scan` of its
+    # inserted simplices without the flip back's side, and no other flip
+    # holds a step memo.
     config = make()
     calls = searched_lists(config, monkeypatch, nodes, group and group(config))
     for s, (smask, pairs) in config._circuit_index.items():
@@ -720,7 +721,7 @@ def test_entries_and_step_memos_match_tuples(make, nodes, group, steps, monkeypa
         for p, (side, exchanges) in zip(outside, pairs):
             assert p in side.circuit.plus
             assert list(map(mask_bits, exchanges)) == tuple_exchanges(s, p, side)
-            assert all(config.mask_table[m][0] is m for m in exchanges)
+            assert all(config._exchange_masks[m] is m for m in exchanges)
     used = {id(parent[1]): parent[1] for _, parent, _ in calls if parent}
     held = [f for f in config.flip_memo.values() if f.step_memo is not None]
     assert len(used) == len(held) == steps
@@ -819,14 +820,17 @@ def test_exchange_simplices_are_masks():
             assert side.opposite.circuit == side.circuit.negated()
             assert all(isinstance(e, int) for e in swaps)
             assert list(map(mask_bits, swaps)) == tuple_exchanges(s, p, side)
-    swapped = set()
     for smask, pairs in config._circuit_index.values():
         assert isinstance(smask, int)
         assert all(isinstance(side, CircuitSide) for side, _ in pairs)
-        swapped.update(mask_bits(m) for _, swaps in pairs for m in swaps)
-    # The only simplex tuples are those `mask_simplex` decoded for the
-    # exchange masks it interned.
-    assert set(config.simplex_table) == swapped
+        assert all(config._exchange_masks[m] is m for _, swaps in pairs for m in swaps)
+    # No simplex tuple is decoded for an exchange mask: the simplex table
+    # holds the simplices of the flips alone, each decoded once.
+    assert config.simplex_table == {} and config.mask_table == {}
+    flips = find_flips(config, t)
+    held = {s for f in flips for s in f.removed + f.inserted}
+    assert held and set(config.simplex_table) == held
+    assert {m: s for m, s in config.mask_table.values()} == {vertex_mask(s): s for s in held}
 
 
 def test_exchange_masks_match_tuples_on_d2d3():

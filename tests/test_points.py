@@ -26,7 +26,13 @@ from regulartri import (
     triangle_with_interior,
 )
 from regulartri import exact
-from regulartri.points import CircuitSide, CorankOneConfig, vertex_mask
+from regulartri.points import CircuitSide, CorankOneConfig, PointConfiguration, vertex_mask
+from regulartri.triangulation import (
+    Triangulation,
+    _hull,
+    facet_incidence,
+    placing_triangulation,
+)
 
 from test_search import optimized_output
 from test_symmetry import affine_coordinates
@@ -679,3 +685,176 @@ def test_exchange_steps_cover_every_simplex_of_a_small_configuration():
     assert calls[0] == rows[0]
     assert 1 < len(calls) and all(m in [rows[simplices.index(s)] for s in flat] for m in calls[1:])
     check_entries_against_adjugates(cfg, lambda: new_configuration(EXCHANGE_POINTS + [(3, 3)]))
+
+
+def test_entry_side_refuses_a_point_the_entry_lists_no_side_for():
+    # On a flat simplex the entry skips its degenerate sets, and a point of
+    # the simplex has no side: neither reads another point's side.
+    cfg = new_configuration([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+    for simplex, p in [((0, 1, 2), 3), ((0, 1, 2), 4), ((0, 1, 4), 1), ((0, 1, 4), 4)]:
+        with pytest.raises(RegulartriError, match="lists no side"):
+            cfg.entry_side(simplex, p)
+    for p in (2, 3):
+        side = cfg.entry_side((0, 1, 4), p)
+        assert p in side.circuit.plus and side is cfg.circuit_entry((0, 1, 4))[1][p - 2][0]
+
+
+def counted_steps(make, nodes, monkeypatch):
+    """`searched(make, nodes)` with each set an exchange step answers
+    recorded as (r, key, j, pair, pivoted): pivoted when the step computed
+    a dependence, not when it returned its source's circuit.  Returns
+    (config, adjugates, records)."""
+    records, pivots = [], []
+    real_exchange, real_sides = PointConfiguration._exchange, PointConfiguration._sides
+
+    def exchange(self, simplex, adjacent):
+        sides_of = real_exchange(self, simplex, adjacent)
+        if sides_of is None:
+            return None
+
+        def recorded(r, key):
+            before = len(pivots)
+            pair = sides_of(r, key)
+            records.append((r, key, adjacent[2], pair, len(pivots) > before))
+            return pair
+
+        return recorded
+
+    def sides(self, key, lam, rule):
+        if rule == "the exchange step":
+            pivots.append(key)
+        return real_sides(self, key, lam, rule)
+
+    monkeypatch.setattr(PointConfiguration, "_exchange", exchange)
+    monkeypatch.setattr(PointConfiguration, "_sides", sides)
+    cfg, adjugates = searched(make, nodes)
+    return cfg, adjugates, records
+
+
+@pytest.mark.parametrize("make, nodes, pivots, reuses", [
+    (lambda: simplex_product(2, 3), None, 327, 279),
+    (lambda: simplex_product(2, 4), 300, 600, 544),
+], ids=["d2d3", "d2d4"])
+def test_exchange_steps_reuse_circuits_that_avoid_the_dropped_vertex(
+        make, nodes, pivots, reuses, monkeypatch):
+    # A step from S to S − j + i pivots only for the sets whose circuit in
+    # S's entry holds j; every other set gets that circuit's pair from the
+    # table, with r on one side of it.  Counts pinned from measured runs.
+    cfg, adjugates, records = counted_steps(make, nodes, monkeypatch)
+    assert adjugates == 1
+    assert sum(pivoted for *_, pivoted in records) == pivots
+    assert sum(not pivoted for *_, pivoted in records) == reuses
+    for r, key, j, pair, pivoted in records:
+        circuit = pair[0].circuit
+        assert pair is cfg._circuits[key] is cfg._circuits[circuit.support], key
+        assert set(circuit.support) <= set(key) and r in circuit.support, key
+        assert all(type(side) is CircuitSide for side in pair), key
+        if not pivoted:
+            assert j not in circuit.support, key
+            side = pair[0] if r in circuit.plus else pair[1]
+            assert side.plus_mask >> r & 1, key
+    check_circuit_table(cfg)
+
+
+def test_simplices_next_to_no_indexed_one_are_bridged_by_steps():
+    # With one simplex indexed, any other full-dimensional one is reached
+    # by a path of exchange steps, each indexed as a source; a flat one
+    # takes its cofactors.  Every entry equals a fresh adjugate's.
+    make = lambda: simplex_product(2, 3)
+    cfg = make()
+    first = (0, 1, 2, 4, 8, 11)
+    far = (0, 3, 5, 6, 7, 9)
+    assert cfg.normalized_volume(first) and cfg.normalized_volume(far)
+    calls = []
+    real = exact.adjugate
+    exact.adjugate = lambda m: calls.append(m) or real(m)
+    try:
+        cfg.circuit_entry(first)
+        assert len(calls) == 1
+        cfg.circuit_entry(far)
+        assert len(calls) == 1
+        steps = set(cfg._circuit_index) - {first, far}
+        assert steps and all(cfg._minors[s] for s in steps)
+        assert set(cfg._sources.values()) == set(cfg._circuit_index)
+        flat = (0, 1, 2, 3, 4, 5)
+        assert not determinant([cfg.hom[i] for i in flat])
+        cfg.circuit_entry(flat)
+        assert len(calls) == 2 and flat not in cfg._sources.values()
+    finally:
+        exact.adjugate = real
+    check_entries_against_adjugates(cfg, make)
+
+
+# -- the hull and the placing triangulation against the facet_sign walk -------
+
+
+def reference_placing(cfg):
+    """The placing triangulation by `facet_sign` determinants: p sees a
+    boundary facet when it lies strictly on the other side of it from the
+    apex of the simplex that owns it."""
+    simplices = {cfg.basis}
+    for p in range(cfg.n):
+        if p in cfg.basis:
+            continue
+        visible = []
+        for facet, owners in facet_incidence(simplices).items():
+            if len(owners) == 1:
+                inside = cfg.facet_sign(facet, owners[0][1])
+                s = cfg.facet_sign(facet, p)
+                if s != 0 and s != inside:
+                    visible.append(facet)
+        simplices.update(tuple(sorted(facet + (p,))) for facet in visible)
+    return Triangulation(simplices)
+
+
+def reference_hull(cfg):
+    """(normalized volume, facets) of the hull by `facet_sign`: the points
+    on each boundary facet's hyperplane of the reference placing, one set
+    per hyperplane in the order first met, and the simplices' volume sum;
+    also the number of points on those hyperplanes off the facets."""
+    t = reference_placing(cfg)
+    hyperplanes, off = [], 0
+    for facet, owners in facet_incidence(t.simplices).items():
+        if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
+            h = frozenset(i for i in range(cfg.n) if cfg.facet_sign(facet, i) == 0)
+            off += len(h) - len(facet)
+            hyperplanes.append(h)
+    volume = sum(abs(determinant([cfg.hom[i] for i in s])) for s in t.simplices)
+    return t, (volume, tuple(hyperplanes)), off
+
+
+def _check_hull(make):
+    """The hull and placing triangulation of a fresh configuration against
+    the references on another; the number of points on facet hyperplanes
+    off their facets."""
+    want_t, want_hull, off = reference_hull(make())
+    cfg = make()
+    assert cfg.total_volume() == want_hull[0]
+    assert _hull(cfg) == want_hull
+    assert placing_triangulation(cfg) == want_t
+    return off
+
+
+@pytest.mark.parametrize("make", [
+    square, triangle_with_interior, nested_triangles,
+    lambda: convex_polygon(6), lambda: cube(3), lambda: cube(4),
+    lambda: simplex_product(2, 2), lambda: simplex_product(2, 3),
+    lambda: simplex_product(2, 4), lambda: simplex_product(3, 3),
+    lambda: new_configuration(EXCHANGE_POINTS + [(3, 3)]),
+], ids=["square", "triangle_with_interior", "nested_triangles", "hexagon",
+        "cube3", "cube4", "d2d2", "d2d3", "d2d4", "d3d3", "exchange"])
+def test_hull_and_placing_match_the_facet_sign_walk(make):
+    _check_hull(make)
+
+
+def test_hull_and_placing_match_the_facet_sign_walk_on_random_configurations():
+    # Criterion 3's random configurations, some with points on the
+    # hyperplanes of hull facets besides the facets' own.
+    from test_acceptance import _random_config
+
+    rng = random.Random(20260814)
+    off = 0
+    for _ in range(40):
+        pts = _random_config(rng).points
+        off += _check_hull(lambda: new_configuration(pts))
+    assert off > 0
