@@ -50,9 +50,9 @@ distinct flips of the triangulations visited (1 584 for all of Δ2×Δ3's
 (28 368).
 
 A flip's removed and inserted simplices are sorted tuples of the tuples in
-`PointConfiguration.simplex_table`, so all flips share one tuple per
-simplex (432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips),
-and a mirror shares its two tuples of simplices with its opposite.
+`PointConfiguration.mask_table`, so all flips share one tuple per simplex
+(432 for Δ2×Δ3, against 13 536 simplex slots in its 1 584 flips), and a
+mirror shares its two tuples of simplices with its opposite.
 
 A flip changes the flips of a triangulation only near the flipped region,
 so `find_flips` derives the list of T′ = apply_flip(P, flip) from P's when

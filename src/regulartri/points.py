@@ -16,26 +16,28 @@ homogenized rows (a signed maximal minor: the chirotope, up to that
 constant).  Circuits come by Cramer's rule: for d+1 points B with rows M
 and a further point p, hom(p)·adj(M) on B and -det(M) on p is a dependence
 of B ∪ {p}, zero exactly when those d+2 points do not span.  The circuit
-index takes every set S ∪ {p} of a simplex S at once.  A full-dimensional
-S next to an indexed one, S = S₀ − j + i, reads them off S₀'s by one
+index takes every set S ∪ {p} of a simplex S that spans at once; a flat S
+has no entry, and asking for one raises DegenerateConfigError.  An S next
+to an indexed one, S = S₀ − j + i, reads them off S₀'s by one
 basis-exchange step.  Where the circuit of S₀ ∪ {p} avoids j, it lies in
 S ∪ {p}, which has one circuit as S spans, so that circuit is reused;
 elsewhere the step pivots, as in the simplex method, with divisions exact
-as in Bareiss's fraction-free elimination.  A full-dimensional S next to
-no indexed simplex is reached by a path of such steps; a flat S, or the
-first simplex of a configuration, takes one adjugate of its rows.  So a
-search takes one adjugate, for its first simplex: the regular search of
-Δ₂ × Δ₃ indexes 432 simplices, pivoting 327 times and reusing 279
-circuits, and the first 3 000 nodes of Δ₂ × Δ₄ index 457, pivoting 844
-times and reusing 958.  `circuit_or_none` takes its one set from an
-adjugate.  All of them fill the one table of circuits: each such set and
-each circuit support map to the support's pair of `CircuitSide`s, and each
+as in Bareiss's fraction-free elimination.  An S next to no indexed
+simplex is reached by a path of such steps, and the first simplex of a
+configuration takes one adjugate of its rows.  So a search takes one
+adjugate: the regular search of Δ₂ × Δ₃ indexes 432 simplices, pivoting
+327 times and reusing 279 circuits, and the first 3 000 nodes of Δ₂ × Δ₄
+index 457, pivoting 844 times and reusing 958.  `circuit_or_none` takes
+its one set from an adjugate of its own.  All of them fill the one table
+of circuits, keyed by vertex masks: the mask of each such set and of each
+circuit support maps to the support's pair of `CircuitSide`s, and each
 new circuit is made primitive and rechecked on the points there.  An entry
 pairs each set's side with p on it with the vertex masks of the exchange
 simplices S − q + p, computed once, with the entry: flip finding reads both
 straight off it, `entry_side` finds the side for a point, and the placing
-triangulation and the hull read which side of a facet a point lies on,
-so the first 3 000 nodes of Δ₂ × Δ₄ compute one determinant.
+triangulation, the hull and `triangulation.validate` read which side of a
+facet a point lies on, so the first 3 000 nodes of Δ₂ × Δ₄ compute one
+determinant.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from operator import mul
 
 from . import exact
@@ -188,29 +189,29 @@ class PointConfiguration:
 
     - signed minors: the determinant of the homogenized rows of a sorted
       (d+1)-tuple.  A normalized volume is |minor|.  Each circuit index
-      entry leaves its simplex's determinant here too, `circuit_or_none`
-      tests its bases here and `facet_sign` reads its orientations here, so
-      volumes, circuits, hulls, flips and validation share each
-      determinant;
-    - the circuit index (`circuit_entry`): for a simplex S, its vertex mask
-      and one pair per set S ∪ {p}: its reduced circuit, oriented with p
-      on its plus side, and the masks of the exchange simplices S − q + p
-      that `flips.find_flips` tests it by.  The dependences come by one
-      exchange step from an indexed full-dimensional simplex whose mask
-      differs from S's in two bits, found through `_sources` (mask ->
+      entry leaves its simplex's determinant here too and `circuit_or_none`
+      tests its bases here, so volumes, circuits, flips and validation
+      share each determinant;
+    - the circuit index (`circuit_entry`): for a simplex S that spans, its
+      vertex mask and one pair per set S ∪ {p}: its reduced circuit,
+      oriented with p on its plus side, and the masks of the exchange
+      simplices S − q + p that `flips.find_flips` tests it by.  The
+      dependences come by one exchange step from an indexed simplex whose
+      mask differs from S's in two bits, found through `_sources` (mask ->
       simplex), which reuses each of its circuits that misses the vertex
       the step drops (`_exchange`); or by a path of such steps
-      (`_bridge`); or, when none is indexed or S is flat, from one
-      `exact.adjugate` of S's rows.  Each pair is built once, with its
-      entry, and is the pair that from-scratch scans and the step memos of
-      `flips.Flip` read: after the regular search of Δ₂ × Δ₃ the 2 592
-      pairs of 432 simplices hold 0.30 MB under tracemalloc.  The exchange
-      masks are interned as ints alone (`_exchange_masks`);
-    - the circuit table, filled by the circuit index and `circuit_or_none`:
-      each (d+2)-set met maps to the `CircuitSide` pair of its reduced
-      circuit (the first side with its first coefficient positive), or to
-      False when its points do not span, and each support maps to its one
-      pair;
+      (`_bridge`); or, when none is indexed, from one `exact.adjugate` of
+      S's rows.  Each pair is built once, with its entry, and is the pair
+      that from-scratch scans and the step memos of `flips.Flip` read:
+      after the regular search of Δ₂ × Δ₃ the 2 592 pairs of 432 simplices
+      hold 0.30 MB under tracemalloc (Python 3.11), and the circuit index
+      with its table of 654 vertex masks 0.13 MB more.  The exchange masks
+      are interned as ints alone (`_exchange_masks`);
+    - the circuit table, keyed by vertex masks: the circuit index maps the
+      mask of each (d+2)-set it meets to the `CircuitSide` pair of its
+      reduced circuit (the first side with its first coefficient
+      positive), and the index and `circuit_or_none` map the mask of each
+      support to its one pair;
     - `flip_memo`: the `flips.Flip` built for a (circuit side, link) pair,
       filled by `flips.find_flips`; the link is the sorted tuple of its
       simplices' vertex masks (see `vertex_mask`).  A flip's circuit,
@@ -220,13 +221,12 @@ class PointConfiguration:
       visited, not the number of times they were found.  A flip that
       `find_flips` derives a list over keeps that step's data on itself
       (`flips.Flip.step_memo`);
-    - `simplex_table`: each maximal simplex that flips and search nodes
-      hold, as a sorted tuple mapped to itself (see `simplex`).  So one
+    - `mask_table`: the vertex mask of each maximal simplex that flips and
+      search nodes hold, mapped to one int for the mask and one sorted
+      tuple for the simplex (see `simplex` and `mask_simplex`).  So one
       tuple stands for a simplex wherever it is kept, and the table grows
       with the number of distinct simplices met, not with the number of
-      flips and triangulations that hold them.  `mask_table` maps the
-      vertex mask of each simplex a flip holds to one int for the mask and
-      its table tuple (see `mask_simplex`).
+      flips and triangulations that hold them.
 
     The search handles GKZ-vectors as codes, one int each (`pack` and
     `unpack`): the entries in fields of `code_width` bits, the first entry
@@ -266,17 +266,15 @@ class PointConfiguration:
 
         #: sorted (d+1)-tuple -> signed determinant of its homogenized rows
         self._minors = {}
-        #: (d+2)-set or support -> its pair of sides, or False; see above
+        #: vertex mask of a (d+2)-set or a support -> its pair of sides
         self._circuits = {}
         self._circuit_index = {}
-        #: vertex mask -> simplex, for each indexed simplex with a nonzero
-        #: minor: the sources of `_exchange`
+        #: vertex mask -> simplex, for each indexed simplex: the sources of
+        #: `_exchange`
         self._sources = {}
         #: (CircuitSide, sorted link masks) -> Flip; see the class docstring
         self.flip_memo = {}
-        #: sorted simplex tuple -> the one tuple kept for it; see `simplex`
-        self.simplex_table = {}
-        #: vertex mask -> (that mask, its `simplex` tuple); see `mask_simplex`
+        #: vertex mask -> (that mask, the one tuple kept for the simplex)
         self.mask_table = {}
         #: vertex mask -> the one int kept for it, for each exchange simplex
         #: that a circuit index entry lists
@@ -304,17 +302,19 @@ class PointConfiguration:
     def simplex(self, key) -> tuple:
         """The tuple kept for a simplex, `key` itself on first sight.
 
-        `key` must be a sorted tuple of point indices.  Flips and search
-        nodes take their simplices from here, so equal simplices are one
-        object (see the class docstring)."""
-        return self.simplex_table.setdefault(key, key)
+        `key` must be a sorted tuple of point indices; its tuple is found
+        by its vertex mask in `mask_table`.  Flips and search nodes take
+        their simplices from there, so equal simplices are one object (see
+        the class docstring)."""
+        mask = vertex_mask(key)
+        return self.mask_table.setdefault(mask, (mask, key))[1]
 
     def mask_simplex(self, mask) -> tuple:
         """(mask, simplex) for the simplex with this vertex mask: the mask
         as the one int kept for it and the `simplex` tuple, decoded once."""
         pair = self.mask_table.get(mask)
         if pair is None:
-            pair = self.mask_table[mask] = (mask, self.simplex(mask_bits(mask)))
+            pair = self.mask_table[mask] = (mask, mask_bits(mask))
         return pair
 
     def _minor(self, key) -> int:
@@ -349,22 +349,19 @@ class PointConfiguration:
     def circuit_or_none(self, key):
         """corank_one for presorted tuples, returning None when degenerate.
 
-        `key` must be sorted.  Its pair of sides comes by Cramer's rule from
-        the adjugate of a base that spans: key without one point, the last
-        one first, each tested by its memoised minor.  No circuit index
-        entry is filled.  A key that no base spans is degenerate.
+        `key` must be sorted.  Its circuit comes by Cramer's rule from the
+        adjugate of a base that spans, taken afresh on each call: key
+        without one point, the last one first, each tested by its memoised
+        minor.  No circuit index entry is filled.  A key that no base spans
+        is degenerate.
         """
-        pair = self._circuits.get(key)
-        if pair is None:
-            for i in reversed(range(len(key))):
-                base = key[:i] + key[i + 1:]
-                if self._minor(base):
-                    pair = self._circuits[key] = self._cramer(base)(key[i], key)
-                    break
-        if not pair:
-            return None
-        lam = dict(zip(pair[0].circuit.support, pair[0].circuit.dependence))
-        return _circuit(key, tuple(lam.get(v, 0) for v in key))
+        for i in reversed(range(len(key))):
+            base = key[:i] + key[i + 1:]
+            if self._minor(base):
+                circuit = self._cramer(base)(key[i])[0].circuit
+                lam = dict(zip(circuit.support, circuit.dependence))
+                return _circuit(key, tuple(lam.get(v, 0) for v in key))
+        return None
 
     def circuit_entry(self, simplex) -> tuple:
         """The simplex's circuit index entry: its vertex mask and its pairs.
@@ -374,20 +371,20 @@ class PointConfiguration:
         in increasing order, the reduced circuit Z of simplex ∪ {p}, as the
         `CircuitSide` with p on its plus side, and the vertex masks of
         simplex − q + p for the q of that side in the simplex, each the int
-        `mask_simplex` keeps for it.  A flip that removes the simplex
+        kept for it in `_exchange_masks`.  A flip that removes the simplex
         removes it as a join (Z∖{q}) ∪ τ with q on the removed side of its
         circuit Z; then q ∉ simplex, Z is the circuit of simplex ∪ {q}, and
         the flip removes the side listed for p = q, and with it each of its
         exchange simplices.  So a flip removes the simplex only if it
         removes one of these sides.  `simplex` must be a sorted tuple of
-        point indices.  Degenerate sets contribute nothing.  The two sides
-        of a support are created once and shared by every simplex that
-        reaches them; the entry is memoised per simplex.
+        point indices that spans: DegenerateConfigError names one that does
+        not.  The two sides of a support are created once and shared by
+        every simplex that reaches them; the entry is memoised per simplex.
 
-        A full-dimensional simplex with an adjacent indexed one takes its
-        circuits, and its determinant, by one exchange step from that one
-        (`_exchange`), and one with no adjacent indexed one by a path of
-        steps (`_bridge`); any other takes them from its adjugate.
+        A simplex with an adjacent indexed one takes its circuits, and its
+        determinant, by one exchange step from that one (`_exchange`), and
+        one with no adjacent indexed one by a path of steps (`_bridge`);
+        the first simplex of a configuration takes them from its adjugate.
         """
         entry = self._circuit_index.get(simplex)
         return self.circuit_entries((simplex,))[0] if entry is None else entry
@@ -421,67 +418,62 @@ class PointConfiguration:
         return [index[s] for s in simplices]
 
     def entry_side(self, simplex, p) -> CircuitSide:
-        """The side listed for p ∉ simplex in the circuit index entry of a
-        full-dimensional simplex, which lists one side per point outside
-        it, with p on its plus side.  RegulartriError when the entry lists
-        none such: p is in the simplex, or the simplex is flat."""
+        """The side listed for p ∉ simplex in the circuit index entry of the
+        simplex, which lists one side per point outside it, with p on its
+        plus side.  RegulartriError when p is in the simplex or is not a
+        point of the configuration."""
         mask, pairs = self.circuit_entry(simplex)
         k = p - bisect_left(simplex, p)
-        if not mask >> p & 1 and k < len(pairs) and pairs[k][0].plus_mask >> p & 1:
-            return pairs[k][0]
-        raise RegulartriError(
-            f"the circuit index entry of {simplex} lists no side with {p} on it")
+        if mask >> p & 1 or k >= len(pairs):
+            raise RegulartriError(
+                f"the circuit index entry of {simplex} lists no side with {p} on it")
+        return pairs[k][0]
 
     def _new_entry(self, simplex, mask, adjacent) -> tuple:
         """Build, index and return the entry of `simplex`, whose vertex mask
         is `mask`; `adjacent` is `_adjacent`'s answer for it."""
-        sides_of = adjacent and self._exchange(simplex, adjacent)
+        sides_of = self._exchange(simplex, adjacent) if adjacent else self._cramer(simplex)
         keep = self._exchange_masks.setdefault
+        circuits = self._circuits
         pairs = []
-        at = 0  # the number of vertices below p
         for p in range(self.n):
             if mask >> p & 1:
-                at += 1
                 continue
-            key = simplex[:at] + (p,) + simplex[at:]
-            pair = self._circuits.get(key)
+            joined = mask | 1 << p
+            pair = circuits.get(joined)
             if pair is None:
-                if sides_of is None:
-                    sides_of = self._cramer(simplex)
-                pair = self._circuits[key] = sides_of(p, key)
-            if pair is not False:
-                side = pair[0] if pair[0].plus_mask >> p & 1 else pair[1]
-                # simplex − q + p for each q of the side in the simplex.
-                joined = mask | 1 << p
-                swaps = [joined ^ 1 << q for q in side.circuit.plus if q != p]
-                pairs.append((side, tuple(map(keep, swaps, swaps))))
+                pair = circuits[joined] = sides_of(p)
+            side = pair[0] if pair[0].plus_mask >> p & 1 else pair[1]
+            # simplex − q + p for each q of the side in the simplex.
+            swaps = [joined ^ 1 << q for q in side.circuit.plus if q != p]
+            pairs.append((side, tuple(map(keep, swaps, swaps))))
         entry = self._circuit_index[simplex] = (mask, tuple(pairs))
-        if self._minors.get(simplex):
-            self._sources[mask] = simplex
+        self._sources[mask] = simplex
         return entry
 
     def _cramer(self, base):
-        """Cramer's rule on the sorted tuple `base`: a function from (p,
-        key), for p ∉ base and key the sorted base ∪ {p}, to key's pair of
-        sides (see `_sides`).  The dependence is hom(p)·adj on base and
-        -det on p, from one `exact.adjugate` of base's rows, whose
-        determinant joins the minors."""
+        """Cramer's rule on the sorted tuple `base`, which must span: a
+        function from p ∉ base to the pair of sides of base ∪ {p} (see
+        `_sides`).  The dependence is hom(p)·adj on base and -det on p,
+        from one `exact.adjugate` of base's rows, whose determinant joins
+        the minors."""
         det, adj = exact.adjugate([self.hom[v] for v in base])
+        if not det:
+            raise DegenerateConfigError(f"points {base} do not span the affine hull")
         self._minors[base] = det
         cols = tuple(zip(*adj))
 
-        def sides_of(p, key):
-            lam = [sum(map(mul, self.hom[p], col)) for col in cols]
-            lam.insert(key.index(p), -det)
-            return self._sides(key, lam, "Cramer's rule")
+        def sides_of(p):
+            lam = {v: sum(map(mul, self.hom[p], col)) for v, col in zip(base, cols)}
+            lam[p] = -det
+            return self._sides(lam, "Cramer's rule")
 
         return sides_of
 
     def _exchange(self, simplex, adjacent):
         """`_cramer` for a simplex S′ = S − j + i next to an indexed
-        full-dimensional simplex S, `adjacent` = (S, i, j), by one
-        basis-exchange step from S's entry; None when S′ is flat.  Sets
-        S′'s minor.
+        simplex S, `adjacent` = (S, i, j), by one basis-exchange step from
+        S's entry.  Sets S′'s minor; DegenerateConfigError when S′ is flat.
 
         For r ∉ S′ ∪ {j}, the circuit S's entry lists for r lies in
         S ∪ {r}; when it avoids j it lies in S′ ∪ {r}, whose one circuit it
@@ -512,17 +504,17 @@ class PointConfiguration:
         pivot = row(i, self.entry_side(source, i).circuit)
         new_det = pivot[k]
         if not new_det:
-            return None
+            raise DegenerateConfigError(f"points {simplex} do not span the affine hull")
         low, high = min(i, j), max(i, j)
         between = sum(1 for v in source if low < v < high)
         self._minors[simplex] = -new_det if between % 2 else new_det
 
-        def sides_of(r, key):
+        def sides_of(r):
             # r ≠ j: the set S′ ∪ {j} = S ∪ {i} is already in the table.
             circuit = self.entry_side(source, r).circuit
             if not circuit.support_mask >> j & 1:
                 # It avoids j: it is the one circuit of S′ ∪ {r}.
-                return self._circuits[circuit.support]
+                return self._circuits[circuit.support_mask]
             a = row(r, circuit)
             aj = a[k]
             lam = {i: aj, r: -new_det}
@@ -534,13 +526,13 @@ class PointConfiguration:
                             f"the exchange step from {source} to {simplex} does "
                             f"not divide exactly at {r}")
                     lam[v] = c
-            return self._sides(key, [lam[v] for v in key], "the exchange step")
+            return self._sides(lam, "the exchange step")
 
         return sides_of
 
     def _adjacent(self, simplex, mask):
-        """(S, i, j) for the first indexed simplex S = simplex − i + j with
-        a nonzero minor (`_sources`), found by its mask; None if none is."""
+        """(S, i, j) for the first indexed simplex S = simplex − i + j
+        (`_sources`), found by its mask; None if none is."""
         sources = self._sources
         outside = [j for j in range(self.n) if not mask >> j & 1]
         for i in simplex:
@@ -553,11 +545,11 @@ class PointConfiguration:
     def _bridge(self, simplex, mask):
         """`_adjacent`'s answer for a simplex next to no indexed one, after
         indexing the steps of a path to it from the indexed simplex S that
-        shares most vertices with it; None when none is indexed or a step
-        shows the simplex flat.  Each step swaps into S a vertex i of the
-        simplex for the first vertex j ∉ simplex of the circuit of S ∪ {i},
-        so the step spans and is indexed as a source; no such j means that
-        circuit lies in the simplex, which is then flat."""
+        shares most vertices with it; None when none is indexed.  Each step
+        swaps into S a vertex i of the simplex for the first vertex
+        j ∉ simplex of the circuit of S ∪ {i}, so the step spans and is
+        indexed.  No such j means that circuit lies in the simplex, which
+        is then flat: DegenerateConfigError."""
         if not self._sources:
             return None
         near = min(self._sources, key=lambda m: (m ^ mask).bit_count())
@@ -566,7 +558,7 @@ class PointConfiguration:
             i = next(v for v in simplex if not near >> v & 1)
             out = self.entry_side(source, i).circuit.support_mask & near & ~mask
             if not out:
-                return None
+                raise DegenerateConfigError(f"points {simplex} do not span the affine hull")
             j = (out & -out).bit_length() - 1
             near ^= 1 << i | 1 << j
             step = mask_bits(near)
@@ -574,25 +566,24 @@ class PointConfiguration:
             source = step
         return self._adjacent(simplex, mask)
 
-    def _sides(self, key, lam, rule):
-        """The pair of sides of the sorted tuple `key` from a dependence
-        `lam` of its points, in key order, found by `rule`; False when lam
-        is zero (the points do not span).  lam is made primitive and
-        rechecked on the homogenized points.  A new support gets its pair
-        here."""
-        if not any(lam):
-            return False
-        lam = exact._primitive(lam)
+    def _sides(self, lam, rule):
+        """The pair of sides of a nonzero dependence `lam`, {point:
+        coefficient}, of d + 2 points, found by `rule`.  lam is made
+        primitive and rechecked on the homogenized points.  A new support
+        gets its pair here, under its vertex mask."""
+        key = tuple(sorted(lam))
+        lam = exact._primitive([lam[v] for v in key])
         for coords in zip(*(self.hom[v] for v in key)):
             if sum(map(mul, lam, coords)):
                 raise RegulartriError(f"{rule} gives no affine dependence of {key}")
-        support = tuple(v for v, c in zip(key, lam) if c)
-        pair = self._circuits.get(support)
+        support = tuple([v for v, c in zip(key, lam) if c])
+        smask = vertex_mask(support)
+        pair = self._circuits.get(smask)
         if pair is None:
             circuit = _circuit(support, tuple(c for c in lam if c))
             pair = (CircuitSide(circuit), CircuitSide(circuit.negated()))
             pair[0].opposite, pair[1].opposite = pair[1], pair[0]
-            self._circuits[support] = pair
+            self._circuits[smask] = pair
         return pair
 
     def total_volume(self) -> int:
@@ -644,25 +635,6 @@ class PointConfiguration:
         for x in delta:
             shift = (shift << width) + x
         return shift
-
-    # -- orientation helpers ------------------------------------------
-
-    def facet_sign(self, facet, point: int) -> int:
-        """Sign of the oriented hyperplane determinant [facet rows; point row].
-
-        The facet is a tuple of d point indices in a fixed order; two points
-        get the same sign exactly when they lie on the same side of the
-        facet's affine hull.  The determinant is the memoised minor of the
-        sorted indices, times the parity of the sort; a repeated point
-        gives 0.
-        """
-        key = (*facet, point)
-        if len(set(key)) < len(key):
-            return 0
-        det = self._minor(tuple(sorted(key)))
-        if sum(a > b for a, b in combinations(key, 2)) % 2:
-            det = -det
-        return (det > 0) - (det < 0)
 
     def _check_range(self, indices):
         for i in indices:

@@ -219,7 +219,11 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
     volume), total volume against the hull volume, and facet pairing (every
     interior facet shared by exactly two simplices lying on opposite sides;
     every once-used facet inside a hull facet, as its d independent points
-    span a supporting hyperplane exactly when they lie in one).
+    span a supporting hyperplane exactly when they lie in one).  The sides
+    are read off the circuit index, as in `placing_triangulation`: the
+    apexes of s0 and s1 lie strictly on opposite sides of their common
+    facet exactly when s0's apex is on the plus side of the circuit that
+    s0's entry lists for s1's apex.
     """
     d = config.dim
     for s in t.simplices:
@@ -241,6 +245,8 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
             f"simplices cover volume {total}, hull has volume {hull}",
         )
 
+    # The entries, built together: at most one of them is bridged to.
+    config.circuit_entries(t.simplices)
     for facet, owners in facet_incidence(t.simplices).items():
         if len(owners) > 2:
             return ValidationResult(
@@ -250,7 +256,7 @@ def validate(config: PointConfiguration, t: Triangulation) -> ValidationResult:
             )
         if len(owners) == 2:
             (s0, apex0), (s1, apex1) = owners
-            if config.facet_sign(facet, apex0) == config.facet_sign(facet, apex1):
+            if not config.entry_side(s0, apex1).plus_mask >> apex0 & 1:
                 return ValidationResult(
                     False,
                     "facet-pairing",

@@ -47,8 +47,22 @@ from regulartri.flips import Flip, _make_flip
 from regulartri.points import CircuitSide, CorankOneConfig, mask_bits, vertex_mask
 from regulartri.search import GeometricFlipOracle, NeighborProvider, SearchStats
 
-from test_points import _cube_group, check_circuit_table, minor_circuit
+from test_points import _cube_group, check_circuit_table, flat_message, minor_circuit
 from test_search import _relabelled, optimized_output
+
+
+def test_find_flips_refuses_a_flat_simplex():
+    # A flat simplex has no circuit index entry: find_flips names it, with
+    # no simplex indexed yet or with the other one indexed to step from,
+    # and indexes no flat simplex.
+    points = [(0, 0), (1, 0), (2, 0), (0, 1)]
+    t = parse_triangulation("{{0,1,2},{0,2,3}}")
+    for indexed in ((), ((0, 2, 3),)):
+        config = new_configuration(points)
+        config.circuit_entries(indexed)
+        with pytest.raises(DegenerateConfigError, match=flat_message((0, 1, 2))):
+            find_flips(config, t)
+        assert set(config._circuit_index) == set(indexed)
 
 
 def test_square_flip_pins():
@@ -467,7 +481,7 @@ def test_flip_memo_holds_one_flip_per_distinct_flip():
 
 
 def test_flip_memo_bytes_per_flip():
-    # What the flip memo and the simplex table free when they are emptied
+    # What the flip memo and the mask table free when they are emptied
     # after a search of Δ2×Δ3, per memoised flip.  Flips with frozenset
     # sides of their own simplex tuples, memoised under frozenset links,
     # took 2 134 bytes each under tracemalloc (Python 3.11); flips with
@@ -480,7 +494,7 @@ def test_flip_memo_bytes_per_flip():
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         config.flip_memo.clear()
-        config.simplex_table.clear()
+        config.mask_table.clear()
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
@@ -579,9 +593,9 @@ def test_circuit_index_is_lazy_and_shared():
             assert p in side.circuit.plus
             assert set(side.circuit.support) - set(s) == {p}
             key = tuple(sorted(s + (p,)))
-            pair = pairs.setdefault(side.circuit.support, config._circuits[key])
-            assert config._circuits[key] is pair
-            assert config._circuits[side.circuit.support] is pair
+            pair = pairs.setdefault(side.circuit.support, config._circuits[vertex_mask(key)])
+            assert config._circuits[vertex_mask(key)] is pair
+            assert config._circuits[side.circuit.support_mask] is pair
             assert side in pair and pair[1].circuit == pair[0].circuit.negated()
             assert config.circuit_or_none(key) == minor_circuit(config, key)
             assert [mask_bits(face) for face in side.faces] == [
@@ -824,12 +838,12 @@ def test_exchange_simplices_are_masks():
         assert isinstance(smask, int)
         assert all(isinstance(side, CircuitSide) for side, _ in pairs)
         assert all(config._exchange_masks[m] is m for _, swaps in pairs for m in swaps)
-    # No simplex tuple is decoded for an exchange mask: the simplex table
+    # No simplex tuple is decoded for an exchange mask: the mask table
     # holds the simplices of the flips alone, each decoded once.
-    assert config.simplex_table == {} and config.mask_table == {}
+    assert config.mask_table == {}
     flips = find_flips(config, t)
     held = {s for f in flips for s in f.removed + f.inserted}
-    assert held and set(config.simplex_table) == held
+    assert held
     assert {m: s for m, s in config.mask_table.values()} == {vertex_mask(s): s for s in held}
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -26,7 +27,13 @@ from regulartri import (
     triangle_with_interior,
 )
 from regulartri import exact
-from regulartri.points import CircuitSide, CorankOneConfig, PointConfiguration, vertex_mask
+from regulartri.points import (
+    CircuitSide,
+    CorankOneConfig,
+    PointConfiguration,
+    mask_bits,
+    vertex_mask,
+)
 from regulartri.triangulation import (
     Triangulation,
     _hull,
@@ -237,15 +244,34 @@ def test_code_shift_moves_codes_like_vectors():
     assert sq.pack((1, 2, 1, 2)) + sq.code_shift((1, -1, 1, -1)) == sq.pack((2, 1, 2, 1))
 
 
+def facet_sign(cfg, facet, point) -> int:
+    """Sign of the oriented hyperplane determinant [facet rows; point row].
+
+    The facet is a tuple of d point indices in a fixed order; two points
+    get the same sign exactly when they lie on the same side of the
+    facet's affine hull.  The determinant is the memoised minor of the
+    sorted indices, times the parity of the sort; a repeated point gives
+    0.  The determinant reference that the sides read off the circuit
+    index (the hull, placing and `validate`) are checked against.
+    """
+    key = (*facet, point)
+    if len(set(key)) < len(key):
+        return 0
+    det = cfg._minor(tuple(sorted(key)))
+    if sum(a > b for a, b in combinations(key, 2)) % 2:
+        det = -det
+    return (det > 0) - (det < 0)
+
+
 def test_facet_sign():
     cfg = square()
     # Diagonal 0-2 separates points 1 and 3.
-    s1 = cfg.facet_sign((0, 2), 1)
-    s3 = cfg.facet_sign((0, 2), 3)
+    s1 = facet_sign(cfg, (0, 2), 1)
+    s3 = facet_sign(cfg, (0, 2), 3)
     assert s1 != 0 and s3 != 0 and s1 == -s3
     # A point on the facet's affine hull gets sign zero.
     line = new_configuration([(0, 0), (2, 2), (1, 1), (0, 1)])
-    assert line.facet_sign((0, 1), 2) == 0
+    assert facet_sign(line, (0, 1), 2) == 0
 
 
 def test_facet_sign_matches_determinant_in_every_order():
@@ -261,7 +287,7 @@ def test_facet_sign_matches_determinant_in_every_order():
             for order in permutations(chosen):
                 facet, point = order[:-1], order[-1]
                 det = determinant([cfg.hom[i] for i in order])
-                assert cfg.facet_sign(facet, point) == (det > 0) - (det < 0)
+                assert facet_sign(cfg, facet, point) == (det > 0) - (det < 0)
 
 
 def test_affine_coordinates_exact():
@@ -435,14 +461,13 @@ def test_forged_minor_check_survives_optimize_flag():
 
 
 def check_circuit_table(cfg):
-    """Every value of cfg's circuit table is a pair of sides or False, every
-    support maps to the pair of its own circuit, and every support has one
-    pair, whichever keys reach it."""
+    """Every key of cfg's circuit table is the vertex mask of a (d+2)-set
+    or of a support, every value is the pair of sides of the key's
+    circuit, every support maps to the pair of its own circuit, and every
+    support has one pair, whichever keys reach it."""
     pairs = {}
     for key, pair in cfg._circuits.items():
-        if pair is False:
-            assert len(key) == cfg.dim + 2, key
-            continue
+        assert type(key) is int, key
         assert type(pair) is tuple and len(pair) == 2, key
         assert all(type(side) is CircuitSide for side in pair), key
         circuit = pair[0].circuit
@@ -454,37 +479,47 @@ def check_circuit_table(cfg):
             assert side.plus_mask == vertex_mask(plus), key
             assert side.faces == tuple(
                 vertex_mask(v for v in support if v != q) for q in plus), key
-        assert set(circuit.support) <= set(key), key
-        assert cfg._circuits[circuit.support] is pair, key
+        assert circuit.support_mask == vertex_mask(circuit.support), key
+        assert circuit.support_mask & ~key == 0, key
+        assert key == circuit.support_mask or key.bit_count() == cfg.dim + 2, key
+        assert cfg._circuits[circuit.support_mask] is pair, key
         assert pairs.setdefault(circuit.support, pair) is pair, key
     return pairs
+
+
+def flat_message(simplex):
+    """The pattern of the DegenerateConfigError that names a flat simplex."""
+    return re.escape(f"points {simplex} do not span the affine hull")
 
 
 def _check_sides(make, simplices):
     """The circuit index entry of each simplex, all on one configuration,
     against `minor_circuit`: each (d+2)-set maps to its support's pair of
-    sides, and circuit_or_none reads the set's circuit back from that pair."""
+    sides, and circuit_or_none reads the set's circuit back from that pair.
+    A flat simplex has no entry: DegenerateConfigError names it."""
     cfg = make()
     checked = 0
     for simplex in simplices:
+        if not determinant([cfg.hom[i] for i in simplex]):
+            with pytest.raises(DegenerateConfigError, match=flat_message(simplex)):
+                cfg.circuit_entry(simplex)
+            assert simplex not in cfg._circuit_index
+            continue
         smask, pairs = cfg.circuit_entry(simplex)
         assert smask == vertex_mask(simplex)
         sides = iter([side for side, _ in pairs])
         for p in range(cfg.n):
             if p in simplex:
                 continue
-            key = tuple(sorted(simplex + (p,)))
-            want = minor_circuit(cfg, key)
-            if want is None:
-                assert cfg._circuits[key] is False, key
-            else:
-                # p is on the plus side of the circuit listed for it, or
-                # off the circuit (in a flat simplex), which is then negated.
-                circuit = want.reduced()
-                pair = cfg._circuits[key]
-                assert pair[0].circuit == circuit, key
-                side = next(sides)
-                assert side is pair[0 if p in circuit.plus else 1], key
+            want = minor_circuit(cfg, tuple(sorted(simplex + (p,))))
+            # The simplex spans, so p is on the circuit, on the plus side
+            # of the one listed for it.
+            circuit = want.reduced()
+            pair = cfg._circuits[smask | 1 << p]
+            assert pair[0].circuit == circuit, (simplex, p)
+            side = next(sides)
+            assert side is pair[0 if p in circuit.plus else 1], (simplex, p)
+            assert p in side.circuit.plus, (simplex, p)
             checked += 1
         assert next(sides, None) is None
     # Only the adjugates ran: each left its simplex's determinant, no other minor.
@@ -492,15 +527,16 @@ def _check_sides(make, simplices):
     assert all(cfg._minors[s] == determinant([cfg.hom[i] for i in s]) for s in cfg._minors)
     check_circuit_table(cfg)
     for key in list(cfg._circuits):
-        if len(key) == cfg.dim + 2:
-            assert cfg.circuit_or_none(key) == minor_circuit(cfg, key), key
+        if key.bit_count() == cfg.dim + 2:
+            points = mask_bits(key)
+            assert cfg.circuit_or_none(points) == minor_circuit(cfg, points), points
     return checked
 
 
 @pytest.mark.parametrize("name", sorted(CRAMER_FIXTURES))
 def test_simplex_sides_match_minor_path(name):
-    # Every (d+1)-subset, flat ones included: a flat simplex's adjugate
-    # comes from cofactors, and its sets still match the minor path.
+    # Every (d+1)-subset, flat ones included: a flat simplex raises, and
+    # every other one's sets match the minor path.
     make = CRAMER_FIXTURES[name]
     cfg = make()
     assert _check_sides(make, list(combinations(range(cfg.n), cfg.dim + 1)))
@@ -545,8 +581,9 @@ def test_forged_adjugate_raises(monkeypatch):
 
 def test_circuit_or_none_leaves_no_simplex_tuples():
     # Cold circuit_or_none calls take each set's sides from the adjugate of
-    # one base: they fill no circuit index entry, and no simplex tuple
-    # reaches the simplex table.
+    # one base: they fill no circuit index entry, no simplex tuple reaches
+    # the mask table, and the circuit table keeps the supports alone, no
+    # set.
     rng = random.Random(20261019)
     cfg = simplex_product(2, 4)
     found = 0
@@ -554,7 +591,8 @@ def test_circuit_or_none_leaves_no_simplex_tuples():
         key = tuple(sorted(rng.sample(range(cfg.n), cfg.dim + 2)))
         found += cfg.circuit_or_none(key) is not None
     assert 0 < found < 3000
-    assert cfg._circuit_index == {} and cfg.simplex_table == {}
+    assert cfg._circuit_index == {} and cfg.mask_table == {}
+    assert all(pair[0].circuit.support_mask == key for key, pair in cfg._circuits.items())
 
 
 # -- the circuit index by exchange steps against fresh adjugates -------------
@@ -665,8 +703,8 @@ def test_exchange_step_refuses_a_forged_minor(forged, message):
 
 
 def test_exchange_steps_cover_every_simplex_of_a_small_configuration():
-    # Every simplex of the configuration, after one that spans, by steps;
-    # the flat ones, where no step leads, by their cofactors.
+    # Every simplex of the configuration that spans, after the first, by
+    # steps; the flat ones raise, and take no adjugate.
     cfg = new_configuration(EXCHANGE_POINTS + [(3, 3)])
     simplices = list(combinations(range(cfg.n), 3))
     flat = [s for s in simplices if not determinant([cfg.hom[i] for i in s])]
@@ -676,24 +714,33 @@ def test_exchange_steps_cover_every_simplex_of_a_small_configuration():
     exact.adjugate = lambda m: calls.append(m) or real(m)
     try:
         for s in simplices:
-            cfg.circuit_entry(s)
+            if s in flat:
+                with pytest.raises(DegenerateConfigError, match=flat_message(s)):
+                    cfg.circuit_entry(s)
+            else:
+                cfg.circuit_entry(s)
     finally:
         exact.adjugate = real
-    # The first simplex and some flat ones: a flat simplex whose sets are
-    # all in the table already takes no adjugate.
-    rows = [[cfg.hom[i] for i in s] for s in simplices]
-    assert calls[0] == rows[0]
-    assert 1 < len(calls) and all(m in [rows[simplices.index(s)] for s in flat] for m in calls[1:])
+    # The first simplex alone.
+    assert calls == [[cfg.hom[i] for i in simplices[0]]]
+    assert set(cfg._circuit_index) == set(simplices) - set(flat)
     check_entries_against_adjugates(cfg, lambda: new_configuration(EXCHANGE_POINTS + [(3, 3)]))
 
 
 def test_entry_side_refuses_a_point_the_entry_lists_no_side_for():
-    # On a flat simplex the entry skips its degenerate sets, and a point of
-    # the simplex has no side: neither reads another point's side.
+    # A flat simplex has no entry, before any simplex is indexed or after
+    # one is, and a point of the simplex, or no point, has no side: none
+    # reads another point's side.
     cfg = new_configuration([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
-    for simplex, p in [((0, 1, 2), 3), ((0, 1, 2), 4), ((0, 1, 4), 1), ((0, 1, 4), 4)]:
+    for p in (3, 4):
+        with pytest.raises(DegenerateConfigError, match=flat_message((0, 1, 2))):
+            cfg.entry_side((0, 1, 2), p)
+    for simplex, p in [((0, 1, 4), 1), ((0, 1, 4), 4), ((0, 1, 4), 5)]:
         with pytest.raises(RegulartriError, match="lists no side"):
             cfg.entry_side(simplex, p)
+    for p in (3, 4):
+        with pytest.raises(DegenerateConfigError, match=flat_message((0, 1, 2))):
+            cfg.entry_side((0, 1, 2), p)
     for p in (2, 3):
         side = cfg.entry_side((0, 1, 4), p)
         assert p in side.circuit.plus and side is cfg.circuit_entry((0, 1, 4))[1][p - 2][0]
@@ -701,29 +748,28 @@ def test_entry_side_refuses_a_point_the_entry_lists_no_side_for():
 
 def counted_steps(make, nodes, monkeypatch):
     """`searched(make, nodes)` with each set an exchange step answers
-    recorded as (r, key, j, pair, pivoted): pivoted when the step computed
-    a dependence, not when it returned its source's circuit.  Returns
-    (config, adjugates, records)."""
+    recorded as (r, key, j, pair, pivoted), key the set's vertex mask:
+    pivoted when the step computed a dependence, not when it returned its
+    source's circuit.  Returns (config, adjugates, records)."""
     records, pivots = [], []
     real_exchange, real_sides = PointConfiguration._exchange, PointConfiguration._sides
 
     def exchange(self, simplex, adjacent):
         sides_of = real_exchange(self, simplex, adjacent)
-        if sides_of is None:
-            return None
+        mask = vertex_mask(simplex)
 
-        def recorded(r, key):
+        def recorded(r):
             before = len(pivots)
-            pair = sides_of(r, key)
-            records.append((r, key, adjacent[2], pair, len(pivots) > before))
+            pair = sides_of(r)
+            records.append((r, mask | 1 << r, adjacent[2], pair, len(pivots) > before))
             return pair
 
         return recorded
 
-    def sides(self, key, lam, rule):
+    def sides(self, lam, rule):
         if rule == "the exchange step":
-            pivots.append(key)
-        return real_sides(self, key, lam, rule)
+            pivots.append(lam)
+        return real_sides(self, lam, rule)
 
     monkeypatch.setattr(PointConfiguration, "_exchange", exchange)
     monkeypatch.setattr(PointConfiguration, "_sides", sides)
@@ -746,8 +792,8 @@ def test_exchange_steps_reuse_circuits_that_avoid_the_dropped_vertex(
     assert sum(not pivoted for *_, pivoted in records) == reuses
     for r, key, j, pair, pivoted in records:
         circuit = pair[0].circuit
-        assert pair is cfg._circuits[key] is cfg._circuits[circuit.support], key
-        assert set(circuit.support) <= set(key) and r in circuit.support, key
+        assert pair is cfg._circuits[key] is cfg._circuits[circuit.support_mask], key
+        assert circuit.support_mask & ~key == 0 and r in circuit.support, key
         assert all(type(side) is CircuitSide for side in pair), key
         if not pivoted:
             assert j not in circuit.support, key
@@ -759,7 +805,7 @@ def test_exchange_steps_reuse_circuits_that_avoid_the_dropped_vertex(
 def test_simplices_next_to_no_indexed_one_are_bridged_by_steps():
     # With one simplex indexed, any other full-dimensional one is reached
     # by a path of exchange steps, each indexed as a source; a flat one
-    # takes its cofactors.  Every entry equals a fresh adjugate's.
+    # raises, and takes no adjugate.  Every entry equals a fresh adjugate's.
     make = lambda: simplex_product(2, 3)
     cfg = make()
     first = (0, 1, 2, 4, 8, 11)
@@ -778,11 +824,42 @@ def test_simplices_next_to_no_indexed_one_are_bridged_by_steps():
         assert set(cfg._sources.values()) == set(cfg._circuit_index)
         flat = (0, 1, 2, 3, 4, 5)
         assert not determinant([cfg.hom[i] for i in flat])
-        cfg.circuit_entry(flat)
-        assert len(calls) == 2 and flat not in cfg._sources.values()
+        with pytest.raises(DegenerateConfigError, match=flat_message(flat)):
+            cfg.circuit_entry(flat)
+        assert len(calls) == 1 and flat not in cfg._circuit_index
     finally:
         exact.adjugate = real
     check_entries_against_adjugates(cfg, make)
+
+
+def test_flat_simplices_raise_however_their_entry_is_built(monkeypatch):
+    # A flat simplex raises as the first simplex of a configuration (its
+    # adjugate's determinant is 0), next to an indexed one (its exchange
+    # step's pivot is 0) and next to none (the bridge finds no vertex to
+    # swap out).  None is indexed, and after the first simplex no adjugate
+    # is taken; the bridge's steps are indexed and match fresh adjugates.
+    make = lambda: simplex_product(2, 3)
+    first = (0, 1, 2, 4, 8, 11)
+    stepped, calls = [], []
+    real_exchange, real_adjugate = PointConfiguration._exchange, exact.adjugate
+    monkeypatch.setattr(PointConfiguration, "_exchange", lambda self, simplex, adjacent:
+                        stepped.append(simplex) or real_exchange(self, simplex, adjacent))
+    monkeypatch.setattr(exact, "adjugate", lambda m: calls.append(m) or real_adjugate(m))
+    for flat, way in [((0, 1, 2, 3, 4, 5), "first"), ((0, 1, 2, 3, 4, 5), "exchange"),
+                      ((0, 1, 2, 4, 5, 6), "bridge")]:
+        assert not determinant([simplex_product(2, 3).hom[i] for i in flat])
+        cfg = make()
+        if way != "first":
+            cfg.circuit_entry(first)
+        del stepped[:], calls[:]
+        with pytest.raises(DegenerateConfigError, match=flat_message(flat)):
+            cfg.circuit_entry(flat)
+        assert flat not in cfg._circuit_index and flat not in cfg._minors
+        assert len(calls) == (way == "first")
+        assert (flat in stepped) == (way == "exchange")
+        assert (cfg._adjacent(flat, vertex_mask(flat)) is None) == (way != "exchange")
+        check_circuit_table(cfg)
+        check_entries_against_adjugates(cfg, make)
 
 
 # -- the hull and the placing triangulation against the facet_sign walk -------
@@ -799,8 +876,8 @@ def reference_placing(cfg):
         visible = []
         for facet, owners in facet_incidence(simplices).items():
             if len(owners) == 1:
-                inside = cfg.facet_sign(facet, owners[0][1])
-                s = cfg.facet_sign(facet, p)
+                inside = facet_sign(cfg, facet, owners[0][1])
+                s = facet_sign(cfg, facet, p)
                 if s != 0 and s != inside:
                     visible.append(facet)
         simplices.update(tuple(sorted(facet + (p,))) for facet in visible)
@@ -816,7 +893,7 @@ def reference_hull(cfg):
     hyperplanes, off = [], 0
     for facet, owners in facet_incidence(t.simplices).items():
         if len(owners) == 1 and not any(h.issuperset(facet) for h in hyperplanes):
-            h = frozenset(i for i in range(cfg.n) if cfg.facet_sign(facet, i) == 0)
+            h = frozenset(i for i in range(cfg.n) if facet_sign(cfg, facet, i) == 0)
             off += len(h) - len(facet)
             hyperplanes.append(h)
     volume = sum(abs(determinant([cfg.hom[i] for i in s])) for s in t.simplices)

@@ -702,7 +702,7 @@ def test_flips_and_nodes_share_one_tuple_per_simplex():
         GeometricFlipOracle(config, SearchMode.REGULAR_ONLY, stats), stats)
     nodes = []
     assert reverse_search(provider, lambda t, g, d: nodes.append(t)) == 4488
-    table = config.simplex_table
+    table = {s: s for _, s in config.mask_table.values()}
     flips = config.flip_memo.values()
     assert len(flips) == 1584 and len(table) <= 432
     assert sum(len(f.removed) + len(f.inserted) for f in flips) == 13536
@@ -1083,7 +1083,7 @@ def test_relabelled_children_hold_table_tuples(monkeypatch):
     group = expand_group(config, simplex_product_symmetry_generators(2, 4))
     _, stats = enumerate_triangulations(config, group=group)
     assert (stats.nodes, len(children)) == (530, 298)
-    table = config.simplex_table
+    table = {s: s for _, s in config.mask_table.values()}
     for child in children:
         assert all(table[s] is s for s in child.simplices)
 

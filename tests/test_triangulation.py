@@ -10,9 +10,12 @@ import pytest
 from regulartri import (
     DimensionError,
     InvalidInputError,
+    SearchMode,
     Triangulation,
     apply_flip,
+    convex_polygon,
     cube,
+    enumerate_triangulations,
     find_flips,
     format_triangulation,
     gkz,
@@ -22,11 +25,14 @@ from regulartri import (
     parse_triangulation,
     placing_triangulation,
     pulling_triangulation,
+    simplex_product,
     square,
     triangle_with_interior,
     validate,
 )
-from regulartri.triangulation import _hull, facet_incidence
+from regulartri.triangulation import ValidationResult, _hull, facet_incidence
+
+from test_points import facet_sign
 
 
 def test_canonical_order_and_equality():
@@ -187,6 +193,93 @@ def test_validate_checks_vertex_counts():
         validate(square(), Triangulation([(0, 1, 9)]))
 
 
+# -- validate against the facet_sign walk -----------------------------------
+
+
+def reference_validate(config, t):
+    """`validate` with its facets oriented by `facet_sign` determinants,
+    the reference for the sides `validate` reads off the circuit index.
+    Only for triangulations of the right shape."""
+    for s in t.simplices:
+        if config.normalized_volume(s) == 0:
+            return ValidationResult(False, "degenerate-simplex", f"simplex {s} is flat")
+    total = sum(config.normalized_volume(s) for s in t.simplices)
+    hull, hull_facets = _hull(config)
+    if total != hull:
+        return ValidationResult(
+            False, "total-volume", f"simplices cover volume {total}, hull has volume {hull}")
+    for facet, owners in facet_incidence(t.simplices).items():
+        if len(owners) > 2:
+            return ValidationResult(
+                False, "facet-pairing", f"facet {facet} belongs to {len(owners)} simplices")
+        if len(owners) == 2:
+            (s0, apex0), (s1, apex1) = owners
+            if facet_sign(config, facet, apex0) == facet_sign(config, facet, apex1):
+                return ValidationResult(
+                    False, "facet-pairing",
+                    f"simplices {s0} and {s1} overlap across facet {facet}")
+        elif not any(h.issuperset(facet) for h in hull_facets):
+            return ValidationResult(
+                False, "facet-pairing", f"interior facet {facet} belongs to only one simplex")
+    return ValidationResult(True)
+
+
+def forgeries(config, t):
+    """t with one simplex moved across an interior facet: for each facet
+    shared by s0 and s1, s0 swaps its apex for the first point strictly on
+    s1's side of the facet, s1's apex excepted, where there is one."""
+    for facet, owners in facet_incidence(t.simplices).items():
+        if len(owners) != 2:
+            continue
+        (s0, apex0), (s1, apex1) = owners
+        far = facet_sign(config, facet, apex1)
+        for q in range(config.n):
+            if q not in s0 + s1 and facet_sign(config, facet, q) == far:
+                moved = tuple(sorted(facet + (q,)))
+                if moved not in t.simplices:
+                    yield Triangulation([s for s in t.simplices if s != s0] + [moved])
+                break
+
+
+def _check_validate(make):
+    """validate against reference_validate, on a fresh configuration, for
+    every triangulation of the all-flips baseline and its forgeries; the
+    number of forgeries found to overlap across a facet."""
+    config = make()
+    found = []
+    enumerate_triangulations(config, SearchMode.ALL_FLIPS, baseline=True,
+                             visitor=lambda t, g, depth: found.append(t))
+    reference = make()
+    overlaps = 0
+    for t in found:
+        assert validate(config, t) == reference_validate(reference, t) == ValidationResult(True)
+        for forged in forgeries(reference, t):
+            want = reference_validate(reference, forged)
+            assert validate(config, forged) == want, (config.points, forged)
+            overlaps += "overlap" in want.detail
+    return overlaps
+
+
+@pytest.mark.parametrize("make", [
+    square, triangle_with_interior, nested_triangles, lambda: convex_polygon(6),
+    lambda: cube(3), lambda: simplex_product(2, 2),
+], ids=["square", "triangle_with_interior", "nested_triangles", "hexagon", "cube3", "d2d2"])
+def test_validate_matches_the_facet_sign_walk(make):
+    _check_validate(make)
+
+
+def test_validate_matches_the_facet_sign_walk_on_random_configurations():
+    # Criterion 3's random configurations.
+    from test_acceptance import _random_config
+
+    rng = random.Random(20260814)
+    overlaps = 0
+    for _ in range(22):
+        pts = _random_config(rng).points
+        overlaps += _check_validate(lambda: new_configuration(pts))
+    assert overlaps > 0
+
+
 def test_placing_square():
     t = placing_triangulation(square())
     assert t == parse_triangulation("{{0,1,2},{0,2,3}}")
@@ -224,11 +317,11 @@ def on_boundary(config, facet, apex) -> bool:
     """True when the facet's hyperplane supports the whole configuration:
     no point lies strictly on the side away from the apex.  The reference
     for membership in the facets of `_hull`."""
-    side = config.facet_sign(facet, apex)
+    side = facet_sign(config, facet, apex)
     for i in range(config.n):
         if i in facet:
             continue
-        s = config.facet_sign(facet, i)
+        s = facet_sign(config, facet, i)
         if s != 0 and s != side:
             return False
     return True
